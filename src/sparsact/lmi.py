@@ -247,20 +247,28 @@ class Expr:
 
     # --- linearization ----------------------------------------------------
     def coefficients(self, offsets):
-        """Constant matrix plus {global scalar index: coefficient matrix}."""
+        """Constant matrix plus {global scalar index: coefficient matrix}.
+
+        Entry (i, j) of a term's variable contributes the outer product of
+        L[:, i] and R[j, :]; an outer product with an all-zero factor is
+        skipped, and an entry none of whose products survive is left out.
+        """
         coefs = {}
         for t in self.terms:
             base = offsets[t.var]
             L, R = t.left, t.right
+            live_l = L.any(axis=0).tolist()
+            live_r = R.any(axis=1).tolist()
+            mirrored = t.var.structure == "symmetric"
             for k, (i, j) in enumerate(t.var.entry_pairs()):
                 if t.transposed:
-                    C = np.outer(L[:, j], R[i, :])
-                    if t.var.structure == "symmetric" and i != j:
-                        C = C + np.outer(L[:, i], R[j, :])
-                else:
-                    C = np.outer(L[:, i], R[j, :])
-                    if t.var.structure == "symmetric" and i != j:
-                        C = C + np.outer(L[:, j], R[i, :])
+                    i, j = j, i
+                C = np.outer(L[:, i], R[j, :]) if live_l[i] and live_r[j] else None
+                if mirrored and i != j and live_l[j] and live_r[i]:
+                    P = np.outer(L[:, j], R[i, :])
+                    C = P if C is None else C + P
+                if C is None:
+                    continue
                 key = base + k
                 if key in coefs:
                     coefs[key] = coefs[key] + C
@@ -444,8 +452,11 @@ def compile_lmis(variables, constraints, objective=None):
     """Pack matrix-variable constraints into an SdpProblem.
 
     Strict inequalities get a margin eps = 1e-7 * (1 + ||constant||) so the
-    closed-cone solver returns strictly feasible matrices.  Returns the
-    problem and a VarMap for reading back matrix values.
+    closed-cone solver returns strictly feasible matrices.  Each inequality
+    becomes one LmiBlock holding only the symmetrized coefficient slices
+    that have a nonzero entry; a scalar whose slice cancels or is
+    antisymmetric is absent from that block's var_idx.  Returns the problem
+    and a VarMap for reading back matrix values.
     """
     variables = list(variables)
     vm = VarMap(variables)
@@ -478,12 +489,12 @@ def compile_lmis(variables, constraints, objective=None):
             work = work - eps * np.eye(expr.shape[0])
         constant, coefs = work.coefficients(vm.offsets)
         constant = 0.5 * (constant + constant.T)
-        if coefs:
-            vi = np.array(sorted(coefs), dtype=int)
-            tensor = np.stack([0.5 * (coefs[k] + coefs[k].T) for k in vi])
-        else:
-            vi = np.zeros(0, dtype=int)
-            tensor = np.zeros((0,) + expr.shape)
+        vi = np.array(sorted(coefs), dtype=int)
+        tensor = np.stack([coefs[k] for k in vi]) if coefs else np.zeros((0,) + expr.shape)
+        tensor = 0.5 * (tensor + np.transpose(tensor, (0, 2, 1)))
+        keep = tensor.any(axis=(1, 2))
+        if not keep.all():  # slices that cancelled or were antisymmetric
+            vi, tensor = vi[keep], tensor[keep]
         blocks.append(LmiBlock(F0=constant, var_idx=vi, coefs=tensor))
     c_obj = np.zeros(n)
     obj_const = 0.0

@@ -6,8 +6,12 @@ F_j(x) = F0_j + sum_i x_i C_ji  >= 0.
 
 The solver is a primal-dual interior-point method on the homogeneous
 self-dual embedding with Nesterov-Todd scaling and a Mehrotra corrector.
-All linear algebra is dense; target problems have at most a few hundred
-variables and LMI rows.
+The per-block algebra is dense, but each block carries only its
+structurally nonzero coefficient slices, so NT scaling and the Schur
+complement touch only the scalars a block depends on.  The Schur system
+is factored by Cholesky when there are no equalities (it is then
+symmetric positive definite) and by LU as a saddle system otherwise.
+Target problems have at most a few hundred variables and LMI rows.
 """
 
 from __future__ import annotations
@@ -35,7 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LmiBlock:
-    """One PSD constraint F0 + sum_j coefs[j] * x[var_idx[j]] >= 0."""
+    """One PSD constraint F0 + sum_j coefs[j] * x[var_idx[j]] >= 0.
+
+    A scalar missing from var_idx has a zero coefficient in this block;
+    blocks from lmi.compile_lmis list only scalars with a nonzero slice.
+    """
 
     F0: np.ndarray
     var_idx: np.ndarray
@@ -320,6 +328,28 @@ def _reduce_equalities(A, b):
     return Ar, br, U[:, :r], inconsistent
 
 
+def _factor_kkt(H, A, delta):
+    """Factor the regularized reduced KKT matrix; return its solve function.
+
+    Without equalities the matrix is H + delta*I, symmetric positive
+    definite in exact arithmetic, and is factored by Cholesky.  When
+    Cholesky fails numerically, and whenever there are equalities, the
+    (saddle) matrix is factored by LU instead.
+    """
+    p = A.shape[0]
+    KKT = H + delta * np.eye(H.shape[0])
+    if p:
+        KKT = np.block([[KKT, A.T], [A, -delta * np.eye(p)]])
+    else:
+        try:
+            cho = scipy.linalg.cho_factor(KKT, check_finite=False)
+            return lambda rhs: scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+        except np.linalg.LinAlgError:
+            pass
+    lu = scipy.linalg.lu_factor(KKT)
+    return lambda rhs: scipy.linalg.lu_solve(lu, rhs)
+
+
 def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     """Solve an LMI-form SDP; see the module docstring for the algorithm."""
     opts = opts or SolverOptions()
@@ -461,14 +491,8 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
             if len(co.vi):
                 H[np.ix_(co.vi, co.vi)] += co.Ssc.T @ co.Ssc
         delta = 1e-12 * (1.0 + (np.abs(np.diag(H)).max() if n else 0.0))
-        KKT = np.zeros((n + p, n + p))
-        KKT[:n, :n] = H + delta * np.eye(n)
-        if p:
-            KKT[:n, n:] = A.T
-            KKT[n:, :n] = A
-            KKT[n:, n:] = -delta * np.eye(p)
         try:
-            lu = scipy.linalg.lu_factor(KKT)
+            kkt_solve = _factor_kkt(H, A, delta)
         except (np.linalg.LinAlgError, ValueError):
             status, message = "max_iter", "KKT factorization failure"
             break
@@ -481,12 +505,12 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
             for co, v in zip(cones, split(bz_t)):
                 if len(co.vi):
                     top[co.vi] += co.Ssc.T @ v
-            sol = scipy.linalg.lu_solve(lu, rhs)
+            sol = kkt_solve(rhs)
             for _ in range(2):  # refinement against the unregularized system
                 ux, uy = sol[:n], sol[n:]
                 r_top = rhs[:n] - H @ ux - (A.T @ uy if p else 0.0)
                 r_bot = rhs[n:] - A @ ux if p else np.zeros(0)
-                corr = scipy.linalg.lu_solve(lu, np.concatenate([r_top, r_bot]))
+                corr = kkt_solve(np.concatenate([r_top, r_bot]))
                 sol = sol + corr
             ux, uy = sol[:n], sol[n:]
             uz_parts = []

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import ReducedInfeasible, SparsactError
 from .joint import JointSpec, JointSynthesisResult, synth_joint
 from .model import GeneralizedPlant
-from .statefb import ACTIVE_THRESHOLD_RATIO, SfSynthesisSpec, synth_sf
+from .statefb import (ACTIVE_THRESHOLD_RATIO, SfSynthesisSpec, active_set_from_values,
+                      synth_sf)
 
 __all__ = [
     "ReweightPolicy",
@@ -63,6 +64,7 @@ class SparsifyTrace:
     active_sets: list = field(default_factory=list)
     results: list = field(default_factory=list)
     stop_reason: str = ""
+    threshold_ratio: float = ACTIVE_THRESHOLD_RATIO  # the active sets' threshold
 
     def __len__(self):
         return len(self.results)
@@ -114,23 +116,26 @@ def update_weights(values, old_weights, epsilon, tie_break=0.0):
     return w / top if top > 0 else w
 
 
-def _iteration_summary(result):
+def _iteration_summary(result, threshold_ratio):
     """(reweighting values, active_set) per result flavor.
 
     Gamma-based designs reweight on gamma_i itself (squared channel norm):
     the resulting scheme minimizes a log-sum surrogate whose optima are
     sparse, whereas sqrt(gamma_i) would make exact duplicate splits an
-    attracting fixed point.
+    attracting fixed point.  Active sets keep the groups above
+    threshold_ratio times the largest channel norm (sqrt(gamma_i)) or
+    group norm.
     """
     if isinstance(result, JointSynthesisResult):
         rep = result.report
         values = {"actuators": rep.row_norms, "sensors": rep.col_norms}
         active = {
-            "actuators": rep.active_actuators,
-            "sensors": rep.active_sensors,
+            "actuators": active_set_from_values(rep.row_norms, threshold_ratio),
+            "sensors": active_set_from_values(rep.col_norms, threshold_ratio),
         }
         return values, active
-    return np.maximum(result.gamma, 0.0), result.active_set
+    gamma = np.maximum(result.gamma, 0.0)
+    return gamma, active_set_from_values(np.sqrt(gamma), threshold_ratio)
 
 
 def _reweighted_spec(spec, values, policy):
@@ -187,7 +192,7 @@ def reweight_iterate(spec, policy: ReweightPolicy = ReweightPolicy(),
     objective stall, or max_outer iterations.  Synthesis errors are
     re-raised with the iteration index prepended.
     """
-    trace = SparsifyTrace()
+    trace = SparsifyTrace(threshold_ratio=policy.threshold_ratio)
     current = _tie_broken_start(spec, policy)
     for k in range(policy.max_outer):
         try:
@@ -197,7 +202,7 @@ def reweight_iterate(spec, policy: ReweightPolicy = ReweightPolicy(),
                 raise
             exc.args = (f"reweight iteration {k + 1}: {exc}",) + exc.args[1:]
             raise
-        values, active = _iteration_summary(result)
+        values, active = _iteration_summary(result, policy.threshold_ratio)
         trace.weights.append(_current_weights(current))
         trace.objectives.append(result.objective)
         trace.values.append(values)
@@ -243,11 +248,12 @@ def prune_and_resolve(trace: SparsifyTrace, spec,
                       synthesize=default_synthesizer) -> PrunedResult:
     """Drop inactive actuators (and sensors, joint mode), re-solve, verify.
 
-    The reduced problem uses uniform weights; infeasibility after pruning
-    raises ReducedInfeasible carrying the threshold that caused it.
+    Prunes to the trace's last active set, which reweight_iterate took at
+    its policy's threshold_ratio.  The reduced problem uses uniform
+    weights; infeasibility after pruning raises ReducedInfeasible carrying
+    that threshold.
     """
-    final = trace.final
-    _, active = _iteration_summary(final)
+    active = trace.active_sets[-1]
     if isinstance(spec, JointSpec):
         keep_act = sorted(active["actuators"])
         keep_sen = sorted(active["sensors"])
@@ -271,7 +277,7 @@ def prune_and_resolve(trace: SparsifyTrace, spec,
         raise ReducedInfeasible(
             f"synthesis infeasible after pruning to actuators {keep_act} "
             f"and sensors {keep_sen}: {exc}",
-            threshold=ACTIVE_THRESHOLD_RATIO) from exc
+            threshold=trace.threshold_ratio) from exc
     return PrunedResult(
         result=result,
         reduced_plant=reduced,

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import random_plant
 from sparsact import lmi
 from sparsact.errors import ModelingError
+from sparsact.joint import JointSpec, synth_joint
+from sparsact.outputfb import synth_of
 from sparsact.sdp import solve_sdp
+from sparsact.statefb import SfSynthesisSpec, synth_sf
 
 
 def rand_assignment(rng, *variables):
@@ -171,3 +175,61 @@ class TestVarMap:
         for idx, (i, j) in enumerate(X.entry_pairs()):
             x[vm.offsets[X] + idx] = M[i, j]
         assert vm.value(x, X) == pytest.approx(M)
+
+
+class _Compiled(Exception):
+    """Raised by the capturing compile_lmis to stop a design before its solve."""
+
+
+def compiled_design(monkeypatch, synthesize, spec):
+    """(variables, constraints, problem, varmap) that a design compiles."""
+    captured = []
+    compile_lmis = lmi.compile_lmis
+
+    def capture(variables, constraints, objective=None):
+        problem, vm = compile_lmis(variables, constraints, objective=objective)
+        captured.append((list(variables), list(constraints), problem, vm))
+        raise _Compiled
+
+    monkeypatch.setattr(lmi, "compile_lmis", capture)
+    with pytest.raises(_Compiled):
+        synthesize(spec)
+    return captured[0]
+
+
+DESIGNS = {"sf": (synth_sf, SfSynthesisSpec), "of": (synth_of, SfSynthesisSpec),
+           "joint": (synth_joint, JointSpec)}
+
+
+@pytest.mark.parametrize("kind", ["hinf", "h2"])
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+class TestCompiledDesigns:
+    @pytest.fixture
+    def compiled(self, monkeypatch, design, kind):
+        synthesize, spec_type = DESIGNS[design]
+        plant = random_plant(np.random.default_rng(11), nx=3, nu=2, nw=2, nz=2, ny=2)
+        return compiled_design(monkeypatch, synthesize,
+                               spec_type(plant=plant, performance_kind=kind, gamma0=5.0))
+
+    def test_no_all_zero_slice(self, compiled):
+        _, _, problem, _ = compiled
+        for blk in problem.blocks:
+            assert np.all(np.any(blk.coefs != 0.0, axis=(1, 2)))
+            assert np.all(np.diff(blk.var_idx) > 0)
+
+    def test_blocks_evaluate_their_constraints(self, compiled):
+        _, constraints, problem, vm = compiled
+        inequalities = [c for c in constraints if c.sense != "eq"]
+        assert len(inequalities) == len(problem.blocks)
+        x = np.random.default_rng(12).standard_normal(problem.num_vars)
+        values = vm.assignment(x)
+        for con, blk in zip(inequalities, problem.blocks):
+            M = lmi.evaluate(con.expr, values)
+            if con.sense == "neg":
+                M = -M
+            if con.strict:
+                eps = lmi.STRICT_EPS_SCALE * (1.0 + np.linalg.norm(con.expr.constant, 2))
+                M = M - eps * np.eye(M.shape[0])
+            M = 0.5 * (M + M.T)
+            err = np.linalg.norm(blk.evaluate(x) - M)
+            assert err <= 1e-12 * max(1.0, np.linalg.norm(M))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sparsact.sdp import (
     LmiBlock,
@@ -53,6 +54,46 @@ class TestSolveOptimal:
                          coefs=[np.eye(2)])
         sol = solve_sdp(SdpProblem(num_vars=1, c=[1.0], blocks=[block]))
         assert sol.x[0] == pytest.approx(3.0, abs=1e-6)
+
+
+def random_lmi_problem(seed, num_vars=6, dim=5):
+    """min c'x s.t. I + sum_i x_i C_i >= 0 and |x_i| <= 1, with no equalities."""
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((num_vars, dim, dim))
+    blocks = [LmiBlock(F0=np.eye(dim), var_idx=np.arange(num_vars),
+                       coefs=0.5 * (C + np.transpose(C, (0, 2, 1))))]
+    for i in range(num_vars):
+        blocks.append(LmiBlock(F0=np.eye(2), var_idx=[i],
+                               coefs=[[[0.0, 1.0], [1.0, 0.0]]]))
+    return SdpProblem(num_vars=num_vars, c=rng.standard_normal(num_vars), blocks=blocks)
+
+
+class TestSchurFactorization:
+    def test_lu_fallback_matches_cholesky(self, monkeypatch):
+        prob = random_lmi_problem(3)
+        chol = solve_sdp(prob)
+        calls = []
+
+        def failing_cho_factor(*args, **kwargs):
+            calls.append(1)
+            raise np.linalg.LinAlgError("forced Cholesky failure")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", failing_cho_factor)
+        lu = solve_sdp(prob)
+        assert calls, "the equality-free solve never tried Cholesky"
+        assert chol.status == lu.status == "optimal"
+        assert lu.x == pytest.approx(chol.x, abs=1e-8)
+        assert check_certificate(prob, chol).clean
+
+    def test_equalities_skip_cholesky(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("Cholesky used on a saddle system")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", unexpected)
+        prob = random_lmi_problem(4)
+        prob = SdpProblem(num_vars=prob.num_vars, c=prob.c, blocks=prob.blocks,
+                          eq_A=np.ones((1, prob.num_vars)), eq_b=[0.5])
+        assert solve_sdp(prob).status == "optimal"
 
 
 class TestWeakDuality:

@@ -1,9 +1,10 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sparsact.errors import ReducedInfeasible
+from sparsact.errors import InfeasiblePerformance, ReducedInfeasible
 from sparsact.sparsify import (
     PrunedResult,
     ReweightPolicy,
@@ -13,7 +14,7 @@ from sparsact.sparsify import (
     reweight_iterate,
     update_weights,
 )
-from sparsact.statefb import SfSynthesisSpec
+from sparsact.statefb import SfSynthesisSpec, active_set_from_values
 
 
 class TestUpdateWeights:
@@ -115,3 +116,48 @@ class TestReducedInfeasibility:
         with pytest.raises(ReducedInfeasible) as exc:
             prune_and_resolve(trace, tight)
         assert exc.value.threshold > 0
+
+
+def fixed_gamma_synthesizer(gamma, fail_reduced=False):
+    """Synthesizer stub whose per-actuator bounds are fixed in advance.
+
+    It reports gamma[:nu] and the active set at the default threshold, as
+    synth_sf does; on a pruned plant it can raise instead.
+    """
+    def synthesize(spec):
+        nu = spec.plant.nu
+        if fail_reduced and nu < len(gamma):
+            raise InfeasiblePerformance("stub: pruned plant infeasible")
+        g = np.asarray(gamma[:nu], dtype=float)
+        return SimpleNamespace(gamma=g, objective=float(spec.rho @ g),
+                               active_set=active_set_from_values(np.sqrt(g)))
+    return synthesize
+
+
+class TestThresholdRatio:
+    # channel norms sqrt(gamma) are 1 and 0.1: both clear the default
+    # threshold ratio 1e-3, only the first clears 0.5
+    GAMMA = [1.0, 0.01]
+
+    def test_policy_threshold_sets_active_sets(self, dup_actuator_plant):
+        spec = SfSynthesisSpec(plant=dup_actuator_plant, gamma0=2.0)
+        synth = fixed_gamma_synthesizer(self.GAMMA)
+        assert reweight_iterate(spec, ReweightPolicy(), synth).active_sets[-1] == [0, 1]
+        trace = reweight_iterate(spec, ReweightPolicy(threshold_ratio=0.5), synth)
+        assert trace.active_sets == [[0]] * len(trace)
+
+    def test_prune_follows_policy_threshold(self, dup_actuator_plant):
+        spec = SfSynthesisSpec(plant=dup_actuator_plant, gamma0=2.0)
+        synth = fixed_gamma_synthesizer(self.GAMMA)
+        trace = reweight_iterate(spec, ReweightPolicy(threshold_ratio=0.5), synth)
+        pruned = prune_and_resolve(trace, spec, synth)
+        assert pruned.kept_actuators == [0]
+        assert pruned.reduced_plant.nu == 1
+
+    def test_reduced_infeasible_reports_threshold_used(self, dup_actuator_plant):
+        spec = SfSynthesisSpec(plant=dup_actuator_plant, gamma0=2.0)
+        synth = fixed_gamma_synthesizer(self.GAMMA, fail_reduced=True)
+        trace = reweight_iterate(spec, ReweightPolicy(threshold_ratio=0.5), synth)
+        with pytest.raises(ReducedInfeasible) as exc:
+            prune_and_resolve(trace, spec, synth)
+        assert exc.value.threshold == 0.5
