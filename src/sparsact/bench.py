@@ -23,7 +23,7 @@ import scipy.linalg
 from .errors import NonHurwitzError
 from .model import DynamicController, GeneralizedPlant, StateFeedbackGain, \
     close_output_feedback, close_state_feedback
-from .sparsify import ReweightPolicy, prune_and_resolve, reweight_iterate
+from .sparsify import ReweightPolicy, default_synthesizer, prune_and_resolve, reweight_iterate
 from .errors import InfeasiblePerformance, SparsactError
 
 __all__ = [
@@ -361,7 +361,7 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
 
 
 def gamma_sweep(spec_for, gamma0_list, policy: ReweightPolicy = ReweightPolicy(),
-                synthesize=None):
+                synthesize=default_synthesizer):
     """Reweighted synthesis across gamma0 values; one result row per gamma0.
 
     `spec_for(gamma0)` builds the synthesis spec for a given bound.  Rows
@@ -375,12 +375,8 @@ def gamma_sweep(spec_for, gamma0_list, policy: ReweightPolicy = ReweightPolicy()
         spec = spec_for(float(g0))
         row = {"gamma0": float(g0)}
         try:
-            if synthesize is None:
-                trace = reweight_iterate(spec, policy)
-                pruned = prune_and_resolve(trace, spec)
-            else:
-                trace = reweight_iterate(spec, policy, synthesize)
-                pruned = prune_and_resolve(trace, spec, synthesize)
+            trace = reweight_iterate(spec, policy, synthesize)
+            pruned = prune_and_resolve(trace, spec, synthesize)
         except InfeasiblePerformance as exc:
             row.update(status="infeasible", message=str(exc))
             rows.append(row)
@@ -389,7 +385,6 @@ def gamma_sweep(spec_for, gamma0_list, policy: ReweightPolicy = ReweightPolicy()
             row.update(status="error", message=str(exc))
             rows.append(row)
             continue
-        final = trace.final
         row.update(
             status="ok",
             iterations=len(trace),

@@ -12,18 +12,22 @@ from __future__ import annotations
 
 import inspect
 
-from .joint import JointSpec, synth_joint
+from .joint import JointSpec, group_norms, synth_joint
 from .model import GeneralizedPlant
 from .outputfb import synth_of
 from .sdp import SolverOptions
 from .sparsify import ReweightPolicy, prune_and_resolve, reweight_iterate
-from .statefb import SfSynthesisSpec, synth_sf
+from .statefb import SfSynthesisSpec, _channel_active_set, synth_sf
 
 __all__ = ["SparseStateFeedback", "SparseOutputFeedback", "JointSparseDesign"]
 
 
 class _BaseDesigner:
-    """get_params/set_params over the constructor signature, sklearn style."""
+    """fit, plus get_params/set_params over the constructor signature, sklearn style.
+
+    Subclasses supply _spec(plant), _synthesize(spec), _read_result(result)
+    and _KEPT, the PrunedResult fields stored when reweighting.
+    """
 
     @classmethod
     def _param_names(cls):
@@ -58,8 +62,53 @@ class _BaseDesigner:
     def _solver(self):
         return self.solver if self.solver is not None else SolverOptions()
 
+    def fit(self, plant: GeneralizedPlant):
+        """Design for ``plant``; with ``reweight``, reweight then prune and re-solve."""
+        spec = self._spec(plant)
+        if self.reweight:
+            self.trace_ = reweight_iterate(spec, self._policy(), self._synthesize)
+            pruned = prune_and_resolve(self.trace_, spec, self._synthesize)
+            for name in self._KEPT:
+                setattr(self, name + "_", getattr(pruned, name))
+            self.result_ = pruned.result
+        else:
+            self.result_ = self._synthesize(spec)
+        self._read_result(self.result_)
+        self.closed_loop_norm_ = self.result_.verified_closed_loop.value
+        self._fitted = True
+        return self
 
-class SparseStateFeedback(_BaseDesigner):
+
+class _ChannelBoundDesigner(_BaseDesigner):
+    """Designs with per-actuator squared-H2 bounds gamma (SfSynthesisSpec)."""
+
+    _KEPT = ("kept_actuators",)
+
+    def __init__(self, performance_kind="hinf", gamma0=1.0, rho=None,
+                 gamma_max=None, reweight=False, max_outer=10, epsilon=1e-4,
+                 threshold_ratio=1e-3, solver=None):
+        self.performance_kind = performance_kind
+        self.gamma0 = gamma0
+        self.rho = rho
+        self.gamma_max = gamma_max
+        self.reweight = reweight
+        self.max_outer = max_outer
+        self.epsilon = epsilon
+        self.threshold_ratio = threshold_ratio
+        self.solver = solver
+
+    def _spec(self, plant):
+        return SfSynthesisSpec(
+            plant=plant, performance_kind=self.performance_kind,
+            gamma0=self.gamma0, rho=self.rho, gamma_max=self.gamma_max,
+            solver=self._solver())
+
+    def _read_result(self, result):
+        self.gamma_ = result.gamma
+        self.active_actuators_ = _channel_active_set(result.gamma, self.threshold_ratio)
+
+
+class SparseStateFeedback(_ChannelBoundDesigner):
     """Static gain u = K x meeting a closed-loop bound with few actuators.
 
     With ``reweight=True`` the per-actuator bounds are iteratively
@@ -71,37 +120,12 @@ class SparseStateFeedback(_BaseDesigner):
     reweighting, ``trace_`` and ``kept_actuators_``.
     """
 
-    def __init__(self, performance_kind="hinf", gamma0=1.0, rho=None,
-                 gamma_max=None, reweight=False, max_outer=10, epsilon=1e-4,
-                 threshold_ratio=1e-3, solver=None):
-        self.performance_kind = performance_kind
-        self.gamma0 = gamma0
-        self.rho = rho
-        self.gamma_max = gamma_max
-        self.reweight = reweight
-        self.max_outer = max_outer
-        self.epsilon = epsilon
-        self.threshold_ratio = threshold_ratio
-        self.solver = solver
+    def _synthesize(self, spec):
+        return synth_sf(spec)
 
-    def fit(self, plant: GeneralizedPlant):
-        spec = SfSynthesisSpec(
-            plant=plant, performance_kind=self.performance_kind,
-            gamma0=self.gamma0, rho=self.rho, gamma_max=self.gamma_max,
-            solver=self._solver())
-        if self.reweight:
-            self.trace_ = reweight_iterate(spec, self._policy(), synth_sf)
-            pruned = prune_and_resolve(self.trace_, spec, synth_sf)
-            self.kept_actuators_ = pruned.kept_actuators
-            self.result_ = pruned.result
-        else:
-            self.result_ = synth_sf(spec)
-        self.K_ = self.result_.K.K
-        self.gamma_ = self.result_.gamma
-        self.active_actuators_ = self.result_.active_set
-        self.closed_loop_norm_ = self.result_.verified_closed_loop.value
-        self._fitted = True
-        return self
+    def _read_result(self, result):
+        super()._read_result(result)
+        self.K_ = result.K.K
 
     def predict(self, x):
         """Control action u = K x for one state or a batch of states."""
@@ -109,7 +133,7 @@ class SparseStateFeedback(_BaseDesigner):
         return x @ self.K_.T
 
 
-class SparseOutputFeedback(_BaseDesigner):
+class SparseOutputFeedback(_ChannelBoundDesigner):
     """Full-order dynamic output-feedback design with per-actuator bounds.
 
     Fitted attributes: ``controller_`` (dynamic quadruple), ``gamma_``,
@@ -117,37 +141,12 @@ class SparseOutputFeedback(_BaseDesigner):
     when reweighting.
     """
 
-    def __init__(self, performance_kind="hinf", gamma0=1.0, rho=None,
-                 gamma_max=None, reweight=False, max_outer=10, epsilon=1e-4,
-                 threshold_ratio=1e-3, solver=None):
-        self.performance_kind = performance_kind
-        self.gamma0 = gamma0
-        self.rho = rho
-        self.gamma_max = gamma_max
-        self.reweight = reweight
-        self.max_outer = max_outer
-        self.epsilon = epsilon
-        self.threshold_ratio = threshold_ratio
-        self.solver = solver
+    def _synthesize(self, spec):
+        return synth_of(spec)
 
-    def fit(self, plant: GeneralizedPlant):
-        spec = SfSynthesisSpec(
-            plant=plant, performance_kind=self.performance_kind,
-            gamma0=self.gamma0, rho=self.rho, gamma_max=self.gamma_max,
-            solver=self._solver())
-        if self.reweight:
-            self.trace_ = reweight_iterate(spec, self._policy(), synth_of)
-            pruned = prune_and_resolve(self.trace_, spec, synth_of)
-            self.kept_actuators_ = pruned.kept_actuators
-            self.result_ = pruned.result
-        else:
-            self.result_ = synth_of(spec)
-        self.controller_ = self.result_.controller
-        self.gamma_ = self.result_.gamma
-        self.active_actuators_ = self.result_.active_set
-        self.closed_loop_norm_ = self.result_.verified_closed_loop.value
-        self._fitted = True
-        return self
+    def _read_result(self, result):
+        super()._read_result(result)
+        self.controller_ = result.controller
 
 
 class JointSparseDesign(_BaseDesigner):
@@ -157,6 +156,8 @@ class JointSparseDesign(_BaseDesigner):
     ``active_actuators_``/``active_sensors_``, ``result_``, plus
     ``trace_``, ``kept_actuators_``, ``kept_sensors_`` when reweighting.
     """
+
+    _KEPT = ("kept_actuators", "kept_sensors")
 
     def __init__(self, performance_kind="h2", gamma0=1.0, mu=None, nu=None,
                  reweight=True, max_outer=10, epsilon=1e-4,
@@ -171,23 +172,18 @@ class JointSparseDesign(_BaseDesigner):
         self.threshold_ratio = threshold_ratio
         self.solver = solver
 
-    def fit(self, plant: GeneralizedPlant):
-        spec = JointSpec(
+    def _spec(self, plant):
+        return JointSpec(
             plant=plant, performance_kind=self.performance_kind,
             gamma0=self.gamma0, mu=self.mu, nu=self.nu, solver=self._solver())
-        if self.reweight:
-            self.trace_ = reweight_iterate(spec, self._policy(), synth_joint)
-            pruned = prune_and_resolve(self.trace_, spec, synth_joint)
-            self.kept_actuators_ = pruned.kept_actuators
-            self.kept_sensors_ = pruned.kept_sensors
-            self.result_ = pruned.result
-        else:
-            self.result_ = synth_joint(spec)
-        self.controller_ = self.result_.controller
-        self.row_norms_ = self.result_.report.row_norms
-        self.col_norms_ = self.result_.report.col_norms
-        self.active_actuators_ = self.result_.report.active_actuators
-        self.active_sensors_ = self.result_.report.active_sensors
-        self.closed_loop_norm_ = self.result_.verified_closed_loop.value
-        self._fitted = True
-        return self
+
+    def _synthesize(self, spec):
+        return synth_joint(spec)
+
+    def _read_result(self, result):
+        self.controller_ = result.controller
+        report = group_norms(result.hat, self.threshold_ratio)
+        self.row_norms_ = report.row_norms
+        self.col_norms_ = report.col_norms
+        self.active_actuators_ = report.active_actuators
+        self.active_sensors_ = report.active_sensors

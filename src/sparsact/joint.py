@@ -6,6 +6,8 @@ transformed controller matrices: weighted 2-norms of the rows of
 (one per sensor) are minimized subject to a closed-loop performance LMI.
 Zero rows/columns of the hat matrices reconstruct to zero rows/columns
 of the actual controller, so pruning survives the inverse transform.
+Preconditions, variables, performance constraints and hat recovery come
+from ``outputfb``; status handling and verification from ``statefb``.
 """
 
 from __future__ import annotations
@@ -15,22 +17,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, lmi
-from .errors import (
-    DimensionError,
-    InfeasiblePerformance,
-    NonzeroFeedthroughError,
-    SynthesisNumericalError,
-)
-from .model import GeneralizedPlant, close_output_feedback, validate_plant
+from .errors import DimensionError, NonzeroFeedthroughError
+from .model import GeneralizedPlant, close_output_feedback
 from .outputfb import (
     HatController,
-    _channel_lyapunov_block,
+    _check_of_preconditions,
+    _declare_of_variables,
     _of_common_exprs,
+    _performance_constraints,
     _positivity_block,
+    _recover_hat,
+    _zero_feedthrough_equalities,
     reconstruct_controller,
 )
 from .sdp import SdpSolution, SolverOptions, solve_sdp
-from .statefb import ACTIVE_THRESHOLD_RATIO, GAMMA_BACKOFF, VERIFY_RTOL, active_set_from_values
+from .statefb import ACTIVE_THRESHOLD_RATIO, _raise_for_status, _verify, active_set_from_values
 
 __all__ = [
     "JointSpec",
@@ -147,100 +148,35 @@ def _arrow_block(t_expr, v_expr):
 def synth_joint(spec: JointSpec) -> JointSynthesisResult:
     """Minimize weighted hat-matrix group norms under a gamma0 performance LMI."""
     p = spec.plant
-    diags = validate_plant(p)
-    feed = [d for d in diags if "Dyu" in d]
-    if feed:
-        raise NonzeroFeedthroughError(feed[0])
-    if diags:
-        raise InfeasiblePerformance("; ".join(diags), status="infeasible")
-
-    nx, n_act, n_sen = p.nx, p.nu, p.ny
-    X = lmi.MatVar("X", (nx, nx), "symmetric")
-    Y = lmi.MatVar("Y", (nx, nx), "symmetric")
-    AKh = lmi.MatVar("AKhat", (nx, nx))
-    BKh = lmi.MatVar("BKhat", (nx, n_sen))
-    CKh = lmi.MatVar("CKhat", (n_act, nx))
-    DKh = lmi.MatVar("DKhat", (n_act, n_sen))
-    variables = [X, Y, AKh, BKh, CKh, DKh]
-    b11, b21, b22, b31, b32 = parts = _of_common_exprs(p, X, Y, AKh, BKh, CKh, DKh)
-    g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
-
-    cons = [_positivity_block(X, Y, nx)]
-    if spec.performance_kind == "hinf":
-        cons.append(lmi.neg_def(lmi.bmat([
-            [b11, None, None, None],
-            [b21, b22, None, None],
-            [b31, b32, lmi.const(-g0 * np.eye(p.nw)), None],
-            [p.Cz @ X + p.Du @ CKh,
-             lmi.const(p.Cz) + p.Du @ DKh @ p.Cy,
-             lmi.const(p.Dw) + p.Du @ DKh @ p.Dyw,
-             lmi.const(-g0 * np.eye(p.nz))],
-        ])))
-    else:
-        Q = lmi.MatVar("Q", (p.nz, p.nz), "symmetric")
-        variables.append(Q)
-        cons.append(lmi.neg_def(_channel_lyapunov_block(p, parts)))
-        cons.append(lmi.pos_def(lmi.bmat([
-            [X.as_expr(), lmi.const(np.eye(nx)), (p.Cz @ X + p.Du @ CKh).T],
-            [None, Y.as_expr(), (lmi.const(p.Cz) + p.Du @ DKh @ p.Cy).T],
-            [None, None, Q.as_expr()],
-        ])))
-        cons.append(lmi.neg_def(lmi.trace(Q) - g0 ** 2 * np.eye(1)))
-        if np.any(p.Dyw != 0.0):
-            cons.append(lmi.equal_zero(lmi.const(p.Dw) + p.Du @ DKh @ p.Dyw))
-
+    _check_of_preconditions(p, need_dw_zero=spec.performance_kind == "h2")
+    hat_vars = X, Y, AKh, BKh, CKh, DKh = _declare_of_variables(p)
+    parts = _of_common_exprs(p, *hat_vars)
+    perf, extra = _performance_constraints(spec, X, Y, CKh, DKh, parts)
+    variables = [*hat_vars, *extra]
     # Beyond the performance LMIs: keep the disturbance-to-control
     # feedthrough zero so post-hoc channel H2 norms stay finite.
-    feedthrough_constrained = bool(np.any(p.Dyw != 0.0))
-    if feedthrough_constrained:
-        cons.append(lmi.equal_zero(DKh @ p.Dyw))
+    feedthrough = _zero_feedthrough_equalities(p, DKh)
+    cons = [_positivity_block(X, Y, p.nx), *perf, *feedthrough]
 
     objective = lmi.Expr.wrap(np.zeros((1, 1)))
-    for i in range(n_act):
-        if spec.mu[i] == 0.0:
-            continue
-        t = lmi.MatVar(f"t_act_{i}", (1, 1), "scalar")
-        variables.append(t)
-        v = lmi.bmat([[CKh.row(i).T], [DKh.row(i).T]])
-        cons.append(_arrow_block(t.as_expr(), v))
-        objective = objective + spec.mu[i] * t
-    for j in range(n_sen):
-        if spec.nu[j] == 0.0:
-            continue
-        t = lmi.MatVar(f"t_sen_{j}", (1, 1), "scalar")
-        variables.append(t)
-        v = lmi.bmat([[BKh.col(j)], [DKh.col(j)]])
-        cons.append(_arrow_block(t.as_expr(), v))
-        objective = objective + spec.nu[j] * t
+    groups = (("t_act", spec.mu, lambda i: [[CKh.row(i).T], [DKh.row(i).T]]),
+              ("t_sen", spec.nu, lambda j: [[BKh.col(j)], [DKh.col(j)]]))
+    for name, weights, group in groups:
+        for i, w in enumerate(weights):
+            if w == 0.0:
+                continue
+            t = lmi.MatVar(f"{name}_{i}", (1, 1), "scalar")
+            variables.append(t)
+            cons.append(_arrow_block(t.as_expr(), lmi.bmat(group(i))))
+            objective = objective + w * t
 
     problem, vm = lmi.compile_lmis(variables, cons, objective=objective)
     sol = solve_sdp(problem, spec.solver)
-    if sol.status != "optimal":
-        if sol.status == "infeasible":
-            raise InfeasiblePerformance(
-                f"no Lyapunov certificate exists for gamma0 ({sol.message})",
-                status=sol.status)
-        raise SynthesisNumericalError(
-            f"SDP solve ended with status {sol.status}: {sol.message}", solution=sol)
+    _raise_for_status(sol)
 
-    hat = HatController(
-        AKhat=vm.value(sol.x, AKh),
-        BKhat=vm.value(sol.x, BKh),
-        CKhat=vm.value(sol.x, CKh),
-        DKhat=vm.value(sol.x, DKh),
-        X=vm.value(sol.x, X),
-        Y=vm.value(sol.x, Y),
-    )
+    hat = _recover_hat(vm, sol, *hat_vars)
     ctrl = reconstruct_controller(hat, p)
-    cl = close_output_feedback(p, ctrl)
-    if spec.performance_kind == "hinf":
-        report = analysis.hinf_norm(cl)
-    else:
-        report = analysis.h2_norm(cl)
-    if report.value >= spec.gamma0 * (1.0 + VERIFY_RTOL):
-        raise SynthesisNumericalError(
-            f"verification failed: closed-loop {report.kind} norm "
-            f"{report.value:.6g} exceeds the bound {spec.gamma0:.6g}")
+    report, _ = _verify(spec, close_output_feedback(p, ctrl))
     gn = group_norms(hat)
     return JointSynthesisResult(
         hat=hat,
@@ -249,7 +185,7 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
         objective=float(spec.mu @ gn.row_norms + spec.nu @ gn.col_norms),
         verified_closed_loop=report,
         solution=sol,
-        feedthrough_constrained=feedthrough_constrained,
+        feedthrough_constrained=bool(feedthrough),
     )
 
 
@@ -261,25 +197,16 @@ def verify_sparsity_preservation(hat: HatController, plant: GeneralizedPlant,
     preserved every (near-)zero actuator row and sensor column.
     """
     ctrl = reconstruct_controller(hat, plant)
-    hat_rows = np.hstack([hat.CKhat, hat.DKhat])
-    hat_cols = np.vstack([hat.BKhat, hat.DKhat])
-    out_rows = np.hstack([ctrl.CK, ctrl.DK])
-    out_cols = np.vstack([ctrl.BK, ctrl.DK])
-    row_scale = max(np.linalg.norm(out_rows), 1e-30)
-    col_scale = max(np.linalg.norm(out_cols), 1e-30)
+    hat_groups = (np.hstack([hat.CKhat, hat.DKhat]), np.vstack([hat.BKhat, hat.DKhat]).T)
+    out_groups = (np.hstack([ctrl.CK, ctrl.DK]), np.vstack([ctrl.BK, ctrl.DK]).T)
     violations = []
-    for i in range(hat_rows.shape[0]):
-        if np.linalg.norm(hat_rows[i]) <= threshold:
-            rel = np.linalg.norm(out_rows[i]) / row_scale
-            if rel > 1e-9:
-                violations.append(
-                    f"actuator row {i}: zero in hat variables but relative "
-                    f"norm {rel:.3e} after reconstruction")
-    for j in range(hat_cols.shape[1]):
-        if np.linalg.norm(hat_cols[:, j]) <= threshold:
-            rel = np.linalg.norm(out_cols[:, j]) / col_scale
-            if rel > 1e-9:
-                violations.append(
-                    f"sensor column {j}: zero in hat variables but relative "
-                    f"norm {rel:.3e} after reconstruction")
+    for kind, hat_g, out_g in zip(("actuator row", "sensor column"), hat_groups, out_groups):
+        scale = max(np.linalg.norm(out_g), 1e-30)
+        for i in range(hat_g.shape[0]):
+            if np.linalg.norm(hat_g[i]) <= threshold:
+                rel = np.linalg.norm(out_g[i]) / scale
+                if rel > 1e-9:
+                    violations.append(
+                        f"{kind} {i}: zero in hat variables but relative "
+                        f"norm {rel:.3e} after reconstruction")
     return violations

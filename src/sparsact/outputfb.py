@@ -4,12 +4,13 @@ The synthesis works in transformed ("hat") controller variables that make
 the closed-loop performance conditions affine; the actual controller is
 recovered afterwards by inverting the change of variables.  Per-actuator
 squared-H2 bounds Gamma play the same sparsity-surrogate role as in the
-state-feedback design.
+state-feedback design.  The preconditions, variables, H-infinity/H2
+performance constraints and hat recovery here are shared with ``joint``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -20,17 +21,20 @@ from .errors import (
     InfeasiblePerformance,
     NonzeroFeedthroughError,
     ReconstructionFailure,
-    SynthesisNumericalError,
 )
 from .model import DynamicController, GeneralizedPlant, close_output_feedback, validate_plant
-from .sdp import SdpSolution, SolverOptions, solve_sdp
+from .sdp import SdpSolution, solve_sdp
 from .statefb import (
-    ACTIVE_THRESHOLD_RATIO,
     COND_LIMIT,
     GAMMA_BACKOFF,
-    VERIFY_RTOL,
     SfSynthesisSpec,
-    active_set_from_values,
+    _channel_active_set,
+    _diag_entry,
+    _gamma_caps,
+    _raise_for_status,
+    _require_kind,
+    _solved_gamma,
+    _verify,
 )
 
 __all__ = [
@@ -132,27 +136,51 @@ def _of_common_exprs(p, X, Y, AKh, BKh, CKh, DKh):
     return b11, b21, b22, b31, b32
 
 
-def _channel_lyapunov_block(p, parts):
+def _lyapunov_rows(parts, ww):
+    """Block rows of the transformed Lyapunov block; ww is its w-w entry."""
     b11, b21, b22, b31, b32 = parts
-    return lmi.bmat([
-        [b11, None, None],
-        [b21, b22, None],
-        [b31, b32, lmi.const(-np.eye(p.nw))],
+    return [[b11, None, None], [b21, b22, None], [b31, b32, ww]]
+
+
+def _channel_lyapunov_block(p, parts):
+    return lmi.bmat(_lyapunov_rows(parts, lmi.const(-np.eye(p.nw))))
+
+
+def _performance_constraints(spec, X, Y, CKh, DKh, parts):
+    """(constraints, extra variables) bounding the norm of spec.performance_kind
+    by gamma0: the bounded-real block, or the H2 blocks in Q with the
+    equality Dw + Du DKhat Dyw = 0 when Dyw is nonzero."""
+    p = spec.plant
+    g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
+    if spec.performance_kind == "hinf":
+        rows = [row + [None] for row in _lyapunov_rows(parts, lmi.const(-g0 * np.eye(p.nw)))]
+        rows.append([p.Cz @ X + p.Du @ CKh,
+                     lmi.const(p.Cz) + p.Du @ DKh @ p.Cy,
+                     lmi.const(p.Dw) + p.Du @ DKh @ p.Dyw,
+                     lmi.const(-g0 * np.eye(p.nz))])
+        return [lmi.neg_def(lmi.bmat(rows))], []
+    Q = lmi.MatVar("Q", (p.nz, p.nz), "symmetric")
+    q_block = lmi.bmat([
+        [X.as_expr(), lmi.const(np.eye(p.nx)), (p.Cz @ X + p.Du @ CKh).T],
+        [None, Y.as_expr(), (lmi.const(p.Cz) + p.Du @ DKh @ p.Cy).T],
+        [None, None, Q.as_expr()],
     ])
+    cons = [
+        lmi.neg_def(_channel_lyapunov_block(p, parts)),
+        lmi.pos_def(q_block),
+        lmi.neg_def(lmi.trace(Q) - g0 ** 2 * np.eye(1)),
+    ]
+    if np.any(p.Dyw != 0.0):
+        cons.append(lmi.equal_zero(lmi.const(p.Dw) + p.Du @ DKh @ p.Dyw))
+    return cons, [Q]
 
 
 def _of_channel_blocks(p, X, Y, CKh, DKh, G):
-    cons = []
-    for i in range(p.nu):
-        ei = np.zeros((1, p.nu))
-        ei[0, i] = 1.0
-        gi = ei @ G @ ei.T
-        cons.append(lmi.pos_def(lmi.bmat([
-            [gi, CKh.row(i), DKh.row(i) @ p.Cy],
-            [None, X.as_expr(), lmi.const(np.eye(p.nx))],
-            [None, None, Y.as_expr()],
-        ])))
-    return cons
+    return [lmi.pos_def(lmi.bmat([
+        [_diag_entry(G, i), CKh.row(i), DKh.row(i) @ p.Cy],
+        [None, X.as_expr(), lmi.const(np.eye(p.nx))],
+        [None, None, Y.as_expr()],
+    ])) for i in range(p.nu)]
 
 
 def _positivity_block(X, Y, nx):
@@ -169,150 +197,56 @@ def _zero_feedthrough_equalities(p, DKh):
     return [lmi.equal_zero(DKh @ p.Dyw)]
 
 
-def _raise_for_status(sol: SdpSolution):
-    if sol.status == "optimal":
-        return
-    if sol.status == "infeasible":
-        raise InfeasiblePerformance(
-            f"no Lyapunov certificate exists for the requested bounds ({sol.message})",
-            status=sol.status)
-    raise SynthesisNumericalError(
-        f"SDP solve ended with status {sol.status}: {sol.message}", solution=sol)
+def _recover_hat(vm, sol, X, Y, AKh, BKh, CKh, DKh):
+    return HatController(*(vm.value(sol.x, v) for v in (AKh, BKh, CKh, DKh, X, Y)))
 
 
-def synth_of_hinf(spec: SfSynthesisSpec) -> OfSynthesisResult:
-    """Dynamic output feedback with ||w -> z||_inf < gamma0."""
-    if spec.performance_kind != "hinf":
-        raise ValueError("spec.performance_kind must be 'hinf'")
+def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
+    """Dynamic output feedback with ||w -> z|| < gamma0 in the norm of
+    spec.performance_kind (H2 needs Dw = 0), minimizing rho . Gamma."""
     p = spec.plant
-    _check_of_preconditions(p, need_dw_zero=False)
-    X, Y, AKh, BKh, CKh, DKh = _declare_of_variables(p)
+    _check_of_preconditions(p, need_dw_zero=spec.performance_kind == "h2")
+    hat_vars = X, Y, AKh, BKh, CKh, DKh = _declare_of_variables(p)
     G = lmi.MatVar("Gamma", (p.nu, p.nu), "diagonal")
-    b11, b21, b22, b31, b32 = parts = _of_common_exprs(p, X, Y, AKh, BKh, CKh, DKh)
-    g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
+    parts = _of_common_exprs(p, *hat_vars)
 
-    perf = lmi.bmat([
-        [b11, None, None, None],
-        [b21, b22, None, None],
-        [b31, b32, lmi.const(-g0 * np.eye(p.nw)), None],
-        [p.Cz @ X + p.Du @ CKh,
-         lmi.const(p.Cz) + p.Du @ DKh @ p.Cy,
-         lmi.const(p.Dw) + p.Du @ DKh @ p.Dyw,
-         lmi.const(-g0 * np.eye(p.nz))],
-    ])
-    cons = [
-        lmi.neg_def(perf),
-        lmi.neg_def(_channel_lyapunov_block(p, parts)),
-        _positivity_block(X, Y, p.nx),
-    ]
-    cons += _of_channel_blocks(p, X, Y, CKh, DKh, G)
+    cons, extra = _performance_constraints(spec, X, Y, CKh, DKh, parts)
+    if spec.performance_kind == "hinf":  # the channel bounds need it; H2 has it already
+        cons.append(lmi.neg_def(_channel_lyapunov_block(p, parts)))
+    cons.append(_positivity_block(X, Y, p.nx))
     cons += _zero_feedthrough_equalities(p, DKh)
-    if spec.gamma_max is not None:
-        cons += _gamma_caps(G, spec.gamma_max)
-
-    objective = lmi.trace(np.diag(spec.rho) @ G)
-    problem, vm = lmi.compile_lmis([X, Y, AKh, BKh, CKh, DKh, G], cons,
-                                   objective=objective)
-    sol = solve_sdp(problem, spec.solver)
-    _raise_for_status(sol)
-    return _finish_of(spec, vm, sol, X, Y, AKh, BKh, CKh, DKh, G)
-
-
-def synth_of_h2(spec: SfSynthesisSpec) -> OfSynthesisResult:
-    """Dynamic output feedback with ||w -> z||_H2 < gamma0 (needs Dw = 0)."""
-    if spec.performance_kind != "h2":
-        raise ValueError("spec.performance_kind must be 'h2'")
-    p = spec.plant
-    _check_of_preconditions(p, need_dw_zero=True)
-    X, Y, AKh, BKh, CKh, DKh = _declare_of_variables(p)
-    G = lmi.MatVar("Gamma", (p.nu, p.nu), "diagonal")
-    Q = lmi.MatVar("Q", (p.nz, p.nz), "symmetric")
-    parts = _of_common_exprs(p, X, Y, AKh, BKh, CKh, DKh)
-    g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
-
-    q_block = lmi.bmat([
-        [X.as_expr(), lmi.const(np.eye(p.nx)), (p.Cz @ X + p.Du @ CKh).T],
-        [None, Y.as_expr(), (lmi.const(p.Cz) + p.Du @ DKh @ p.Cy).T],
-        [None, None, Q.as_expr()],
-    ])
-    cons = [
-        lmi.neg_def(_channel_lyapunov_block(p, parts)),
-        lmi.pos_def(q_block),
-        lmi.neg_def(lmi.trace(Q) - g0 ** 2 * np.eye(1)),
-        _positivity_block(X, Y, p.nx),
-    ]
-    if np.any(p.Dyw != 0.0):
-        cons.append(lmi.equal_zero(lmi.const(p.Dw) + p.Du @ DKh @ p.Dyw))
-        cons.append(lmi.equal_zero(DKh @ p.Dyw))
     cons += _of_channel_blocks(p, X, Y, CKh, DKh, G)
-    if spec.gamma_max is not None:
-        cons += _gamma_caps(G, spec.gamma_max)
+    cons += _gamma_caps(G, spec.gamma_max)
 
     objective = lmi.trace(np.diag(spec.rho) @ G)
-    problem, vm = lmi.compile_lmis([X, Y, AKh, BKh, CKh, DKh, G, Q], cons,
-                                   objective=objective)
+    problem, vm = lmi.compile_lmis([*hat_vars, G, *extra], cons, objective=objective)
     sol = solve_sdp(problem, spec.solver)
     _raise_for_status(sol)
-    return _finish_of(spec, vm, sol, X, Y, AKh, BKh, CKh, DKh, G)
 
-
-def _gamma_caps(G, gamma_max):
-    cons = []
-    nu = G.shape[0]
-    for i in range(nu):
-        ei = np.zeros((1, nu))
-        ei[0, i] = 1.0
-        cons.append(lmi.neg_semidef(ei @ G @ ei.T - gamma_max[i] * np.eye(1)))
-    return cons
-
-
-def _finish_of(spec, vm, sol, X, Y, AKh, BKh, CKh, DKh, G):
-    p = spec.plant
-    hat = HatController(
-        AKhat=vm.value(sol.x, AKh),
-        BKhat=vm.value(sol.x, BKh),
-        CKhat=vm.value(sol.x, CKh),
-        DKhat=vm.value(sol.x, DKh),
-        X=vm.value(sol.x, X),
-        Y=vm.value(sol.x, Y),
-    )
+    hat = _recover_hat(vm, sol, *hat_vars)
     ctrl = reconstruct_controller(hat, p)
-    gamma = np.diag(vm.value(sol.x, G)).copy()
-    if spec.gamma_max is not None:
-        gamma = np.minimum(gamma, spec.gamma_max)
-    cl = close_output_feedback(p, ctrl)
-    if spec.performance_kind == "hinf":
-        report = analysis.hinf_norm(cl)
-    else:
-        report = analysis.h2_norm(cl)
-    if report.value >= spec.gamma0 * (1.0 + VERIFY_RTOL):
-        raise SynthesisNumericalError(
-            f"verification failed: closed-loop {report.kind} norm "
-            f"{report.value:.6g} exceeds the bound {spec.gamma0:.6g}")
-    channels = analysis.channel_h2_norms(p, cl)
-    for i, rep in enumerate(channels):
-        bound = float(np.sqrt(max(gamma[i], 0.0)))
-        if rep.value >= bound * (1.0 + VERIFY_RTOL) + 1e-12:
-            raise SynthesisNumericalError(
-                f"verification failed: channel {i} H2 norm {rep.value:.6g} "
-                f"exceeds its bound {bound:.6g}")
+    gamma = _solved_gamma(spec, vm, sol, G)
+    report, channels = _verify(spec, close_output_feedback(p, ctrl), gamma)
     return OfSynthesisResult(
         hat=hat,
         controller=ctrl,
         gamma=gamma,
         objective=float(spec.rho @ gamma),
-        active_set=active_set_from_values(np.sqrt(np.maximum(gamma, 0.0))),
+        active_set=_channel_active_set(gamma),
         verified_closed_loop=report,
         verified_channels=channels,
         solution=sol,
     )
 
 
-def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
-    """Dispatch on spec.performance_kind."""
-    if spec.performance_kind == "hinf":
-        return synth_of_hinf(spec)
-    return synth_of_h2(spec)
+def synth_of_hinf(spec: SfSynthesisSpec) -> OfSynthesisResult:
+    """synth_of for a spec whose performance_kind is 'hinf'."""
+    return synth_of(_require_kind(spec, "hinf"))
+
+
+def synth_of_h2(spec: SfSynthesisSpec) -> OfSynthesisResult:
+    """synth_of for a spec whose performance_kind is 'h2'."""
+    return synth_of(_require_kind(spec, "h2"))
 
 
 def factor_lyapunov_partitions(X, Y):

@@ -41,8 +41,9 @@ __all__ = [
 class LmiBlock:
     """One PSD constraint F0 + sum_j coefs[j] * x[var_idx[j]] >= 0.
 
-    A scalar missing from var_idx has a zero coefficient in this block;
-    blocks from lmi.compile_lmis list only scalars with a nonzero slice.
+    F0 and every slice must be exactly symmetric; the solver uses them as
+    given.  A scalar missing from var_idx has a zero coefficient in this
+    block; blocks from lmi.compile_lmis list only scalars with a nonzero slice.
     """
 
     F0: np.ndarray
@@ -58,6 +59,8 @@ class LmiBlock:
             raise ValueError("block constant must be square")
         if co.shape != (len(vi), n, n):
             raise ValueError("coefficient tensor shape mismatch")
+        if not (np.array_equal(F0, F0.T) and np.array_equal(co, np.transpose(co, (0, 2, 1)))):
+            raise ValueError("block constant and coefficient slices must be exactly symmetric")
         object.__setattr__(self, "F0", F0)
         object.__setattr__(self, "var_idx", vi)
         object.__setattr__(self, "coefs", co)
@@ -222,10 +225,9 @@ class _Cone:
     def __init__(self, blk: LmiBlock):
         self.blk = blk
         self.sv = _SvecMap(blk.dim)
-        self.h = self.sv.svec(0.5 * (blk.F0 + blk.F0.T))
-        co = 0.5 * (blk.coefs + np.transpose(blk.coefs, (0, 2, 1)))
-        self.T = co  # (k, n, n)
-        self.Gmat = -self.sv.svec_batch(co).T  # (d, k)
+        self.h = self.sv.svec(blk.F0)
+        self.T = blk.coefs  # (k, n, n), symmetric
+        self.Gmat = -self.sv.svec_batch(blk.coefs).T  # (d, k)
         self.vi = blk.var_idx
         self.R = None
         self.Rinv = None

@@ -4,6 +4,8 @@ Minimizes a weighted l1 norm of per-actuator squared-H2 bounds Gamma
 subject to a closed-loop performance constraint (H-infinity or H2) on
 the disturbance-to-output channel.  Small per-actuator bounds mean the
 corresponding actuator does little work and can eventually be pruned.
+This module also holds what all three designs share: the shared constants,
+the solver-status-to-exception map, the gamma caps and the verification.
 """
 
 from __future__ import annotations
@@ -131,6 +133,12 @@ def _check_stabilizable(plant):
         raise InfeasiblePerformance("; ".join(diags), status="infeasible")
 
 
+def _require_kind(spec, kind):
+    if spec.performance_kind != kind:
+        raise ValueError(f"spec.performance_kind must be {kind!r}")
+    return spec
+
+
 def _raise_for_status(sol: SdpSolution):
     if sol.status == "optimal":
         return
@@ -142,32 +150,55 @@ def _raise_for_status(sol: SdpSolution):
         f"SDP solve ended with status {sol.status}: {sol.message}", solution=sol)
 
 
-def _declare_sf_variables(plant):
-    nx, nu = plant.nx, plant.nu
-    X = lmi.MatVar("X", (nx, nx), "symmetric")
-    W = lmi.MatVar("W", (nu, nx))
-    G = lmi.MatVar("Gamma", (nu, nu), "diagonal")
-    return X, W, G
+def _diag_entry(G, i):
+    """The 1x1 expression e_i G e_i^T."""
+    ei = np.zeros((1, G.shape[0]))
+    ei[0, i] = 1.0
+    return ei @ G @ ei.T
 
 
-def _channel_blocks(X, W, G, nu):
-    cons = []
-    for i in range(nu):
-        ei = np.zeros((1, nu))
-        ei[0, i] = 1.0
-        gi = ei @ G @ ei.T
-        cons.append(lmi.neg_def(lmi.bmat([[-gi, W.row(i)], [None, -X]])))
-    return cons
+def _gamma_caps(G, gamma_max):
+    """gamma_i <= gamma_max[i]; no constraint when gamma_max is None."""
+    if gamma_max is None:
+        return []
+    return [lmi.neg_semidef(_diag_entry(G, i) - gamma_max[i] * np.eye(1))
+            for i in range(G.shape[0])]
 
 
-def _gamma_cap_blocks(G, gamma_max):
-    cons = []
-    nu = G.shape[0]
-    for i in range(nu):
-        ei = np.zeros((1, nu))
-        ei[0, i] = 1.0
-        cons.append(lmi.neg_semidef(ei @ G @ ei.T - gamma_max[i] * np.eye(1)))
-    return cons
+def _solved_gamma(spec, vm, sol, G):
+    """Per-actuator bounds read from the solution, clipped to gamma_max."""
+    gamma = np.diag(vm.value(sol.x, G)).copy()
+    if spec.gamma_max is not None:
+        gamma = np.minimum(gamma, spec.gamma_max)
+    return gamma
+
+
+def _channel_active_set(gamma, threshold_ratio=ACTIVE_THRESHOLD_RATIO):
+    """Actuators whose channel norm sqrt(gamma_i) clears the threshold."""
+    return active_set_from_values(np.sqrt(np.maximum(gamma, 0.0)), threshold_ratio)
+
+
+def _verify(spec, closed_loop, gamma=None):
+    """Check the closed-loop norm of spec's kind against gamma0 and, given
+    per-actuator bounds gamma, each channel's H2 norm against sqrt(gamma_i)."""
+    if spec.performance_kind == "hinf":
+        report = analysis.hinf_norm(closed_loop)
+    else:
+        report = analysis.h2_norm(closed_loop)
+    if report.value >= spec.gamma0 * (1.0 + VERIFY_RTOL):
+        raise SynthesisNumericalError(
+            f"verification failed: closed-loop {report.kind} norm "
+            f"{report.value:.6g} exceeds the bound {spec.gamma0:.6g}")
+    if gamma is None:
+        return report, None
+    channels = analysis.channel_h2_norms(spec.plant, closed_loop)
+    for i, rep in enumerate(channels):
+        bound = float(np.sqrt(max(gamma[i], 0.0)))
+        if rep.value >= bound * (1.0 + VERIFY_RTOL) + 1e-12:
+            raise SynthesisNumericalError(
+                f"verification failed: channel {i} H2 norm {rep.value:.6g} "
+                f"exceeds its bound {bound:.6g}")
+    return report, channels
 
 
 def _recover_gain(vm, sol, X, W):
@@ -182,96 +213,55 @@ def _recover_gain(vm, sol, X, W):
     return StateFeedbackGain(K), Xv
 
 
-def _verify(plant, gain, spec, gamma):
-    cl = close_state_feedback(plant, gain)
-    if spec.performance_kind == "hinf":
-        report = analysis.hinf_norm(cl)
-    else:
-        report = analysis.h2_norm(cl)
-    if report.value >= spec.gamma0 * (1.0 + VERIFY_RTOL):
-        raise SynthesisNumericalError(
-            f"verification failed: closed-loop {report.kind} norm "
-            f"{report.value:.6g} exceeds the bound {spec.gamma0:.6g}")
-    channels = analysis.channel_h2_norms(plant, cl)
-    for i, rep in enumerate(channels):
-        bound = float(np.sqrt(max(gamma[i], 0.0)))
-        if rep.value >= bound * (1.0 + VERIFY_RTOL) + 1e-12:
-            raise SynthesisNumericalError(
-                f"verification failed: channel {i} H2 norm {rep.value:.6g} "
-                f"exceeds its bound {bound:.6g}")
-    return report, channels
-
-
-def synth_sf_hinf(spec: SfSynthesisSpec) -> SfSynthesisResult:
-    """Design u = Kx with ||w -> z||_inf < gamma0, minimizing rho . Gamma."""
-    if spec.performance_kind != "hinf":
-        raise ValueError("spec.performance_kind must be 'hinf'")
+def synth_sf(spec: SfSynthesisSpec) -> SfSynthesisResult:
+    """Design u = Kx with ||w -> z|| < gamma0 in the norm of
+    spec.performance_kind (H2 needs Dw = 0), minimizing rho . Gamma."""
     p = spec.plant
-    _check_stabilizable(p)
-    X, W, G = _declare_sf_variables(p)
-    AXBW = p.A @ X + p.Bu @ W
-    g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
-
-    bounded_real = lmi.bmat([
-        [lmi.sym(AXBW), lmi.const(p.Bw), (p.Cz @ X + p.Du @ W).T],
-        [None, lmi.const(-g0 * np.eye(p.nw)), lmi.const(p.Dw.T)],
-        [None, None, lmi.const(-g0 * np.eye(p.nz))],
-    ])
-    gramian = lmi.sym(AXBW) + lmi.const(p.Bw @ p.Bw.T)
-    cons = [lmi.neg_def(bounded_real), lmi.neg_def(gramian), lmi.pos_def(X)]
-    cons += _channel_blocks(X, W, G, p.nu)
-    if spec.gamma_max is not None:
-        cons += _gamma_cap_blocks(G, spec.gamma_max)
-
-    objective = lmi.trace(np.diag(spec.rho) @ G)
-    problem, vm = lmi.compile_lmis([X, W, G], cons, objective=objective)
-    sol = solve_sdp(problem, spec.solver)
-    _raise_for_status(sol)
-    return _finish(spec, vm, sol, X, W, G)
-
-
-def synth_sf_h2(spec: SfSynthesisSpec) -> SfSynthesisResult:
-    """Design u = Kx with ||w -> z||_H2 < gamma0, minimizing rho . Gamma."""
-    if spec.performance_kind != "h2":
-        raise ValueError("spec.performance_kind must be 'h2'")
-    p = spec.plant
-    if np.any(p.Dw != 0.0):
+    if spec.performance_kind == "h2" and np.any(p.Dw != 0.0):
         raise NonzeroFeedthroughError("H2 performance needs Dw = 0")
     _check_stabilizable(p)
-    X, W, G = _declare_sf_variables(p)
-    Z = lmi.MatVar("Z", (p.nz, p.nz), "symmetric")
+    X = lmi.MatVar("X", (p.nx, p.nx), "symmetric")
+    W = lmi.MatVar("W", (p.nu, p.nx))
+    G = lmi.MatVar("Gamma", (p.nu, p.nu), "diagonal")
+    variables = [X, W, G]
     AXBW = p.A @ X + p.Bu @ W
+    g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
+    gramian = lmi.neg_def(lmi.sym(AXBW) + lmi.const(p.Bw @ p.Bw.T))
 
-    gramian = lmi.sym(AXBW) + lmi.const(p.Bw @ p.Bw.T)
-    z_block = lmi.bmat([[-(Z.as_expr()), p.Cz @ X + p.Du @ W], [None, -X]])
-    cons = [
-        lmi.neg_def(gramian),
-        lmi.neg_def(z_block),
-        lmi.neg_def(lmi.trace(Z) - (spec.gamma0 * (1.0 - GAMMA_BACKOFF)) ** 2 * np.eye(1)),
-        lmi.pos_def(X),
-    ]
-    cons += _channel_blocks(X, W, G, p.nu)
-    if spec.gamma_max is not None:
-        cons += _gamma_cap_blocks(G, spec.gamma_max)
+    if spec.performance_kind == "hinf":
+        bounded_real = lmi.bmat([
+            [lmi.sym(AXBW), lmi.const(p.Bw), (p.Cz @ X + p.Du @ W).T],
+            [None, lmi.const(-g0 * np.eye(p.nw)), lmi.const(p.Dw.T)],
+            [None, None, lmi.const(-g0 * np.eye(p.nz))],
+        ])
+        cons = [lmi.neg_def(bounded_real), gramian, lmi.pos_def(X)]
+    else:
+        Z = lmi.MatVar("Z", (p.nz, p.nz), "symmetric")
+        variables.append(Z)
+        z_block = lmi.bmat([[-(Z.as_expr()), p.Cz @ X + p.Du @ W], [None, -X]])
+        cons = [
+            gramian,
+            lmi.neg_def(z_block),
+            lmi.neg_def(lmi.trace(Z) - g0 ** 2 * np.eye(1)),
+            lmi.pos_def(X),
+        ]
+    cons += [lmi.neg_def(lmi.bmat([[-_diag_entry(G, i), W.row(i)], [None, -X]]))
+             for i in range(p.nu)]
+    cons += _gamma_caps(G, spec.gamma_max)
 
     objective = lmi.trace(np.diag(spec.rho) @ G)
-    problem, vm = lmi.compile_lmis([X, W, G, Z], cons, objective=objective)
+    problem, vm = lmi.compile_lmis(variables, cons, objective=objective)
     sol = solve_sdp(problem, spec.solver)
     _raise_for_status(sol)
-    return _finish(spec, vm, sol, X, W, G)
 
-
-def _finish(spec, vm, sol, X, W, G):
     gain, Xv = _recover_gain(vm, sol, X, W)
-    gamma = np.diag(vm.value(sol.x, G)).copy()
-    if spec.gamma_max is not None:
-        gamma = np.minimum(gamma, spec.gamma_max)
-    report, channels = _verify(spec.plant, gain, spec, gamma)
+    gamma = _solved_gamma(spec, vm, sol, G)
+    report, channels = _verify(spec, close_state_feedback(p, gain), gamma)
     return SfSynthesisResult(
         K=gain,
         gamma=gamma,
         objective=float(spec.rho @ gamma),
-        active_set=active_set_from_values(np.sqrt(np.maximum(gamma, 0.0))),
+        active_set=_channel_active_set(gamma),
         verified_closed_loop=report,
         verified_channels=channels,
         X=Xv,
@@ -279,8 +269,11 @@ def _finish(spec, vm, sol, X, W, G):
     )
 
 
-def synth_sf(spec: SfSynthesisSpec) -> SfSynthesisResult:
-    """Dispatch on spec.performance_kind."""
-    if spec.performance_kind == "hinf":
-        return synth_sf_hinf(spec)
-    return synth_sf_h2(spec)
+def synth_sf_hinf(spec: SfSynthesisSpec) -> SfSynthesisResult:
+    """synth_sf for a spec whose performance_kind is 'hinf'."""
+    return synth_sf(_require_kind(spec, "hinf"))
+
+
+def synth_sf_h2(spec: SfSynthesisSpec) -> SfSynthesisResult:
+    """synth_sf for a spec whose performance_kind is 'h2'."""
+    return synth_sf(_require_kind(spec, "h2"))

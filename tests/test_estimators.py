@@ -6,7 +6,11 @@ from sparsact.estimators import (
     SparseOutputFeedback,
     SparseStateFeedback,
 )
+from sparsact.joint import group_norms
 from sparsact.model import DynamicController
+from sparsact.statefb import active_set_from_values
+
+from conftest import random_plant
 
 
 class TestParamProtocol:
@@ -78,3 +82,31 @@ class TestJointSparseDesign:
         est = JointSparseDesign(gamma0=2.0, reweight=False).fit(scalar_plant)
         assert not hasattr(est, "trace_")
         assert isinstance(est.controller_, DynamicController)
+
+
+class TestThresholdRatio:
+    """The fitted active sets use the estimator's own threshold_ratio."""
+
+    def test_state_feedback_active_set(self):
+        plant = random_plant(np.random.default_rng(0), nx=3, nu=3, stable_margin=-0.5)
+        est = SparseStateFeedback(performance_kind="hinf", gamma0=20,
+                                  threshold_ratio=0.9).fit(plant)
+        norms = np.sqrt(est.gamma_)
+        assert norms[1] < 0.9 * norms[0] and norms[2] < 0.9 * norms[0]
+        assert est.active_actuators_ == [0]
+
+    def test_output_feedback_active_set(self):
+        plant = random_plant(np.random.default_rng(0), nx=3, nu=3, stable_margin=-0.5)
+        est = SparseOutputFeedback(performance_kind="hinf", gamma0=20,
+                                   threshold_ratio=0.9).fit(plant)
+        assert est.active_actuators_ == active_set_from_values(np.sqrt(est.gamma_), 0.9)
+        assert est.active_actuators_ == [0]
+
+    def test_joint_active_sets(self):
+        plant = random_plant(np.random.default_rng(1), nx=3, nu=3, ny=3, stable_margin=-0.5)
+        est = JointSparseDesign(performance_kind="hinf", gamma0=5, reweight=False,
+                                threshold_ratio=0.9).fit(plant)
+        report = group_norms(est.result_.hat, 0.9)
+        assert (est.active_actuators_, est.active_sensors_) == (
+            report.active_actuators, report.active_sensors)
+        assert (est.active_actuators_, est.active_sensors_) == ([2], [1])

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sparsact import lmi
+from sparsact import analysis, lmi
 from sparsact.errors import (
     DimensionError,
     NonzeroFeedthroughError,
@@ -51,6 +52,31 @@ class TestScalarJoint:
         res = synth_joint(JointSpec(plant=scalar_plant, performance_kind="h2",
                                     gamma0=2.0))
         json.dumps(res.to_dict())
+
+
+class TestMeasurementFeedthrough:
+    def test_hinf_design_with_nonzero_dyw(self):
+        """Joint H-infinity on a plant with Dyw != 0: DKhat @ Dyw = 0 is
+        imposed, and the closed loop assembled here from the plant and the
+        controller matrices is stable with H-infinity norm below gamma0."""
+        rng = np.random.default_rng(0)
+        p = random_plant(rng, nx=3, nu=2, nw=2, nz=2, ny=2)
+        p = dataclasses.replace(p, Dyw=0.3 * rng.standard_normal((2, 2)))
+        gamma0 = 1.3 * analysis.hinf_norm((p.A, p.Bw, p.Cz, p.Dw)).value + 0.1
+        res = synth_joint(JointSpec(plant=p, performance_kind="hinf", gamma0=gamma0))
+        assert res.feedthrough_constrained
+
+        k = res.controller
+        A = np.block([[p.A + p.Bu @ k.DK @ p.Cy, p.Bu @ k.CK], [k.BK @ p.Cy, k.AK]])
+        B = np.vstack([p.Bw + p.Bu @ k.DK @ p.Dyw, k.BK @ p.Dyw])
+        C = np.hstack([p.Cz + p.Du @ k.DK @ p.Cy, p.Du @ k.CK])
+        D = p.Dw + p.Du @ k.DK @ p.Dyw
+        assert np.max(np.linalg.eigvals(A).real) < 0
+        norm = analysis.hinf_norm((A, B, C, D)).value
+        assert norm < gamma0
+        peak = max(np.linalg.norm(C @ np.linalg.solve(1j * w * np.eye(len(A)) - A, B) + D, 2)
+                   for w in np.concatenate([[0.0], np.logspace(-3, 3, 601)]))
+        assert peak <= norm * (1 + 1e-6)
 
 
 class TestDuplicatedSensors:

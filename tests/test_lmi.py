@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,15 +203,27 @@ DESIGNS = {"sf": (synth_sf, SfSynthesisSpec), "of": (synth_of, SfSynthesisSpec),
            "joint": (synth_joint, JointSpec)}
 
 
+# A design name, optionally with a variant: per-actuator caps gamma_max, or
+# a plant with disturbance-to-measurement feedthrough Dyw != 0.
+CASES = sorted(DESIGNS) + ["sf-gamma_max", "of-gamma_max", "of-dyw", "joint-dyw"]
+
+
 @pytest.mark.parametrize("kind", ["hinf", "h2"])
-@pytest.mark.parametrize("design", sorted(DESIGNS))
+@pytest.mark.parametrize("design", CASES)
 class TestCompiledDesigns:
     @pytest.fixture
     def compiled(self, monkeypatch, design, kind):
-        synthesize, spec_type = DESIGNS[design]
-        plant = random_plant(np.random.default_rng(11), nx=3, nu=2, nw=2, nz=2, ny=2)
-        return compiled_design(monkeypatch, synthesize,
-                               spec_type(plant=plant, performance_kind=kind, gamma0=5.0))
+        name, _, variant = design.partition("-")
+        synthesize, spec_type = DESIGNS[name]
+        rng = np.random.default_rng(11)
+        plant = random_plant(rng, nx=3, nu=2, nw=2, nz=2, ny=2)
+        extra = {}
+        if variant == "dyw":
+            plant = dataclasses.replace(plant, Dyw=0.3 * rng.standard_normal((2, 2)))
+        elif variant == "gamma_max":
+            extra["gamma_max"] = [0.5, 4.0]
+        return compiled_design(monkeypatch, synthesize, spec_type(
+            plant=plant, performance_kind=kind, gamma0=5.0, **extra))
 
     def test_no_all_zero_slice(self, compiled):
         _, _, problem, _ = compiled
@@ -233,3 +247,13 @@ class TestCompiledDesigns:
             M = 0.5 * (M + M.T)
             err = np.linalg.norm(blk.evaluate(x) - M)
             assert err <= 1e-12 * max(1.0, np.linalg.norm(M))
+
+    def test_equality_rows_evaluate_their_constraints(self, compiled):
+        _, constraints, problem, vm = compiled
+        equalities = [c for c in constraints if c.sense == "eq"]
+        x = np.random.default_rng(13).standard_normal(problem.num_vars)
+        values = vm.assignment(x)
+        want = [lmi.evaluate(c.expr, values).ravel() for c in equalities]
+        want = np.concatenate(want) if want else np.zeros(0)
+        assert problem.eq_A.shape == (want.size, problem.num_vars)
+        assert problem.eq_A @ x - problem.eq_b == pytest.approx(want, abs=1e-12)

@@ -170,6 +170,12 @@ class TestProblemContainer:
         with pytest.raises(ValueError):
             SdpProblem(num_vars=1, c=[0.0], blocks=[block])
 
+    def test_asymmetric_block_rejected(self):
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            LmiBlock(F0=[[0.0, 1.0], [0.0, 0.0]], var_idx=[], coefs=np.zeros((0, 2, 2)))
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            LmiBlock(F0=np.eye(2), var_idx=[0], coefs=[[[0.0, 1.0], [1.0 + 1e-15, 0.0]]])
+
     def test_dump_triplets_deterministic(self, tmp_path):
         prob = det_problem()
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
