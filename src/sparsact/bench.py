@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import NonHurwitzError
+from .errors import DimensionError, NonHurwitzError
 from .model import DynamicController, GeneralizedPlant, StateFeedbackGain, \
     close_output_feedback, close_state_feedback
 from .sparsify import ReweightPolicy, default_synthesizer, prune_and_resolve, reweight_iterate
@@ -225,21 +225,23 @@ class TensegrityApprox:
         Models stiffening cables: tension picks up a cubic term in the
         elongation, so the added generalized force is
         -sum_c k_c * strength * (g_c . dq)^3 * g_c mapped through M^{-1},
-        expressed in the same balanced coordinates the plant uses.
+        expressed in the same balanced coordinates the plant uses.  The
+        balancing, the cable stiffnesses, M^{-1} and the zero position rows
+        are folded into two constant matrices, so the term is
+        N @ (G @ x)^3 with G mapping the state to cable elongations.
         """
         q0 = self.trim_angles
         M = self._mass_matrix(q0)
         Gm, lengths = self._length_jacobian(q0)
         area = math.pi * (self.cable_diameter / 2.0) ** 2
         k_cable = self.cable_modulus * area / lengths
-        Minv = np.linalg.inv(M)
         t_diag = np.diag(self._balance_transform())
+        G = np.hstack([Gm * t_diag[:6], np.zeros((9, 6))])  # state -> elongations
+        N = np.vstack([np.zeros((6, 9)),
+                       -np.linalg.solve(M, Gm.T * (k_cable * strength))]) / t_diag[:, None]
 
         def extra(xstate):
-            dq = t_diag[:6] * xstate[:6]   # balanced state -> physical angles
-            e = Gm @ dq
-            force = -Gm.T @ (k_cable * strength * e ** 3)
-            return np.concatenate([np.zeros(6), Minv @ force]) / t_diag
+            return N @ ((G @ xstate) ** 3)
 
         return extra
 
@@ -262,25 +264,37 @@ class SimResult:
 
 
 def _disturbance_fn(descriptor, nw, rng):
+    """The disturbance d(t) a descriptor names, vectorised in t.
+
+    d(t) has unit norm at every t, except for kind zero and for a sinusoid
+    on a single channel, which is cos(omega t).  The returned function maps
+    a scalar time to the (nw,) vector d(t) and an array of times to the
+    (len(t), nw) array whose rows are d(t) at each time, so a whole time
+    grid is evaluated in one call.
+    """
     kind = descriptor.get("kind", "step")
     if kind == "zero":
-        return lambda t: np.zeros(nw)
+        return lambda t: np.zeros(np.shape(t) + (nw,))
     if kind in ("step", "fixed"):
         d = np.asarray(descriptor.get("direction", np.ones(nw)), dtype=float)
         d = d / max(np.linalg.norm(d), 1e-30)
-        return lambda t: d
+        return lambda t: np.broadcast_to(d, np.shape(t) + (nw,)).copy()
     if kind == "sinusoid":
         omega = float(descriptor.get("omega", 1.0))
         d = np.asarray(descriptor.get("direction", np.ones(nw)), dtype=float)
         d = d / max(np.linalg.norm(d), 1e-30)
         # two orthogonal phases keep ||d(t)|| = 1 pointwise when possible
+        d2 = np.zeros(nw)
         if nw >= 2:
-            d2 = np.zeros(nw)
             d2[(np.argmax(np.abs(d)) + 1) % nw] = 1.0
             d2 = d2 - (d2 @ d) * d
             d2 = d2 / max(np.linalg.norm(d2), 1e-30)
-            return lambda t: math.cos(omega * t) * d + math.sin(omega * t) * d2
-        return lambda t: math.cos(omega * t) * d
+
+        def d_of_t(t):
+            wt = omega * np.asarray(t)
+            return np.multiply.outer(np.cos(wt), d) + np.multiply.outer(np.sin(wt), d2)
+
+        return d_of_t
     if kind == "noise":
         n_comp = int(descriptor.get("components", 16))
         omegas = rng.uniform(0.05, 5.0, size=n_comp)
@@ -289,10 +303,9 @@ def _disturbance_fn(descriptor, nw, rng):
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
         def d_of_t(t):
-            v = np.sum([math.sin(w * t + ph) * dd
-                        for w, ph, dd in zip(omegas, phases, dirs)], axis=0)
-            nv = np.linalg.norm(v)
-            return v / nv if nv > 1e-12 else np.zeros(nw)
+            v = np.sin(np.multiply.outer(t, omegas) + phases) @ dirs
+            nv = np.linalg.norm(v, axis=-1, keepdims=True)
+            return np.divide(v, nv, out=np.zeros_like(v), where=nv > 1e-12)
 
         return d_of_t
     raise ValueError(f"unknown disturbance kind {kind!r}")
@@ -306,7 +319,12 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
     `disturbance` is a descriptor dict (kind step|fixed|sinusoid|noise|zero
     plus parameters); `nonlinear_extra`, if given, is a function of the
     plant state appended to the plant state derivative (e.g. cubic cable
-    stiffening).  Controls are recorded per step along with their peaks.
+    stiffening).  `x0` must have the closed loop's order (plant plus
+    controller states for a DynamicController).  Before stepping, the
+    disturbance and its input Bcl d(t) are evaluated once on each of the
+    three RK4 time grids (t_k, t_k + dt/2 and t_k + dt), so the loop does no
+    disturbance work.  Controls Ctilde x + Dtilde d(t_k) are recorded from
+    the states after the last step, along with their per-channel peaks.
     """
     if isinstance(controller, DynamicController):
         cl = close_output_feedback(plant, controller)
@@ -321,37 +339,44 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
         raise NonHurwitzError("closed loop is not asymptotically stable")
     n_cl = Acl.shape[0]
     nx = plant.nx
+    xv = np.zeros(n_cl) if x0 is None else np.array(x0, dtype=float)
+    if xv.shape != (n_cl,):
+        raise DimensionError(
+            f"x0 has shape {xv.shape} but the closed loop has order {n_cl} "
+            f"({nx} plant and {n_cl - nx} controller states)")
     descriptor = dict(disturbance or {"kind": "step"})
     descriptor.setdefault("seed", seed)
     rng = np.random.default_rng(descriptor["seed"])
     d_of = _disturbance_fn(descriptor, plant.nw, rng)
 
-    def f(t, xv):
-        dx = Acl @ xv + Bcl @ d_of(t)
+    def f(xv, bd):
+        dx = Acl @ xv + bd
         if nonlinear_extra is not None:
             dx[:nx] += nonlinear_extra(xv[:nx])
         return dx
 
     steps = int(round(horizon / dt))
     times = np.linspace(0.0, steps * dt, steps + 1)
-    xv = np.zeros(n_cl) if x0 is None else np.asarray(x0, dtype=float).copy()
+    d_start = d_of(times)
+    b_start = d_start @ Bcl.T
+    b_mid = d_of(times[:-1] + dt / 2) @ Bcl.T
+    b_end = d_of(times[:-1] + dt) @ Bcl.T
     states = np.empty((steps + 1, n_cl))
-    controls = np.empty((steps + 1, Ct.shape[0]))
+    states[0] = xv
     energy_limit = 1e6 * max(1.0, np.linalg.norm(xv))
-    for k, t in enumerate(times):
-        states[k] = xv
-        controls[k] = Ct @ xv + Dt @ d_of(t)
-        if k == steps:
-            break
-        k1 = f(t, xv)
-        k2 = f(t + dt / 2, xv + dt / 2 * k1)
-        k3 = f(t + dt / 2, xv + dt / 2 * k2)
-        k4 = f(t + dt, xv + dt * k3)
+    energy_limit_sq = energy_limit ** 2
+    for k in range(steps):
+        k1 = f(xv, b_start[k])
+        k2 = f(xv + dt / 2 * k1, b_mid[k])
+        k3 = f(xv + dt / 2 * k2, b_mid[k])
+        k4 = f(xv + dt * k3, b_end[k])
         xv = xv + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.linalg.norm(xv) > energy_limit:
+        if xv @ xv > energy_limit_sq:
             raise NonHurwitzError(
-                f"trajectory energy blew past {energy_limit:.1e} at t={t:.3f}; "
+                f"trajectory energy blew past {energy_limit:.1e} at t={times[k]:.3f}; "
                 "the step size is too large for these dynamics")
+        states[k + 1] = xv
+    controls = states @ Ct.T + d_start @ Dt.T
     return SimResult(time=times, states=states, controls=controls,
                      peaks=np.abs(controls).max(axis=0), disturbance=descriptor)
 

@@ -29,7 +29,8 @@ from .model import (DynamicController, close_output_feedback,
                     controller_to_dict, load_plant, plant_to_dict, save_plant)
 from .outputfb import synth_of
 from .sdp import SolverOptions
-from .sparsify import ReweightPolicy, prune_and_resolve, reweight_iterate
+from .sparsify import (ReweightPolicy, _iteration_summary, prune_and_resolve,
+                       reweight_iterate)
 from .statefb import SfSynthesisSpec, synth_sf
 
 __all__ = ["main"]
@@ -162,6 +163,20 @@ def _policy(args):
     return ReweightPolicy(**kw)
 
 
+def _active_sets(pruned, threshold_ratio):
+    """The pruned design's active sets in original plant indices.
+
+    They override the result's own fields, which index the reduced plant
+    and use the default threshold, so that they sit beside kept_* in the
+    same indices and follow the run's threshold_ratio.
+    """
+    _, active = _iteration_summary(pruned.result, threshold_ratio)
+    if isinstance(active, dict):
+        return {"active_actuators": [pruned.kept_actuators[i] for i in active["actuators"]],
+                "active_sensors": [pruned.kept_sensors[j] for j in active["sensors"]]}
+    return {"active_set": [pruned.kept_actuators[i] for i in active]}
+
+
 def _cmd_sweep(args):
     plant = load_plant(args.model)
 
@@ -202,6 +217,7 @@ def _cmd_prune(args):
         "iterations": len(trace),
         "stop_reason": trace.stop_reason,
         **result.to_dict(),
+        **_active_sets(pruned, trace.threshold_ratio),
     })
     _write_json(os.path.join(out, "trace.json"), trace.to_dict())
     save_plant(pruned.reduced_plant, os.path.join(out, "pruned_plant.json"))
@@ -245,6 +261,7 @@ def _cmd_demo(args):
         "kept_sensors": pruned.kept_sensors,
         "iterations": len(trace),
         **result.to_dict(),
+        **_active_sets(pruned, trace.threshold_ratio),
     })
     extra = None
     if args.nonlinear_sim:

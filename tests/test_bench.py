@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from sparsact import analysis, bench
-from sparsact.errors import NonHurwitzError
-from sparsact.model import StateFeedbackGain, validate_plant
+from sparsact.errors import DimensionError, NonHurwitzError
+from sparsact.model import (DynamicController, GeneralizedPlant, StateFeedbackGain,
+                            close_output_feedback, validate_plant)
 from sparsact.statefb import SfSynthesisSpec
 
 
@@ -103,6 +106,153 @@ class TestSimulator:
                                          horizon=1.0, dt=1e-3, x0=x0,
                                          nonlinear_extra=fam.cubic_stiffening())
         assert np.linalg.norm(lin.states - non.states) > 1e-6
+
+
+def _unfolded_cubic(fam, strength=10.0):
+    """The cubic stiffening force written term by term from its definition."""
+    q0 = fam.trim_angles
+    Minv = np.linalg.inv(fam._mass_matrix(q0))
+    Gm, lengths = fam._length_jacobian(q0)
+    k_cable = fam.cable_modulus * math.pi * (fam.cable_diameter / 2.0) ** 2 / lengths
+    t_diag = np.diag(fam._balance_transform())
+
+    def extra(xstate):
+        e = Gm @ (t_diag[:6] * xstate[:6])
+        force = -Gm.T @ (k_cable * strength * e ** 3)
+        return np.concatenate([np.zeros(6), Minv @ force]) / t_diag
+
+    return extra
+
+
+def _reference_rk4(cl, d_of, extra, nx, horizon, dt, x0):
+    """Per-step RK4 with the disturbance evaluated at each stage's time."""
+    steps = int(round(horizon / dt))
+    times = np.linspace(0.0, steps * dt, steps + 1)
+
+    def f(t, xv):
+        dx = cl.Acl @ xv + cl.Bcl @ d_of(t)
+        if extra is not None:
+            dx[:nx] += extra(xv[:nx])
+        return dx
+
+    xv = np.array(x0, dtype=float)
+    states, controls = [], []
+    for k, t in enumerate(times):
+        states.append(xv)
+        controls.append(cl.Ctilde @ xv + cl.Dtilde @ d_of(t))
+        if k == steps:
+            break
+        k1 = f(t, xv)
+        k2 = f(t + dt / 2, xv + dt / 2 * k1)
+        k3 = f(t + dt / 2, xv + dt / 2 * k2)
+        k4 = f(t + dt, xv + dt * k3)
+        xv = xv + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return np.array(states), np.array(controls)
+
+
+def _rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestVectorisedSimulation:
+    CASES = [
+        ({"kind": "step"}, 3),
+        ({"kind": "fixed", "direction": [1.0, -2.0, 0.5]}, 3),
+        ({"kind": "sinusoid", "omega": 2.5}, 3),
+        ({"kind": "sinusoid", "omega": 0.7, "direction": [0.0, 3.0, 1.0]}, 3),
+        ({"kind": "sinusoid", "omega": 2.5}, 1),
+        ({"kind": "noise", "components": 8}, 3),
+        ({"kind": "noise"}, 1),
+        ({"kind": "zero"}, 3),
+    ]
+
+    @pytest.mark.parametrize("descriptor,nw", CASES,
+                             ids=[f"{d['kind']}{'-dir' if 'direction' in d else ''}-nw{n}"
+                                  for d, n in CASES])
+    def test_time_array_matches_scalar_evaluation(self, descriptor, nw):
+        fn = bench._disturbance_fn(descriptor, nw, np.random.default_rng(5))
+        times = np.linspace(0.0, 7.0, 141) + 1e-3 / 2
+        grid = fn(times)
+        assert grid.shape == (times.size, nw)
+        for row, t in zip(grid, times):
+            scalar = fn(t)
+            assert scalar.shape == (nw,)
+            assert np.abs(row - scalar).max() <= 1e-15
+        norms = np.linalg.norm(grid, axis=1)
+        if descriptor["kind"] == "zero":
+            expect = np.zeros(times.size)
+        elif descriptor["kind"] == "sinusoid" and nw == 1:
+            # one channel has no second phase: d(t) = cos(omega t)
+            expect = np.abs(np.cos(descriptor["omega"] * times))
+        else:
+            expect = np.ones(times.size)
+        assert norms == pytest.approx(expect, abs=1e-12)
+
+    def test_folded_cubic_stiffening_matches_unfolded(self):
+        fam = bench.TensegrityApprox()
+        folded = fam.cubic_stiffening(strength=7.0)
+        unfolded = _unfolded_cubic(fam, strength=7.0)
+        rng = np.random.default_rng(11)
+        for scale in (1e-3, 0.1, 1.0):
+            x = scale * rng.standard_normal(12)
+            got, want = folded(x), unfolded(x)
+            assert got.shape == (12,)
+            assert np.all(got[:6] == 0.0)
+            assert _rel_err(got, want) <= 1e-12
+
+    @pytest.fixture
+    def tensegrity_of_loop(self):
+        fam = bench.TensegrityApprox()
+        p = bench.make_plant(fam)
+        rng = np.random.default_rng(2)
+        ctrl = DynamicController(AK=-2.0 * np.eye(4),
+                                 BK=0.03 * rng.standard_normal((4, p.ny)),
+                                 CK=0.03 * rng.standard_normal((p.nu, 4)),
+                                 DK=0.015 * rng.standard_normal((p.nu, p.ny)))
+        return fam, p, ctrl
+
+    def test_matches_per_step_reference(self, tensegrity_of_loop):
+        fam, p, ctrl = tensegrity_of_loop
+        cl = close_output_feedback(p, ctrl)
+        x0 = np.zeros(p.nx + 4)
+        x0[:6] = 0.2
+        descriptor = {"kind": "noise", "seed": 4}
+        res = bench.simulate_closed_loop(p, ctrl, descriptor, horizon=1.0,
+                                         dt=1e-3, x0=x0,
+                                         nonlinear_extra=fam.cubic_stiffening())
+        d_of = bench._disturbance_fn(descriptor, p.nw, np.random.default_rng(4))
+        states, controls = _reference_rk4(cl, d_of, _unfolded_cubic(fam), p.nx,
+                                          1.0, 1e-3, x0)
+        assert res.states.shape == states.shape == (1001, p.nx + 4)
+        assert _rel_err(res.states, states) <= 1e-12
+        assert _rel_err(res.controls, controls) <= 1e-12
+        assert res.peaks == pytest.approx(np.abs(controls).max(axis=0), rel=1e-12)
+
+    def test_controls_carry_disturbance_feedthrough(self):
+        # Dyw != 0 and DK != 0 give Dtilde != 0, which the tensegrity lacks
+        chain = bench.make_plant(bench.MassSpringChain(2))
+        p = GeneralizedPlant(A=chain.A, Bu=chain.Bu, Bw=chain.Bw, Cz=chain.Cz,
+                             Du=chain.Du, Dw=chain.Dw, Cy=chain.Cy,
+                             Dyw=0.5 * np.ones((chain.ny, chain.nw)))
+        ctrl = DynamicController(AK=-np.eye(2), BK=0.2 * np.ones((2, p.ny)),
+                                 CK=0.2 * np.ones((p.nu, 2)),
+                                 DK=-0.3 * np.eye(p.nu, p.ny))
+        cl = close_output_feedback(p, ctrl)
+        assert np.abs(cl.Dtilde).max() > 0.1
+        descriptor = {"kind": "sinusoid", "omega": 3.0}
+        res = bench.simulate_closed_loop(p, ctrl, descriptor, horizon=0.5)
+        d_of = bench._disturbance_fn(res.disturbance, p.nw, None)
+        states, controls = _reference_rk4(cl, d_of, None, p.nx, 0.5, 1e-3,
+                                          np.zeros(p.nx + 2))
+        assert _rel_err(res.states, states) <= 1e-12
+        assert _rel_err(res.controls, controls) <= 1e-12
+
+    def test_plant_length_x0_is_a_dimension_error(self, tensegrity_of_loop):
+        _, p, ctrl = tensegrity_of_loop
+        with pytest.raises(DimensionError, match=r"\(12,\).*order 16"):
+            bench.simulate_closed_loop(p, ctrl, horizon=0.01, x0=np.zeros(p.nx))
+        with pytest.raises(ValueError):
+            bench.simulate_closed_loop(p, ctrl, horizon=0.01, x0=np.zeros((16, 1)))
 
 
 class TestGammaSweep:

@@ -142,6 +142,29 @@ class TestPrune:
         assert "kept_sensors" in result
 
 
+    @pytest.mark.parametrize("mode", ["sf-hinf", "joint-h2"])
+    def test_active_sets_in_original_indices(self, tmp_path, mode):
+        # actuator 0 and sensor 0 do nothing, so only the second of each is
+        # kept; the active sets must name it by its original index, 1
+        path = tmp_path / "second.json"
+        save_plant(GeneralizedPlant(
+            A=[[1.0]], Bu=[[0.0, 1.0]], Bw=[[1.0]], Cz=[[1.0], [0.0]],
+            Du=[[0.0, 0.0], [0.0, 0.1]], Dw=[[0.0], [0.0]],
+            Cy=[[0.0], [1.0]], Dyw=[[0.0], [0.0]]), path)
+        out = tmp_path / "o"
+        rc = main(["prune", "--model", str(path), "--mode", mode, "--gamma0", "3.0",
+                   "--reweight-max", "3", "--out", str(out)])
+        assert rc == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["kept_actuators"] == [1]
+        if mode == "sf-hinf":
+            assert result["active_set"] == [1]
+        else:
+            assert result["kept_sensors"] == [1]
+            assert result["active_actuators"] == [1]
+            assert result["active_sensors"] == [1]
+
+
 class TestDemo:
     def test_scalar_family(self, tmp_path):
         out = tmp_path / "demo"
