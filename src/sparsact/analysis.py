@@ -4,6 +4,12 @@ Everything here is deliberately LMI-free: H2 norms come from a dense
 Lyapunov solve, H-infinity norms from bisection on the Hamiltonian
 imaginary-eigenvalue test.  Synthesis modules call into this module to
 certify their own output.
+
+Fixed constants: HURWITZ_MARGIN bounds the eigenvalues' real parts; the
+H-infinity bisection stops at relative width HINF_TOL or after HINF_MAX_ITER
+halvings; eigenvalues within HAMILTONIAN_REAL_TOL (relative) of the
+imaginary axis count as on it; freq_response_gap uses FREQ_GRID_NUM
+log-spaced frequencies from FREQ_GRID_LO to FREQ_GRID_HI rad/s.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, NonHurwitzError, NonzeroFeedthroughError
-from .model import ClosedLoop, DynamicController, StateFeedbackGain, close_output_feedback, close_state_feedback
+from .model import ClosedLoop, close_loop
 
 __all__ = [
     "NormReport",
@@ -28,6 +34,12 @@ __all__ = [
 ]
 
 HURWITZ_MARGIN = -1e-9
+HINF_TOL = 1e-6
+HINF_MAX_ITER = 200
+HAMILTONIAN_REAL_TOL = 1e-9
+FREQ_GRID_LO = 1e-3
+FREQ_GRID_HI = 1e3
+FREQ_GRID_NUM = 400
 
 
 @dataclass(frozen=True)
@@ -39,12 +51,10 @@ class NormReport:
     iterations: int = 0
 
 
-def _abcd(sys, which="z"):
-    """Extract (A, B, C, D) from a ClosedLoop, tuple, or raw matrices."""
+def _abcd(sys):
+    """Extract (A, B, C, D) from a ClosedLoop (w -> z), tuple, or raw matrices."""
     if isinstance(sys, ClosedLoop):
-        if which == "z":
-            return sys.Acl, sys.Bcl, sys.Ccl, sys.Dcl
-        return sys.Acl, sys.Bcl, sys.Ctilde, sys.Dtilde
+        return sys.Acl, sys.Bcl, sys.Ccl, sys.Dcl
     A, B, C, D = sys
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -74,13 +84,13 @@ def controllability_gramian(A, B):
     return 0.5 * (Wc + Wc.T)
 
 
-def h2_norm(sys, which="z") -> NormReport:
+def h2_norm(sys) -> NormReport:
     """H2 norm via the controllability Gramian.
 
     Requires a Hurwitz state matrix and zero feedthrough; the residual of
     the Lyapunov solve is checked against a tight relative bound.
     """
-    A, B, C, D = _abcd(sys, which)
+    A, B, C, D = _abcd(sys)
     if np.any(D != 0.0):
         raise NonzeroFeedthroughError("H2 norm undefined for nonzero feedthrough")
     if A.size == 0:
@@ -96,7 +106,7 @@ def h2_norm(sys, which="z") -> NormReport:
     return NormReport(value=val, kind="H2", method="gramian", converged=True)
 
 
-def hamiltonian_has_gain(A, B, C, D, gamma, *, real_tol_scale=1e-9) -> bool:
+def hamiltonian_has_gain(A, B, C, D, gamma) -> bool:
     """True iff the transfer function reaches gain >= gamma on the jw-axis.
 
     Standard Hamiltonian test: for gamma > sigma_max(D) the frequency
@@ -118,13 +128,13 @@ def hamiltonian_has_gain(A, B, C, D, gamma, *, real_tol_scale=1e-9) -> bool:
         [-C.T @ (np.eye(C.shape[0]) + D @ Rinv @ D.T) @ C, -Abar.T],
     ])
     eigs = np.linalg.eigvals(H)
-    tol = real_tol_scale * max(1.0, np.linalg.norm(H, 2))
+    tol = HAMILTONIAN_REAL_TOL * max(1.0, np.linalg.norm(H, 2))
     return bool(np.any(np.abs(eigs.real) < tol))
 
 
-def hinf_norm(sys, which="z", tol=1e-6, max_iter=200) -> NormReport:
+def hinf_norm(sys) -> NormReport:
     """H-infinity norm by bisection on the Hamiltonian test."""
-    A, B, C, D = _abcd(sys, which)
+    A, B, C, D = _abcd(sys)
     sig_d = float(np.linalg.norm(D, 2)) if D.size else 0.0
     if A.size == 0 or B.size == 0 or C.size == 0:
         return NormReport(value=sig_d, kind="Hinf", method="hamiltonian-bisection",
@@ -146,7 +156,7 @@ def hinf_norm(sys, which="z", tol=1e-6, max_iter=200) -> NormReport:
     if it >= 60:
         raise NonHurwitzError("Hinf bisection failed to bracket the norm")
     iters = it
-    while (upper - lower) > tol * upper and iters < max_iter:
+    while (upper - lower) > HINF_TOL * upper and iters < HINF_MAX_ITER:
         mid = 0.5 * (upper + lower)
         if hamiltonian_has_gain(A, B, C, D, mid):
             lower = mid
@@ -155,7 +165,7 @@ def hinf_norm(sys, which="z", tol=1e-6, max_iter=200) -> NormReport:
         iters += 1
     val = 0.5 * (upper + lower)
     return NormReport(value=float(val), kind="Hinf", method="hamiltonian-bisection",
-                      converged=iters < max_iter, iterations=iters)
+                      converged=iters < HINF_MAX_ITER, iterations=iters)
 
 
 def channel_h2_norms(plant, controller, zero_feedthrough_tol=1e-9):
@@ -165,12 +175,7 @@ def channel_h2_norms(plant, controller, zero_feedthrough_tol=1e-9):
     feedback the feedthrough DK*Dyw must vanish; values below the relative
     tolerance are treated as exact zeros.
     """
-    if isinstance(controller, ClosedLoop):
-        cl = controller
-    elif isinstance(controller, DynamicController):
-        cl = close_output_feedback(plant, controller)
-    else:
-        cl = close_state_feedback(plant, controller)
+    cl = close_loop(plant, controller)
     scale = max(1.0, float(np.abs(cl.Ctilde).max(initial=0.0)))
     reports = []
     for i in range(cl.Ctilde.shape[0]):
@@ -185,8 +190,8 @@ def channel_h2_norms(plant, controller, zero_feedthrough_tol=1e-9):
     return reports
 
 
-def default_frequency_grid(lo=1e-3, hi=1e3, num=400):
-    return np.logspace(np.log10(lo), np.log10(hi), num)
+def default_frequency_grid():
+    return np.logspace(np.log10(FREQ_GRID_LO), np.log10(FREQ_GRID_HI), FREQ_GRID_NUM)
 
 
 def _response(A, B, C, D, w):
@@ -196,21 +201,20 @@ def _response(A, B, C, D, w):
     return C @ np.linalg.solve(1j * w * np.eye(n) - A, B) + D
 
 
-def freq_response_gap(sys_a, sys_b, grid=None, which="z"):
+def freq_response_gap(sys_a, sys_b):
     """Max spectral-norm difference of two frequency responses over a grid.
 
-    Grid points where either resolvent is singular are skipped; the list of
-    skipped frequencies is returned alongside the gap.
+    The grid is default_frequency_grid().  Grid points where either
+    resolvent is singular are skipped; the list of skipped frequencies is
+    returned alongside the gap.
     """
-    Aa, Ba, Ca, Da = _abcd(sys_a, which)
-    Ab, Bb, Cb, Db = _abcd(sys_b, which)
+    Aa, Ba, Ca, Da = _abcd(sys_a)
+    Ab, Bb, Cb, Db = _abcd(sys_b)
     if (Ca.shape[0], Ba.shape[1]) != (Cb.shape[0], Bb.shape[1]):
         raise DimensionError("realizations must share input/output dimensions")
-    if grid is None:
-        grid = default_frequency_grid()
     gap = 0.0
     skipped = []
-    for w in grid:
+    for w in default_frequency_grid():
         try:
             Ga = _response(Aa, Ba, Ca, Da, w)
             Gb = _response(Ab, Bb, Cb, Db, w)

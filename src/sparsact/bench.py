@@ -21,8 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, NonHurwitzError
-from .model import DynamicController, GeneralizedPlant, StateFeedbackGain, \
-    close_output_feedback, close_state_feedback
+from .model import GeneralizedPlant, close_loop
 from .sparsify import ReweightPolicy, default_synthesizer, prune_and_resolve, reweight_iterate
 from .errors import InfeasiblePerformance, SparsactError
 
@@ -326,12 +325,7 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
     disturbance work.  Controls Ctilde x + Dtilde d(t_k) are recorded from
     the states after the last step, along with their per-channel peaks.
     """
-    if isinstance(controller, DynamicController):
-        cl = close_output_feedback(plant, controller)
-    elif isinstance(controller, StateFeedbackGain) or not hasattr(controller, "Acl"):
-        cl = close_state_feedback(plant, controller)
-    else:
-        cl = controller
+    cl = close_loop(plant, controller)
     Acl, Bcl = cl.Acl, cl.Bcl
     Ct, Dt = cl.Ctilde, cl.Dtilde
     eigs = np.linalg.eigvals(Acl)
@@ -371,7 +365,9 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
         k3 = f(xv + dt / 2 * k2, b_mid[k])
         k4 = f(xv + dt * k3, b_end[k])
         xv = xv + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if xv @ xv > energy_limit_sq:
+        with np.errstate(over="ignore"):  # an overflow to inf is a blow-up too
+            blown_up = xv @ xv > energy_limit_sq
+        if blown_up:
             raise NonHurwitzError(
                 f"trajectory energy blew past {energy_limit:.1e} at t={times[k]:.3f}; "
                 "the step size is too large for these dynamics")
@@ -401,7 +397,7 @@ def gamma_sweep(spec_for, gamma0_list, policy: ReweightPolicy = ReweightPolicy()
         row = {"gamma0": float(g0)}
         try:
             trace = reweight_iterate(spec, policy, synthesize)
-            pruned = prune_and_resolve(trace, spec, synthesize)
+            pruned = prune_and_resolve(trace, spec)
         except InfeasiblePerformance as exc:
             row.update(status="infeasible", message=str(exc))
             rows.append(row)

@@ -24,9 +24,8 @@ from .bench import (MassSpringChain, ScalarOracle, TensegrityApprox,
                     gamma_sweep, simulate_closed_loop, sweep_to_csv)
 from .errors import InfeasiblePerformance, SparsactError
 from .joint import JointSpec, synth_joint
-from .model import (DynamicController, close_output_feedback,
-                    close_state_feedback, controller_from_dict,
-                    controller_to_dict, load_plant, plant_to_dict, save_plant)
+from .model import (close_loop, controller_from_dict, controller_to_dict,
+                    load_plant, save_plant)
 from .outputfb import synth_of
 from .sdp import SolverOptions
 from .sparsify import (ReweightPolicy, _iteration_summary, prune_and_resolve,
@@ -63,10 +62,7 @@ def _ensure_out(args):
 
 
 def _solver_options(args):
-    kw = {}
-    if getattr(args, "dump_sdp", None):
-        kw["dump_path"] = args.dump_sdp
-    return SolverOptions(**kw)
+    return SolverOptions(dump_path=getattr(args, "dump_sdp", None))
 
 
 def _build_spec(plant, args):
@@ -129,11 +125,7 @@ def _cmd_synth(args):
 def _cmd_verify(args):
     plant = load_plant(args.model)
     with open(args.controller) as f:
-        ctrl = controller_from_dict(json.load(f))
-    if isinstance(ctrl, DynamicController):
-        cl = close_output_feedback(plant, ctrl)
-    else:
-        cl = close_state_feedback(plant, ctrl)
+        cl = close_loop(plant, controller_from_dict(json.load(f)))
     reports = {"hinf": _norm_report_dict(analysis.hinf_norm(cl))}
     if not np.any(cl.Dcl != 0.0):
         reports["h2"] = _norm_report_dict(analysis.h2_norm(cl))
@@ -201,9 +193,8 @@ def _cmd_prune(args):
     plant = load_plant(args.model)
     spec = _build_spec(plant, args)
     policy = _policy(args)
-    synthesize = _synth_fn(args.mode)
-    trace = reweight_iterate(spec, policy, synthesize)
-    pruned = prune_and_resolve(trace, spec, synthesize)
+    trace = reweight_iterate(spec, policy, _synth_fn(args.mode))
+    pruned = prune_and_resolve(trace, spec)
     out = _ensure_out(args)
     result = pruned.result
     _write_json(os.path.join(out, "controller.json"),

@@ -67,7 +67,7 @@ class _BaseDesigner:
         spec = self._spec(plant)
         if self.reweight:
             self.trace_ = reweight_iterate(spec, self._policy(), self._synthesize)
-            pruned = prune_and_resolve(self.trace_, spec, self._synthesize)
+            pruned = prune_and_resolve(self.trace_, spec)
             for name in self._KEPT:
                 setattr(self, name + "_", getattr(pruned, name))
             self.result_ = pruned.result

@@ -42,6 +42,8 @@ __all__ = [
     "verify_sparsity_preservation",
 ]
 
+ZERO_GROUP_NORM = 1e-9
+
 
 @dataclass(frozen=True)
 class JointSpec:
@@ -189,9 +191,10 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
     )
 
 
-def verify_sparsity_preservation(hat: HatController, plant: GeneralizedPlant,
-                                 threshold=1e-9):
+def verify_sparsity_preservation(hat: HatController, plant: GeneralizedPlant):
     """Check that zero hat groups reconstruct to zero controller groups.
+
+    A hat group counts as zero when its norm is at most ZERO_GROUP_NORM.
 
     Returns a list of violation strings; empty means the reconstruction
     preserved every (near-)zero actuator row and sensor column.
@@ -203,7 +206,7 @@ def verify_sparsity_preservation(hat: HatController, plant: GeneralizedPlant,
     for kind, hat_g, out_g in zip(("actuator row", "sensor column"), hat_groups, out_groups):
         scale = max(np.linalg.norm(out_g), 1e-30)
         for i in range(hat_g.shape[0]):
-            if np.linalg.norm(hat_g[i]) <= threshold:
+            if np.linalg.norm(hat_g[i]) <= ZERO_GROUP_NORM:
                 rel = np.linalg.norm(out_g[i]) / scale
                 if rel > 1e-9:
                     violations.append(

@@ -443,11 +443,6 @@ def evaluate(expr: Expr, assignment):
     return M
 
 
-def min_eigenvalue(expr: Expr, assignment):
-    M = evaluate(expr, assignment)
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-
-
 def compile_lmis(variables, constraints, objective=None):
     """Pack matrix-variable constraints into an SdpProblem.
 

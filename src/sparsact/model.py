@@ -27,6 +27,7 @@ __all__ = [
     "validate_plant",
     "close_state_feedback",
     "close_output_feedback",
+    "close_loop",
     "plant_from_dict",
     "plant_to_dict",
     "load_plant",
@@ -34,6 +35,9 @@ __all__ = [
     "controller_from_dict",
     "controller_to_dict",
 ]
+
+PBH_EIG_MARGIN = -1e-9
+PBH_RANK_RTOL = 1e-8
 
 
 def _freeze(M):
@@ -212,12 +216,13 @@ class ClosedLoop:
                 _freeze(np.atleast_2d(np.asarray(getattr(self, name), dtype=float))))
 
 
-def validate_plant(plant: GeneralizedPlant, *, eig_margin=-1e-9, rank_rtol=1e-8):
+def validate_plant(plant: GeneralizedPlant):
     """Check stabilizability of (A, Bu), detectability of (A, Cy) and Dyu = 0.
 
-    Uses the PBH rank test at every eigenvalue of A whose real part is at
-    least ``eig_margin``.  Returns a list of human-readable diagnostics; an
-    empty list means the plant is well posed for synthesis.
+    Uses the PBH rank test, at rank tolerance PBH_RANK_RTOL * max(1, ||A||),
+    at every eigenvalue of A whose real part is at least PBH_EIG_MARGIN.
+    Returns a list of human-readable diagnostics; an empty list means the
+    plant is well posed for synthesis.
     """
     diags = []
     A, Bu, Cy = plant.A, plant.Bu, plant.Cy
@@ -227,13 +232,13 @@ def validate_plant(plant: GeneralizedPlant, *, eig_margin=-1e-9, rank_rtol=1e-8)
     eigs = np.linalg.eigvals(A)
     scale = max(1.0, np.linalg.norm(A, 2))
     for lam in eigs:
-        if lam.real < eig_margin:
+        if lam.real < PBH_EIG_MARGIN:
             continue
         pbh_c = np.hstack([lam * np.eye(nx) - A, Bu])
-        if np.linalg.matrix_rank(pbh_c, tol=rank_rtol * scale) < nx:
+        if np.linalg.matrix_rank(pbh_c, tol=PBH_RANK_RTOL * scale) < nx:
             diags.append(f"unstabilizable mode at {lam:.6g}")
         pbh_o = np.vstack([lam * np.eye(nx) - A, Cy])
-        if np.linalg.matrix_rank(pbh_o, tol=rank_rtol * scale) < nx:
+        if np.linalg.matrix_rank(pbh_o, tol=PBH_RANK_RTOL * scale) < nx:
             diags.append(f"undetectable mode at {lam:.6g}")
     return diags
 
@@ -273,6 +278,16 @@ def close_output_feedback(plant: GeneralizedPlant, ctrl: DynamicController) -> C
     return ClosedLoop(Acl=Acl, Bcl=Bcl, Ccl=Ccl, Dcl=Dcl, Ctilde=Ctilde, Dtilde=Dtilde)
 
 
+def close_loop(plant: GeneralizedPlant, controller) -> ClosedLoop:
+    """A ClosedLoop as given; a DynamicController closed by output feedback,
+    anything else (a StateFeedbackGain or a gain matrix) by state feedback."""
+    if isinstance(controller, ClosedLoop):
+        return controller
+    if isinstance(controller, DynamicController):
+        return close_output_feedback(plant, controller)
+    return close_state_feedback(plant, controller)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -286,6 +301,7 @@ def plant_to_dict(plant: GeneralizedPlant) -> dict:
         "Dw": plant.Dw.tolist(),
         "Cy": plant.Cy.tolist(),
         "Dyw": plant.Dyw.tolist(),
+        "Dyu": plant.Dyu.tolist(),
         "actuator_names": list(plant.actuator_names),
         "sensor_names": list(plant.sensor_names),
     }
@@ -295,7 +311,7 @@ def plant_to_dict(plant: GeneralizedPlant) -> dict:
 def plant_from_dict(d: dict) -> GeneralizedPlant:
     return GeneralizedPlant(
         A=d["A"], Bu=d["Bu"], Bw=d["Bw"], Cz=d["Cz"],
-        Du=d.get("Du"), Dw=d.get("Dw"), Cy=d.get("Cy"), Dyw=d.get("Dyw"),
+        Du=d.get("Du"), Dw=d.get("Dw"), Cy=d.get("Cy"), Dyw=d.get("Dyw"), Dyu=d.get("Dyu"),
         actuator_names=tuple(d["actuator_names"]) if d.get("actuator_names") else None,
         sensor_names=tuple(d["sensor_names"]) if d.get("sensor_names") else None,
     )

@@ -12,6 +12,16 @@ complement touch only the scalars a block depends on.  The Schur system
 is factored by Cholesky when there are no equalities (it is then
 symmetric positive definite) and by LU as a saddle system otherwise.
 Target problems have at most a few hundred variables and LMI rows.
+
+Problems without equalities, blocks or block variables take the same path
+as any other, through zero-size arrays.
+
+Fixed constants: convergence at relative residuals below FEAS_TOL and a
+relative gap below GAP_TOL, within MAX_ITER iterations; INFEAS_TOL gates
+the improving-ray certificates; each step goes STEP_FRAC of the way to the
+cone boundary.  A stalled solve returns its cleanest iterate as optimal
+when that is within REDUCED_TOL, loose on purpose because every synthesis
+result is re-verified independently.
 """
 
 from __future__ import annotations
@@ -31,6 +41,13 @@ __all__ = [
     "solve_sdp",
     "check_certificate",
 ]
+
+FEAS_TOL = 1e-8
+GAP_TOL = 1e-8
+MAX_ITER = 200
+INFEAS_TOL = 1e-4
+REDUCED_TOL = 1e-3
+STEP_FRAC = 0.99
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +87,7 @@ class LmiBlock:
         return self.F0.shape[0]
 
     def evaluate(self, x):
-        M = self.F0.copy()
-        if len(self.var_idx):
-            M = M + np.tensordot(x[self.var_idx], self.coefs, axes=1)
-        return M
+        return self.F0 + np.tensordot(x[self.var_idx], self.coefs, axes=1)
 
 
 class SdpProblem:
@@ -88,7 +102,7 @@ class SdpProblem:
         for blk in self.blocks:
             if blk.dim < 1:
                 raise ValueError("block dimensions must be >= 1")
-            if len(blk.var_idx) and (blk.var_idx.min() < 0 or blk.var_idx.max() >= num_vars):
+            if np.any((blk.var_idx < 0) | (blk.var_idx >= num_vars)):
                 raise ValueError("block references undeclared variables")
         if eq_A is None:
             eq_A = np.zeros((0, num_vars))
@@ -164,14 +178,8 @@ class SdpSolution:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-8
-    max_iter: int = 200
-    infeas_tol: float = 1e-4
-    # accuracy at which a stalled solve is still reported optimal; loose on
-    # purpose because every synthesis result is re-verified independently
-    reduced_tol: float = 1e-3
-    step_frac: float = 0.99
+    """dump_path, if set, receives the packed problem as sparse triplets."""
+
     dump_path: str = None
 
 
@@ -215,6 +223,11 @@ def _conj_batch(R1, T, R2):
     return np.matmul(np.matmul(R1, T), R2)
 
 
+def _stack(parts):
+    """Concatenate per-cone svec parts; empty for a problem without blocks."""
+    return np.concatenate([np.zeros(0), *parts])
+
+
 # ---------------------------------------------------------------------------
 # cone machinery
 
@@ -223,33 +236,23 @@ class _Cone:
     """Static conic data for one PSD block plus per-iteration NT scaling."""
 
     def __init__(self, blk: LmiBlock):
-        self.blk = blk
         self.sv = _SvecMap(blk.dim)
         self.h = self.sv.svec(blk.F0)
         self.T = blk.coefs  # (k, n, n), symmetric
         self.Gmat = -self.sv.svec_batch(blk.coefs).T  # (d, k)
         self.vi = blk.var_idx
+        self.dim = blk.dim
+        self.sdim = self.sv.dim
         self.R = None
         self.Rinv = None
         self.lam = None  # (n,) eigenvalues of the scaled point
 
-    @property
-    def dim(self):
-        return self.blk.dim
-
-    @property
-    def sdim(self):
-        return self.sv.dim
-
     # --- exact linear maps -------------------------------------------------
     def Gx(self, x):
-        if len(self.vi) == 0:
-            return np.zeros(self.sdim)
         return self.Gmat @ x[self.vi]
 
     def add_GTz(self, out, z):
-        if len(self.vi):
-            out[self.vi] += self.Gmat.T @ z
+        out[self.vi] += self.Gmat.T @ z
 
     # --- NT scaling --------------------------------------------------------
     def update_scaling(self, s, z):
@@ -280,10 +283,6 @@ class _Cone:
 
     def Winv_u(self, u):
         return self.sv.svec(_conj(self.Rinv.T, self.sv.smat(u), self.Rinv))
-
-    def WtW(self, u):
-        Q = self.R @ self.R.T
-        return self.sv.svec(_conj(Q, self.sv.smat(u), Q))
 
     # symmetrized product of two scaled svec vectors
     def jprod(self, u, v):
@@ -317,17 +316,11 @@ def _reduce_equalities(A, b):
     Returns the reduced system plus the map from reduced to original dual
     multipliers (y_orig = U_r @ y_reduced).
     """
-    p = A.shape[0]
-    if p == 0:
-        return A, b, np.zeros((0, 0)), False
     U, sig, Vt = np.linalg.svd(A, full_matrices=True)
-    tol = max(A.shape) * np.finfo(float).eps * (sig[0] if len(sig) else 0.0)
+    tol = max(A.shape) * np.finfo(float).eps * sig.max(initial=0.0)
     r = int(np.sum(sig > tol))
-    resid = U[:, r:].T @ b if r < p else np.zeros(0)
-    inconsistent = np.linalg.norm(resid) > 1e-10 * (1.0 + np.linalg.norm(b))
-    Ar = (sig[:r, None] * Vt[:r])
-    br = U[:, :r].T @ b
-    return Ar, br, U[:, :r], inconsistent
+    inconsistent = np.linalg.norm(U[:, r:].T @ b) > 1e-10 * (1.0 + np.linalg.norm(b))
+    return sig[:r, None] * Vt[:r], U[:, :r].T @ b, U[:, :r], inconsistent
 
 
 def _factor_kkt(H, A, delta):
@@ -362,7 +355,6 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     c = problem.c
     cones = [_Cone(blk) for blk in problem.blocks]
     A, b, Umap, inconsistent = _reduce_equalities(problem.eq_A, problem.eq_b)
-    p = A.shape[0]
     if inconsistent:
         return SdpSolution(status="infeasible", x=np.zeros(n),
                            objective=np.nan, eq_dual=np.zeros(problem.eq_A.shape[0]),
@@ -370,16 +362,15 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
                            pres=np.inf, dres=np.inf, gap=np.inf, iterations=0,
                            message="inconsistent equality constraints")
 
-    h = np.concatenate([co.h for co in cones]) if cones else np.zeros(0)
+    h = _stack(co.h for co in cones)
     offs = np.cumsum([0] + [co.sdim for co in cones])
-    kdim = offs[-1]
     m1 = sum(co.dim for co in cones) + 1
 
     def split(v):
         return [v[offs[i]:offs[i + 1]] for i in range(len(cones))]
 
     def G_of(x):
-        return np.concatenate([co.Gx(x) for co in cones]) if cones else np.zeros(0)
+        return _stack(co.Gx(x) for co in cones)
 
     def GT_of(z):
         out = np.zeros(n)
@@ -389,14 +380,21 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
     # start at the identity in every cone
     x = np.zeros(n)
-    y = np.zeros(p)
-    s = np.concatenate([co.sv.svec(np.eye(co.dim)) for co in cones]) if cones else np.zeros(0)
+    y = np.zeros(len(b))
+    s = _stack(co.sv.svec(np.eye(co.dim)) for co in cones)
     z = s.copy()
     tau, kappa = 1.0, 1.0
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
+
+    # residuals of the raw (unnormalized) improving rays
+    def dual_ray_res():
+        return np.linalg.norm(A.T @ y + GT_of(z))
+
+    def primal_ray_res():
+        return max(np.linalg.norm(A @ x), np.linalg.norm(G_of(x) + s))
 
     iterates = []
     status, message = "max_iter", "iteration limit reached"
@@ -408,13 +406,13 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     best_score = np.inf
     best = None
 
-    for it in range(opts.max_iter):
+    for it in range(MAX_ITER):
         finite = all(np.all(np.isfinite(v)) for v in (x, y, z, s)) and \
             np.isfinite(tau) and np.isfinite(kappa) and tau > 0 and kappa >= 0
         if not finite:
             status, message = "max_iter", "numerical breakdown (non-finite iterate)"
             break
-        rx = (A.T @ y if p else 0.0) + GT_of(z) + c * tau
+        rx = A.T @ y + GT_of(z) + c * tau
         ry = A @ x - b * tau
         rz = G_of(x) + s - h * tau
         rtau = float(c @ x + b @ y + h @ z + kappa)
@@ -424,9 +422,9 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         sh = s / tau
         yh = y / tau
         zh = z / tau
-        pres = max(np.linalg.norm(A @ xh - b) / norm_b if p else 0.0,
+        pres = max(np.linalg.norm(A @ xh - b) / norm_b,
                    np.linalg.norm(G_of(xh) + sh - h) / norm_h)
-        dres = np.linalg.norm((A.T @ yh if p else 0.0) + GT_of(zh) + c) / norm_c
+        dres = np.linalg.norm(A.T @ yh + GT_of(zh) + c) / norm_c
         pobj = float(c @ xh)
         dobj = float(-(h @ zh) - (b @ yh))
         gap = float(sh @ zh)
@@ -440,26 +438,25 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
             best = (x.copy(), y.copy(), z.copy(), s.copy(), tau, kappa,
                     pres, dres, gap)
 
-        if pres <= opts.feas_tol and dres <= opts.feas_tol and \
-                gap <= opts.gap_tol * (1.0 + abs(pobj) + abs(dobj)):
+        if pres <= FEAS_TOL and dres <= FEAS_TOL and \
+                gap <= GAP_TOL * (1.0 + abs(pobj) + abs(dobj)):
             status, message = "optimal", "converged"
             break
 
-        # infeasibility certificates (raw, unnormalized iterates); only
-        # probed once the homogenizing variable starts to collapse
+        # infeasibility certificates, only probed once the homogenizing
+        # variable starts to collapse
         viol_p = -(h @ z + b @ y)
         if kappa > tau and viol_p > 0:
-            ray_res = np.linalg.norm((A.T @ y if p else 0.0) + GT_of(z))
-            if ray_res <= opts.infeas_tol * viol_p and viol_p >= opts.infeas_tol * max(1.0, np.linalg.norm(z)):
+            if dual_ray_res() <= INFEAS_TOL * viol_p and \
+                    viol_p >= INFEAS_TOL * max(1.0, np.linalg.norm(z)):
                 status, message = "infeasible", "dual improving ray found"
                 y = y / viol_p
                 z = z / viol_p
                 break
         viol_d = -float(c @ x)
         if kappa > tau and viol_d > 0:
-            ray_res = max(np.linalg.norm(A @ x) if p else 0.0,
-                          np.linalg.norm(G_of(x) + s))
-            if ray_res <= opts.infeas_tol * viol_d and viol_d >= opts.infeas_tol * max(1.0, np.linalg.norm(x)):
+            if primal_ray_res() <= INFEAS_TOL * viol_d and \
+                    viol_d >= INFEAS_TOL * max(1.0, np.linalg.norm(x)):
                 status, message = "unbounded", "primal improving ray found"
                 x = x / viol_d
                 s = s / viol_d
@@ -467,9 +464,8 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
         # homogenizing variable collapsed: classify by the better certificate
         if tau <= 1e-10 * max(1.0, kappa):
-            res_p = np.linalg.norm((A.T @ y if p else 0.0) + GT_of(z)) / max(viol_p, 1e-300)
-            res_d = max(np.linalg.norm(A @ x) if p else 0.0,
-                        np.linalg.norm(G_of(x) + s)) / max(viol_d, 1e-300)
+            res_p = dual_ray_res() / max(viol_p, 1e-300)
+            res_d = primal_ray_res() / max(viol_d, 1e-300)
             if viol_p > 0 and res_p <= min(res_d, 1e-4):
                 status, message = "infeasible", "dual improving ray found (tau collapse)"
                 y, z = y / viol_p, z / viol_p
@@ -490,9 +486,8 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         # assemble and factor the reduced KKT system
         H = np.zeros((n, n))
         for co in cones:
-            if len(co.vi):
-                H[np.ix_(co.vi, co.vi)] += co.Ssc.T @ co.Ssc
-        delta = 1e-12 * (1.0 + (np.abs(np.diag(H)).max() if n else 0.0))
+            H[np.ix_(co.vi, co.vi)] += co.Ssc.T @ co.Ssc
+        delta = 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0))
         try:
             kkt_solve = _factor_kkt(H, A, delta)
         except (np.linalg.LinAlgError, ValueError):
@@ -500,36 +495,28 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
             break
 
         def solve3(bx, by, bz):
-            bz_t = np.concatenate([co.Winv_T_s(v) for co, v in zip(cones, split(bz))]) \
-                if cones else np.zeros(0)
-            rhs = np.concatenate([bx.copy(), by]) if p else bx.copy()
+            bz_t = _stack(co.Winv_T_s(v) for co, v in zip(cones, split(bz)))
+            rhs = np.concatenate([bx, by])
             top = rhs[:n]
             for co, v in zip(cones, split(bz_t)):
-                if len(co.vi):
-                    top[co.vi] += co.Ssc.T @ v
+                top[co.vi] += co.Ssc.T @ v
             sol = kkt_solve(rhs)
             for _ in range(2):  # refinement against the unregularized system
                 ux, uy = sol[:n], sol[n:]
-                r_top = rhs[:n] - H @ ux - (A.T @ uy if p else 0.0)
-                r_bot = rhs[n:] - A @ ux if p else np.zeros(0)
-                corr = kkt_solve(np.concatenate([r_top, r_bot]))
-                sol = sol + corr
+                r_top = rhs[:n] - H @ ux - A.T @ uy
+                r_bot = rhs[n:] - A @ ux
+                sol = sol + kkt_solve(np.concatenate([r_top, r_bot]))
             ux, uy = sol[:n], sol[n:]
-            uz_parts = []
-            for co, v in zip(cones, split(bz_t)):
-                w = (co.Ssc @ ux[co.vi] if len(co.vi) else np.zeros(co.sdim)) - v
-                uz_parts.append(co.Winv_u(w))
-            uz = np.concatenate(uz_parts) if cones else np.zeros(0)
+            uz = _stack(co.Winv_u(co.Ssc @ ux[co.vi] - v)
+                        for co, v in zip(cones, split(bz_t)))
             return ux, uy, uz
 
-        dx1, dy1, dz1 = solve3(-c, b.copy(), h)
+        dx1, dy1, dz1 = solve3(-c, b, h)
 
         def direction(eta_c, q, rkap):
             bx0 = -(1.0 - eta_c) * rx
             by0 = -(1.0 - eta_c) * ry
-            wq = np.concatenate([co.WT_u(v) for co, v in zip(cones, split(q))]) \
-                if cones else np.zeros(0)
-            bz0 = -(1.0 - eta_c) * rz + wq
+            bz0 = -(1.0 - eta_c) * rz + _stack(co.WT_u(v) for co, v in zip(cones, split(q)))
             dx0, dy0, dz0 = solve3(bx0, by0, bz0)
             denom = float(c @ dx1 + b @ dy1 + h @ dz1) - kappa / tau
             numer = -(1.0 - eta_c) * rtau - float(c @ dx0 + b @ dy0 + h @ dz0) - rkap / tau
@@ -537,11 +524,9 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
             dx = dx0 + dtau * dx1
             dy = dy0 + dtau * dy1
             dz = dz0 + dtau * dz1
-            dz_sc = np.concatenate([co.W_z(v) for co, v in zip(cones, split(dz))]) \
-                if cones else np.zeros(0)
+            dz_sc = _stack(co.W_z(v) for co, v in zip(cones, split(dz)))
             ds_sc = -q - dz_sc
-            ds = np.concatenate([co.WT_u(v) for co, v in zip(cones, split(ds_sc))]) \
-                if cones else np.zeros(0)
+            ds = _stack(co.WT_u(v) for co, v in zip(cones, split(ds_sc)))
             dkap = (rkap - kappa * dtau) / tau
             return dx, dy, dz, ds, dtau, dkap, ds_sc, dz_sc
 
@@ -556,24 +541,20 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
             return alpha
 
         # predictor
-        q_aff = np.concatenate([co.sv.svec(np.diag(co.lam)) for co in cones]) \
-            if cones else np.zeros(0)
+        q_aff = _stack(co.sv.svec(np.diag(co.lam)) for co in cones)
         aff = direction(0.0, q_aff, -tau * kappa)
         a_aff = min(1.0, max_step(aff[6], aff[7], aff[4], aff[5]))
         sigma = min(1.0, max(0.0, 1.0 - a_aff)) ** 3
 
         # corrector
-        q_parts = []
-        for co, us, uz in zip(cones, split(aff[6]), split(aff[7])):
-            lam2 = np.diag(co.lam ** 2)
-            corr = co.sv.smat(co.jprod(us, uz))
-            q_parts.append(co.lam_solve(lam2 + corr - sigma * mu * np.eye(co.dim)))
-        q_comb = np.concatenate(q_parts) if cones else np.zeros(0)
+        q_comb = _stack(
+            co.lam_solve(np.diag(co.lam ** 2) + co.sv.smat(co.jprod(us, uz))
+                         - sigma * mu * np.eye(co.dim))
+            for co, us, uz in zip(cones, split(aff[6]), split(aff[7])))
         rkap = sigma * mu - tau * kappa - aff[4] * aff[5]
         dx, dy, dz, ds, dtau, dkap, ds_sc, dz_sc = direction(sigma, q_comb, rkap)
 
-        alpha = opts.step_frac * max_step(ds_sc, dz_sc, dtau, dkap)
-        alpha = min(1.0, alpha)
+        alpha = min(1.0, STEP_FRAC * max_step(ds_sc, dz_sc, dtau, dkap))
         if not np.isfinite(alpha) or alpha <= 1e-10:
             status, message = "max_iter", "step size collapsed"
             break
@@ -588,21 +569,17 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         # fall back to the cleanest iterate; accept it outright when it is
         # within a modest factor of the requested tolerances
         x, y, z, s, tau, kappa, pres, dres, gap = best
-        if best_score <= opts.reduced_tol:
+        if best_score <= REDUCED_TOL:
             status = "optimal"
             message = f"converged at reduced accuracy ({message})"
 
-    if status in ("infeasible", "unbounded"):
-        x_out = x
-        y_out = y
-        duals = [co.sv.smat(zb) for co, zb in zip(cones, split(z))]
-    else:
-        sc = tau if (np.isfinite(tau) and tau > 1e-100) else 1.0
-        x_out = x / sc
-        y_out = y / sc
-        duals = [co.sv.smat(zb) / sc for co, zb in zip(cones, split(z))]
+    # an improving ray is returned as found, any other answer divided by tau
+    ray = status in ("infeasible", "unbounded")
+    sc = tau if not ray and np.isfinite(tau) and tau > 1e-100 else 1.0
+    duals = [co.sv.smat(zb) / sc for co, zb in zip(cones, split(z))]
+    x_out = x / sc
     # map equality duals back to the original (unreduced) rows
-    y_out = Umap @ y_out if p else np.zeros(problem.eq_A.shape[0])
+    y_out = Umap @ (y / sc)
 
     obj = float(c @ x_out) + problem.obj_const if status == "optimal" else np.nan
     return SdpSolution(status=status, x=x_out, objective=obj, eq_dual=y_out,
@@ -628,22 +605,19 @@ class CertificateReport:
         return not self.flags
 
 
-def check_certificate(problem: SdpProblem, solution: SdpSolution,
-                      opts: SolverOptions = None) -> CertificateReport:
+def check_certificate(problem: SdpProblem, solution: SdpSolution) -> CertificateReport:
     """Recompute all optimality residuals from scratch.
 
     Nothing from the solver run is reused except the reported primal/dual
-    values.  Any violation beyond 10x the solver tolerances is flagged.
+    values.  Any violation beyond 10x the solver tolerances FEAS_TOL and
+    GAP_TOL is flagged.
     """
-    opts = opts or SolverOptions()
     flags = []
     x = solution.x
-    eq_res = 0.0
-    if problem.eq_A.shape[0]:
-        eq_res = float(np.linalg.norm(problem.eq_A @ x - problem.eq_b)
-                       / (1.0 + np.linalg.norm(problem.eq_b)))
-        if eq_res > 10 * opts.feas_tol:
-            flags.append(f"equality residual {eq_res:.3e}")
+    eq_res = float(np.linalg.norm(problem.eq_A @ x - problem.eq_b)
+                   / (1.0 + np.linalg.norm(problem.eq_b)))
+    if eq_res > 10 * FEAS_TOL:
+        flags.append(f"equality residual {eq_res:.3e}")
     mins = []
     for j, blk in enumerate(problem.blocks):
         M = blk.evaluate(x)
@@ -665,15 +639,14 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution,
         for k, vi in enumerate(blk.var_idx):
             grad[vi] -= float(np.sum(blk.coefs[k] * Z))
         dobj -= float(np.sum(blk.F0 * Z))
-    if problem.eq_A.shape[0]:
-        grad += problem.eq_A.T @ solution.eq_dual
-        dobj -= float(problem.eq_b @ solution.eq_dual)
+    grad += problem.eq_A.T @ solution.eq_dual
+    dobj -= float(problem.eq_b @ solution.eq_dual)
     dres = float(np.linalg.norm(grad) / (1.0 + np.linalg.norm(problem.c)))
-    if dres > 10 * opts.feas_tol:
+    if dres > 10 * FEAS_TOL:
         flags.append(f"dual residual {dres:.3e}")
     pobj = float(problem.c @ x)
     gap = pobj - dobj
-    if abs(gap) > 10 * opts.gap_tol * (1.0 + abs(pobj) + abs(dobj)):
+    if abs(gap) > 10 * GAP_TOL * (1.0 + abs(pobj) + abs(dobj)):
         flags.append(f"duality gap {gap:.3e}")
     return CertificateReport(eq_residual=eq_res, psd_min_eigs=mins,
                              dual_residual=dres, dual_psd_min_eigs=dual_mins,

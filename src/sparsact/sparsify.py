@@ -54,6 +54,12 @@ class ReweightPolicy:
             raise ValueError("tie_break must be nonnegative")
 
 
+def default_synthesizer(spec):
+    if isinstance(spec, JointSpec):
+        return synth_joint(spec)
+    return synth_sf(spec)
+
+
 @dataclass
 class SparsifyTrace:
     """Per-iteration record of a reweighted synthesis run."""
@@ -65,6 +71,7 @@ class SparsifyTrace:
     results: list = field(default_factory=list)
     stop_reason: str = ""
     threshold_ratio: float = ACTIVE_THRESHOLD_RATIO  # the active sets' threshold
+    synthesize: object = default_synthesizer  # the run's synthesizer, reused by the prune
 
     def __len__(self):
         return len(self.results)
@@ -178,12 +185,6 @@ def _current_weights(spec):
     return spec.rho.copy()
 
 
-def default_synthesizer(spec):
-    if isinstance(spec, JointSpec):
-        return synth_joint(spec)
-    return synth_sf(spec)
-
-
 def reweight_iterate(spec, policy: ReweightPolicy = ReweightPolicy(),
                      synthesize=default_synthesizer) -> SparsifyTrace:
     """Run the reweighted outer loop until the active set stabilizes.
@@ -192,7 +193,7 @@ def reweight_iterate(spec, policy: ReweightPolicy = ReweightPolicy(),
     objective stall, or max_outer iterations.  Synthesis errors are
     re-raised with the iteration index prepended.
     """
-    trace = SparsifyTrace(threshold_ratio=policy.threshold_ratio)
+    trace = SparsifyTrace(threshold_ratio=policy.threshold_ratio, synthesize=synthesize)
     current = _tie_broken_start(spec, policy)
     for k in range(policy.max_outer):
         try:
@@ -244,15 +245,16 @@ def _reduce_plant(plant, keep_act, keep_sen):
     )
 
 
-def prune_and_resolve(trace: SparsifyTrace, spec,
-                      synthesize=default_synthesizer) -> PrunedResult:
+def prune_and_resolve(trace: SparsifyTrace, spec, synthesize=None) -> PrunedResult:
     """Drop inactive actuators (and sensors, joint mode), re-solve, verify.
 
     Prunes to the trace's last active set, which reweight_iterate took at
-    its policy's threshold_ratio.  The reduced problem uses uniform
+    its policy's threshold_ratio, and re-solves with ``synthesize``, by
+    default the trace's own synthesizer.  The reduced problem uses uniform
     weights; infeasibility after pruning raises ReducedInfeasible carrying
     that threshold.
     """
+    synthesize = synthesize or trace.synthesize
     active = trace.active_sets[-1]
     if isinstance(spec, JointSpec):
         keep_act = sorted(active["actuators"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,16 @@ class TestSimulator:
                 p, StateFeedbackGain([[-2.0]]), {"kind": "step"},
                 horizon=10.0, dt=1e-2,
                 nonlinear_extra=lambda x: 10.0 * x ** 3)
+
+    def test_blow_up_raises_without_overflow_warning(self):
+        p = bench.make_plant(bench.ScalarOracle())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHurwitzError):
+                bench.simulate_closed_loop(
+                    p, StateFeedbackGain([[-2.0]]), {"kind": "noise"},
+                    horizon=10.0, dt=1e-2,
+                    nonlinear_extra=lambda x: 10.0 * x ** 3)
 
     def test_cubic_stiffening_changes_trajectory(self):
         fam = bench.TensegrityApprox()

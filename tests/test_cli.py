@@ -53,6 +53,17 @@ class TestSynth:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_output_feedback_refuses_dyu(self, tmp_path, capsys):
+        path = tmp_path / "dyu.json"
+        save_plant(GeneralizedPlant(
+            A=[[1.0]], Bu=[[1.0]], Bw=[[1.0]], Cz=[[1.0]], Du=[[0.0]],
+            Dw=[[0.0]], Cy=[[1.0]], Dyw=[[0.0]], Dyu=[[1.0]]), path)
+        rc = main(["synth", "--model", str(path), "--mode", "of-hinf",
+                   "--gamma0", "2.0", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "Dyu must be identically zero" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "controller.json").exists()
+
     def test_h2_feedthrough_is_error(self, tmp_path):
         path = tmp_path / "feed.json"
         save_plant(GeneralizedPlant(

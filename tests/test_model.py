@@ -5,9 +5,11 @@ import pytest
 
 from sparsact.errors import DimensionError
 from sparsact.model import (
+    ClosedLoop,
     DynamicController,
     GeneralizedPlant,
     StateFeedbackGain,
+    close_loop,
     close_output_feedback,
     close_state_feedback,
     controller_from_dict,
@@ -120,6 +122,24 @@ class TestCloseOutputFeedback:
             close_output_feedback(scalar_plant, ctrl)
 
 
+class TestCloseLoop:
+    def test_dispatch(self):
+        rng = np.random.default_rng(12)
+        p = random_plant(rng, nx=3, nu=2, nw=2, nz=2, ny=2)
+        ctrl = DynamicController(
+            AK=rng.standard_normal((3, 3)), BK=rng.standard_normal((3, 2)),
+            CK=rng.standard_normal((2, 3)), DK=rng.standard_normal((2, 2)))
+        K = rng.standard_normal((2, 3))
+        of = close_output_feedback(p, ctrl)
+        assert np.array_equal(close_loop(p, ctrl).Acl, of.Acl)
+        assert close_loop(p, of) is of
+        sf = close_state_feedback(p, StateFeedbackGain(K))
+        for gain in (StateFeedbackGain(K), K):
+            cl = close_loop(p, gain)
+            assert isinstance(cl, ClosedLoop)
+            assert np.array_equal(cl.Acl, sf.Acl) and np.array_equal(cl.Ctilde, sf.Ctilde)
+
+
 class TestControllerRecords:
     def test_dynamic_controller_shape_checks(self):
         with pytest.raises(DimensionError):
@@ -140,6 +160,15 @@ class TestSerialization:
         for name in ("A", "Bu", "Bw", "Cz", "Du", "Dw", "Cy", "Dyw"):
             assert getattr(q, name) == pytest.approx(getattr(p, name), abs=0)
         assert q.actuator_names == p.actuator_names
+
+    def test_round_trip_keeps_dyu(self, tmp_path):
+        p = GeneralizedPlant(**SCALAR, Dyu=[[0.5]])
+        path = tmp_path / "plant.json"
+        save_plant(p, path)
+        assert np.array_equal(load_plant(path).Dyu, [[0.5]])
+        q = plant_from_dict(json.loads(json.dumps(plant_to_dict(p))))
+        assert np.array_equal(q.Dyu, [[0.5]])
+        assert validate_plant(q) == ["Dyu must be identically zero"]
 
     def test_dict_round_trip_is_json_safe(self, scalar_plant):
         d = plant_to_dict(scalar_plant)

@@ -189,3 +189,48 @@ class TestProblemContainer:
         path = tmp_path / "dump.txt"
         solve_sdp(det_problem(), SolverOptions(dump_path=str(path)))
         assert path.exists() and path.stat().st_size > 0
+
+
+class TestEmptyShapes:
+    """Problems without equalities, blocks without variables and problems
+    without blocks go through the same algebra as every other problem."""
+
+    def test_all_zero_equality_row_changes_nothing(self):
+        prob = random_lmi_problem(5)
+        padded = SdpProblem(num_vars=prob.num_vars, c=prob.c, blocks=prob.blocks,
+                            eq_A=np.zeros((1, prob.num_vars)), eq_b=[0.0])
+        plain, with_row = solve_sdp(prob), solve_sdp(padded)
+        assert with_row.status == plain.status == "optimal"
+        assert with_row.iterations == plain.iterations
+        assert np.array_equal(with_row.x, plain.x)
+        assert with_row.eq_dual.shape == (1,) and plain.eq_dual.shape == (0,)
+
+    @pytest.mark.parametrize("F0", [-np.eye(2), np.diag([1.0, -1.0])])
+    def test_block_without_variables_is_enforced(self, F0):
+        constant = LmiBlock(F0=F0, var_idx=np.zeros(0, dtype=int), coefs=np.zeros((0, 2, 2)))
+        prob = SdpProblem(num_vars=1, c=[1.0], blocks=[det_problem().blocks[0], constant])
+        sol = solve_sdp(prob)
+        assert sol.status == "infeasible"
+        # the certificate puts its weight on the constant block
+        assert np.trace(sol.block_duals[1]) > 0.4
+
+    def test_block_without_variables_is_checked(self):
+        constant = LmiBlock(F0=2 * np.eye(2), var_idx=np.zeros(0, dtype=int),
+                            coefs=np.zeros((0, 2, 2)))
+        prob = SdpProblem(num_vars=1, c=[1.0], blocks=[det_problem().blocks[0], constant])
+        sol = solve_sdp(prob)
+        assert sol.status == "optimal"
+        assert sol.x[0] == pytest.approx(1.0, abs=1e-6)
+        assert np.array_equal(constant.evaluate(sol.x), 2 * np.eye(2))
+        rep = check_certificate(prob, sol)
+        assert rep.clean, rep.flags
+        assert rep.psd_min_eigs[1] == 2.0
+
+    def test_problem_without_blocks(self):
+        sol = solve_sdp(SdpProblem(num_vars=2, c=[0.0, 0.0], blocks=[]))
+        assert (sol.status, sol.message, sol.iterations) == ("optimal", "converged", 1)
+        assert np.array_equal(sol.x, np.zeros(2)) and sol.block_duals == []
+        sol = solve_sdp(SdpProblem(num_vars=2, c=[1.0, 0.0], blocks=[]))
+        assert (sol.status, sol.message, sol.iterations) == \
+            ("unbounded", "primal improving ray found", 2)
+        assert np.array_equal(sol.x, [-1.0, 0.0])

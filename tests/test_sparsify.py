@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sparsact.errors import InfeasiblePerformance, ReducedInfeasible
+from sparsact.outputfb import OfSynthesisResult, synth_of
 from sparsact.sparsify import (
     PrunedResult,
     ReweightPolicy,
@@ -91,6 +92,18 @@ class TestReweightedStateFeedback:
                                performance_kind="hinf", gamma0=2.0)
         trace = reweight_iterate(spec, ReweightPolicy(max_outer=2))
         json.dumps(trace.to_dict())
+
+
+class TestPruneKeepsDesignType:
+    def test_output_feedback_trace_prunes_to_output_feedback(self, dup_actuator_plant):
+        spec = SfSynthesisSpec(plant=dup_actuator_plant,
+                               performance_kind="hinf", gamma0=2.0)
+        trace = reweight_iterate(spec, ReweightPolicy(), synth_of)
+        assert trace.synthesize is synth_of
+        pruned = prune_and_resolve(trace, spec)
+        assert isinstance(pruned.result, OfSynthesisResult)
+        assert pruned.kept_actuators == [0]
+        assert pruned.result.verified_closed_loop.value < 2.0
 
 
 class TestReducePlant:
