@@ -359,19 +359,20 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
     states[0] = xv
     energy_limit = 1e6 * max(1.0, np.linalg.norm(xv))
     energy_limit_sq = energy_limit ** 2
-    for k in range(steps):
-        k1 = f(xv, b_start[k])
-        k2 = f(xv + dt / 2 * k1, b_mid[k])
-        k3 = f(xv + dt / 2 * k2, b_mid[k])
-        k4 = f(xv + dt * k3, b_end[k])
-        xv = xv + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        with np.errstate(over="ignore"):  # an overflow to inf is a blow-up too
-            blown_up = xv @ xv > energy_limit_sq
-        if blown_up:
-            raise NonHurwitzError(
-                f"trajectory energy blew past {energy_limit:.1e} at t={times[k]:.3f}; "
-                "the step size is too large for these dynamics")
-        states[k + 1] = xv
+    # an overflow to inf (or an inf - inf to nan) within a step is a blow-up
+    # too, caught by the energy check at the end of that step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            k1 = f(xv, b_start[k])
+            k2 = f(xv + dt / 2 * k1, b_mid[k])
+            k3 = f(xv + dt / 2 * k2, b_mid[k])
+            k4 = f(xv + dt * k3, b_end[k])
+            xv = xv + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not xv @ xv <= energy_limit_sq:
+                raise NonHurwitzError(
+                    f"trajectory energy blew past {energy_limit:.1e} at t={times[k]:.3f}; "
+                    "the step size is too large for these dynamics")
+            states[k + 1] = xv
     controls = states @ Ct.T + d_start @ Dt.T
     return SimResult(time=times, states=states, controls=controls,
                      peaks=np.abs(controls).max(axis=0), disturbance=descriptor)

@@ -6,12 +6,28 @@ F_j(x) = F0_j + sum_i x_i C_ji  >= 0.
 
 The solver is a primal-dual interior-point method on the homogeneous
 self-dual embedding with Nesterov-Todd scaling and a Mehrotra corrector.
-The per-block algebra is dense, but each block carries only its
-structurally nonzero coefficient slices, so NT scaling and the Schur
-complement touch only the scalars a block depends on.  The Schur system
-is factored by Cholesky when there are no equalities (it is then
-symmetric positive definite) and by LU as a saddle system otherwise.
-Target problems have at most a few hundred variables and LMI rows.
+The NT scaling of a block is dense (its n x n factors R and Rinv), and each
+block carries only its structurally nonzero coefficient slices T_i.
+
+The Schur complement H = G' W^-1 W^-T G is assembled from the slices'
+nonzero entries, as in the sparse formulas of SDPA (Fujisawa, Kojima &
+Nakata, 1997), without scaling any slice.  With W = Rinv' Rinv, a block
+adds tr(T_i W T_j W) at (i, j).  Set-up records the svec entries the
+block's slices touch, p = (a, b), and the slices' values there, Gu (k x m);
+each iteration forms M_pq = W_ac W_bd + W_ad W_bc on those m entries only
+and adds 2 Gu M Gu', symmetrized, to H (_Cone.add_schur).  Gu is a sparse
+matrix when the dense products would spend more than SPARSE_SCHUR_WASTE
+multiply-adds on its zeros (the largest blocks of the tensegrity and
+chain problems, where a slice has one to a few dozen nonzeros) and a
+dense array otherwise; scipy.sparse is imported only once such a block
+appears.  The Newton
+solves apply W^-T and W^-1 to one svec vector per block (_solve3).
+
+The Schur system is factored by Cholesky when there are no equalities (it
+is then symmetric positive definite) and by LU as a saddle system
+otherwise.  Target problems have at most a few hundred variables and LMI
+rows.  SdpSolution.phase_s gives the seconds each solve spends on scaling,
+Schur assembly, factorization, Newton solves and the rest of the step.
 
 Problems without equalities, blocks or block variables take the same path
 as any other, through zero-size arrays.
@@ -26,6 +42,7 @@ result is re-verified independently.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +65,13 @@ MAX_ITER = 200
 INFEAS_TOL = 1e-4
 REDUCED_TOL = 1e-3
 STEP_FRAC = 0.99
+# a block's Schur part is formed with a sparse Gu once the dense products
+# would spend more than this many multiply-adds (about a millisecond) on its
+# zeros; below that, the sparse products' per-call cost and loading
+# scipy.sparse (about 2 MB and 20 ms, once) outweigh the saving
+SPARSE_SCHUR_WASTE = 1e7
+# the phases of an iteration that SdpSolution.phase_s times
+PHASES = ("scaling", "schur", "factor", "solve", "step")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +198,8 @@ class SdpSolution:
     iterations: int
     iterates: list = field(default_factory=list)
     message: str = ""
+    # seconds per phase of the iterations (PHASES); kept in memory only
+    phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
 
 @dataclass(frozen=True)
@@ -198,29 +224,26 @@ class _SvecMap:
         obj.rows, obj.cols = np.triu_indices(n)
         obj.w = np.where(obj.rows == obj.cols, 1.0, np.sqrt(2.0))
         obj.dim = len(obj.rows)
+        obj.upper = obj.rows * n + obj.cols  # flat positions of the svec entries
+        full = np.empty((n, n), dtype=int)  # svec index of every matrix entry
+        full[obj.rows, obj.cols] = full[obj.cols, obj.rows] = np.arange(obj.dim)
+        obj.full = full
         cls._cache[n] = obj
         return obj
 
     def svec(self, M):
-        return M[self.rows, self.cols] * self.w
-
-    def svec_batch(self, T):
-        return T[:, self.rows, self.cols] * self.w
+        return M.take(self.upper) * self.w
 
     def smat(self, v):
-        M = np.zeros((self.n, self.n))
-        off = v / self.w
-        M[self.rows, self.cols] = off
-        M[self.cols, self.rows] = off
-        return M
+        return (v / self.w).take(self.full)
 
 
 def _conj(R1, M, R2):
     return R1 @ M @ R2
 
 
-def _conj_batch(R1, T, R2):
-    return np.matmul(np.matmul(R1, T), R2)
+def _sym(M):
+    return 0.5 * (M + M.T)
 
 
 def _stack(parts):
@@ -235,17 +258,43 @@ def _stack(parts):
 class _Cone:
     """Static conic data for one PSD block plus per-iteration NT scaling."""
 
-    def __init__(self, blk: LmiBlock):
-        self.sv = _SvecMap(blk.dim)
-        self.h = self.sv.svec(blk.F0)
-        self.T = blk.coefs  # (k, n, n), symmetric
-        self.Gmat = -self.sv.svec_batch(blk.coefs).T  # (d, k)
+    def __init__(self, blk: LmiBlock, start):
+        sv = self.sv = _SvecMap(blk.dim)
+        self.h = sv.svec(blk.F0)
+        upper = blk.coefs[:, sv.rows, sv.cols]  # (k, d) upper-triangle values
+        self.Gmat = -(upper * sv.w).T  # (d, k)
         self.vi = blk.var_idx
         self.dim = blk.dim
-        self.sdim = self.sv.dim
+        self.sdim = sv.dim
+        self.part = slice(start, start + sv.dim)  # this block's svec entries
         self.R = None
         self.Rinv = None
         self.lam = None  # (n,) eigenvalues of the scaled point
+        # Schur data (add_schur): the live slices, those with a nonzero; the
+        # svec entries (P[p], Q[p]) that they touch; Gu, the live slices'
+        # values on those entries, halved on the diagonal
+        live = np.any(upper != 0.0, axis=1)
+        touched = np.any(upper != 0.0, axis=0)
+        # where the block's part of H goes: one slice per pair of runs of
+        # consecutive variables, or one gathered addition when that is
+        # cheaper (a slice addition costs a few microseconds, a gathered one
+        # about 10 ns more per entry, so runs pay while there are fewer than
+        # about k/17 of them)
+        hv = self.vi[live]
+        cuts = np.flatnonzero(np.diff(hv) != 1) + 1
+        runs = [(slice(r[0], r[-1] + 1), slice(i, i + len(r)))
+                for r, i in zip(np.split(hv, cuts) if len(hv) else [], np.r_[0, cuts])]
+        if len(runs) == 1 or 17 * len(runs) <= len(hv):
+            self.hsel = [((ha, hb), (xa, xb)) for ha, xa in runs for hb, xb in runs]
+        else:
+            self.hsel = [(np.ix_(hv, hv), (slice(None),) * 2)]
+        self.P, self.Q = sv.rows[touched], sv.cols[touched]
+        Gu = upper[np.ix_(live, touched)] * np.where(self.P == self.Q, 0.5, 1.0)
+        k, m = Gu.shape
+        if (k * m - np.count_nonzero(Gu)) * (k + m) > SPARSE_SCHUR_WASTE:
+            import scipy.sparse  # here: small problems never pay for loading it
+            Gu = scipy.sparse.csr_array(Gu)
+        self.Gu = Gu
 
     # --- exact linear maps -------------------------------------------------
     def Gx(self, x):
@@ -267,22 +316,45 @@ class _Cone:
         self.R = Ls @ Vt.T * sig_isqrt
         self.Rinv = (sig_isqrt[:, None] * U.T) @ Lz.T
         self.lam = sig
-        # scaled coefficient rows: S = W^{-T} G for this block
-        Tsc = _conj_batch(self.Rinv, self.T, self.Rinv.T)
-        self.Ssc = -self.sv.svec_batch(Tsc).T  # (d, k)
+
+    def add_schur(self, H):
+        """Add this block's G' W^-1 W^-T G to the Schur complement H.
+
+        Its (i, j) entry is tr(T_i W T_j W) with W = Rinv' Rinv.  Summed over
+        the touched entries p = (a, b) and q = (c, d), that is
+        2 (Gu M Gu')_ij with M_pq = W_ac W_bd + W_ad W_bc; X = Gu M Gu' is
+        added as X + X', which is exactly symmetric.
+        """
+        W = self.Rinv.T @ self.Rinv
+        WP, WQ = W[:, self.P], W[:, self.Q]
+        M = WP[self.P] * WQ[self.Q]
+        M += WQ[self.P] * WP[self.Q]
+        X = self.Gu @ (self.Gu @ M).T
+        X = X + X.T
+        for h_at, x_at in self.hsel:
+            H[h_at] += X[x_at]
 
     # scaled-space operators
     def W_z(self, z):
         return self.sv.svec(_conj(self.R.T, self.sv.smat(z), self.R))
 
-    def Winv_T_s(self, s):
-        return self.sv.svec(_conj(self.Rinv, self.sv.smat(s), self.Rinv.T))
-
     def WT_u(self, u):
         return self.sv.svec(_conj(self.R, self.sv.smat(u), self.R.T))
 
-    def Winv_u(self, u):
-        return self.sv.svec(_conj(self.Rinv.T, self.sv.smat(u), self.Rinv))
+    def scaled_rhs(self, bz, out):
+        """Add G' W^-1 W^-T bz to out[vi]; return W^-T bz as a matrix.
+
+        W^-T maps smat(v) to Rinv smat(v) Rinv' and W^-1 to Rinv' smat(v)
+        Rinv; the intermediate is symmetrized between the two.
+        """
+        Bt = _sym(_conj(self.Rinv, self.sv.smat(bz), self.Rinv.T))
+        self.add_GTz(out, self.sv.svec(_conj(self.Rinv.T, Bt, self.Rinv)))
+        return Bt
+
+    def scaled_dz(self, ux, Bt):
+        """W^-1 (W^-T G ux - Bt), with Bt from scaled_rhs."""
+        D = _sym(_conj(self.Rinv, self.sv.smat(self.Gx(ux)), self.Rinv.T)) - Bt
+        return self.sv.svec(_conj(self.Rinv.T, D, self.Rinv))
 
     # symmetrized product of two scaled svec vectors
     def jprod(self, u, v):
@@ -316,11 +388,13 @@ def _reduce_equalities(A, b):
     Returns the reduced system plus the map from reduced to original dual
     multipliers (y_orig = U_r @ y_reduced).
     """
-    U, sig, Vt = np.linalg.svd(A, full_matrices=True)
+    U, sig, Vt = np.linalg.svd(A, full_matrices=False)
     tol = max(A.shape) * np.finfo(float).eps * sig.max(initial=0.0)
     r = int(np.sum(sig > tol))
-    inconsistent = np.linalg.norm(U[:, r:].T @ b) > 1e-10 * (1.0 + np.linalg.norm(b))
-    return sig[:r, None] * Vt[:r], U[:, :r].T @ b, U[:, :r], inconsistent
+    Ur = U[:, :r]
+    br = Ur.T @ b
+    inconsistent = np.linalg.norm(b - Ur @ br) > 1e-10 * (1.0 + np.linalg.norm(b))
+    return sig[:r, None] * Vt[:r], br, Ur, inconsistent
 
 
 def _factor_kkt(H, A, delta):
@@ -345,6 +419,54 @@ def _factor_kkt(H, A, delta):
     return lambda rhs: scipy.linalg.lu_solve(lu, rhs)
 
 
+def _schur(cones, n):
+    """The Schur complement H = G' W^-1 W^-T G at the current NT scaling."""
+    H = np.zeros((n, n))
+    for co in cones:
+        co.add_schur(H)
+    return H
+
+
+def _solve3(cones, H, A, kkt_solve, bx, by, bz):
+    """Solve the scaled Newton system for (ux, uy, uz).
+
+    The system is  H ux + A' uy = bx + G' W^-1 W^-T bz,  A ux = by,
+    uz = W^-1 (W^-T G ux - W^-T bz), one block at a time (_Cone.scaled_rhs
+    and scaled_dz).  The solve is refined twice against the unregularized
+    system.
+    """
+    n = len(bx)
+    top = bx.copy()
+    scaled_bz = [co.scaled_rhs(bz[co.part], top) for co in cones]
+    rhs = np.concatenate([top, by])
+    sol = kkt_solve(rhs)
+    for _ in range(2):
+        ux, uy = sol[:n], sol[n:]
+        r_top = top - H @ ux - A.T @ uy
+        r_bot = by - A @ ux
+        sol = sol + kkt_solve(np.concatenate([r_top, r_bot]))
+    ux, uy = sol[:n], sol[n:]
+    uz = _stack(co.scaled_dz(ux, Bt) for co, Bt in zip(cones, scaled_bz))
+    return ux, uy, uz
+
+
+class _PhaseClock:
+    """Seconds per solver phase, summed over the iterations."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+        self.start()
+
+    def start(self):
+        self.last = time.perf_counter()
+
+    def lap(self, phase):
+        """Charge the time since the last start or lap to `phase`."""
+        now = time.perf_counter()
+        self.seconds[phase] += now - self.last
+        self.last = now
+
+
 def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     """Solve an LMI-form SDP; see the module docstring for the algorithm."""
     opts = opts or SolverOptions()
@@ -353,7 +475,8 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
     n = problem.num_vars
     c = problem.c
-    cones = [_Cone(blk) for blk in problem.blocks]
+    offs = np.cumsum([0] + [blk.dim * (blk.dim + 1) // 2 for blk in problem.blocks])
+    cones = [_Cone(blk, start) for blk, start in zip(problem.blocks, offs)]
     A, b, Umap, inconsistent = _reduce_equalities(problem.eq_A, problem.eq_b)
     if inconsistent:
         return SdpSolution(status="infeasible", x=np.zeros(n),
@@ -363,11 +486,10 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
                            message="inconsistent equality constraints")
 
     h = _stack(co.h for co in cones)
-    offs = np.cumsum([0] + [co.sdim for co in cones])
     m1 = sum(co.dim for co in cones) + 1
 
     def split(v):
-        return [v[offs[i]:offs[i + 1]] for i in range(len(cones))]
+        return [v[co.part] for co in cones]
 
     def G_of(x):
         return _stack(co.Gx(x) for co in cones)
@@ -405,6 +527,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     # answer is taken from the cleanest iterate, not the last one
     best_score = np.inf
     best = None
+    clock = _PhaseClock()
 
     for it in range(MAX_ITER):
         finite = all(np.all(np.isfinite(v)) for v in (x, y, z, s)) and \
@@ -476,40 +599,31 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
                 status, message = "max_iter", "tau collapse without certificate"
             break
 
+        clock.start()
         try:
             for co, sb, zb in zip(cones, split(s), split(z)):
                 co.update_scaling(sb, zb)
         except np.linalg.LinAlgError:
             status, message = "max_iter", "NT scaling breakdown"
             break
+        clock.lap("scaling")
 
         # assemble and factor the reduced KKT system
-        H = np.zeros((n, n))
-        for co in cones:
-            H[np.ix_(co.vi, co.vi)] += co.Ssc.T @ co.Ssc
+        H = _schur(cones, n)
+        clock.lap("schur")
         delta = 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0))
         try:
             kkt_solve = _factor_kkt(H, A, delta)
         except (np.linalg.LinAlgError, ValueError):
             status, message = "max_iter", "KKT factorization failure"
             break
+        clock.lap("factor")
 
         def solve3(bx, by, bz):
-            bz_t = _stack(co.Winv_T_s(v) for co, v in zip(cones, split(bz)))
-            rhs = np.concatenate([bx, by])
-            top = rhs[:n]
-            for co, v in zip(cones, split(bz_t)):
-                top[co.vi] += co.Ssc.T @ v
-            sol = kkt_solve(rhs)
-            for _ in range(2):  # refinement against the unregularized system
-                ux, uy = sol[:n], sol[n:]
-                r_top = rhs[:n] - H @ ux - A.T @ uy
-                r_bot = rhs[n:] - A @ ux
-                sol = sol + kkt_solve(np.concatenate([r_top, r_bot]))
-            ux, uy = sol[:n], sol[n:]
-            uz = _stack(co.Winv_u(co.Ssc @ ux[co.vi] - v)
-                        for co, v in zip(cones, split(bz_t)))
-            return ux, uy, uz
+            clock.lap("step")
+            out = _solve3(cones, H, A, kkt_solve, bx, by, bz)
+            clock.lap("solve")
+            return out
 
         dx1, dy1, dz1 = solve3(-c, b, h)
 
@@ -564,6 +678,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         s = s + alpha * ds
         tau = tau + alpha * dtau
         kappa = kappa + alpha * dkap
+        clock.lap("step")
 
     if status == "max_iter" and best is not None:
         # fall back to the cleanest iterate; accept it outright when it is
@@ -584,7 +699,8 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     obj = float(c @ x_out) + problem.obj_const if status == "optimal" else np.nan
     return SdpSolution(status=status, x=x_out, objective=obj, eq_dual=y_out,
                        block_duals=duals, pres=pres, dres=dres, gap=gap,
-                       iterations=it + 1, iterates=iterates, message=message)
+                       iterations=it + 1, iterates=iterates, message=message,
+                       phase_s=clock.seconds)
 
 
 # ---------------------------------------------------------------------------

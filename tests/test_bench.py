@@ -105,6 +105,17 @@ class TestSimulator:
                     horizon=10.0, dt=1e-2,
                     nonlinear_extra=lambda x: 10.0 * x ** 3)
 
+    def test_blow_up_in_nonlinear_stage_raises_without_warning(self):
+        # K = -1.5 overflows x**3 inside an RK4 stage before the energy check
+        p = bench.make_plant(bench.ScalarOracle())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHurwitzError):
+                bench.simulate_closed_loop(
+                    p, StateFeedbackGain([[-1.5]]), {"kind": "noise"},
+                    horizon=10.0, dt=1e-2,
+                    nonlinear_extra=lambda x: 10.0 * x ** 3)
+
     def test_cubic_stiffening_changes_trajectory(self):
         fam = bench.TensegrityApprox()
         p = bench.make_plant(fam)

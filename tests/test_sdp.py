@@ -1,7 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
+from conftest import random_plant
+from sparsact import bench, sdp
+from sparsact.joint import JointSpec, synth_joint
 from sparsact.sdp import (
     LmiBlock,
     SdpProblem,
@@ -9,6 +15,7 @@ from sparsact.sdp import (
     check_certificate,
     solve_sdp,
 )
+from test_lmi import DESIGNS, compiled_design
 
 
 def det_problem():
@@ -129,6 +136,22 @@ class TestInfeasibility:
         sol = solve_sdp(prob)
         assert sol.status == "infeasible"
 
+    @pytest.mark.parametrize("eq_b, status", [([1.0, 0.0, 1.0], "optimal"),
+                                              ([1.0, 0.0, 2.0], "infeasible")])
+    def test_more_equality_rows_than_variables(self, eq_b, status):
+        # x0 + x1 = 1, x0 - x1 = 0 and 2 x0 = eq_b[2], with x >= 0
+        blocks = [LmiBlock(F0=[[0.0]], var_idx=[i], coefs=[[[1.0]]]) for i in range(2)]
+        prob = SdpProblem(num_vars=2, c=[1.0, 1.0], blocks=blocks,
+                          eq_A=[[1.0, 1.0], [1.0, -1.0], [2.0, 0.0]], eq_b=eq_b)
+        sol = solve_sdp(prob)
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.x == pytest.approx([0.5, 0.5], abs=1e-6)
+            assert sol.eq_dual.shape == (3,)
+            assert check_certificate(prob, sol).clean
+        else:
+            assert sol.message == "inconsistent equality constraints"
+
     def test_unbounded_below(self):
         # min x with only x <= 0 -> unbounded
         blocks = [LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[-1.0]]])]
@@ -234,3 +257,117 @@ class TestEmptyShapes:
         assert (sol.status, sol.message, sol.iterations) == \
             ("unbounded", "primal improving ray found", 2)
         assert np.array_equal(sol.x, [-1.0, 0.0])
+
+
+def _random_scaling(problem, seed):
+    """The problem's cones at the NT scaling of random strictly interior s, z."""
+    rng = np.random.default_rng(seed)
+    cones, start = [], 0
+    for blk in problem.blocks:
+        co = sdp._Cone(blk, start)
+        start += co.sdim
+        n = blk.dim
+        S, Z = (B @ B.T + n * np.eye(n) for B in rng.standard_normal((2, n, n)))
+        co.update_scaling(co.sv.svec(S), co.sv.svec(Z))
+        cones.append(co)
+    return cones
+
+
+def _scaled_coefficients(co, blk):
+    """W^-T G of one block, (d, k), by conjugating every slice with Rinv."""
+    Tsc = co.Rinv @ blk.coefs @ co.Rinv.T
+    return -(Tsc[:, co.sv.rows, co.sv.cols] * co.sv.w).T
+
+
+def _reference_newton(problem, cones, bx, by, bz):
+    """H and solve3 from the dense scaled coefficients of every block."""
+    n = problem.num_vars
+    Ssc = [_scaled_coefficients(co, blk) for co, blk in zip(cones, problem.blocks)]
+    H = np.zeros((n, n))
+    for co, S in zip(cones, Ssc):
+        H[np.ix_(co.vi, co.vi)] += S.T @ S
+    A = problem.eq_A
+    kkt_solve = sdp._factor_kkt(H, A, 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0)))
+    bz_t = [co.sv.svec(co.Rinv @ co.sv.smat(bz[co.part]) @ co.Rinv.T) for co in cones]
+    rhs = np.concatenate([bx, by])
+    for co, S, v in zip(cones, Ssc, bz_t):
+        rhs[co.vi] += S.T @ v
+    sol = kkt_solve(rhs)
+    for _ in range(2):
+        ux, uy = sol[:n], sol[n:]
+        sol = sol + kkt_solve(np.concatenate([rhs[:n] - H @ ux - A.T @ uy, rhs[n:] - A @ ux]))
+    ux = sol[:n]
+    uz = [co.sv.svec(co.Rinv.T @ co.sv.smat(S @ ux[co.vi] - v) @ co.Rinv)
+          for co, S, v in zip(cones, Ssc, bz_t)]
+    return H, ux, np.concatenate(uz)
+
+
+def _assert_newton_matches_reference(problem, seed=0):
+    cones = _random_scaling(problem, seed)
+    rng = np.random.default_rng(seed + 1)
+    n, p = problem.num_vars, problem.eq_A.shape[0]
+    G = np.zeros((sum(co.sdim for co in cones), n))
+    for co in cones:
+        G[co.part, co.vi] = co.Gmat
+    # a direction that no block sees (the output-feedback designs have one)
+    # is not determined by the Newton system; bx = G'r, like the solver's
+    # residuals, has no part along it
+    bx, by = G.T @ rng.standard_normal(len(G)), rng.standard_normal(p)
+    bz = rng.standard_normal(len(G))
+    H_ref, dx_ref, dz_ref = _reference_newton(problem, cones, bx, by, bz)
+    H = sdp._schur(cones, n)
+    assert np.array_equal(H, H.T)
+    assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
+    kkt_solve = sdp._factor_kkt(H, problem.eq_A, 1e-12 * (1.0 + np.abs(np.diag(H)).max()))
+    dx, _, dz = sdp._solve3(cones, H, problem.eq_A, kkt_solve, bx, by, bz)
+    assert np.linalg.norm(dz - dz_ref) <= 1e-10 * np.linalg.norm(dz_ref)
+    assert np.linalg.norm(G @ (dx - dx_ref)) <= 1e-10 * np.linalg.norm(G @ dx_ref)
+    eigs = np.linalg.eigvalsh(H_ref)
+    if eigs[0] > 1e-12 * eigs[-1]:  # dx itself is determined
+        assert np.linalg.norm(dx - dx_ref) <= 1e-10 * np.linalg.norm(dx_ref)
+    return cones
+
+
+class TestSchurAssembly:
+    """The Schur complement and solve3 built from the slices' nonzero entries
+    equal the ones built from every slice conjugated by the NT scaling."""
+
+    @pytest.mark.parametrize("kind", ["hinf", "h2"])
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    @pytest.mark.parametrize("nx", [2, 4])
+    def test_compiled_designs(self, monkeypatch, design, kind, nx):
+        synthesize, spec_type = DESIGNS[design]
+        plant = random_plant(np.random.default_rng(11), nx=nx, nu=2, nw=2, nz=2, ny=2)
+        _, _, problem, _ = compiled_design(monkeypatch, synthesize, spec_type(
+            plant=plant, performance_kind=kind, gamma0=5.0))
+        _assert_newton_matches_reference(problem)
+
+    @pytest.mark.parametrize("family, kind, gamma0", [
+        (bench.TensegrityApprox(), "h2", 0.42), (bench.MassSpringChain(5), "hinf", 100.0)])
+    def test_benchmark_problems_cover_both_forms(self, monkeypatch, family, kind, gamma0):
+        _, _, problem, _ = compiled_design(monkeypatch, synth_joint, JointSpec(
+            plant=bench.make_plant(family), performance_kind=kind, gamma0=gamma0))
+        cones = _assert_newton_matches_reference(problem)
+        assert {scipy.sparse.issparse(co.Gu) for co in cones} == {True, False}
+
+    def test_zero_slices_and_equalities(self):
+        prob = random_lmi_problem(6, num_vars=40, dim=12)
+        blk = prob.blocks[0]
+        coefs = blk.coefs.copy()
+        coefs[::3] = 0.0  # slices without a nonzero add nothing to H
+        blocks = [LmiBlock(F0=blk.F0, var_idx=blk.var_idx, coefs=coefs), *prob.blocks[1:]]
+        _assert_newton_matches_reference(SdpProblem(
+            num_vars=40, c=prob.c, blocks=blocks,
+            eq_A=np.vstack([np.ones(40), np.arange(40.0)]), eq_b=[1.0, 0.0]))
+
+
+class TestPhaseTimes:
+    def test_phases_are_timed_within_the_call(self):
+        prob = random_lmi_problem(7, num_vars=12, dim=8)
+        t0 = time.perf_counter()
+        sol = solve_sdp(prob)
+        wall = time.perf_counter() - t0
+        assert sol.status == "optimal"
+        assert tuple(sol.phase_s) == sdp.PHASES == ("scaling", "schur", "factor", "solve", "step")
+        assert all(t >= 0.0 for t in sol.phase_s.values())
+        assert 0.0 < sum(sol.phase_s.values()) <= wall
