@@ -20,8 +20,10 @@ matrix when the dense products would spend more than SPARSE_SCHUR_WASTE
 multiply-adds on its zeros (the largest blocks of the tensegrity and
 chain problems, where a slice has one to a few dozen nonzeros) and a
 dense array otherwise; scipy.sparse is imported only once such a block
-appears.  The Newton
-solves apply W^-T and W^-1 to one svec vector per block (_solve3).
+appears.  A block adds its part of H by slices over its runs of consecutive
+variables, or by one gathered addition when it has more than about k / 17
+runs (SLICE_RUN_RATIO).  The Newton solves apply W^-T and W^-1 to one svec
+vector per block (_solve3).
 
 The Schur system is factored by Cholesky when there are no equalities (it
 is then symmetric positive definite) and by LU as a saddle system
@@ -70,6 +72,12 @@ STEP_FRAC = 0.99
 # zeros; below that, the sparse products' per-call cost and loading
 # scipy.sparse (about 2 MB and 20 ms, once) outweigh the saving
 SPARSE_SCHUR_WASTE = 1e7
+# a block whose k variables fall in r runs of consecutive indices adds its
+# part of H by r * r slice additions when r = 1 or r <= k / SLICE_RUN_RATIO,
+# and by one gathered addition otherwise: a slice addition costs 2-3 us and
+# the gather 7-8 ns more per entry (numpy 2.4, one core), so the slices pay
+# while r * r * 3 us < k * k * 8 ns
+SLICE_RUN_RATIO = 17
 # the phases of an iteration that SdpSolution.phase_s times
 PHASES = ("scaling", "schur", "factor", "solve", "step")
 
@@ -270,31 +278,26 @@ class _Cone:
         self.R = None
         self.Rinv = None
         self.lam = None  # (n,) eigenvalues of the scaled point
-        # Schur data (add_schur): the live slices, those with a nonzero; the
-        # svec entries (P[p], Q[p]) that they touch; Gu, the live slices'
-        # values on those entries, halved on the diagonal
-        live = np.any(upper != 0.0, axis=1)
+        # Schur data (add_schur): the svec entries (P[p], Q[p]) that the
+        # slices touch and Gu, the slices' values on them, halved on the
+        # diagonal
         touched = np.any(upper != 0.0, axis=0)
-        # where the block's part of H goes: one slice per pair of runs of
-        # consecutive variables, or one gathered addition when that is
-        # cheaper (a slice addition costs a few microseconds, a gathered one
-        # about 10 ns more per entry, so runs pay while there are fewer than
-        # about k/17 of them)
-        hv = self.vi[live]
-        cuts = np.flatnonzero(np.diff(hv) != 1) + 1
-        runs = [(slice(r[0], r[-1] + 1), slice(i, i + len(r)))
-                for r, i in zip(np.split(hv, cuts) if len(hv) else [], np.r_[0, cuts])]
-        if len(runs) == 1 or 17 * len(runs) <= len(hv):
-            self.hsel = [((ha, hb), (xa, xb)) for ha, xa in runs for hb, xb in runs]
-        else:
-            self.hsel = [(np.ix_(hv, hv), (slice(None),) * 2)]
         self.P, self.Q = sv.rows[touched], sv.cols[touched]
-        Gu = upper[np.ix_(live, touched)] * np.where(self.P == self.Q, 0.5, 1.0)
+        Gu = upper[:, touched] * np.where(self.P == self.Q, 0.5, 1.0)
         k, m = Gu.shape
         if (k * m - np.count_nonzero(Gu)) * (k + m) > SPARSE_SCHUR_WASTE:
             import scipy.sparse  # here: small problems never pay for loading it
             Gu = scipy.sparse.csr_array(Gu)
         self.Gu = Gu
+        # where the block's part of H goes: one slice per pair of runs of
+        # consecutive variables, or one gathered addition (SLICE_RUN_RATIO)
+        cuts = np.flatnonzero(np.diff(self.vi) != 1) + 1
+        runs = [(slice(r[0], r[-1] + 1), slice(i, i + len(r)))
+                for r, i in zip(np.split(self.vi, cuts) if k else [], np.r_[0, cuts])]
+        if len(runs) == 1 or SLICE_RUN_RATIO * len(runs) <= k:
+            self.hsel = [((ha, hb), (xa, xb)) for ha, xa in runs for hb, xb in runs]
+        else:
+            self.hsel = [(np.ix_(self.vi, self.vi), (slice(None),) * 2)]
 
     # --- exact linear maps -------------------------------------------------
     def Gx(self, x):

@@ -349,12 +349,14 @@ class TestSchurAssembly:
             plant=bench.make_plant(family), performance_kind=kind, gamma0=gamma0))
         cones = _assert_newton_matches_reference(problem)
         assert {scipy.sparse.issparse(co.Gu) for co in cones} == {True, False}
+        # H is added by slices over runs of variables and by one gather
+        assert {type(co.hsel[0][0][0]) for co in cones} == {slice, np.ndarray}
 
     def test_zero_slices_and_equalities(self):
         prob = random_lmi_problem(6, num_vars=40, dim=12)
         blk = prob.blocks[0]
         coefs = blk.coefs.copy()
-        coefs[::3] = 0.0  # slices without a nonzero add nothing to H
+        coefs[::3] = 0.0  # slices without a nonzero
         blocks = [LmiBlock(F0=blk.F0, var_idx=blk.var_idx, coefs=coefs), *prob.blocks[1:]]
         _assert_newton_matches_reference(SdpProblem(
             num_vars=40, c=prob.c, blocks=blocks,
