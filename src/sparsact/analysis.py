@@ -84,6 +84,26 @@ def controllability_gramian(A, B):
     return 0.5 * (Wc + Wc.T)
 
 
+def _checked_gramian(A, B):
+    """Controllability Gramian of a Hurwitz A, its Lyapunov residual checked
+    against a tight relative bound."""
+    if A.size == 0:
+        return np.zeros((0, 0))
+    if not is_hurwitz(A):
+        raise NonHurwitzError("H2 norm undefined: state matrix is not Hurwitz")
+    Wc = controllability_gramian(A, B)
+    res = np.linalg.norm(A @ Wc + Wc @ A.T + B @ B.T)
+    bound = 1e-10 * (np.linalg.norm(A) * np.linalg.norm(Wc) + np.linalg.norm(B) ** 2)
+    if res > max(bound, 1e-13):
+        raise NonHurwitzError(f"Lyapunov residual too large: {res:.3e} > {bound:.3e}")
+    return Wc
+
+
+def _h2_report(C, Wc):
+    val = float(np.sqrt(max(0.0, np.trace(C @ Wc @ C.T))))
+    return NormReport(value=val, kind="H2", method="gramian", converged=True)
+
+
 def h2_norm(sys) -> NormReport:
     """H2 norm via the controllability Gramian.
 
@@ -93,17 +113,7 @@ def h2_norm(sys) -> NormReport:
     A, B, C, D = _abcd(sys)
     if np.any(D != 0.0):
         raise NonzeroFeedthroughError("H2 norm undefined for nonzero feedthrough")
-    if A.size == 0:
-        return NormReport(value=0.0, kind="H2", method="gramian", converged=True)
-    if not is_hurwitz(A):
-        raise NonHurwitzError("H2 norm undefined: state matrix is not Hurwitz")
-    Wc = controllability_gramian(A, B)
-    res = np.linalg.norm(A @ Wc + Wc @ A.T + B @ B.T)
-    bound = 1e-10 * (np.linalg.norm(A) * np.linalg.norm(Wc) + np.linalg.norm(B) ** 2)
-    if res > max(bound, 1e-13):
-        raise NonHurwitzError(f"Lyapunov residual too large: {res:.3e} > {bound:.3e}")
-    val = float(np.sqrt(max(0.0, np.trace(C @ Wc @ C.T))))
-    return NormReport(value=val, kind="H2", method="gramian", converged=True)
+    return _h2_report(C, _checked_gramian(A, B))
 
 
 def hamiltonian_has_gain(A, B, C, D, gamma) -> bool:
@@ -168,26 +178,21 @@ def hinf_norm(sys) -> NormReport:
                       converged=iters < HINF_MAX_ITER, iterations=iters)
 
 
-def channel_h2_norms(plant, controller, zero_feedthrough_tol=1e-9):
+def channel_h2_norms(plant, controller):
     """Per-actuator H2 norms of the disturbance-to-control transfer functions.
 
-    Entry i is the H2 norm of (Acl, Bcl, row_i(Ctilde), 0).  For output
-    feedback the feedthrough DK*Dyw must vanish; values below the relative
-    tolerance are treated as exact zeros.
+    Entry i is the H2 norm of (Acl, Bcl, row_i(Ctilde), 0), from one
+    controllability Gramian.  For output feedback the feedthrough DK Dyw
+    must be exactly zero; ``model.close_output_feedback`` makes it so when it
+    is zero up to rounding.
     """
     cl = close_loop(plant, controller)
-    scale = max(1.0, float(np.abs(cl.Ctilde).max(initial=0.0)))
-    reports = []
-    for i in range(cl.Ctilde.shape[0]):
-        drow = cl.Dtilde[i:i + 1]
-        if np.abs(drow).max(initial=0.0) > zero_feedthrough_tol * scale:
-            raise NonzeroFeedthroughError(
-                f"channel {i}: nonzero disturbance feedthrough to the actuator")
-        try:
-            reports.append(h2_norm((cl.Acl, cl.Bcl, cl.Ctilde[i:i + 1], None)))
-        except (NonHurwitzError, NonzeroFeedthroughError) as exc:
-            raise type(exc)(f"channel {i}: {exc}") from exc
-    return reports
+    nonzero = np.flatnonzero(np.any(cl.Dtilde != 0.0, axis=1))
+    if nonzero.size:
+        raise NonzeroFeedthroughError(
+            f"channel {nonzero[0]}: nonzero disturbance feedthrough to the actuator")
+    Wc = _checked_gramian(cl.Acl, cl.Bcl)
+    return [_h2_report(cl.Ctilde[i:i + 1], Wc) for i in range(cl.Ctilde.shape[0])]
 
 
 def default_frequency_grid():

@@ -27,7 +27,6 @@ from .outputfb import (
     _performance_constraints,
     _positivity_block,
     _recover_hat,
-    _zero_feedthrough_equalities,
     reconstruct_controller,
 )
 from .sdp import SdpSolution, SolverOptions, solve_sdp
@@ -106,7 +105,6 @@ class JointSynthesisResult:
     objective: float
     verified_closed_loop: analysis.NormReport
     solution: SdpSolution
-    feedthrough_constrained: bool  # DKhat @ Dyw = 0 was imposed beyond the LMI set
 
     def to_dict(self):
         return {
@@ -151,14 +149,12 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
     """Minimize weighted hat-matrix group norms under a gamma0 performance LMI."""
     p = spec.plant
     _check_of_preconditions(p, need_dw_zero=spec.performance_kind == "h2")
-    hat_vars = X, Y, AKh, BKh, CKh, DKh = _declare_of_variables(p)
+    hat_vars, variables = _declare_of_variables(p)
+    X, Y, AKh, BKh, CKh, DKh = hat_vars
     parts = _of_common_exprs(p, *hat_vars)
     perf, extra = _performance_constraints(spec, X, Y, CKh, DKh, parts)
-    variables = [*hat_vars, *extra]
-    # Beyond the performance LMIs: keep the disturbance-to-control
-    # feedthrough zero so post-hoc channel H2 norms stay finite.
-    feedthrough = _zero_feedthrough_equalities(p, DKh)
-    cons = [_positivity_block(X, Y, p.nx), *perf, *feedthrough]
+    variables += extra
+    cons = [_positivity_block(X, Y, p.nx), *perf]
 
     objective = lmi.Expr.wrap(np.zeros((1, 1)))
     groups = (("t_act", spec.mu, lambda i: [[CKh.row(i).T], [DKh.row(i).T]]),
@@ -187,7 +183,6 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
         objective=float(spec.mu @ gn.row_norms + spec.nu @ gn.col_norms),
         verified_closed_loop=report,
         solution=sol,
-        feedthrough_constrained=bool(feedthrough),
     )
 
 

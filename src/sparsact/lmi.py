@@ -30,7 +30,6 @@ __all__ = [
     "pos_def",
     "neg_semidef",
     "pos_semidef",
-    "equal_zero",
     "compile_lmis",
     "evaluate",
     "STRICT_EPS_SCALE",
@@ -133,17 +132,10 @@ class MatVar:
         return self.as_expr().__rmatmul__(other)
 
     def row(self, i):
-        """1 x cols slice of the variable, as an expression."""
-        r, c = self.shape
-        e = np.zeros((1, r))
-        e[0, i] = 1.0
-        return Expr((1, c), np.zeros((1, c)), [_Term(e, self, np.eye(c), False)])
+        return self.as_expr().row(i)
 
     def col(self, j):
-        r, c = self.shape
-        e = np.zeros((c, 1))
-        e[j, 0] = 1.0
-        return Expr((r, 1), np.zeros((r, 1)), [_Term(np.eye(r), self, e, False)])
+        return self.as_expr().col(j)
 
 
 @dataclass(frozen=True)
@@ -238,6 +230,14 @@ class Expr:
             raise ModelingError(f"shape mismatch in @: {L.shape} vs {self.shape}")
         return Expr((L.shape[0], self.shape[1]), L @ self.constant,
                     [_Term(L @ t.left, t.var, t.right, t.transposed) for t in self.terms])
+
+    def row(self, i):
+        """Row i, a 1 x cols expression."""
+        return np.eye(self.shape[0])[i:i + 1] @ self
+
+    def col(self, j):
+        """Column j, a rows x 1 expression."""
+        return self @ np.eye(self.shape[1])[:, j:j + 1]
 
     @property
     def T(self):
@@ -375,7 +375,7 @@ def bmat(grid):
 @dataclass(frozen=True)
 class Constraint:
     expr: Expr
-    sense: str  # "neg" (<=0), "pos" (>=0), "eq" (=0)
+    sense: str  # "neg" (<=0) or "pos" (>=0)
     strict: bool = False
 
 
@@ -393,10 +393,6 @@ def pos_def(e):
 
 def pos_semidef(e):
     return Constraint(Expr.wrap(e), "pos", strict=False)
-
-
-def equal_zero(e):
-    return Constraint(Expr.wrap(e), "eq")
 
 
 class VarMap:
@@ -457,24 +453,11 @@ def compile_lmis(variables, constraints, objective=None):
     vm = VarMap(variables)
     n = vm.num_scalars
     blocks = []
-    eq_rows = []
-    eq_rhs = []
     for con in constraints:
         expr = con.expr
         for t in expr.terms:
             if t.var not in vm.offsets:
                 raise ModelingError(f"constraint references undeclared variable {t.var.name}")
-        if con.sense == "eq":
-            constant, coefs = expr.coefficients(vm.offsets)
-            r, c = expr.shape
-            for i in range(r):
-                for j in range(c):
-                    row = np.zeros(n)
-                    for k, C in coefs.items():
-                        row[k] = C[i, j]
-                    eq_rows.append(row)
-                    eq_rhs.append(-constant[i, j])
-            continue
         if expr.shape[0] != expr.shape[1]:
             raise ModelingError("inequality constraints need square expressions")
         _check_symmetry(expr, variables)
@@ -501,7 +484,5 @@ def compile_lmis(variables, constraints, objective=None):
         obj_const = float(constant[0, 0])
         for k, C in coefs.items():
             c_obj[k] = C[0, 0]
-    eq_A = np.array(eq_rows) if eq_rows else np.zeros((0, n))
-    eq_b = np.array(eq_rhs) if eq_rhs else np.zeros(0)
-    problem = SdpProblem(n, c_obj, blocks, eq_A=eq_A, eq_b=eq_b, obj_const=obj_const)
+    problem = SdpProblem(n, c_obj, blocks, obj_const=obj_const)
     return problem, vm

@@ -258,8 +258,22 @@ def close_state_feedback(plant: GeneralizedPlant, gain) -> ClosedLoop:
     )
 
 
+def _zero_within_rounding(M, *factors):
+    """M, the computed product of the factors, or exact zeros when its
+    Frobenius norm is within the product's rounding error,
+    c eps prod ||F||_F with c the sum of the inner dimensions (README.md,
+    "Zero feedthrough")."""
+    c = sum(F.shape[1] for F in factors[:-1])
+    bound = c * np.finfo(float).eps * np.prod([np.linalg.norm(F) for F in factors])
+    return np.zeros_like(M) if np.linalg.norm(M) <= bound else M
+
+
 def close_output_feedback(plant: GeneralizedPlant, ctrl: DynamicController) -> ClosedLoop:
-    """Interconnect the plant with a dynamic output-feedback controller."""
+    """Interconnect the plant with a dynamic output-feedback controller.
+
+    The feedthrough products DK Dyw and Du DK Dyw are exact zeros when they
+    are zero up to their rounding error.
+    """
     if ctrl.ny != plant.ny or ctrl.nu != plant.nu:
         raise DimensionError(
             f"controller io ({ctrl.nu}, {ctrl.ny}) does not match plant ({plant.nu}, {plant.ny})")
@@ -269,12 +283,12 @@ def close_output_feedback(plant: GeneralizedPlant, ctrl: DynamicController) -> C
     Cz, Du, Dw = plant.Cz, plant.Du, plant.Dw
     Cy, Dyw = plant.Cy, plant.Dyw
     AK, BK, CK, DK = ctrl.AK, ctrl.BK, ctrl.CK, ctrl.DK
+    Dtilde = _zero_within_rounding(DK @ Dyw, DK, Dyw)
     Acl = np.block([[A + Bu @ DK @ Cy, Bu @ CK], [BK @ Cy, AK]])
-    Bcl = np.vstack([Bw + Bu @ DK @ Dyw, BK @ Dyw])
+    Bcl = np.vstack([Bw + Bu @ Dtilde, BK @ Dyw])
     Ccl = np.hstack([Cz + Du @ DK @ Cy, Du @ CK])
-    Dcl = Dw + Du @ DK @ Dyw
+    Dcl = Dw + _zero_within_rounding(Du @ Dtilde, Du, DK, Dyw)
     Ctilde = np.hstack([DK @ Cy, CK])
-    Dtilde = DK @ Dyw
     return ClosedLoop(Acl=Acl, Bcl=Bcl, Ccl=Ccl, Dcl=Dcl, Ctilde=Ctilde, Dtilde=Dtilde)
 
 

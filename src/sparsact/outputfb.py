@@ -6,6 +6,14 @@ recovered afterwards by inverting the change of variables.  Per-actuator
 squared-H2 bounds Gamma play the same sparsity-surrogate role as in the
 state-feedback design.  The preconditions, variables, H-infinity/H2
 performance constraints and hat recovery here are shared with ``joint``.
+
+A measurement feedthrough Dyw != 0 needs DKhat Dyw = 0 so that the
+disturbance does not reach the actuators directly.  DKhat is parametrized
+as Z P' with P an orthonormal basis of null(Dyw'), so the condition holds by
+construction and the compiled problem has no equality constraints: DKhat is
+the plain variable when Dyw = 0 and the constant zero when null(Dyw') = {0}.
+The closed loop's DK Dyw is then zero up to the rounding of the products,
+which ``model.close_output_feedback`` sets to exact zeros.
 """
 
 from __future__ import annotations
@@ -116,14 +124,27 @@ def _check_of_preconditions(plant, *, need_dw_zero):
 
 
 def _declare_of_variables(plant):
+    """The hat variables (X, Y, AKhat, BKhat, CKhat, DKhat) and the matrix
+    variables they are made of; DKhat = Z P' is an expression when Dyw != 0."""
     nx, nu, ny = plant.nx, plant.nu, plant.ny
     X = lmi.MatVar("X", (nx, nx), "symmetric")
     Y = lmi.MatVar("Y", (nx, nx), "symmetric")
     AKh = lmi.MatVar("AKhat", (nx, nx))
     BKh = lmi.MatVar("BKhat", (nx, ny))
     CKh = lmi.MatVar("CKhat", (nu, nx))
-    DKh = lmi.MatVar("DKhat", (nu, ny))
-    return X, Y, AKh, BKh, CKh, DKh
+    variables = [X, Y, AKh, BKh, CKh]
+    if np.all(plant.Dyw == 0.0):
+        DKh = lmi.MatVar("DKhat", (nu, ny))
+        variables.append(DKh)
+    else:
+        P = scipy.linalg.null_space(plant.Dyw.T)
+        if P.shape[1] == 0:
+            DKh = lmi.const(np.zeros((nu, ny)))
+        else:
+            Z = lmi.MatVar("DKhat_Z", (nu, P.shape[1]))
+            variables.append(Z)
+            DKh = Z @ P.T
+    return (X, Y, AKh, BKh, CKh, DKh), variables
 
 
 def _of_common_exprs(p, X, Y, AKh, BKh, CKh, DKh):
@@ -148,8 +169,8 @@ def _channel_lyapunov_block(p, parts):
 
 def _performance_constraints(spec, X, Y, CKh, DKh, parts):
     """(constraints, extra variables) bounding the norm of spec.performance_kind
-    by gamma0: the bounded-real block, or the H2 blocks in Q with the
-    equality Dw + Du DKhat Dyw = 0 when Dyw is nonzero."""
+    by gamma0: the bounded-real block, or the H2 blocks in Q (their
+    feedthrough Dw + Du DKhat Dyw is zero: Dw = 0 and DKhat Dyw = 0)."""
     p = spec.plant
     g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
     if spec.performance_kind == "hinf":
@@ -170,8 +191,6 @@ def _performance_constraints(spec, X, Y, CKh, DKh, parts):
         lmi.pos_def(q_block),
         lmi.neg_def(lmi.trace(Q) - g0 ** 2 * np.eye(1)),
     ]
-    if np.any(p.Dyw != 0.0):
-        cons.append(lmi.equal_zero(lmi.const(p.Dw) + p.Du @ DKh @ p.Dyw))
     return cons, [Q]
 
 
@@ -190,15 +209,9 @@ def _positivity_block(X, Y, nx):
     ]))
 
 
-def _zero_feedthrough_equalities(p, DKh):
-    """DKhat @ Dyw = 0, added only when Dyw is nonzero."""
-    if np.all(p.Dyw == 0.0):
-        return []
-    return [lmi.equal_zero(DKh @ p.Dyw)]
-
-
 def _recover_hat(vm, sol, X, Y, AKh, BKh, CKh, DKh):
-    return HatController(*(vm.value(sol.x, v) for v in (AKh, BKh, CKh, DKh, X, Y)))
+    values = vm.assignment(sol.x)
+    return HatController(*(lmi.evaluate(v, values) for v in (AKh, BKh, CKh, DKh, X, Y)))
 
 
 def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
@@ -206,7 +219,8 @@ def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
     spec.performance_kind (H2 needs Dw = 0), minimizing rho . Gamma."""
     p = spec.plant
     _check_of_preconditions(p, need_dw_zero=spec.performance_kind == "h2")
-    hat_vars = X, Y, AKh, BKh, CKh, DKh = _declare_of_variables(p)
+    hat_vars, variables = _declare_of_variables(p)
+    X, Y, AKh, BKh, CKh, DKh = hat_vars
     G = lmi.MatVar("Gamma", (p.nu, p.nu), "diagonal")
     parts = _of_common_exprs(p, *hat_vars)
 
@@ -214,12 +228,11 @@ def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
     if spec.performance_kind == "hinf":  # the channel bounds need it; H2 has it already
         cons.append(lmi.neg_def(_channel_lyapunov_block(p, parts)))
     cons.append(_positivity_block(X, Y, p.nx))
-    cons += _zero_feedthrough_equalities(p, DKh)
     cons += _of_channel_blocks(p, X, Y, CKh, DKh, G)
     cons += _gamma_caps(G, spec.gamma_max)
 
     objective = lmi.trace(np.diag(spec.rho) @ G)
-    problem, vm = lmi.compile_lmis([*hat_vars, G, *extra], cons, objective=objective)
+    problem, vm = lmi.compile_lmis([*variables, G, *extra], cons, objective=objective)
     sol = solve_sdp(problem, spec.solver)
     _raise_for_status(sol)
 

@@ -1,8 +1,9 @@
 """Dense semidefinite-programming solver.
 
 Problems are given in LMI form: a vector x of free scalar variables, a
-linear objective c'x, linear equalities A x = b, and a set of PSD blocks
-F_j(x) = F0_j + sum_i x_i C_ji  >= 0.
+linear objective c'x and a set of PSD blocks
+F_j(x) = F0_j + sum_i x_i C_ji  >= 0.  There are no equality constraints;
+a design that needs one parametrizes its null space instead (outputfb).
 
 The solver is a primal-dual interior-point method on the homogeneous
 self-dual embedding with Nesterov-Todd scaling and a Mehrotra corrector.
@@ -25,14 +26,14 @@ variables, or by one gathered addition when it has more than about k / 17
 runs (SLICE_RUN_RATIO).  The Newton solves apply W^-T and W^-1 to one svec
 vector per block (_solve3).
 
-The Schur system is factored by Cholesky when there are no equalities (it
-is then symmetric positive definite) and by LU as a saddle system
-otherwise.  Target problems have at most a few hundred variables and LMI
-rows.  SdpSolution.phase_s gives the seconds each solve spends on scaling,
+The Schur system H + delta I is symmetric positive definite and is factored
+by Cholesky; LU is used only when Cholesky fails numerically.  Target
+problems have at most a few hundred variables and LMI rows.
+SdpSolution.phase_s gives the seconds each solve spends on scaling,
 Schur assembly, factorization, Newton solves and the rest of the step.
 
-Problems without equalities, blocks or block variables take the same path
-as any other, through zero-size arrays.
+Problems without blocks or block variables take the same path as any
+other, through zero-size arrays.
 
 Fixed constants: convergence at relative residuals below FEAS_TOL and a
 relative gap below GAP_TOL, within MAX_ITER iterations; INFEAS_TOL gates
@@ -123,9 +124,9 @@ class LmiBlock:
 
 
 class SdpProblem:
-    """LMI-form SDP: min c'x  s.t.  A_eq x = b_eq,  each block >= 0."""
+    """LMI-form SDP: min c'x  s.t.  each block >= 0."""
 
-    def __init__(self, num_vars, c, blocks, eq_A=None, eq_b=None, obj_const=0.0):
+    def __init__(self, num_vars, c, blocks, obj_const=0.0):
         self.num_vars = int(num_vars)
         self.c = np.zeros(num_vars) if c is None else np.asarray(c, dtype=float)
         if self.c.shape != (self.num_vars,):
@@ -136,15 +137,12 @@ class SdpProblem:
                 raise ValueError("block dimensions must be >= 1")
             if np.any((blk.var_idx < 0) | (blk.var_idx >= num_vars)):
                 raise ValueError("block references undeclared variables")
-        if eq_A is None:
-            eq_A = np.zeros((0, num_vars))
-        self.eq_A = np.atleast_2d(np.asarray(eq_A, dtype=float))
-        if self.eq_A.size == 0:
-            self.eq_A = self.eq_A.reshape(0, num_vars)
-        self.eq_b = np.zeros(self.eq_A.shape[0]) if eq_b is None else np.asarray(eq_b, dtype=float)
-        if self.eq_A.shape != (len(self.eq_b), num_vars):
-            raise ValueError("equality system has inconsistent shape")
         self.obj_const = float(obj_const)
+
+    @property
+    def eq_A(self):
+        """An empty equality matrix, for perfbench/tracer.py's KKT size."""
+        return np.zeros((0, self.num_vars))
 
     @property
     def block_dims(self):
@@ -155,9 +153,7 @@ class SdpProblem:
 
         Line format: ``block row col variable coefficient``.  Variable -1
         denotes the constant term.  PSD blocks are numbered from 0; the
-        equality rows use block index ``len(blocks)`` (row = equality index,
-        col = 0, with the right-hand side as the constant); the objective
-        uses block index -1 (row = col = 0).
+        objective uses block index -1 (row = col = 0).
         """
         with open(path, "w") as f:
             for i, ci in enumerate(self.c):
@@ -171,12 +167,6 @@ class SdpProblem:
                     rows, cols = np.nonzero(blk.coefs[j])
                     for r, cc in zip(rows, cols):
                         f.write(f"{bidx} {r} {cc} {vi} {blk.coefs[j][r, cc]:.17g}\n")
-            eb = len(self.blocks)
-            for r in range(self.eq_A.shape[0]):
-                if self.eq_b[r] != 0.0:
-                    f.write(f"{eb} {r} 0 -1 {-self.eq_b[r]:.17g}\n")
-                for i in np.nonzero(self.eq_A[r])[0]:
-                    f.write(f"{eb} {r} 0 {i} {self.eq_A[r, i]:.17g}\n")
 
 
 @dataclass
@@ -198,7 +188,6 @@ class SdpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded" | "max_iter"
     x: np.ndarray
     objective: float
-    eq_dual: np.ndarray
     block_duals: list
     pres: float
     dres: float
@@ -385,39 +374,18 @@ class _Cone:
 # main solver
 
 
-def _reduce_equalities(A, b):
-    """Drop linearly dependent equality rows; detect inconsistency.
+def _factor_kkt(H, delta):
+    """Factor H + delta*I and return its solve function.
 
-    Returns the reduced system plus the map from reduced to original dual
-    multipliers (y_orig = U_r @ y_reduced).
+    The matrix is symmetric positive definite in exact arithmetic and is
+    factored by Cholesky; when Cholesky fails numerically, by LU.
     """
-    U, sig, Vt = np.linalg.svd(A, full_matrices=False)
-    tol = max(A.shape) * np.finfo(float).eps * sig.max(initial=0.0)
-    r = int(np.sum(sig > tol))
-    Ur = U[:, :r]
-    br = Ur.T @ b
-    inconsistent = np.linalg.norm(b - Ur @ br) > 1e-10 * (1.0 + np.linalg.norm(b))
-    return sig[:r, None] * Vt[:r], br, Ur, inconsistent
-
-
-def _factor_kkt(H, A, delta):
-    """Factor the regularized reduced KKT matrix; return its solve function.
-
-    Without equalities the matrix is H + delta*I, symmetric positive
-    definite in exact arithmetic, and is factored by Cholesky.  When
-    Cholesky fails numerically, and whenever there are equalities, the
-    (saddle) matrix is factored by LU instead.
-    """
-    p = A.shape[0]
     KKT = H + delta * np.eye(H.shape[0])
-    if p:
-        KKT = np.block([[KKT, A.T], [A, -delta * np.eye(p)]])
-    else:
-        try:
-            cho = scipy.linalg.cho_factor(KKT, check_finite=False)
-            return lambda rhs: scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-        except np.linalg.LinAlgError:
-            pass
+    try:
+        cho = scipy.linalg.cho_factor(KKT, check_finite=False)
+        return lambda rhs: scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+    except np.linalg.LinAlgError:
+        pass
     lu = scipy.linalg.lu_factor(KKT)
     return lambda rhs: scipy.linalg.lu_solve(lu, rhs)
 
@@ -430,27 +398,21 @@ def _schur(cones, n):
     return H
 
 
-def _solve3(cones, H, A, kkt_solve, bx, by, bz):
-    """Solve the scaled Newton system for (ux, uy, uz).
+def _solve3(cones, H, kkt_solve, bx, bz):
+    """Solve the scaled Newton system for (ux, uz).
 
-    The system is  H ux + A' uy = bx + G' W^-1 W^-T bz,  A ux = by,
+    The system is  H ux = bx + G' W^-1 W^-T bz,
     uz = W^-1 (W^-T G ux - W^-T bz), one block at a time (_Cone.scaled_rhs
     and scaled_dz).  The solve is refined twice against the unregularized
     system.
     """
-    n = len(bx)
-    top = bx.copy()
-    scaled_bz = [co.scaled_rhs(bz[co.part], top) for co in cones]
-    rhs = np.concatenate([top, by])
-    sol = kkt_solve(rhs)
+    rhs = bx.copy()
+    scaled_bz = [co.scaled_rhs(bz[co.part], rhs) for co in cones]
+    ux = kkt_solve(rhs)
     for _ in range(2):
-        ux, uy = sol[:n], sol[n:]
-        r_top = top - H @ ux - A.T @ uy
-        r_bot = by - A @ ux
-        sol = sol + kkt_solve(np.concatenate([r_top, r_bot]))
-    ux, uy = sol[:n], sol[n:]
+        ux = ux + kkt_solve(rhs - H @ ux)
     uz = _stack(co.scaled_dz(ux, Bt) for co, Bt in zip(cones, scaled_bz))
-    return ux, uy, uz
+    return ux, uz
 
 
 class _PhaseClock:
@@ -480,14 +442,6 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     c = problem.c
     offs = np.cumsum([0] + [blk.dim * (blk.dim + 1) // 2 for blk in problem.blocks])
     cones = [_Cone(blk, start) for blk, start in zip(problem.blocks, offs)]
-    A, b, Umap, inconsistent = _reduce_equalities(problem.eq_A, problem.eq_b)
-    if inconsistent:
-        return SdpSolution(status="infeasible", x=np.zeros(n),
-                           objective=np.nan, eq_dual=np.zeros(problem.eq_A.shape[0]),
-                           block_duals=[None] * len(cones),
-                           pres=np.inf, dres=np.inf, gap=np.inf, iterations=0,
-                           message="inconsistent equality constraints")
-
     h = _stack(co.h for co in cones)
     m1 = sum(co.dim for co in cones) + 1
 
@@ -505,21 +459,19 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
     # start at the identity in every cone
     x = np.zeros(n)
-    y = np.zeros(len(b))
     s = _stack(co.sv.svec(np.eye(co.dim)) for co in cones)
     z = s.copy()
     tau, kappa = 1.0, 1.0
 
-    norm_b = 1.0 + np.linalg.norm(b)
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
 
     # residuals of the raw (unnormalized) improving rays
     def dual_ray_res():
-        return np.linalg.norm(A.T @ y + GT_of(z))
+        return np.linalg.norm(GT_of(z))
 
     def primal_ray_res():
-        return max(np.linalg.norm(A @ x), np.linalg.norm(G_of(x) + s))
+        return np.linalg.norm(G_of(x) + s)
 
     iterates = []
     status, message = "max_iter", "iteration limit reached"
@@ -533,26 +485,23 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     clock = _PhaseClock()
 
     for it in range(MAX_ITER):
-        finite = all(np.all(np.isfinite(v)) for v in (x, y, z, s)) and \
+        finite = all(np.all(np.isfinite(v)) for v in (x, z, s)) and \
             np.isfinite(tau) and np.isfinite(kappa) and tau > 0 and kappa >= 0
         if not finite:
             status, message = "max_iter", "numerical breakdown (non-finite iterate)"
             break
-        rx = A.T @ y + GT_of(z) + c * tau
-        ry = A @ x - b * tau
+        rx = GT_of(z) + c * tau
         rz = G_of(x) + s - h * tau
-        rtau = float(c @ x + b @ y + h @ z + kappa)
+        rtau = float(c @ x + h @ z + kappa)
         mu = (float(s @ z) + tau * kappa) / m1
 
         xh = x / tau
         sh = s / tau
-        yh = y / tau
         zh = z / tau
-        pres = max(np.linalg.norm(A @ xh - b) / norm_b,
-                   np.linalg.norm(G_of(xh) + sh - h) / norm_h)
-        dres = np.linalg.norm(A.T @ yh + GT_of(zh) + c) / norm_c
+        pres = np.linalg.norm(G_of(xh) + sh - h) / norm_h
+        dres = np.linalg.norm(GT_of(zh) + c) / norm_c
         pobj = float(c @ xh)
-        dobj = float(-(h @ zh) - (b @ yh))
+        dobj = float(-(h @ zh))
         gap = float(sh @ zh)
         iterates.append(IterateRecord(
             iteration=it, pobj=pobj, dobj=dobj, gap=gap, pres=pres, dres=dres,
@@ -561,8 +510,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         score = max(pres, dres, gap / (1.0 + abs(pobj) + abs(dobj)))
         if score < best_score:
             best_score = score
-            best = (x.copy(), y.copy(), z.copy(), s.copy(), tau, kappa,
-                    pres, dres, gap)
+            best = (x.copy(), z.copy(), s.copy(), tau, kappa, pres, dres, gap)
 
         if pres <= FEAS_TOL and dres <= FEAS_TOL and \
                 gap <= GAP_TOL * (1.0 + abs(pobj) + abs(dobj)):
@@ -571,12 +519,11 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
         # infeasibility certificates, only probed once the homogenizing
         # variable starts to collapse
-        viol_p = -(h @ z + b @ y)
+        viol_p = -(h @ z)
         if kappa > tau and viol_p > 0:
             if dual_ray_res() <= INFEAS_TOL * viol_p and \
                     viol_p >= INFEAS_TOL * max(1.0, np.linalg.norm(z)):
                 status, message = "infeasible", "dual improving ray found"
-                y = y / viol_p
                 z = z / viol_p
                 break
         viol_d = -float(c @ x)
@@ -594,7 +541,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
             res_d = primal_ray_res() / max(viol_d, 1e-300)
             if viol_p > 0 and res_p <= min(res_d, 1e-4):
                 status, message = "infeasible", "dual improving ray found (tau collapse)"
-                y, z = y / viol_p, z / viol_p
+                z = z / viol_p
             elif viol_d > 0 and res_d <= 1e-4:
                 status, message = "unbounded", "primal improving ray found (tau collapse)"
                 x, s = x / viol_d, s / viol_d
@@ -616,36 +563,34 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         clock.lap("schur")
         delta = 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0))
         try:
-            kkt_solve = _factor_kkt(H, A, delta)
+            kkt_solve = _factor_kkt(H, delta)
         except (np.linalg.LinAlgError, ValueError):
             status, message = "max_iter", "KKT factorization failure"
             break
         clock.lap("factor")
 
-        def solve3(bx, by, bz):
+        def solve3(bx, bz):
             clock.lap("step")
-            out = _solve3(cones, H, A, kkt_solve, bx, by, bz)
+            out = _solve3(cones, H, kkt_solve, bx, bz)
             clock.lap("solve")
             return out
 
-        dx1, dy1, dz1 = solve3(-c, b, h)
+        dx1, dz1 = solve3(-c, h)
 
         def direction(eta_c, q, rkap):
             bx0 = -(1.0 - eta_c) * rx
-            by0 = -(1.0 - eta_c) * ry
             bz0 = -(1.0 - eta_c) * rz + _stack(co.WT_u(v) for co, v in zip(cones, split(q)))
-            dx0, dy0, dz0 = solve3(bx0, by0, bz0)
-            denom = float(c @ dx1 + b @ dy1 + h @ dz1) - kappa / tau
-            numer = -(1.0 - eta_c) * rtau - float(c @ dx0 + b @ dy0 + h @ dz0) - rkap / tau
+            dx0, dz0 = solve3(bx0, bz0)
+            denom = float(c @ dx1 + h @ dz1) - kappa / tau
+            numer = -(1.0 - eta_c) * rtau - float(c @ dx0 + h @ dz0) - rkap / tau
             dtau = numer / denom
             dx = dx0 + dtau * dx1
-            dy = dy0 + dtau * dy1
             dz = dz0 + dtau * dz1
             dz_sc = _stack(co.W_z(v) for co, v in zip(cones, split(dz)))
             ds_sc = -q - dz_sc
             ds = _stack(co.WT_u(v) for co, v in zip(cones, split(ds_sc)))
             dkap = (rkap - kappa * dtau) / tau
-            return dx, dy, dz, ds, dtau, dkap, ds_sc, dz_sc
+            return dx, dz, ds, dtau, dkap, ds_sc, dz_sc
 
         def max_step(ds_sc, dz_sc, dtau, dkap):
             alpha = np.inf
@@ -660,23 +605,22 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         # predictor
         q_aff = _stack(co.sv.svec(np.diag(co.lam)) for co in cones)
         aff = direction(0.0, q_aff, -tau * kappa)
-        a_aff = min(1.0, max_step(aff[6], aff[7], aff[4], aff[5]))
+        a_aff = min(1.0, max_step(aff[5], aff[6], aff[3], aff[4]))
         sigma = min(1.0, max(0.0, 1.0 - a_aff)) ** 3
 
         # corrector
         q_comb = _stack(
             co.lam_solve(np.diag(co.lam ** 2) + co.sv.smat(co.jprod(us, uz))
                          - sigma * mu * np.eye(co.dim))
-            for co, us, uz in zip(cones, split(aff[6]), split(aff[7])))
-        rkap = sigma * mu - tau * kappa - aff[4] * aff[5]
-        dx, dy, dz, ds, dtau, dkap, ds_sc, dz_sc = direction(sigma, q_comb, rkap)
+            for co, us, uz in zip(cones, split(aff[5]), split(aff[6])))
+        rkap = sigma * mu - tau * kappa - aff[3] * aff[4]
+        dx, dz, ds, dtau, dkap, ds_sc, dz_sc = direction(sigma, q_comb, rkap)
 
         alpha = min(1.0, STEP_FRAC * max_step(ds_sc, dz_sc, dtau, dkap))
         if not np.isfinite(alpha) or alpha <= 1e-10:
             status, message = "max_iter", "step size collapsed"
             break
         x = x + alpha * dx
-        y = y + alpha * dy
         z = z + alpha * dz
         s = s + alpha * ds
         tau = tau + alpha * dtau
@@ -686,7 +630,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     if status == "max_iter" and best is not None:
         # fall back to the cleanest iterate; accept it outright when it is
         # within a modest factor of the requested tolerances
-        x, y, z, s, tau, kappa, pres, dres, gap = best
+        x, z, s, tau, kappa, pres, dres, gap = best
         if best_score <= REDUCED_TOL:
             status = "optimal"
             message = f"converged at reduced accuracy ({message})"
@@ -696,12 +640,9 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     sc = tau if not ray and np.isfinite(tau) and tau > 1e-100 else 1.0
     duals = [co.sv.smat(zb) / sc for co, zb in zip(cones, split(z))]
     x_out = x / sc
-    # map equality duals back to the original (unreduced) rows
-    y_out = Umap @ (y / sc)
 
     obj = float(c @ x_out) + problem.obj_const if status == "optimal" else np.nan
-    return SdpSolution(status=status, x=x_out, objective=obj, eq_dual=y_out,
-                       block_duals=duals, pres=pres, dres=dres, gap=gap,
+    return SdpSolution(status=status, x=x_out, objective=obj, block_duals=duals, pres=pres, dres=dres, gap=gap,
                        iterations=it + 1, iterates=iterates, message=message,
                        phase_s=clock.seconds)
 
@@ -712,7 +653,6 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
 @dataclass
 class CertificateReport:
-    eq_residual: float
     psd_min_eigs: list
     dual_residual: float
     dual_psd_min_eigs: list
@@ -733,10 +673,6 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
     """
     flags = []
     x = solution.x
-    eq_res = float(np.linalg.norm(problem.eq_A @ x - problem.eq_b)
-                   / (1.0 + np.linalg.norm(problem.eq_b)))
-    if eq_res > 10 * FEAS_TOL:
-        flags.append(f"equality residual {eq_res:.3e}")
     mins = []
     for j, blk in enumerate(problem.blocks):
         M = blk.evaluate(x)
@@ -758,8 +694,6 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
         for k, vi in enumerate(blk.var_idx):
             grad[vi] -= float(np.sum(blk.coefs[k] * Z))
         dobj -= float(np.sum(blk.F0 * Z))
-    grad += problem.eq_A.T @ solution.eq_dual
-    dobj -= float(problem.eq_b @ solution.eq_dual)
     dres = float(np.linalg.norm(grad) / (1.0 + np.linalg.norm(problem.c)))
     if dres > 10 * FEAS_TOL:
         flags.append(f"dual residual {dres:.3e}")
@@ -767,6 +701,6 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
     gap = pobj - dobj
     if abs(gap) > 10 * GAP_TOL * (1.0 + abs(pobj) + abs(dobj)):
         flags.append(f"duality gap {gap:.3e}")
-    return CertificateReport(eq_residual=eq_res, psd_min_eigs=mins,
+    return CertificateReport(psd_min_eigs=mins,
                              dual_residual=dres, dual_psd_min_eigs=dual_mins,
                              duality_gap=gap, flags=flags)

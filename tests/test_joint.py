@@ -56,15 +56,17 @@ class TestScalarJoint:
 
 class TestMeasurementFeedthrough:
     def test_hinf_design_with_nonzero_dyw(self):
-        """Joint H-infinity on a plant with Dyw != 0: DKhat @ Dyw = 0 is
-        imposed, and the closed loop assembled here from the plant and the
-        controller matrices is stable with H-infinity norm below gamma0."""
+        """Joint H-infinity on a plant with Dyw != 0: DKhat @ Dyw is zero up to
+        the rounding of the product, and the closed loop assembled here from
+        the plant and the controller matrices is stable with H-infinity norm
+        below gamma0."""
         rng = np.random.default_rng(0)
         p = random_plant(rng, nx=3, nu=2, nw=2, nz=2, ny=2)
         p = dataclasses.replace(p, Dyw=0.3 * rng.standard_normal((2, 2)))
         gamma0 = 1.3 * analysis.hinf_norm((p.A, p.Bw, p.Cz, p.Dw)).value + 0.1
         res = synth_joint(JointSpec(plant=p, performance_kind="hinf", gamma0=gamma0))
-        assert res.feedthrough_constrained
+        bound = p.ny * np.finfo(float).eps * np.linalg.norm(res.hat.DKhat) * np.linalg.norm(p.Dyw)
+        assert np.linalg.norm(res.hat.DKhat @ p.Dyw) <= bound
 
         k = res.controller
         A = np.block([[p.A + p.Bu @ k.DK @ p.Cy, p.Bu @ k.CK], [k.BK @ p.Cy, k.AK]])

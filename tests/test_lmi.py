@@ -136,15 +136,6 @@ class TestCompileAndSolve:
         assert sol.status == "optimal"
         assert vm.value(sol.x, t)[0, 0] > 0
 
-    def test_equality_constraint(self):
-        W = lmi.MatVar("W", (1, 2))
-        target = np.array([[1.0, -2.0]])
-        cons = [lmi.equal_zero(W - lmi.const(target)),
-                lmi.pos_semidef(lmi.const(np.eye(1)))]
-        prob, vm = lmi.compile_lmis([W], cons)
-        sol = solve_sdp(prob)
-        assert vm.value(sol.x, W) == pytest.approx(target, abs=1e-7)
-
     def test_nonsymmetric_inequality_rejected(self):
         W = lmi.MatVar("W", (2, 2))
         with pytest.raises(ModelingError):
@@ -158,9 +149,8 @@ class TestCompileAndSolve:
     def test_diagonal_structure(self):
         G = lmi.MatVar("G", (2, 2), "diagonal")
         assert G.num_scalars == 2
-        cons = [lmi.equal_zero(G - lmi.const(np.diag([2.0, 3.0]))),
-                lmi.pos_semidef(lmi.const(np.eye(1)))]
-        prob, vm = lmi.compile_lmis([G], cons)
+        cons = [lmi.pos_semidef(G - lmi.const(np.diag([2.0, 3.0])))]
+        prob, vm = lmi.compile_lmis([G], cons, objective=lmi.trace(G))
         sol = solve_sdp(prob)
         assert vm.value(sol.x, G) == pytest.approx(np.diag([2.0, 3.0]), abs=1e-7)
 
@@ -233,11 +223,10 @@ class TestCompiledDesigns:
 
     def test_blocks_evaluate_their_constraints(self, compiled):
         _, constraints, problem, vm = compiled
-        inequalities = [c for c in constraints if c.sense != "eq"]
-        assert len(inequalities) == len(problem.blocks)
+        assert len(constraints) == len(problem.blocks)
         x = np.random.default_rng(12).standard_normal(problem.num_vars)
         values = vm.assignment(x)
-        for con, blk in zip(inequalities, problem.blocks):
+        for con, blk in zip(constraints, problem.blocks):
             M = lmi.evaluate(con.expr, values)
             if con.sense == "neg":
                 M = -M
@@ -248,12 +237,15 @@ class TestCompiledDesigns:
             err = np.linalg.norm(blk.evaluate(x) - M)
             assert err <= 1e-12 * max(1.0, np.linalg.norm(M))
 
-    def test_equality_rows_evaluate_their_constraints(self, compiled):
-        _, constraints, problem, vm = compiled
-        equalities = [c for c in constraints if c.sense == "eq"]
-        x = np.random.default_rng(13).standard_normal(problem.num_vars)
-        values = vm.assignment(x)
-        want = [lmi.evaluate(c.expr, values).ravel() for c in equalities]
-        want = np.concatenate(want) if want else np.zeros(0)
-        assert problem.eq_A.shape == (want.size, problem.num_vars)
-        assert problem.eq_A @ x - problem.eq_b == pytest.approx(want, abs=1e-12)
+    def test_equality_rows_evaluate_their_constraints(self, compiled, design):
+        # no design has equality rows; DKhat Dyw = 0, the one there was for
+        # Dyw != 0, holds by construction, and with this full-rank 2 x 2 Dyw
+        # DKhat is the constant zero
+        variables, constraints, problem, _ = compiled
+        assert problem.eq_A.shape == (0, problem.num_vars)
+        assert {c.sense for c in constraints} <= {"pos", "neg"}
+        names = {v.name for v in variables}
+        if design.endswith("dyw"):
+            assert not any(name.startswith("DKhat") for name in names)
+        elif not design.startswith("sf"):
+            assert "DKhat" in names

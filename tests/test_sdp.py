@@ -25,6 +25,16 @@ def det_problem():
     return SdpProblem(num_vars=1, c=[1.0], blocks=[block])
 
 
+def difference_lp():
+    """min x1 + x2 s.t. x1 - x2 >= 1, x1 >= 0, x2 >= 0; optimum (1, 0)."""
+    blocks = [
+        LmiBlock(F0=[[-1.0]], var_idx=[0, 1], coefs=[[[1.0]], [[-1.0]]]),
+        LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[1.0]]]),
+        LmiBlock(F0=[[0.0]], var_idx=[1], coefs=[[[1.0]]]),
+    ]
+    return SdpProblem(num_vars=2, c=[1.0, 1.0], blocks=blocks)
+
+
 def box_problem():
     """min -x subject to 0 <= x <= 2 via two 1x1 blocks; optimum x = 2."""
     up = LmiBlock(F0=[[2.0]], var_idx=[0], coefs=[[[-1.0]]])
@@ -44,14 +54,9 @@ class TestSolveOptimal:
         assert sol.x[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_equality_constraints(self):
-        # min x1 + x2  s.t.  x1 - x2 = 1,  x1 >= 0, x2 >= 0  ->  (1, 0)
-        blocks = [
-            LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[1.0]]]),
-            LmiBlock(F0=[[0.0]], var_idx=[1], coefs=[[[1.0]]]),
-        ]
-        prob = SdpProblem(num_vars=2, c=[1.0, 1.0], blocks=blocks,
-                          eq_A=[[1.0, -1.0]], eq_b=[1.0])
-        sol = solve_sdp(prob)
+        # the optimum of min x1 + x2 s.t. x1 - x2 = 1, x >= 0 lies on
+        # x1 - x2 >= 1, so the inequality gives the same answer
+        sol = solve_sdp(difference_lp())
         assert sol.status == "optimal"
         assert sol.x == pytest.approx([1.0, 0.0], abs=1e-6)
 
@@ -64,7 +69,7 @@ class TestSolveOptimal:
 
 
 def random_lmi_problem(seed, num_vars=6, dim=5):
-    """min c'x s.t. I + sum_i x_i C_i >= 0 and |x_i| <= 1, with no equalities."""
+    """min c'x s.t. I + sum_i x_i C_i >= 0 and |x_i| <= 1."""
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((num_vars, dim, dim))
     blocks = [LmiBlock(F0=np.eye(dim), var_idx=np.arange(num_vars),
@@ -87,20 +92,10 @@ class TestSchurFactorization:
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", failing_cho_factor)
         lu = solve_sdp(prob)
-        assert calls, "the equality-free solve never tried Cholesky"
+        assert calls, "the solve never tried Cholesky"
         assert chol.status == lu.status == "optimal"
         assert lu.x == pytest.approx(chol.x, abs=1e-8)
         assert check_certificate(prob, chol).clean
-
-    def test_equalities_skip_cholesky(self, monkeypatch):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("Cholesky used on a saddle system")
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", unexpected)
-        prob = random_lmi_problem(4)
-        prob = SdpProblem(num_vars=prob.num_vars, c=prob.c, blocks=prob.blocks,
-                          eq_A=np.ones((1, prob.num_vars)), eq_b=[0.5])
-        assert solve_sdp(prob).status == "optimal"
 
 
 class TestWeakDuality:
@@ -129,29 +124,6 @@ class TestInfeasibility:
         sol = solve_sdp(SdpProblem(num_vars=1, c=[0.0], blocks=blocks))
         assert sol.status == "infeasible"
 
-    def test_infeasible_equalities(self):
-        blocks = [LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[1.0]]])]
-        prob = SdpProblem(num_vars=1, c=[0.0], blocks=blocks,
-                          eq_A=[[1.0]], eq_b=[-2.0])  # x = -2 but x >= 0
-        sol = solve_sdp(prob)
-        assert sol.status == "infeasible"
-
-    @pytest.mark.parametrize("eq_b, status", [([1.0, 0.0, 1.0], "optimal"),
-                                              ([1.0, 0.0, 2.0], "infeasible")])
-    def test_more_equality_rows_than_variables(self, eq_b, status):
-        # x0 + x1 = 1, x0 - x1 = 0 and 2 x0 = eq_b[2], with x >= 0
-        blocks = [LmiBlock(F0=[[0.0]], var_idx=[i], coefs=[[[1.0]]]) for i in range(2)]
-        prob = SdpProblem(num_vars=2, c=[1.0, 1.0], blocks=blocks,
-                          eq_A=[[1.0, 1.0], [1.0, -1.0], [2.0, 0.0]], eq_b=eq_b)
-        sol = solve_sdp(prob)
-        assert sol.status == status
-        if status == "optimal":
-            assert sol.x == pytest.approx([0.5, 0.5], abs=1e-6)
-            assert sol.eq_dual.shape == (3,)
-            assert check_certificate(prob, sol).clean
-        else:
-            assert sol.message == "inconsistent equality constraints"
-
     def test_unbounded_below(self):
         # min x with only x <= 0 -> unbounded
         blocks = [LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[-1.0]]])]
@@ -175,16 +147,13 @@ class TestCertificate:
         assert any("PSD" in f or "residual" in f or "gap" in f for f in rep.flags)
 
     def test_flags_corrupted_equality(self):
-        blocks = [
-            LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[1.0]]]),
-            LmiBlock(F0=[[0.0]], var_idx=[1], coefs=[[[1.0]]]),
-        ]
-        prob = SdpProblem(num_vars=2, c=[1.0, 1.0], blocks=blocks,
-                          eq_A=[[1.0, -1.0]], eq_b=[1.0])
+        # x1 - x2 = 1 of test_equality_constraints, as the inequality block 0
+        prob = difference_lp()
         sol = solve_sdp(prob)
+        assert check_certificate(prob, sol).clean
         sol.x[:] = [5.0, 5.0]
         rep = check_certificate(prob, sol)
-        assert any("equality" in f or "gap" in f for f in rep.flags)
+        assert any(f.startswith("block 0 PSD violation") for f in rep.flags)
 
 
 class TestProblemContainer:
@@ -215,18 +184,8 @@ class TestProblemContainer:
 
 
 class TestEmptyShapes:
-    """Problems without equalities, blocks without variables and problems
-    without blocks go through the same algebra as every other problem."""
-
-    def test_all_zero_equality_row_changes_nothing(self):
-        prob = random_lmi_problem(5)
-        padded = SdpProblem(num_vars=prob.num_vars, c=prob.c, blocks=prob.blocks,
-                            eq_A=np.zeros((1, prob.num_vars)), eq_b=[0.0])
-        plain, with_row = solve_sdp(prob), solve_sdp(padded)
-        assert with_row.status == plain.status == "optimal"
-        assert with_row.iterations == plain.iterations
-        assert np.array_equal(with_row.x, plain.x)
-        assert with_row.eq_dual.shape == (1,) and plain.eq_dual.shape == (0,)
+    """Blocks without variables and problems without blocks go through the
+    same algebra as every other problem."""
 
     @pytest.mark.parametrize("F0", [-np.eye(2), np.diag([1.0, -1.0])])
     def test_block_without_variables_is_enforced(self, F0):
@@ -279,24 +238,21 @@ def _scaled_coefficients(co, blk):
     return -(Tsc[:, co.sv.rows, co.sv.cols] * co.sv.w).T
 
 
-def _reference_newton(problem, cones, bx, by, bz):
+def _reference_newton(problem, cones, bx, bz):
     """H and solve3 from the dense scaled coefficients of every block."""
     n = problem.num_vars
     Ssc = [_scaled_coefficients(co, blk) for co, blk in zip(cones, problem.blocks)]
     H = np.zeros((n, n))
     for co, S in zip(cones, Ssc):
         H[np.ix_(co.vi, co.vi)] += S.T @ S
-    A = problem.eq_A
-    kkt_solve = sdp._factor_kkt(H, A, 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0)))
+    kkt_solve = sdp._factor_kkt(H, 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0)))
     bz_t = [co.sv.svec(co.Rinv @ co.sv.smat(bz[co.part]) @ co.Rinv.T) for co in cones]
-    rhs = np.concatenate([bx, by])
+    rhs = bx.copy()
     for co, S, v in zip(cones, Ssc, bz_t):
         rhs[co.vi] += S.T @ v
-    sol = kkt_solve(rhs)
+    ux = kkt_solve(rhs)
     for _ in range(2):
-        ux, uy = sol[:n], sol[n:]
-        sol = sol + kkt_solve(np.concatenate([rhs[:n] - H @ ux - A.T @ uy, rhs[n:] - A @ ux]))
-    ux = sol[:n]
+        ux = ux + kkt_solve(rhs - H @ ux)
     uz = [co.sv.svec(co.Rinv.T @ co.sv.smat(S @ ux[co.vi] - v) @ co.Rinv)
           for co, S, v in zip(cones, Ssc, bz_t)]
     return H, ux, np.concatenate(uz)
@@ -305,21 +261,21 @@ def _reference_newton(problem, cones, bx, by, bz):
 def _assert_newton_matches_reference(problem, seed=0):
     cones = _random_scaling(problem, seed)
     rng = np.random.default_rng(seed + 1)
-    n, p = problem.num_vars, problem.eq_A.shape[0]
+    n = problem.num_vars
     G = np.zeros((sum(co.sdim for co in cones), n))
     for co in cones:
         G[co.part, co.vi] = co.Gmat
     # a direction that no block sees (the output-feedback designs have one)
     # is not determined by the Newton system; bx = G'r, like the solver's
     # residuals, has no part along it
-    bx, by = G.T @ rng.standard_normal(len(G)), rng.standard_normal(p)
+    bx = G.T @ rng.standard_normal(len(G))
     bz = rng.standard_normal(len(G))
-    H_ref, dx_ref, dz_ref = _reference_newton(problem, cones, bx, by, bz)
+    H_ref, dx_ref, dz_ref = _reference_newton(problem, cones, bx, bz)
     H = sdp._schur(cones, n)
     assert np.array_equal(H, H.T)
     assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
-    kkt_solve = sdp._factor_kkt(H, problem.eq_A, 1e-12 * (1.0 + np.abs(np.diag(H)).max()))
-    dx, _, dz = sdp._solve3(cones, H, problem.eq_A, kkt_solve, bx, by, bz)
+    kkt_solve = sdp._factor_kkt(H, 1e-12 * (1.0 + np.abs(np.diag(H)).max()))
+    dx, dz = sdp._solve3(cones, H, kkt_solve, bx, bz)
     assert np.linalg.norm(dz - dz_ref) <= 1e-10 * np.linalg.norm(dz_ref)
     assert np.linalg.norm(G @ (dx - dx_ref)) <= 1e-10 * np.linalg.norm(G @ dx_ref)
     eigs = np.linalg.eigvalsh(H_ref)
@@ -352,15 +308,13 @@ class TestSchurAssembly:
         # H is added by slices over runs of variables and by one gather
         assert {type(co.hsel[0][0][0]) for co in cones} == {slice, np.ndarray}
 
-    def test_zero_slices_and_equalities(self):
+    def test_zero_slices(self):
         prob = random_lmi_problem(6, num_vars=40, dim=12)
         blk = prob.blocks[0]
         coefs = blk.coefs.copy()
         coefs[::3] = 0.0  # slices without a nonzero
         blocks = [LmiBlock(F0=blk.F0, var_idx=blk.var_idx, coefs=coefs), *prob.blocks[1:]]
-        _assert_newton_matches_reference(SdpProblem(
-            num_vars=40, c=prob.c, blocks=blocks,
-            eq_A=np.vstack([np.ones(40), np.arange(40.0)]), eq_b=[1.0, 0.0]))
+        _assert_newton_matches_reference(SdpProblem(num_vars=40, c=prob.c, blocks=blocks))
 
 
 class TestPhaseTimes:
