@@ -3,7 +3,8 @@
 Instead of per-channel H2 bounds, sparsity is induced directly on the
 transformed controller matrices: weighted 2-norms of the rows of
 [CKhat DKhat] (one per actuator) and of the columns of [BKhat; DKhat]
-(one per sensor) are minimized subject to a closed-loop performance LMI.
+(one per sensor) are minimized subject to a closed-loop performance LMI;
+each norm is bounded by its epigraph variable through a second-order cone.
 Zero rows/columns of the hat matrices reconstruct to zero rows/columns
 of the actual controller, so pruning survives the inverse transform.
 Preconditions, variables, performance constraints and hat recovery come
@@ -136,15 +137,6 @@ def group_norms(hat: HatController, threshold_ratio=ACTIVE_THRESHOLD_RATIO) -> G
     )
 
 
-def _arrow_block(t_expr, v_expr):
-    """PSD epigraph of the 2-norm: [[t, v^T], [v, t*I]] >= 0."""
-    m = v_expr.shape[0]
-    return lmi.pos_semidef(lmi.bmat([
-        [t_expr, v_expr.T],
-        [None, lmi.scalar_mult(t_expr, np.eye(m))],
-    ]))
-
-
 def synth_joint(spec: JointSpec) -> JointSynthesisResult:
     """Minimize weighted hat-matrix group norms under a gamma0 performance LMI."""
     p = spec.plant
@@ -165,7 +157,7 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
                 continue
             t = lmi.MatVar(f"{name}_{i}", (1, 1), "scalar")
             variables.append(t)
-            cons.append(_arrow_block(t.as_expr(), lmi.bmat(group(i))))
+            cons.append(lmi.soc(t, lmi.bmat(group(i))))
             objective = objective + w * t
 
     problem, vm = lmi.compile_lmis(variables, cons, objective=objective)

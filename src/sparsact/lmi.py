@@ -4,7 +4,8 @@ Decision variables are matrices (symmetric, rectangular, diagonal, or
 scalar).  Expressions are affine: constant + sum of L @ V @ R terms (V
 possibly transposed).  Products of two variable expressions are rejected
 at construction time -- the synthesis change of variables exists precisely
-so that no bilinear term is ever needed.
+so that no bilinear term is ever needed.  Constraints are matrix
+inequalities (PSD blocks) and 2-norm bounds ||v|| <= t (second-order cones).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelingError
-from .sdp import LmiBlock, SdpProblem
+from .sdp import LmiBlock, SdpProblem, SocBlock
 
 __all__ = [
     "MatVar",
@@ -25,11 +26,11 @@ __all__ = [
     "sym",
     "trace",
     "bmat",
-    "scalar_mult",
     "neg_def",
     "pos_def",
     "neg_semidef",
     "pos_semidef",
+    "soc",
     "compile_lmis",
     "evaluate",
     "STRICT_EPS_SCALE",
@@ -305,27 +306,6 @@ def trace(e):
     return out
 
 
-def scalar_mult(t, M):
-    """t * M for a scalar (1x1) variable expression t and constant matrix M."""
-    t = Expr.wrap(t)
-    if t.shape != (1, 1):
-        raise ModelingError("scalar_mult needs a 1x1 expression")
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    r, c = M.shape
-    out = Expr((r, c), t.constant[0, 0] * M, [])
-    for term in t.terms:
-        # t is 1x1: term is l @ V @ r with 1-row l, 1-col r; expand M = sum
-        # of rank-one pieces applied around the scalar term
-        for i in range(r):
-            col = M[i, :].reshape(1, c)
-            ei = np.zeros((r, 1))
-            ei[i, 0] = 1.0
-            out = out + Expr((r, c), np.zeros((r, c)),
-                             [_Term(ei @ term.left, term.var, term.right @ col,
-                                    term.transposed)])
-    return out
-
-
 def bmat(grid):
     """Assemble a block-grid of expressions into one expression.
 
@@ -375,7 +355,7 @@ def bmat(grid):
 @dataclass(frozen=True)
 class Constraint:
     expr: Expr
-    sense: str  # "neg" (<=0) or "pos" (>=0)
+    sense: str  # "neg" (<=0), "pos" (>=0) or "soc" (expr = [t; v], ||v|| <= t)
     strict: bool = False
 
 
@@ -393,6 +373,14 @@ def pos_def(e):
 
 def pos_semidef(e):
     return Constraint(Expr.wrap(e), "pos", strict=False)
+
+
+def soc(t, v):
+    """||v||_2 <= t for a 1x1 expression t and a column expression v."""
+    t, v = Expr.wrap(t), Expr.wrap(v)
+    if t.shape != (1, 1) or v.shape[1] != 1:
+        raise ModelingError("soc needs a 1x1 bound and a column vector")
+    return Constraint(bmat([[t], [v]]), "soc")
 
 
 class VarMap:
@@ -446,34 +434,42 @@ def compile_lmis(variables, constraints, objective=None):
     closed-cone solver returns strictly feasible matrices.  Each inequality
     becomes one LmiBlock holding only the symmetrized coefficient slices
     that have a nonzero entry; a scalar whose slice cancels or is
-    antisymmetric is absent from that block's var_idx.  Returns the problem
-    and a VarMap for reading back matrix values.
+    antisymmetric is absent from that block's var_idx.  Each soc constraint
+    becomes one SocBlock on u = [t; v], holding only its nonzero
+    coefficient rows.  Returns the problem and a VarMap for reading back
+    matrix values.
     """
     variables = list(variables)
     vm = VarMap(variables)
     n = vm.num_scalars
-    blocks = []
+    blocks, socs = [], []
     for con in constraints:
         expr = con.expr
         for t in expr.terms:
             if t.var not in vm.offsets:
                 raise ModelingError(f"constraint references undeclared variable {t.var.name}")
-        if expr.shape[0] != expr.shape[1]:
-            raise ModelingError("inequality constraints need square expressions")
-        _check_symmetry(expr, variables)
+        cone = con.sense == "soc"
+        if not cone:
+            if expr.shape[0] != expr.shape[1]:
+                raise ModelingError("inequality constraints need square expressions")
+            _check_symmetry(expr, variables)
         work = -expr if con.sense == "neg" else expr
         if con.strict:
             eps = STRICT_EPS_SCALE * (1.0 + np.linalg.norm(expr.constant, 2))
             work = work - eps * np.eye(expr.shape[0])
         constant, coefs = work.coefficients(vm.offsets)
-        constant = 0.5 * (constant + constant.T)
         vi = np.array(sorted(coefs), dtype=int)
         tensor = np.stack([coefs[k] for k in vi]) if coefs else np.zeros((0,) + expr.shape)
-        tensor = 0.5 * (tensor + np.transpose(tensor, (0, 2, 1)))
+        if not cone:
+            constant = 0.5 * (constant + constant.T)
+            tensor = 0.5 * (tensor + np.transpose(tensor, (0, 2, 1)))
         keep = tensor.any(axis=(1, 2))
         if not keep.all():  # slices that cancelled or were antisymmetric
             vi, tensor = vi[keep], tensor[keep]
-        blocks.append(LmiBlock(F0=constant, var_idx=vi, coefs=tensor))
+        if cone:
+            socs.append(SocBlock(f0=constant[:, 0], var_idx=vi, coefs=tensor[:, :, 0]))
+        else:
+            blocks.append(LmiBlock(F0=constant, var_idx=vi, coefs=tensor))
     c_obj = np.zeros(n)
     obj_const = 0.0
     if objective is not None:
@@ -484,5 +480,5 @@ def compile_lmis(variables, constraints, objective=None):
         obj_const = float(constant[0, 0])
         for k, C in coefs.items():
             c_obj[k] = C[0, 0]
-    problem = SdpProblem(n, c_obj, blocks, obj_const=obj_const)
+    problem = SdpProblem(n, c_obj, blocks, obj_const=obj_const, socs=socs)
     return problem, vm

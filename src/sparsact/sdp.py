@@ -1,14 +1,21 @@
-"""Dense semidefinite-programming solver.
+"""Dense semidefinite and second-order cone solver.
 
 Problems are given in LMI form: a vector x of free scalar variables, a
-linear objective c'x and a set of PSD blocks
-F_j(x) = F0_j + sum_i x_i C_ji  >= 0.  There are no equality constraints;
-a design that needs one parametrizes its null space instead (outputfb).
+linear objective c'x, a set of PSD blocks F_j(x) = F0_j + sum_i x_i C_ji >= 0
+and a set of second-order cones u_j(x) = f0_j + sum_i x_i g_ji with
+u0 >= ||u[1:]||_2.  There are no equality constraints; a design that needs
+one parametrizes its null space instead (outputfb).
 
 The solver is a primal-dual interior-point method on the homogeneous
 self-dual embedding with Nesterov-Todd scaling and a Mehrotra corrector.
-The NT scaling of a block is dense (its n x n factors R and Rinv), and each
-block carries only its structurally nonzero coefficient slices T_i.
+The NT scaling of a PSD block is dense (its n x n factors R and Rinv), and
+each block carries only its structurally nonzero coefficient slices T_i.
+The NT scaling of a second-order cone is the hyperbolic-Householder matrix
+W = eta [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]] of Vandenberghe, "The
+CVXOPT linear and quadratic cone program solvers" (2010), section 4; see
+also Lobo, Vandenberghe, Boyd & Lebret, "Applications of second-order cone
+programming" (1998).  A cone is one unit of the complementarity measure's
+degree; an n x n block is n.
 
 The Schur complement H = G' W^-1 W^-T G is assembled from the slices'
 nonzero entries, as in the sparse formulas of SDPA (Fujisawa, Kojima &
@@ -21,10 +28,11 @@ matrix when the dense products would spend more than SPARSE_SCHUR_WASTE
 multiply-adds on its zeros (the largest blocks of the tensegrity and
 chain problems, where a slice has one to a few dozen nonzeros) and a
 dense array otherwise; scipy.sparse is imported only once such a block
-appears.  A block adds its part of H by slices over its runs of consecutive
+appears.  A second-order cone adds (W^-1 G)'(W^-1 G) (_Soc.add_schur).
+A cone adds its part of H by slices over its runs of consecutive
 variables, or by one gathered addition when it has more than about k / 17
-runs (SLICE_RUN_RATIO).  The Newton solves apply W^-T and W^-1 to one svec
-vector per block (_solve3).
+runs (SLICE_RUN_RATIO).  The Newton solves apply W^-T and W^-1 to one
+vector per cone (_solve3).
 
 The Schur system H + delta I is symmetric positive definite and is factored
 by Cholesky; LU is used only when Cholesky fails numerically.  Target
@@ -32,7 +40,7 @@ problems have at most a few hundred variables and LMI rows.
 SdpSolution.phase_s gives the seconds each solve spends on scaling,
 Schur assembly, factorization, Newton solves and the rest of the step.
 
-Problems without blocks or block variables take the same path as any
+Problems without cones or cone variables take the same path as any
 other, through zero-size arrays.
 
 Fixed constants: convergence at relative residuals below FEAS_TOL and a
@@ -53,6 +61,7 @@ import scipy.linalg
 
 __all__ = [
     "LmiBlock",
+    "SocBlock",
     "SdpProblem",
     "SdpSolution",
     "SolverOptions",
@@ -123,16 +132,49 @@ class LmiBlock:
         return self.F0 + np.tensordot(x[self.var_idx], self.coefs, axes=1)
 
 
-class SdpProblem:
-    """LMI-form SDP: min c'x  s.t.  each block >= 0."""
+@dataclass(frozen=True)
+class SocBlock:
+    """One second-order cone u0 >= ||u[1:]||_2 on u = f0 + sum_j coefs[j] * x[var_idx[j]].
 
-    def __init__(self, num_vars, c, blocks, obj_const=0.0):
+    As for LmiBlock, a scalar missing from var_idx has a zero coefficient.
+    """
+
+    f0: np.ndarray
+    var_idx: np.ndarray
+    coefs: np.ndarray  # (k, m)
+
+    def __post_init__(self):
+        f0 = np.atleast_1d(np.asarray(self.f0, dtype=float))
+        vi = np.asarray(self.var_idx, dtype=int)
+        co = np.asarray(self.coefs, dtype=float)
+        if f0.ndim != 1 or co.shape != (len(vi), len(f0)):
+            raise ValueError("cone constant and coefficient shapes mismatch")
+        object.__setattr__(self, "f0", f0)
+        object.__setattr__(self, "var_idx", vi)
+        object.__setattr__(self, "coefs", co)
+
+    @property
+    def dim(self):
+        return len(self.f0)
+
+    def evaluate(self, x):
+        return self.f0 + x[self.var_idx] @ self.coefs
+
+
+class SdpProblem:
+    """Cone program: min c'x  s.t.  each PSD block >= 0 and each SOC holds.
+
+    `blocks` holds the PSD blocks only; the second-order cones are `socs`.
+    """
+
+    def __init__(self, num_vars, c, blocks, obj_const=0.0, socs=()):
         self.num_vars = int(num_vars)
         self.c = np.zeros(num_vars) if c is None else np.asarray(c, dtype=float)
         if self.c.shape != (self.num_vars,):
             raise ValueError("objective vector has wrong length")
         self.blocks = list(blocks)
-        for blk in self.blocks:
+        self.socs = list(socs)
+        for blk in self.blocks + self.socs:
             if blk.dim < 1:
                 raise ValueError("block dimensions must be >= 1")
             if np.any((blk.var_idx < 0) | (blk.var_idx >= num_vars)):
@@ -153,7 +195,10 @@ class SdpProblem:
 
         Line format: ``block row col variable coefficient``.  Variable -1
         denotes the constant term.  PSD blocks are numbered from 0; the
-        objective uses block index -1 (row = col = 0).
+        objective uses block index -1 (row = col = 0).  Second-order cones
+        continue the block numbering after the PSD blocks, and their lines
+        carry a sixth field ``q``: ``block entry 0 variable coefficient q``,
+        where entry 0 is the bound u0 of u0 >= ||u[1:]||.
         """
         with open(path, "w") as f:
             for i, ci in enumerate(self.c):
@@ -167,6 +212,12 @@ class SdpProblem:
                     rows, cols = np.nonzero(blk.coefs[j])
                     for r, cc in zip(rows, cols):
                         f.write(f"{bidx} {r} {cc} {vi} {blk.coefs[j][r, cc]:.17g}\n")
+            for bidx, soc in enumerate(self.socs, start=len(self.blocks)):
+                for r in np.flatnonzero(soc.f0):
+                    f.write(f"{bidx} {r} 0 -1 {soc.f0[r]:.17g} q\n")
+                for j, vi in enumerate(soc.var_idx):
+                    for r in np.flatnonzero(soc.coefs[j]):
+                        f.write(f"{bidx} {r} 0 {vi} {soc.coefs[j, r]:.17g} q\n")
 
 
 @dataclass
@@ -195,6 +246,7 @@ class SdpSolution:
     iterations: int
     iterates: list = field(default_factory=list)
     message: str = ""
+    soc_duals: list = field(default_factory=list)  # one vector per SocBlock
     # seconds per phase of the iterations (PHASES); kept in memory only
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
@@ -252,7 +304,36 @@ def _stack(parts):
 # cone machinery
 
 
-class _Cone:
+def _placement(vi):
+    """Where a cone's part X of H goes: [(H index, X index)].
+
+    One pair of slices per pair of runs of consecutive variables in vi, or
+    one gathered addition when there are many runs (SLICE_RUN_RATIO).
+    """
+    cuts = np.flatnonzero(np.diff(vi) != 1) + 1
+    runs = [(slice(r[0], r[-1] + 1), slice(i, i + len(r)))
+            for r, i in zip(np.split(vi, cuts) if len(vi) else [], np.r_[0, cuts])]
+    if len(runs) == 1 or SLICE_RUN_RATIO * len(runs) <= len(vi):
+        return [((ha, hb), (xa, xb)) for ha, xa in runs for hb, xb in runs]
+    return [(np.ix_(vi, vi), (slice(None),) * 2)]
+
+
+class _ConeBase:
+    """What every cone shares: its linear map G (Gmat on the scalars vi) and
+    the placement of its part of the Schur complement."""
+
+    def Gx(self, x):
+        return self.Gmat @ x[self.vi]
+
+    def add_GTz(self, out, z):
+        out[self.vi] += self.Gmat.T @ z
+
+    def add_to(self, H, X):
+        for h_at, x_at in self.hsel:
+            H[h_at] += X[x_at]
+
+
+class _Cone(_ConeBase):
     """Static conic data for one PSD block plus per-iteration NT scaling."""
 
     def __init__(self, blk: LmiBlock, start):
@@ -261,7 +342,7 @@ class _Cone:
         upper = blk.coefs[:, sv.rows, sv.cols]  # (k, d) upper-triangle values
         self.Gmat = -(upper * sv.w).T  # (d, k)
         self.vi = blk.var_idx
-        self.dim = blk.dim
+        self.dim = self.degree = blk.dim
         self.sdim = sv.dim
         self.part = slice(start, start + sv.dim)  # this block's svec entries
         self.R = None
@@ -278,22 +359,13 @@ class _Cone:
             import scipy.sparse  # here: small problems never pay for loading it
             Gu = scipy.sparse.csr_array(Gu)
         self.Gu = Gu
-        # where the block's part of H goes: one slice per pair of runs of
-        # consecutive variables, or one gathered addition (SLICE_RUN_RATIO)
-        cuts = np.flatnonzero(np.diff(self.vi) != 1) + 1
-        runs = [(slice(r[0], r[-1] + 1), slice(i, i + len(r)))
-                for r, i in zip(np.split(self.vi, cuts) if k else [], np.r_[0, cuts])]
-        if len(runs) == 1 or SLICE_RUN_RATIO * len(runs) <= k:
-            self.hsel = [((ha, hb), (xa, xb)) for ha, xa in runs for hb, xb in runs]
-        else:
-            self.hsel = [(np.ix_(self.vi, self.vi), (slice(None),) * 2)]
+        self.hsel = _placement(self.vi)
 
-    # --- exact linear maps -------------------------------------------------
-    def Gx(self, x):
-        return self.Gmat @ x[self.vi]
+    def identity(self):
+        return self.sv.svec(np.eye(self.dim))
 
-    def add_GTz(self, out, z):
-        out[self.vi] += self.Gmat.T @ z
+    def dual(self, z):
+        return self.sv.smat(z)
 
     # --- NT scaling --------------------------------------------------------
     def update_scaling(self, s, z):
@@ -322,9 +394,7 @@ class _Cone:
         M = WP[self.P] * WQ[self.Q]
         M += WQ[self.P] * WP[self.Q]
         X = self.Gu @ (self.Gu @ M).T
-        X = X + X.T
-        for h_at, x_at in self.hsel:
-            H[h_at] += X[x_at]
+        self.add_to(H, X + X.T)
 
     # scaled-space operators
     def W_z(self, z):
@@ -358,6 +428,15 @@ class _Cone:
         denom = 0.5 * (self.lam[:, None] + self.lam[None, :])
         return self.sv.svec(rhs_mat / denom)
 
+    def q_aff(self):
+        """lambda^-1 o (lambda o lambda) = lambda, the predictor's target."""
+        return self.sv.svec(np.diag(self.lam))
+
+    def q_comb(self, us, uz, sigma_mu):
+        """lambda^-1 o (lambda o lambda + us o uz - sigma_mu e)."""
+        return self.lam_solve(np.diag(self.lam ** 2) + self.sv.smat(self.jprod(us, uz))
+                              - sigma_mu * np.eye(self.dim))
+
     def max_step(self, d_scaled):
         """Largest alpha with lambda + alpha*smat(d) >= 0 (scaled space)."""
         M = self.sv.smat(d_scaled)
@@ -368,6 +447,149 @@ class _Cone:
         if wmin >= 0:
             return np.inf
         return -1.0 / wmin
+
+
+def _jnorm(u):
+    """sqrt(u0^2 - ||u1||^2) of a point inside the second-order cone."""
+    n1 = np.linalg.norm(u[1:])
+    if not u[0] - n1 > 0.0:
+        raise np.linalg.LinAlgError("NT scaling breakdown")
+    return np.sqrt((u[0] - n1) * (u[0] + n1))
+
+
+class _Soc(_ConeBase):
+    """Static data for one second-order cone plus per-iteration NT scaling.
+
+    u in Q means u0 >= ||u1|| for u = (u0, u1); J = diag(1, -I).  The
+    scaling W and its inverse are kept as dense m x m matrices, built from
+    the hyperbolic-Householder form of the module docstring.
+    """
+
+    degree = 1  # each cone adds 1 to the complementarity measure's denominator
+
+    def __init__(self, soc: SocBlock, start):
+        self.h = soc.f0
+        self.Gmat = -soc.coefs.T  # (m, k)
+        self.vi = soc.var_idx
+        self.sdim = soc.dim
+        self.part = slice(start, start + soc.dim)
+        self.hsel = _placement(self.vi)
+        self.W = self.Winv = None
+        self.lam = None  # the scaled point W z = W^-1 s
+        self.lam_det = None  # lam' J lam
+
+    def identity(self):
+        e = np.zeros(self.sdim)
+        e[0] = 1.0
+        return e
+
+    def dual(self, z):
+        return z
+
+    def update_scaling(self, s, z):
+        """NT scaling W = eta [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]].
+
+        With s_ = s / sqrt(s'Js), z_ = z / sqrt(z'Jz) and
+        gamma = sqrt((1 + s_'z_) / 2): w = (s_ + J z_) / (2 gamma) and
+        eta = (s'Js / z'Jz)^(1/4); W^-1 is the same matrix with -w1 in
+        place of w1, divided by eta.  lambda = W z = W^-1 s is formed from
+        s_, z_ and gamma directly (Vandenberghe 2010, section 4).
+        """
+        sn, zn = _jnorm(s), _jnorm(z)
+        sb, zb = s / sn, z / zn
+        gamma = np.sqrt(0.5 * (1.0 + sb @ zb))
+        w = sb - zb
+        w[0] = sb[0] + zb[0]
+        w /= 2.0 * gamma
+        Wb = np.outer(w, w) / (1.0 + w[0])
+        Wb.flat[::self.sdim + 1] += 1.0
+        Wb[0] = Wb[:, 0] = w
+        Wi = Wb.copy()
+        Wi[0, 1:] = Wi[1:, 0] = -w[1:]
+        eta = np.sqrt(sn / zn)
+        self.W = eta * Wb
+        self.Winv = Wi / eta
+        lam = ((gamma + zb[0]) * sb + (gamma + sb[0]) * zb) / (sb[0] + zb[0] + 2.0 * gamma)
+        lam[0] = gamma
+        self.lam = np.sqrt(sn * zn) * lam
+        n1 = np.linalg.norm(self.lam[1:])
+        self.lam_det = (self.lam[0] - n1) * (self.lam[0] + n1)
+        if not self.lam_det > 0.0:
+            raise np.linalg.LinAlgError("NT scaling breakdown")
+
+    def add_schur(self, H):
+        """Add this cone's (W^-1 G)'(W^-1 G) to the Schur complement H."""
+        S = self.Winv @ self.Gmat
+        self.add_to(H, S.T @ S)
+
+    # scaled-space operators; W is symmetric, so W^-T = W^-1
+    def W_z(self, z):
+        return self.W @ z
+
+    def WT_u(self, u):
+        return self.W @ u
+
+    def scaled_rhs(self, bz, out):
+        """Add G' W^-2 bz to out[vi]; return W^-1 bz."""
+        Bt = self.Winv @ bz
+        self.add_GTz(out, self.Winv @ Bt)
+        return Bt
+
+    def scaled_dz(self, ux, Bt):
+        """W^-1 (W^-1 G ux - Bt), with Bt from scaled_rhs."""
+        return self.Winv @ (self.Winv @ self.Gx(ux) - Bt)
+
+    @staticmethod
+    def jprod(u, v):
+        """Jordan product u o v = (u'v, u0 v1 + v0 u1)."""
+        out = u[0] * v + v[0] * u
+        out[0] = u @ v
+        return out
+
+    def lam_solve(self, r):
+        """The x with lambda o x = r."""
+        lam = self.lam
+        x = r / lam[0]
+        x[0] = (lam[0] * r[0] - lam[1:] @ r[1:]) / self.lam_det
+        x[1:] -= (x[0] / lam[0]) * lam[1:]
+        return x
+
+    def q_aff(self):
+        return self.lam
+
+    def q_comb(self, us, uz, sigma_mu):
+        r = self.jprod(self.lam, self.lam) + self.jprod(us, uz)
+        r[0] -= sigma_mu
+        return self.lam_solve(r)
+
+    def max_step(self, d):
+        """Largest alpha with lambda + alpha d in Q.
+
+        It is infinite when d is in Q.  Otherwise the point leaves Q at the
+        smallest positive root of its J-norm a alpha^2 + 2 b alpha + c,
+        c = lambda'J lambda > 0, which then exists; a negative discriminant
+        is the rounding of a double root (the path through the apex) and is
+        taken as zero.
+        """
+        if d[0] >= np.linalg.norm(d[1:]):
+            return np.inf
+        lam = self.lam
+        a = d[0] * d[0] - d[1:] @ d[1:]
+        b = lam[0] * d[0] - lam[1:] @ d[1:]
+        c = self.lam_det
+        q = -(b + np.copysign(np.sqrt(max(b * b - a * c, 0.0)), b))
+        roots = (c / q, q / a) if a else (c / q,)
+        return min(r for r in roots if r > 0.0)
+
+
+def _cones(problem):
+    """The problem's cones, PSD blocks first, each given its part of the stacked vectors."""
+    cones, start = [], 0
+    for make, data in [*((_Cone, blk) for blk in problem.blocks),
+                       *((_Soc, soc) for soc in problem.socs)]:
+        cones.append(make(data, start))
+        start += cones[-1].sdim
+    return cones
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +662,9 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
     n = problem.num_vars
     c = problem.c
-    offs = np.cumsum([0] + [blk.dim * (blk.dim + 1) // 2 for blk in problem.blocks])
-    cones = [_Cone(blk, start) for blk, start in zip(problem.blocks, offs)]
+    cones = _cones(problem)
     h = _stack(co.h for co in cones)
-    m1 = sum(co.dim for co in cones) + 1
+    m1 = sum(co.degree for co in cones) + 1
 
     def split(v):
         return [v[co.part] for co in cones]
@@ -459,7 +680,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
     # start at the identity in every cone
     x = np.zeros(n)
-    s = _stack(co.sv.svec(np.eye(co.dim)) for co in cones)
+    s = _stack(co.identity() for co in cones)
     z = s.copy()
     tau, kappa = 1.0, 1.0
 
@@ -603,16 +824,14 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
             return alpha
 
         # predictor
-        q_aff = _stack(co.sv.svec(np.diag(co.lam)) for co in cones)
+        q_aff = _stack(co.q_aff() for co in cones)
         aff = direction(0.0, q_aff, -tau * kappa)
         a_aff = min(1.0, max_step(aff[5], aff[6], aff[3], aff[4]))
         sigma = min(1.0, max(0.0, 1.0 - a_aff)) ** 3
 
         # corrector
-        q_comb = _stack(
-            co.lam_solve(np.diag(co.lam ** 2) + co.sv.smat(co.jprod(us, uz))
-                         - sigma * mu * np.eye(co.dim))
-            for co, us, uz in zip(cones, split(aff[5]), split(aff[6])))
+        q_comb = _stack(co.q_comb(us, uz, sigma * mu)
+                        for co, us, uz in zip(cones, split(aff[5]), split(aff[6])))
         rkap = sigma * mu - tau * kappa - aff[3] * aff[4]
         dx, dz, ds, dtau, dkap, ds_sc, dz_sc = direction(sigma, q_comb, rkap)
 
@@ -638,13 +857,14 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     # an improving ray is returned as found, any other answer divided by tau
     ray = status in ("infeasible", "unbounded")
     sc = tau if not ray and np.isfinite(tau) and tau > 1e-100 else 1.0
-    duals = [co.sv.smat(zb) / sc for co, zb in zip(cones, split(z))]
+    duals = [co.dual(zb) / sc for co, zb in zip(cones, split(z))]
     x_out = x / sc
+    npsd = len(problem.blocks)
 
     obj = float(c @ x_out) + problem.obj_const if status == "optimal" else np.nan
-    return SdpSolution(status=status, x=x_out, objective=obj, block_duals=duals, pres=pres, dres=dres, gap=gap,
-                       iterations=it + 1, iterates=iterates, message=message,
-                       phase_s=clock.seconds)
+    return SdpSolution(status=status, x=x_out, objective=obj, block_duals=duals[:npsd], pres=pres, dres=dres,
+                       gap=gap, iterations=it + 1, iterates=iterates, message=message,
+                       soc_duals=duals[npsd:], phase_s=clock.seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +878,9 @@ class CertificateReport:
     dual_psd_min_eigs: list
     duality_gap: float
     flags: list
+    # u0 - ||u1|| of each second-order cone, primal and dual
+    soc_margins: list = field(default_factory=list)
+    dual_soc_margins: list = field(default_factory=list)
 
     @property
     def clean(self):
@@ -668,8 +891,9 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
     """Recompute all optimality residuals from scratch.
 
     Nothing from the solver run is reused except the reported primal/dual
-    values.  Any violation beyond 10x the solver tolerances FEAS_TOL and
-    GAP_TOL is flagged.
+    values: the PSD blocks and second-order cones at x and at their duals,
+    the dual residual and the duality gap.  Any violation beyond 10x the
+    solver tolerances FEAS_TOL and GAP_TOL is flagged.
     """
     flags = []
     x = solution.x
@@ -680,6 +904,8 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
         mins.append(w)
         if w < -1e-8 * (1.0 + np.linalg.norm(M, 2)):
             flags.append(f"block {j} PSD violation: min eig {w:.3e}")
+    soc_margins = [_soc_margin(soc.evaluate(x), f"cone {j}", flags)
+                   for j, soc in enumerate(problem.socs)]
     # dual side
     dual_mins = []
     grad = problem.c.copy()
@@ -694,6 +920,11 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
         for k, vi in enumerate(blk.var_idx):
             grad[vi] -= float(np.sum(blk.coefs[k] * Z))
         dobj -= float(np.sum(blk.F0 * Z))
+    dual_soc_margins = []
+    for j, (soc, zq) in enumerate(zip(problem.socs, solution.soc_duals)):
+        dual_soc_margins.append(_soc_margin(zq, f"dual cone {j}", flags))
+        grad[soc.var_idx] -= soc.coefs @ zq
+        dobj -= float(soc.f0 @ zq)
     dres = float(np.linalg.norm(grad) / (1.0 + np.linalg.norm(problem.c)))
     if dres > 10 * FEAS_TOL:
         flags.append(f"dual residual {dres:.3e}")
@@ -703,4 +934,13 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
         flags.append(f"duality gap {gap:.3e}")
     return CertificateReport(psd_min_eigs=mins,
                              dual_residual=dres, dual_psd_min_eigs=dual_mins,
-                             duality_gap=gap, flags=flags)
+                             duality_gap=gap, flags=flags, soc_margins=soc_margins,
+                             dual_soc_margins=dual_soc_margins)
+
+
+def _soc_margin(u, name, flags):
+    """u0 - ||u1||; flags a second-order cone violation beyond 1e-8 (1 + ||u||)."""
+    margin = float(u[0] - np.linalg.norm(u[1:]))
+    if margin < -1e-8 * (1.0 + np.linalg.norm(u)):
+        flags.append(f"{name} SOC violation: u0 - |u1| {margin:.3e}")
+    return margin

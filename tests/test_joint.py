@@ -11,14 +11,13 @@ from sparsact.errors import (
 )
 from sparsact.joint import (
     JointSpec,
-    _arrow_block,
     group_norms,
     synth_joint,
     verify_sparsity_preservation,
 )
 from sparsact.model import close_output_feedback
 from sparsact.outputfb import HatController
-from sparsact.sdp import solve_sdp
+from sparsact.sdp import REDUCED_TOL, solve_sdp
 
 from conftest import coupled_lyapunov_pair, random_plant
 
@@ -27,11 +26,50 @@ class TestArrowEpigraph:
     def test_minimizing_t_recovers_vector_norm(self):
         v = np.array([[3.0], [4.0]])
         t = lmi.MatVar("t", (1, 1), "scalar")
-        cons = [_arrow_block(t.as_expr(), lmi.const(v))]
+        cons = [lmi.soc(t, lmi.const(v))]
         prob, vm = lmi.compile_lmis([t], cons, objective=t.as_expr())
         sol = solve_sdp(prob)
         assert sol.status == "optimal"
         assert vm.value(sol.x, t)[0, 0] == pytest.approx(5.0, rel=1e-6)
+
+
+def _arrow_psd(t, v):
+    """||v|| <= t as the PSD arrow block [[t, v'], [v, t I]] >= 0.
+
+    The form joint designs compiled to before second-order cones; t I is
+    summed from the rank-one pieces e_i t e_i'."""
+    t, v = lmi.Expr.wrap(t), lmi.Expr.wrap(v)
+    eye = np.eye(v.shape[0])
+    tI = lmi.const(np.zeros((len(eye), len(eye))))
+    for i in range(len(eye)):
+        tI = tI + eye[:, i:i + 1] @ t @ eye[i:i + 1]
+    return lmi.pos_semidef(lmi.bmat([[t, v.T], [None, tI]]))
+
+
+class TestSecondOrderConeForm:
+    """The group-norm bounds as second-order cones give the designs that the
+    PSD arrow blocks they replaced give."""
+
+    @pytest.mark.parametrize("kind", ["hinf", "h2"])
+    @pytest.mark.parametrize("nx, dyw", [(2, False), (4, False), (3, True)])
+    def test_same_optimum_as_arrow_blocks(self, monkeypatch, kind, nx, dyw):
+        rng = np.random.default_rng(11)
+        p = random_plant(rng, nx=nx, nu=2, nw=2, nz=2, ny=2)
+        if dyw:
+            p = dataclasses.replace(p, Dyw=0.3 * rng.standard_normal((2, 2)))
+        # below the open-loop norm, so that the zero controller does not do
+        norm = analysis.hinf_norm if kind == "hinf" else analysis.h2_norm
+        gamma0 = 0.8 * norm((p.A, p.Bw, p.Cz, p.Dw)).value
+        spec = JointSpec(plant=p, performance_kind=kind, gamma0=gamma0)
+        cone = synth_joint(spec)
+        monkeypatch.setattr(lmi, "soc", _arrow_psd)
+        arrow = synth_joint(spec)
+        assert len(cone.solution.soc_duals) == p.nu + p.ny
+        assert arrow.solution.soc_duals == []
+        objs = cone.solution.objective, arrow.solution.objective
+        assert abs(objs[0] - objs[1]) <= REDUCED_TOL * (1.0 + abs(objs[1]))
+        assert cone.verified_closed_loop.value < gamma0
+        assert arrow.verified_closed_loop.value < gamma0
 
 
 class TestScalarJoint:

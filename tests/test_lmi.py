@@ -67,14 +67,6 @@ class TestExprAlgebra:
         assert got.shape == (1, 1)
         assert got[0, 0] == pytest.approx(np.trace(vals[Z]))
 
-    def test_scalar_mult(self):
-        rng = np.random.default_rng(5)
-        t = lmi.MatVar("t", (1, 1), "scalar")
-        M = rng.standard_normal((3, 3))
-        vals = rand_assignment(rng, t)
-        assert lmi.evaluate(lmi.scalar_mult(t.as_expr(), M), vals) == pytest.approx(
-            vals[t][0, 0] * M)
-
     def test_bilinear_product_rejected(self):
         X = lmi.MatVar("X", (2, 2), "symmetric")
         W = lmi.MatVar("W", (2, 2))
@@ -145,6 +137,32 @@ class TestCompileAndSolve:
         X = lmi.MatVar("X", (2, 2), "symmetric")
         with pytest.raises(ModelingError):
             lmi.compile_lmis([X], [lmi.pos_def(X)], objective=X.as_expr())
+
+    def test_second_order_cone(self):
+        # min t s.t. ||W' a - b|| <= t, a 2-norm regression with its optimum
+        # at the least-squares solution
+        rng = np.random.default_rng(5)
+        W = lmi.MatVar("W", (3, 1))
+        t = lmi.MatVar("t", (1, 1), "scalar")
+        A, b = rng.standard_normal((5, 3)), rng.standard_normal((5, 1))
+        con = lmi.soc(t, A @ W - b)
+        prob, vm = lmi.compile_lmis([W, t], [con], objective=t.as_expr())
+        assert prob.blocks == [] and len(prob.socs) == 1 and prob.socs[0].dim == 6
+        x = rng.standard_normal(prob.num_vars)
+        assert prob.socs[0].evaluate(x) == pytest.approx(
+            lmi.evaluate(con.expr, vm.assignment(x)).ravel())
+        sol = solve_sdp(prob)
+        w_ls, res, *_ = np.linalg.lstsq(A, b, rcond=None)
+        assert sol.message == "converged"
+        assert vm.value(sol.x, W) == pytest.approx(w_ls, abs=1e-6)
+        assert sol.objective == pytest.approx(np.sqrt(res[0]), rel=1e-7)
+
+    def test_soc_shapes_checked(self):
+        t = lmi.MatVar("t", (1, 1), "scalar")
+        with pytest.raises(ModelingError):
+            lmi.soc(t, lmi.MatVar("V", (1, 2)))
+        with pytest.raises(ModelingError):
+            lmi.soc(lmi.MatVar("T", (2, 1)), np.ones((2, 1)))
 
     def test_diagonal_structure(self):
         G = lmi.MatVar("G", (2, 2), "diagonal")
@@ -217,16 +235,24 @@ class TestCompiledDesigns:
 
     def test_no_all_zero_slice(self, compiled):
         _, _, problem, _ = compiled
-        for blk in problem.blocks:
-            assert np.all(np.any(blk.coefs != 0.0, axis=(1, 2)))
+        for blk in problem.blocks + problem.socs:
+            assert np.all(blk.coefs.reshape(len(blk.var_idx), -1).any(axis=1))
             assert np.all(np.diff(blk.var_idx) > 0)
 
-    def test_blocks_evaluate_their_constraints(self, compiled):
+    def test_blocks_evaluate_their_constraints(self, compiled, design):
+        # every constraint is one LmiBlock or, a joint design's group-norm
+        # bounds, one SocBlock, each in the order of the constraints
         _, constraints, problem, vm = compiled
-        assert len(constraints) == len(problem.blocks)
+        socs = [con for con in constraints if con.sense == "soc"]
+        psd = [con for con in constraints if con.sense != "soc"]
+        assert (len(psd), len(socs)) == (len(problem.blocks), len(problem.socs))
+        assert len(socs) == (4 if design.startswith("joint") else 0)  # nu + ny groups
         x = np.random.default_rng(12).standard_normal(problem.num_vars)
         values = vm.assignment(x)
-        for con, blk in zip(constraints, problem.blocks):
+        for con, soc in zip(socs, problem.socs):
+            u = lmi.evaluate(con.expr, values).ravel()
+            assert np.linalg.norm(soc.evaluate(x) - u) <= 1e-12 * max(1.0, np.linalg.norm(u))
+        for con, blk in zip(psd, problem.blocks):
             M = lmi.evaluate(con.expr, values)
             if con.sense == "neg":
                 M = -M
@@ -243,7 +269,7 @@ class TestCompiledDesigns:
         # DKhat is the constant zero
         variables, constraints, problem, _ = compiled
         assert problem.eq_A.shape == (0, problem.num_vars)
-        assert {c.sense for c in constraints} <= {"pos", "neg"}
+        assert {c.sense for c in constraints} <= {"pos", "neg", "soc"}
         names = {v.name for v in variables}
         if design.endswith("dyw"):
             assert not any(name.startswith("DKhat") for name in names)

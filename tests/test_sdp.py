@@ -9,8 +9,10 @@ from conftest import random_plant
 from sparsact import bench, sdp
 from sparsact.joint import JointSpec, synth_joint
 from sparsact.sdp import (
+    FEAS_TOL,
     LmiBlock,
     SdpProblem,
+    SocBlock,
     SolverOptions,
     check_certificate,
     solve_sdp,
@@ -40,6 +42,25 @@ def box_problem():
     up = LmiBlock(F0=[[2.0]], var_idx=[0], coefs=[[[-1.0]]])
     lo = LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[1.0]]])
     return SdpProblem(num_vars=1, c=[-1.0], blocks=[up, lo])
+
+
+def distance_socp(a, g=None, beta=None, t_max=None):
+    """min t s.t. ||x - a|| <= t, and g'x >= beta and t <= t_max when given.
+
+    Variables (t, x).  The optimum is the distance from a to the half-space
+    g'x >= beta (zero without one); t_max below it makes the problem
+    infeasible.
+    """
+    p = len(a)
+    socs = [SocBlock(f0=np.r_[0.0, -np.asarray(a, float)], var_idx=np.arange(p + 1),
+                     coefs=np.eye(p + 1))]
+    blocks = []
+    if g is not None:
+        blocks.append(LmiBlock(F0=[[-beta]], var_idx=np.arange(1, p + 1),
+                               coefs=np.reshape(g, (p, 1, 1))))
+    if t_max is not None:
+        blocks.append(LmiBlock(F0=[[t_max]], var_idx=[0], coefs=[[[-1.0]]]))
+    return SdpProblem(num_vars=p + 1, c=np.eye(p + 1)[0], blocks=blocks, socs=socs)
 
 
 class TestSolveOptimal:
@@ -156,6 +177,138 @@ class TestCertificate:
         assert any(f.startswith("block 0 PSD violation") for f in rep.flags)
 
 
+class TestSecondOrderCones:
+    A = np.array([1.0, -2.0, 0.5])
+    G = np.array([2.0, 1.0, -1.0])
+
+    def test_distance_to_a_point(self):
+        sol = solve_sdp(distance_socp(self.A))
+        assert sol.message == "converged"
+        assert sol.x == pytest.approx(np.r_[0.0, self.A], abs=1e-6)
+
+    def test_distance_to_a_half_space(self):
+        prob = distance_socp(self.A, self.G, beta=4.0)
+        sol = solve_sdp(prob)
+        gap = 4.0 - self.G @ self.A
+        # the identity start is central: each cone adds 1 to s'z and to the degree
+        assert sol.iterates[0].mu == 1.0
+        assert sol.message == "converged"
+        assert max(sol.pres, sol.dres) <= FEAS_TOL
+        assert sol.objective == pytest.approx(gap / np.linalg.norm(self.G), rel=1e-7)
+        assert sol.x[1:] == pytest.approx(self.A + gap * self.G / (self.G @ self.G), abs=1e-6)
+        assert check_certificate(prob, sol).clean
+        # the dual of the cone is a unit vector along the residual, weighted 1
+        z = sol.soc_duals[0]
+        assert z == pytest.approx(np.r_[1.0, -self.G / np.linalg.norm(self.G)], abs=1e-6)
+
+    def test_infeasible_returns_a_dual_improving_ray(self):
+        dist = (4.0 - self.G @ self.A) / np.linalg.norm(self.G)
+        prob = distance_socp(self.A, self.G, beta=4.0, t_max=0.5 * dist)
+        sol = solve_sdp(prob)
+        assert sol.status == "infeasible"
+        # z in the dual cones with G'z = 0 and h'z = -1: no s = h - Gx in the cones
+        z = sol.soc_duals[0]
+        assert z[0] >= np.linalg.norm(z[1:])
+        assert all(Z[0, 0] >= 0.0 for Z in sol.block_duals)
+        soc = prob.socs[0]
+        GTz = -soc.coefs @ z
+        hz = soc.f0 @ z
+        for blk, Z in zip(prob.blocks, sol.block_duals):
+            GTz[blk.var_idx] -= blk.coefs[:, 0, 0] * Z[0, 0]
+            hz += blk.F0[0, 0] * Z[0, 0]
+        assert hz == pytest.approx(-1.0)
+        assert np.linalg.norm(GTz) <= sdp.INFEAS_TOL
+
+    def test_certificate_flags_corrupted_cones(self):
+        prob = distance_socp(self.A, self.G, beta=4.0)
+        sol = solve_sdp(prob)
+        rep = check_certificate(prob, sol)
+        assert rep.clean and rep.soc_margins[0] >= -1e-8 and rep.dual_soc_margins[0] >= -1e-8
+        x = sol.x.copy()
+        sol.x[0] = 0.5 * sol.x[0]  # t below ||x - a||
+        rep = check_certificate(prob, sol)
+        assert any(f.startswith("cone 0 SOC violation") for f in rep.flags)
+        assert rep.soc_margins[0] < 0
+        sol.x = x
+        sol.soc_duals[0] = sol.soc_duals[0] * np.r_[0.5, np.ones(3)]  # z0 < ||z1||
+        rep = check_certificate(prob, sol)
+        assert any(f.startswith("dual cone 0 SOC violation") for f in rep.flags)
+        assert rep.dual_soc_margins[0] < 0
+
+
+def _interior_soc(rng, m):
+    """A random point inside the second-order cone, log-uniformly near its boundary."""
+    u = rng.standard_normal(m)
+    u[0] = np.linalg.norm(u[1:]) + 10.0 ** rng.uniform(-6, 0)
+    return u
+
+
+def _soc_cone(m):
+    return sdp._Soc(SocBlock(f0=np.zeros(m), var_idx=[], coefs=np.zeros((0, m))), 0)
+
+
+def _in_soc(u):
+    return u[0] >= np.linalg.norm(u[1:])
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 25])
+class TestSocScaling:
+    """NT scaling, Jordan algebra and step length of one second-order cone."""
+
+    def test_nt_scaling(self, m):
+        rng = np.random.default_rng(m)
+        co = _soc_cone(m)
+        for _ in range(50):
+            s, z = _interior_soc(rng, m), _interior_soc(rng, m)
+            co.update_scaling(s, z)
+            W, Wi, lam = co.W, co.Winv, co.lam
+            cond = np.linalg.norm(W) * np.linalg.norm(Wi)
+            assert np.linalg.norm(W @ z - lam) <= 1e-13 * cond * np.linalg.norm(lam)
+            assert np.linalg.norm(Wi @ s - lam) <= 1e-13 * cond * np.linalg.norm(lam)
+            assert np.linalg.norm(W @ Wi - np.eye(m)) <= 1e-13 * cond
+            assert np.array_equal(W, W.T) and np.array_equal(Wi, Wi.T)
+            assert lam[0] > np.linalg.norm(lam[1:])
+
+    def test_max_step_matches_bisection(self, m):
+        rng = np.random.default_rng(10 + m)
+        co = _soc_cone(m)
+        for trial in range(50):
+            co.update_scaling(_interior_soc(rng, m), _interior_soc(rng, m))
+            lam = co.lam
+            if trial % 5 == 0:
+                d = np.linalg.norm(lam) * _interior_soc(rng, m)  # d in Q: no boundary
+            else:
+                d = np.linalg.norm(lam) * rng.standard_normal(m)
+            alpha = co.max_step(d)
+            hi = 1.0
+            while _in_soc(lam + hi * d) and hi < 1e12:
+                hi *= 2.0
+            if _in_soc(lam + hi * d):
+                assert alpha == np.inf
+                continue
+            lo = 0.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _in_soc(lam + mid * d) else (lo, mid)
+            assert alpha == pytest.approx(lo, rel=1e-7)
+        # through the apex: a double root, which rounding moves by about
+        # sqrt(eps) ||lambda||^2 / lambda'J lambda
+        co.update_scaling(_interior_soc(rng, m), _interior_soc(rng, m))
+        assert co.max_step(-2.0 * co.lam) == pytest.approx(0.5, rel=1e-5)
+        assert co.max_step(co.lam) == np.inf
+
+    def test_lam_solve_inverts_jordan_product(self, m):
+        rng = np.random.default_rng(20 + m)
+        co = _soc_cone(m)
+        for _ in range(20):
+            co.update_scaling(_interior_soc(rng, m), _interior_soc(rng, m))
+            r = rng.standard_normal(m)
+            x = co.lam_solve(r)
+            scale = np.linalg.norm(co.lam) * np.linalg.norm(x)
+            assert np.linalg.norm(co.jprod(co.lam, x) - r) <= 1e-12 * scale
+            assert co.q_aff() == pytest.approx(co.lam_solve(co.jprod(co.lam, co.lam)))
+
+
 class TestProblemContainer:
     def test_bad_block_reference(self):
         block = LmiBlock(F0=[[0.0]], var_idx=[3], coefs=[[[1.0]]])
@@ -176,6 +329,25 @@ class TestProblemContainer:
         assert p1.read_bytes() == p2.read_bytes()
         text = p1.read_text()
         assert "-1 0 0 0 1" in text  # objective entry
+
+    def test_dump_lists_every_cone_entry(self, monkeypatch, tmp_path):
+        plant = random_plant(np.random.default_rng(11), nx=3, nu=2, nw=2, nz=2, ny=2)
+        _, _, prob, _ = compiled_design(monkeypatch, synth_joint, JointSpec(
+            plant=plant, performance_kind="h2", gamma0=5.0))
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        prob.dump_triplets(p1)
+        prob.dump_triplets(p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        lines = [line.split() for line in p1.read_text().splitlines()]
+        assert {len(f) for f in lines if int(f[0]) < len(prob.blocks)} == {5}
+        got = {(int(f[0]), int(f[1]), int(f[3])): float(f[4]) for f in lines if len(f) == 6}
+        assert all(f[5] == "q" and f[2] == "0" for f in lines if len(f) == 6)
+        want = {}
+        for j, soc in enumerate(prob.socs, start=len(prob.blocks)):
+            want.update({(j, r, -1): soc.f0[r] for r in np.flatnonzero(soc.f0)})
+            for vi, row in zip(soc.var_idx, soc.coefs):
+                want.update({(j, r, vi): row[r] for r in np.flatnonzero(row)})
+        assert len(prob.socs) == plant.nu + plant.ny and got == want
 
     def test_solver_options_dump(self, tmp_path):
         path = tmp_path / "dump.txt"
@@ -221,40 +393,47 @@ class TestEmptyShapes:
 def _random_scaling(problem, seed):
     """The problem's cones at the NT scaling of random strictly interior s, z."""
     rng = np.random.default_rng(seed)
-    cones, start = [], 0
-    for blk in problem.blocks:
-        co = sdp._Cone(blk, start)
-        start += co.sdim
-        n = blk.dim
-        S, Z = (B @ B.T + n * np.eye(n) for B in rng.standard_normal((2, n, n)))
-        co.update_scaling(co.sv.svec(S), co.sv.svec(Z))
-        cones.append(co)
+    cones = sdp._cones(problem)
+    for co in cones:
+        if isinstance(co, sdp._Soc):
+            co.update_scaling(_interior_soc(rng, co.sdim), _interior_soc(rng, co.sdim))
+        else:
+            n = co.dim
+            S, Z = (B @ B.T + n * np.eye(n) for B in rng.standard_normal((2, n, n)))
+            co.update_scaling(co.sv.svec(S), co.sv.svec(Z))
     return cones
 
 
-def _scaled_coefficients(co, blk):
-    """W^-T G of one block, (d, k), by conjugating every slice with Rinv."""
+def _reference_scaling(co, blk):
+    """W^-T G of one cone, (d, k), and its maps v -> W^-T v and v -> W^-1 v.
+
+    A PSD block conjugates every slice with Rinv; a second-order cone
+    inverts its symmetric W."""
+    if isinstance(co, sdp._Soc):
+        Wi = np.linalg.inv(co.W)
+        return -Wi @ blk.coefs.T, (lambda v: Wi @ v), (lambda v: Wi @ v)
     Tsc = co.Rinv @ blk.coefs @ co.Rinv.T
-    return -(Tsc[:, co.sv.rows, co.sv.cols] * co.sv.w).T
+    return (-(Tsc[:, co.sv.rows, co.sv.cols] * co.sv.w).T,
+            lambda v: co.sv.svec(co.Rinv @ co.sv.smat(v) @ co.Rinv.T),
+            lambda v: co.sv.svec(co.Rinv.T @ co.sv.smat(v) @ co.Rinv))
 
 
 def _reference_newton(problem, cones, bx, bz):
-    """H and solve3 from the dense scaled coefficients of every block."""
+    """H and solve3 from the dense scaled coefficients of every cone."""
     n = problem.num_vars
-    Ssc = [_scaled_coefficients(co, blk) for co, blk in zip(cones, problem.blocks)]
+    refs = [_reference_scaling(co, blk) for co, blk in zip(cones, problem.blocks + problem.socs)]
     H = np.zeros((n, n))
-    for co, S in zip(cones, Ssc):
+    for co, (S, _, _) in zip(cones, refs):
         H[np.ix_(co.vi, co.vi)] += S.T @ S
     kkt_solve = sdp._factor_kkt(H, 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0)))
-    bz_t = [co.sv.svec(co.Rinv @ co.sv.smat(bz[co.part]) @ co.Rinv.T) for co in cones]
+    bz_t = [winv_t(bz[co.part]) for co, (_, winv_t, _) in zip(cones, refs)]
     rhs = bx.copy()
-    for co, S, v in zip(cones, Ssc, bz_t):
+    for co, (S, _, _), v in zip(cones, refs, bz_t):
         rhs[co.vi] += S.T @ v
     ux = kkt_solve(rhs)
     for _ in range(2):
         ux = ux + kkt_solve(rhs - H @ ux)
-    uz = [co.sv.svec(co.Rinv.T @ co.sv.smat(S @ ux[co.vi] - v) @ co.Rinv)
-          for co, S, v in zip(cones, Ssc, bz_t)]
+    uz = [winv(S @ ux[co.vi] - v) for co, (S, _, winv), v in zip(cones, refs, bz_t)]
     return H, ux, np.concatenate(uz)
 
 
@@ -304,8 +483,11 @@ class TestSchurAssembly:
         _, _, problem, _ = compiled_design(monkeypatch, synth_joint, JointSpec(
             plant=bench.make_plant(family), performance_kind=kind, gamma0=gamma0))
         cones = _assert_newton_matches_reference(problem)
-        assert {scipy.sparse.issparse(co.Gu) for co in cones} == {True, False}
-        # H is added by slices over runs of variables and by one gather
+        assert {type(co) for co in cones} == {sdp._Cone, sdp._Soc}
+        assert {scipy.sparse.issparse(co.Gu) for co in cones if isinstance(co, sdp._Cone)} == \
+            {True, False}
+        # H is added by slices over runs of variables and by one gather; on
+        # the chain problem the PSD blocks add by slices and the cones gather
         assert {type(co.hsel[0][0][0]) for co in cones} == {slice, np.ndarray}
 
     def test_zero_slices(self):
@@ -315,6 +497,18 @@ class TestSchurAssembly:
         coefs[::3] = 0.0  # slices without a nonzero
         blocks = [LmiBlock(F0=blk.F0, var_idx=blk.var_idx, coefs=coefs), *prob.blocks[1:]]
         _assert_newton_matches_reference(SdpProblem(num_vars=40, c=prob.c, blocks=blocks))
+
+
+    def test_second_order_cones(self):
+        # random dense cones beside the PSD blocks, with variables in one
+        # run (added by slices) and in many (gathered)
+        rng = np.random.default_rng(8)
+        prob = random_lmi_problem(8, num_vars=40, dim=6)
+        socs = [SocBlock(f0=rng.standard_normal(m), var_idx=vi, coefs=rng.standard_normal((len(vi), m)))
+                for m, vi in ((7, np.arange(5, 25)), (12, np.arange(0, 40, 2)), (1, [5]))]
+        problem = SdpProblem(num_vars=40, c=prob.c, blocks=prob.blocks, socs=socs)
+        cones = _assert_newton_matches_reference(problem)
+        assert [type(co.hsel[0][0][0]) for co in cones[-3:]] == [slice, np.ndarray, slice]
 
 
 class TestPhaseTimes:
