@@ -32,7 +32,9 @@ appears.  A second-order cone adds (W^-1 G)'(W^-1 G) (_Soc.add_schur).
 A cone adds its part of H by slices over its runs of consecutive
 variables, or by one gathered addition when it has more than about k / 17
 runs (SLICE_RUN_RATIO).  The Newton solves apply W^-T and W^-1 to one
-vector per cone (_solve3).
+vector per cone and right-hand side (_solve3).  An iteration makes two of
+them: the tau-direction and the predictor share one solve with two
+right-hand sides, and the corrector has its own.
 
 The Schur system H + delta I is symmetric positive definite and is factored
 by Cholesky; LU is used only when Cholesky fails numerically.  Target
@@ -46,9 +48,13 @@ other, through zero-size arrays.
 Fixed constants: convergence at relative residuals below FEAS_TOL and a
 relative gap below GAP_TOL, within MAX_ITER iterations; INFEAS_TOL gates
 the improving-ray certificates; each step goes STEP_FRAC of the way to the
-cone boundary.  A stalled solve returns its cleanest iterate as optimal
-when that is within REDUCED_TOL, loose on purpose because every synthesis
-result is re-verified independently.
+cone boundary.  A solve that stops short of convergence returns its
+cleanest iterate as optimal when that is within REDUCED_TOL, loose on
+purpose because every synthesis result is re-verified independently.  It
+stops as stalled once that iterate is within REDUCED_TOL and STALL_ITERS
+iterations have not improved on it, as SeDuMi stops on stalled residuals
+(Sturm, 2002); near-degenerate problems otherwise go on until a scaling
+breaks down, and return the same iterate.
 """
 
 from __future__ import annotations
@@ -76,6 +82,9 @@ GAP_TOL = 1e-8
 MAX_ITER = 200
 INFEAS_TOL = 1e-4
 REDUCED_TOL = 1e-3
+# a solve whose best iterate is within REDUCED_TOL stops once this many
+# iterations have not improved on it, and returns that iterate
+STALL_ITERS = 3
 STEP_FRAC = 0.99
 # a block's Schur part is formed with a sparse Gu once the dense products
 # would spend more than this many multiply-adds (about a millisecond) on its
@@ -600,41 +609,47 @@ def _factor_kkt(H, delta):
     """Factor H + delta*I and return its solve function.
 
     The matrix is symmetric positive definite in exact arithmetic and is
-    factored by Cholesky; when Cholesky fails numerically, by LU.
+    factored by Cholesky; when Cholesky fails numerically, by LU.  H is
+    exactly symmetric, so its copy's transpose is H in the column-major
+    order that LAPACK factors in place.
     """
-    KKT = H + delta * np.eye(H.shape[0])
+    KKT = H.copy().T
+    KKT.flat[::H.shape[0] + 1] += delta
     try:
-        cho = scipy.linalg.cho_factor(KKT, check_finite=False)
+        cho = scipy.linalg.cho_factor(KKT, overwrite_a=True, check_finite=False)
         return lambda rhs: scipy.linalg.cho_solve(cho, rhs, check_finite=False)
     except np.linalg.LinAlgError:
         pass
-    lu = scipy.linalg.lu_factor(KKT)
+    lu = scipy.linalg.lu_factor(H + delta * np.eye(H.shape[0]))
     return lambda rhs: scipy.linalg.lu_solve(lu, rhs)
 
 
-def _schur(cones, n):
-    """The Schur complement H = G' W^-1 W^-T G at the current NT scaling."""
-    H = np.zeros((n, n))
+def _schur(cones, H):
+    """Overwrite H with the Schur complement G' W^-1 W^-T G at the current NT scaling."""
+    H.fill(0.0)
     for co in cones:
         co.add_schur(H)
     return H
 
 
-def _solve3(cones, H, kkt_solve, bx, bz):
-    """Solve the scaled Newton system for (ux, uz).
+def _solve3(cones, H, kkt_solve, pairs):
+    """Solve the scaled Newton system for (ux, uz), one pair per (bx, bz) in pairs.
 
     The system is  H ux = bx + G' W^-1 W^-T bz,
     uz = W^-1 (W^-T G ux - W^-T bz), one block at a time (_Cone.scaled_rhs
     and scaled_dz).  The solve is refined twice against the unregularized
-    system.
+    system.  Every kkt_solve takes all the right-hand sides as columns;
+    the refinement residuals are formed one column at a time, so that each
+    pair's answer is the one it would get alone.
     """
-    rhs = bx.copy()
-    scaled_bz = [co.scaled_rhs(bz[co.part], rhs) for co in cones]
-    ux = kkt_solve(rhs)
+    rhs = np.array([bx for bx, _ in pairs])
+    scaled_bz = [[co.scaled_rhs(bz[co.part], r) for co in cones]
+                 for r, (_, bz) in zip(rhs, pairs)]
+    ux = kkt_solve(rhs.T).T
     for _ in range(2):
-        ux = ux + kkt_solve(rhs - H @ ux)
-    uz = _stack(co.scaled_dz(ux, Bt) for co, Bt in zip(cones, scaled_bz))
-    return ux, uz
+        ux = ux + kkt_solve(np.array([r - H @ u for r, u in zip(rhs, ux)]).T).T
+    return [(u, _stack(co.scaled_dz(u, Bt) for co, Bt in zip(cones, bts)))
+            for u, bts in zip(ux, scaled_bz)]
 
 
 class _PhaseClock:
@@ -703,6 +718,8 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     # answer is taken from the cleanest iterate, not the last one
     best_score = np.inf
     best = None
+    best_it = 0
+    H = np.zeros((n, n))
     clock = _PhaseClock()
 
     for it in range(MAX_ITER):
@@ -730,7 +747,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
         score = max(pres, dres, gap / (1.0 + abs(pobj) + abs(dobj)))
         if score < best_score:
-            best_score = score
+            best_score, best_it = score, it
             best = (x.copy(), z.copy(), s.copy(), tau, kappa, pres, dres, gap)
 
         if pres <= FEAS_TOL and dres <= FEAS_TOL and \
@@ -770,6 +787,11 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
                 status, message = "max_iter", "tau collapse without certificate"
             break
 
+        # stalled: the best iterate is good enough and has not been bettered
+        if best_score <= REDUCED_TOL and it - best_it >= STALL_ITERS:
+            status, message = "max_iter", "stalled"
+            break
+
         clock.start()
         try:
             for co, sb, zb in zip(cones, split(s), split(z)):
@@ -780,7 +802,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         clock.lap("scaling")
 
         # assemble and factor the reduced KKT system
-        H = _schur(cones, n)
+        _schur(cones, H)
         clock.lap("schur")
         delta = 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0))
         try:
@@ -790,18 +812,20 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
             break
         clock.lap("factor")
 
-        def solve3(bx, bz):
+        def solve3(*pairs):
             clock.lap("step")
-            out = _solve3(cones, H, kkt_solve, bx, bz)
+            out = _solve3(cones, H, kkt_solve, pairs)
             clock.lap("solve")
             return out
 
-        dx1, dz1 = solve3(-c, h)
+        def rhs(eta_c, q):
+            """The Newton right-hand side (bx, bz) of a direction with target q."""
+            return (-(1.0 - eta_c) * rx,
+                    -(1.0 - eta_c) * rz + _stack(co.WT_u(v) for co, v in zip(cones, split(q))))
 
-        def direction(eta_c, q, rkap):
-            bx0 = -(1.0 - eta_c) * rx
-            bz0 = -(1.0 - eta_c) * rz + _stack(co.WT_u(v) for co, v in zip(cones, split(q)))
-            dx0, dz0 = solve3(bx0, bz0)
+        def direction(eta_c, q, rkap, d0):
+            """The full step from the Newton solution d0 of rhs(eta_c, q)."""
+            dx0, dz0 = d0
             denom = float(c @ dx1 + h @ dz1) - kappa / tau
             numer = -(1.0 - eta_c) * rtau - float(c @ dx0 + h @ dz0) - rkap / tau
             dtau = numer / denom
@@ -823,9 +847,10 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
                 alpha = min(alpha, -kappa / dkap)
             return alpha
 
-        # predictor
+        # predictor, solved together with the tau-direction (dx1, dz1)
         q_aff = _stack(co.q_aff() for co in cones)
-        aff = direction(0.0, q_aff, -tau * kappa)
+        (dx1, dz1), d_aff = solve3((-c, h), rhs(0.0, q_aff))
+        aff = direction(0.0, q_aff, -tau * kappa, d_aff)
         a_aff = min(1.0, max_step(aff[5], aff[6], aff[3], aff[4]))
         sigma = min(1.0, max(0.0, 1.0 - a_aff)) ** 3
 
@@ -833,7 +858,8 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         q_comb = _stack(co.q_comb(us, uz, sigma * mu)
                         for co, us, uz in zip(cones, split(aff[5]), split(aff[6])))
         rkap = sigma * mu - tau * kappa - aff[3] * aff[4]
-        dx, dz, ds, dtau, dkap, ds_sc, dz_sc = direction(sigma, q_comb, rkap)
+        [d_comb] = solve3(rhs(sigma, q_comb))
+        dx, dz, ds, dtau, dkap, ds_sc, dz_sc = direction(sigma, q_comb, rkap, d_comb)
 
         alpha = min(1.0, STEP_FRAC * max_step(ds_sc, dz_sc, dtau, dkap))
         if not np.isfinite(alpha) or alpha <= 1e-10:

@@ -6,8 +6,9 @@ import scipy.linalg
 import scipy.sparse
 
 from conftest import random_plant
-from sparsact import bench, sdp
+from sparsact import analysis, bench, sdp
 from sparsact.joint import JointSpec, synth_joint
+from sparsact.statefb import SfSynthesisSpec, synth_sf
 from sparsact.sdp import (
     FEAS_TOL,
     LmiBlock,
@@ -450,16 +451,22 @@ def _assert_newton_matches_reference(problem, seed=0):
     bx = G.T @ rng.standard_normal(len(G))
     bz = rng.standard_normal(len(G))
     H_ref, dx_ref, dz_ref = _reference_newton(problem, cones, bx, bz)
-    H = sdp._schur(cones, n)
+    H = sdp._schur(cones, np.zeros((n, n)))
     assert np.array_equal(H, H.T)
     assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
     kkt_solve = sdp._factor_kkt(H, 1e-12 * (1.0 + np.abs(np.diag(H)).max()))
-    dx, dz = sdp._solve3(cones, H, kkt_solve, bx, bz)
+    [(dx, dz)] = sdp._solve3(cones, H, kkt_solve, [(bx, bz)])
     assert np.linalg.norm(dz - dz_ref) <= 1e-10 * np.linalg.norm(dz_ref)
     assert np.linalg.norm(G @ (dx - dx_ref)) <= 1e-10 * np.linalg.norm(G @ dx_ref)
     eigs = np.linalg.eigvalsh(H_ref)
     if eigs[0] > 1e-12 * eigs[-1]:  # dx itself is determined
         assert np.linalg.norm(dx - dx_ref) <= 1e-10 * np.linalg.norm(dx_ref)
+    # the solver solves the tau-direction and the predictor together; each
+    # pair of a two-pair solve gets the bits it gets alone
+    pairs = [(bx, bz), (G.T @ rng.standard_normal(len(G)), rng.standard_normal(len(G)))]
+    for (ux, uz), pair in zip(sdp._solve3(cones, H, kkt_solve, pairs), pairs):
+        [(vx, vz)] = sdp._solve3(cones, H, kkt_solve, [pair])
+        assert np.array_equal(ux, vx) and np.array_equal(uz, vz)
     return cones
 
 
@@ -509,6 +516,68 @@ class TestSchurAssembly:
         problem = SdpProblem(num_vars=40, c=prob.c, blocks=prob.blocks, socs=socs)
         cones = _assert_newton_matches_reference(problem)
         assert [type(co.hsel[0][0][0]) for co in cones[-3:]] == [slice, np.ndarray, slice]
+
+
+def _hinf_sf_problem(monkeypatch):
+    """A 9-variable state-feedback H-infinity design that stalls."""
+    plant = random_plant(np.random.default_rng(0), nx=2)
+    gamma0 = 1.3 * analysis.hinf_norm((plant.A, plant.Bw, plant.Cz, plant.Dw)).value + 0.1
+    return compiled_design(monkeypatch, synth_sf, SfSynthesisSpec(
+        plant=plant, performance_kind="hinf", gamma0=gamma0))[2]
+
+
+def _chain_problem(monkeypatch):
+    """The joint H-infinity design of the chain-prune benchmark's first solve."""
+    return compiled_design(monkeypatch, synth_joint, JointSpec(
+        plant=bench.make_plant(bench.MassSpringChain(5)), performance_kind="hinf",
+        gamma0=100.0))[2]
+
+
+def _solve_without_stall_stop(monkeypatch, problem):
+    with monkeypatch.context() as m:
+        m.setattr(sdp, "STALL_ITERS", sdp.MAX_ITER)
+        return solve_sdp(problem)
+
+
+def _assert_same_answer(a, b):
+    assert a.status == b.status
+    assert np.array_equal(a.x, b.x)
+    assert len(a.block_duals) == len(b.block_duals) and len(a.soc_duals) == len(b.soc_duals)
+    for u, v in zip(a.block_duals + a.soc_duals, b.block_duals + b.soc_duals):
+        assert np.array_equal(u, v)
+
+
+class TestStallStop:
+    """A solve that stops as stalled returns the iterate that it returns
+    when it goes on until a scaling breaks down."""
+
+    @pytest.mark.parametrize("build", [_hinf_sf_problem, _chain_problem])
+    def test_stalled_solve_returns_its_best_iterate(self, monkeypatch, build):
+        problem = build(monkeypatch)
+        stopped = solve_sdp(problem)
+        full = _solve_without_stall_stop(monkeypatch, problem)
+        assert stopped.message == "converged at reduced accuracy (stalled)"
+        assert full.message == "converged at reduced accuracy (NT scaling breakdown)"
+        assert stopped.iterations < full.iterations
+        _assert_same_answer(stopped, full)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: distance_socp(TestSecondOrderCones.A, TestSecondOrderCones.G, beta=4.0),
+         "converged"),
+        (lambda: distance_socp(TestSecondOrderCones.A, TestSecondOrderCones.G, beta=4.0,
+                               t_max=0.1),
+         "dual improving ray found"),
+        (lambda: SdpProblem(num_vars=1, c=[1.0], blocks=[
+            LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[-1.0]]])]),
+         "primal improving ray found"),
+    ], ids=["converged", "infeasible", "unbounded"])
+    def test_other_exits_unchanged(self, monkeypatch, build, message):
+        problem = build()
+        stopped = solve_sdp(problem)
+        full = _solve_without_stall_stop(monkeypatch, problem)
+        assert stopped.message == full.message == message
+        assert stopped.iterations == full.iterations
+        _assert_same_answer(stopped, full)
 
 
 class TestPhaseTimes:
