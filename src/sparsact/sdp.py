@@ -27,8 +27,9 @@ and adds 2 Gu M Gu', symmetrized, to H (_Cone.add_schur).  Gu is a sparse
 matrix when the dense products would spend more than SPARSE_SCHUR_WASTE
 multiply-adds on its zeros (the largest blocks of the tensegrity and
 chain problems, where a slice has one to a few dozen nonzeros) and a
-dense array otherwise; scipy.sparse is imported only once such a block
-appears.  A second-order cone adds (W^-1 G)'(W^-1 G) (_Soc.add_schur).
+dense array otherwise; the block's G is then sparse too, for the products
+with G and G' that form the residuals and the Newton right-hand sides.
+scipy.sparse is imported only once such a block appears.  A second-order cone adds (W^-1 G)'(W^-1 G) (_Soc.add_schur).
 A cone adds its part of H by slices over its runs of consecutive
 variables, or by one gathered addition when it has more than about k / 17
 runs (SLICE_RUN_RATIO).  The Newton solves apply W^-T and W^-1 to one
@@ -349,7 +350,7 @@ class _Cone(_ConeBase):
         sv = self.sv = _SvecMap(blk.dim)
         self.h = sv.svec(blk.F0)
         upper = blk.coefs[:, sv.rows, sv.cols]  # (k, d) upper-triangle values
-        self.Gmat = -(upper * sv.w).T  # (d, k)
+        Gmat = -(upper * sv.w).T  # (d, k)
         self.vi = blk.var_idx
         self.dim = self.degree = blk.dim
         self.sdim = sv.dim
@@ -366,8 +367,8 @@ class _Cone(_ConeBase):
         k, m = Gu.shape
         if (k * m - np.count_nonzero(Gu)) * (k + m) > SPARSE_SCHUR_WASTE:
             import scipy.sparse  # here: small problems never pay for loading it
-            Gu = scipy.sparse.csr_array(Gu)
-        self.Gu = Gu
+            Gu, Gmat = scipy.sparse.csr_array(Gu), scipy.sparse.csr_array(Gmat)
+        self.Gu, self.Gmat = Gu, Gmat
         self.hsel = _placement(self.vi)
 
     def identity(self):

@@ -444,7 +444,7 @@ def _assert_newton_matches_reference(problem, seed=0):
     n = problem.num_vars
     G = np.zeros((sum(co.sdim for co in cones), n))
     for co in cones:
-        G[co.part, co.vi] = co.Gmat
+        G[co.part, co.vi] = co.Gmat.toarray() if scipy.sparse.issparse(co.Gmat) else co.Gmat
     # a direction that no block sees (the output-feedback designs have one)
     # is not determined by the Newton system; bx = G'r, like the solver's
     # residuals, has no part along it
