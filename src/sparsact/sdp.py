@@ -734,11 +734,12 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         rtau = float(c @ x + h @ z + kappa)
         mu = (float(s @ z) + tau * kappa) / m1
 
+        # the residuals at (x, s, z) / tau are rz / tau and rx / tau
         xh = x / tau
         sh = s / tau
         zh = z / tau
-        pres = np.linalg.norm(G_of(xh) + sh - h) / norm_h
-        dres = np.linalg.norm(GT_of(zh) + c) / norm_c
+        pres = np.linalg.norm(rz) / tau / norm_h
+        dres = np.linalg.norm(rx) / tau / norm_c
         pobj = float(c @ xh)
         dobj = float(-(h @ zh))
         gap = float(sh @ zh)
