@@ -29,7 +29,8 @@ multiply-adds on its zeros (the largest blocks of the tensegrity and
 chain problems, where a slice has one to a few dozen nonzeros) and a
 dense array otherwise; the block's G is then sparse too, for the products
 with G and G' that form the residuals and the Newton right-hand sides.
-scipy.sparse is imported only once such a block appears.  A second-order cone adds (W^-1 G)'(W^-1 G) (_Soc.add_schur).
+scipy.sparse is imported only once such a block appears.  A second-order
+cone adds (W^-1 G)'(W^-1 G) (_Soc.add_schur).
 A cone adds its part of H by slices over its runs of consecutive
 variables, or by one gathered addition when it has more than about k / 17
 runs (SLICE_RUN_RATIO).  The Newton solves apply W^-T and W^-1 to one

@@ -493,6 +493,9 @@ class TestSchurAssembly:
         assert {type(co) for co in cones} == {sdp._Cone, sdp._Soc}
         assert {scipy.sparse.issparse(co.Gu) for co in cones if isinstance(co, sdp._Cone)} == \
             {True, False}
+        # a block with a sparse Gu keeps its G sparse as well
+        assert all(scipy.sparse.issparse(co.Gmat) == scipy.sparse.issparse(co.Gu)
+                   for co in cones if isinstance(co, sdp._Cone))
         # H is added by slices over runs of variables and by one gather; on
         # the chain problem the PSD blocks add by slices and the cones gather
         assert {type(co.hsel[0][0][0]) for co in cones} == {slice, np.ndarray}
