@@ -6,11 +6,19 @@ possibly transposed).  Products of two variable expressions are rejected
 at construction time -- the synthesis change of variables exists precisely
 so that no bilinear term is ever needed.  Constraints are matrix
 inequalities (PSD blocks) and 2-norm bounds ||v|| <= t (second-order cones).
+
+Compilation never forms a dense coefficient slice.  Each term L @ V @ R
+yields the triplets (scalar, row, col, value) of its nonzero products
+L[a, i] R[j, b], summed in a fixed order (Expr.coefficients); a PSD
+block keeps the upper-triangle triplets of its symmetrized slices
+(sdp.LmiBlock), and LmiBlock.coefs is only a dense view built on demand
+for perfbench/tracer.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,28 +79,40 @@ class MatVar:
             return 1
         return r * c
 
-    def entry_pairs(self):
-        """Yield (row, col) of the independent entries, in storage order."""
+    @cached_property
+    def entry_index(self):
+        """(rows, cols) arrays of the independent entries, in storage order."""
         r, c = self.shape
         if self.structure == "symmetric":
-            for i in range(r):
-                for j in range(i, c):
-                    yield i, j
-        elif self.structure in ("diagonal", "scalar"):
-            for i in range(r):
-                yield i, i
-        else:
-            for i in range(r):
-                for j in range(c):
-                    yield i, j
+            return np.triu_indices(r)
+        if self.structure in ("diagonal", "scalar"):
+            return np.arange(r), np.arange(r)
+        return np.divmod(np.arange(r * c), c)
+
+    @cached_property
+    def positions(self):
+        """(rows, cols, k): matrix entry (rows[e], cols[e]) is independent entry k[e].
+
+        A symmetric variable's off-diagonal entries appear twice, once
+        mirrored.
+        """
+        rows, cols = self.entry_index
+        k = np.arange(len(rows))
+        if self.structure == "symmetric":
+            off = rows != cols
+            rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+            k = np.concatenate([k, k[off]])
+        return rows, cols, k
+
+    def entry_pairs(self):
+        """Yield (row, col) of the independent entries, in storage order."""
+        return zip(*(a.tolist() for a in self.entry_index))
 
     def assemble(self, values):
         """Matrix from the flat vector of independent entries."""
         M = np.zeros(self.shape)
-        for k, (i, j) in enumerate(self.entry_pairs()):
-            M[i, j] = values[k]
-            if self.structure == "symmetric" and i != j:
-                M[j, i] = values[k]
+        rows, cols, k = self.positions
+        M[rows, cols] = np.asarray(values, dtype=float)[k]
         return M
 
     # expression sugar -----------------------------------------------------
@@ -248,34 +268,61 @@ class Expr:
 
     # --- linearization ----------------------------------------------------
     def coefficients(self, offsets):
-        """Constant matrix plus {global scalar index: coefficient matrix}.
+        """Constant matrix plus the coefficient slices as triplets.
 
-        Entry (i, j) of a term's variable contributes the outer product of
-        L[:, i] and R[j, :]; an outer product with an all-zero factor is
-        skipped, and an entry none of whose products survive is left out.
+        Returns (constant, (key, row, col, val)): the slice of global scalar
+        key[e] has the value val[e] at (row[e], col[e]).  The triplets are
+        the nonzero entries, sorted by (key, row, col).  Entry (i, j) of a
+        term's variable contributes L[a, i] R[j, b] at (a, b) for every
+        nonzero L[a, i] and R[j, b], and a symmetric variable's entry i != j
+        also the mirrored L[a, j] R[i, b].  The mirrored pair of a term is
+        summed first and the terms then one after another, so each value
+        has the bits of the dense sum of outer products in the same order.
         """
-        coefs = {}
-        for t in self.terms:
-            base = offsets[t.var]
-            L, R = t.left, t.right
-            live_l = L.any(axis=0).tolist()
-            live_r = R.any(axis=1).tolist()
-            mirrored = t.var.structure == "symmetric"
-            for k, (i, j) in enumerate(t.var.entry_pairs()):
-                if t.transposed:
-                    i, j = j, i
-                C = np.outer(L[:, i], R[j, :]) if live_l[i] and live_r[j] else None
-                if mirrored and i != j and live_l[j] and live_r[i]:
-                    P = np.outer(L[:, j], R[i, :])
-                    C = P if C is None else C + P
-                if C is None:
-                    continue
-                key = base + k
-                if key in coefs:
-                    coefs[key] = coefs[key] + C
-                else:
-                    coefs[key] = C
-        return self.constant, coefs
+        parts = [_products(t, offsets[t.var]) for t in self.terms]
+        if not parts:
+            return self.constant, _NO_TRIPLETS
+        nterms = len(parts)
+        rows, cols = self.shape
+        key, row, col, val = (np.concatenate(a) for a in zip(*parts))
+        term = np.repeat(np.arange(nterms), [len(p[0]) for p in parts])
+        code = ((key * rows + row) * cols + col) * nterms + term
+        code, at = np.unique(code, return_inverse=True)
+        val = np.bincount(at, weights=val)  # the mirrored pair of one term
+        # np.bincount adds in array order, so each entry sums its terms in turn
+        code, at = np.unique(code // nterms, return_inverse=True)
+        val = np.bincount(at, weights=val)
+        nz = val != 0.0
+        key, rc = np.divmod(code[nz], rows * cols)
+        return self.constant, (key, *np.divmod(rc, cols), val[nz])
+
+
+_NO_TRIPLETS = (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)
+
+
+def _products(t, base):
+    """(key, row, col, val) of one term's nonzero outer-product entries.
+
+    A symmetric variable's entry i != j contributes twice, as (i, j) and
+    mirrored as (j, i), both under the entry's key.
+    """
+    L, R = t.left, t.right
+    lcol, lrow = np.nonzero(L.T)  # L's nonzeros, column by column
+    rrow, rcol = np.nonzero(R)  # R's nonzeros, row by row
+    lval, rval = L[lrow, lcol], R[rrow, rcol]
+    nl = np.bincount(lcol, minlength=L.shape[1])
+    nr = np.bincount(rrow, minlength=R.shape[0])
+    I, J, k = t.var.positions
+    if t.transposed:
+        I, J = J, I
+    key = base + k
+    count = nl[I] * nr[J]  # products of each entry
+    e = np.repeat(np.arange(len(I)), count)
+    nth = np.arange(len(e)) - np.repeat(np.cumsum(count) - count, count)
+    q, r = np.divmod(nth, nr[J][e])
+    a = (np.cumsum(nl) - nl)[I][e] + q
+    b = (np.cumsum(nr) - nr)[J][e] + r
+    return key[e], lrow[a], rcol[b], lval[a] * rval[b]
 
 
 def const(M):
@@ -404,14 +451,34 @@ class VarMap:
         return {v: self.value(x, v) for v in self.offsets}
 
 
-def _check_symmetry(expr: Expr, variables):
-    """Numeric symmetry probe at a deterministic pseudo-random assignment."""
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(sum(v.num_scalars for v in variables))
-    vm = VarMap(variables)
-    M = evaluate(expr, vm.assignment(x))
+def _check_symmetry(constant, triplets, probe):
+    """Numeric symmetry probe of an expression's triplets at the point probe."""
+    key, row, col, val = triplets
+    n = constant.shape[0]
+    M = constant + np.bincount(row * n + col, weights=val * probe[key],
+                               minlength=n * n).reshape(n, n)
     if np.linalg.norm(M - M.T) > 1e-10 * max(1.0, np.linalg.norm(M)):
         raise ModelingError("inequality constraint expression is not symmetric")
+
+
+def _symmetrized_block(constant, triplets):
+    """The LmiBlock of 0.5 (F + F') from the triplets of F's slices.
+
+    Upper entry (a, b) of a slice is 0.5 (T[a, b] + T[b, a]), a diagonal
+    entry 0.5 (T[a, a] + T[a, a]), as the dense 0.5 (T + T') forms them;
+    slices left without a nonzero are dropped.
+    """
+    key, row, col, val = triplets
+    n = constant.shape[0]
+    diag = row == col
+    code = (key * n + np.minimum(row, col)) * n + np.maximum(row, col)
+    code, at = np.unique(np.concatenate([code, code[diag]]), return_inverse=True)
+    val = 0.5 * np.bincount(at, weights=np.concatenate([val, val[diag]]))
+    nz = val != 0.0
+    key, rc = np.divmod(code[nz], n * n)
+    var_idx, slices = np.unique(key, return_inverse=True)
+    return LmiBlock(F0=0.5 * (constant + constant.T), var_idx=var_idx,
+                    upper=(slices, *np.divmod(rc, n), val[nz]))
 
 
 def evaluate(expr: Expr, assignment):
@@ -432,16 +499,18 @@ def compile_lmis(variables, constraints, objective=None):
 
     Strict inequalities get a margin eps = 1e-7 * (1 + ||constant||) so the
     closed-cone solver returns strictly feasible matrices.  Each inequality
-    becomes one LmiBlock holding only the symmetrized coefficient slices
-    that have a nonzero entry; a scalar whose slice cancels or is
-    antisymmetric is absent from that block's var_idx.  Each soc constraint
-    becomes one SocBlock on u = [t; v], holding only its nonzero
-    coefficient rows.  Returns the problem and a VarMap for reading back
-    matrix values.
+    becomes one LmiBlock holding the upper-triangle triplets of its
+    symmetrized coefficient slices, never a dense (k, n, n) tensor; a
+    scalar whose slice cancels or is antisymmetric is absent from that
+    block's var_idx.  Each soc constraint becomes one SocBlock on
+    u = [t; v], holding only its nonzero coefficient rows.  Returns the
+    problem and a VarMap for reading back matrix values.
     """
     variables = list(variables)
     vm = VarMap(variables)
     n = vm.num_scalars
+    # the symmetry probe's point, the same for every constraint
+    probe = np.random.default_rng(12345).standard_normal(n)
     blocks, socs = [], []
     for con in constraints:
         expr = con.expr
@@ -449,36 +518,30 @@ def compile_lmis(variables, constraints, objective=None):
             if t.var not in vm.offsets:
                 raise ModelingError(f"constraint references undeclared variable {t.var.name}")
         cone = con.sense == "soc"
-        if not cone:
-            if expr.shape[0] != expr.shape[1]:
-                raise ModelingError("inequality constraints need square expressions")
-            _check_symmetry(expr, variables)
+        if not cone and expr.shape[0] != expr.shape[1]:
+            raise ModelingError("inequality constraints need square expressions")
         work = -expr if con.sense == "neg" else expr
         if con.strict:
             eps = STRICT_EPS_SCALE * (1.0 + np.linalg.norm(expr.constant, 2))
             work = work - eps * np.eye(expr.shape[0])
-        constant, coefs = work.coefficients(vm.offsets)
-        vi = np.array(sorted(coefs), dtype=int)
-        tensor = np.stack([coefs[k] for k in vi]) if coefs else np.zeros((0,) + expr.shape)
-        if not cone:
-            constant = 0.5 * (constant + constant.T)
-            tensor = 0.5 * (tensor + np.transpose(tensor, (0, 2, 1)))
-        keep = tensor.any(axis=(1, 2))
-        if not keep.all():  # slices that cancelled or were antisymmetric
-            vi, tensor = vi[keep], tensor[keep]
+        constant, triplets = work.coefficients(vm.offsets)
         if cone:
-            socs.append(SocBlock(f0=constant[:, 0], var_idx=vi, coefs=tensor[:, :, 0]))
+            key, row, _, val = triplets
+            vi, slices = np.unique(key, return_inverse=True)
+            coefs = np.zeros((len(vi), expr.shape[0]))
+            coefs[slices, row] = val
+            socs.append(SocBlock(f0=constant[:, 0], var_idx=vi, coefs=coefs))
         else:
-            blocks.append(LmiBlock(F0=constant, var_idx=vi, coefs=tensor))
+            _check_symmetry(constant, triplets, probe)
+            blocks.append(_symmetrized_block(constant, triplets))
     c_obj = np.zeros(n)
     obj_const = 0.0
     if objective is not None:
         obj = Expr.wrap(objective)
         if obj.shape != (1, 1):
             raise ModelingError("objective must be a 1x1 expression")
-        constant, coefs = obj.coefficients(vm.offsets)
+        constant, (key, _, _, val) = obj.coefficients(vm.offsets)
         obj_const = float(constant[0, 0])
-        for k, C in coefs.items():
-            c_obj[k] = C[0, 0]
+        c_obj[key] = val
     problem = SdpProblem(n, c_obj, blocks, obj_const=obj_const, socs=socs)
     return problem, vm

@@ -8,8 +8,12 @@ one parametrizes its null space instead (outputfb).
 
 The solver is a primal-dual interior-point method on the homogeneous
 self-dual embedding with Nesterov-Todd scaling and a Mehrotra corrector.
-The NT scaling of a PSD block is dense (its n x n factors R and Rinv), and
-each block carries only its structurally nonzero coefficient slices T_i.
+The NT scaling of a PSD block is dense (its n x n factors R and Rinv).  A
+block stores its coefficient slices T_i only as the (slice, row, col,
+value) triplets of their nonzero upper-triangle entries (LmiBlock), from
+which set-up builds the Schur data below; no dense (k, n, n) tensor is
+formed on the solve path.  LmiBlock.coefs builds that tensor on demand
+for perfbench/tracer.py, which sizes a problem's slices from it.
 The NT scaling of a second-order cone is the hyperbolic-Householder matrix
 W = eta [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]] of Vandenberghe, "The
 CVXOPT linear and quadratic cone program solvers" (2010), section 4; see
@@ -107,40 +111,77 @@ PHASES = ("scaling", "schur", "factor", "solve", "step")
 # problem containers
 
 
-@dataclass(frozen=True)
 class LmiBlock:
-    """One PSD constraint F0 + sum_j coefs[j] * x[var_idx[j]] >= 0.
+    """One PSD constraint F0 + sum_j T_j x[var_idx[j]] >= 0.
 
-    F0 and every slice must be exactly symmetric; the solver uses them as
-    given.  A scalar missing from var_idx has a zero coefficient in this
-    block; blocks from lmi.compile_lmis list only scalars with a nonzero slice.
+    The block stores its slices T_j as the triplets of their upper
+    triangles: T_j[rows[e], cols[e]] = T_j[cols[e], rows[e]] = vals[e] for
+    the entries e with slices[e] = j, rows[e] <= cols[e], sorted by
+    (slice, row, col) and nonzero.  Give either `upper`, those four arrays,
+    or `coefs`, a dense (k, n, n) tensor of exactly symmetric slices.  F0
+    must be exactly symmetric; the solver uses it and the slices as given.
+    A scalar missing from var_idx has a zero coefficient in this block;
+    blocks from lmi.compile_lmis list only scalars with a nonzero slice.
     """
 
-    F0: np.ndarray
-    var_idx: np.ndarray
-    coefs: np.ndarray  # (k, n, n), symmetric slices
-
-    def __post_init__(self):
-        F0 = np.atleast_2d(np.asarray(self.F0, dtype=float))
-        vi = np.asarray(self.var_idx, dtype=int)
-        co = np.asarray(self.coefs, dtype=float)
-        n = F0.shape[0]
+    def __init__(self, F0, var_idx, coefs=None, *, upper=None):
+        F0 = np.atleast_2d(np.asarray(F0, dtype=float))
+        vi = np.asarray(var_idx, dtype=int)
+        n, k = F0.shape[0], len(vi)
         if F0.shape != (n, n):
             raise ValueError("block constant must be square")
-        if co.shape != (len(vi), n, n):
-            raise ValueError("coefficient tensor shape mismatch")
-        if not (np.array_equal(F0, F0.T) and np.array_equal(co, np.transpose(co, (0, 2, 1)))):
+        if (coefs is None) == (upper is None):
+            raise ValueError("give the slices as either coefs or upper")
+        if coefs is not None:
+            co = np.asarray(coefs, dtype=float)
+            if co.shape != (k, n, n):
+                raise ValueError("coefficient tensor shape mismatch")
+            if not np.array_equal(co, np.transpose(co, (0, 2, 1))):
+                raise ValueError("block constant and coefficient slices must be exactly symmetric")
+            slices, rows, cols = np.nonzero((co != 0.0) & np.triu(np.ones((n, n), dtype=bool)))
+            vals = co[slices, rows, cols]
+        else:
+            slices, rows, cols = (np.asarray(a, dtype=int) for a in upper[:3])
+            vals = np.asarray(upper[3], dtype=float)
+            code = (slices * n + rows) * n + cols
+            if not (len(code) == len(vals) and np.all(vals != 0.0) and np.all(np.diff(code) > 0)
+                    and np.all((slices >= 0) & (slices < k) & (rows >= 0) & (rows <= cols) & (cols < n))):
+                raise ValueError("upper triplets must be upper-triangle, in range, sorted, "
+                                 "unique and nonzero")
+        if not np.array_equal(F0, F0.T):
             raise ValueError("block constant and coefficient slices must be exactly symmetric")
-        object.__setattr__(self, "F0", F0)
-        object.__setattr__(self, "var_idx", vi)
-        object.__setattr__(self, "coefs", co)
+        self.F0, self.var_idx = F0, vi
+        self.slices, self.rows, self.cols, self.vals = slices, rows, cols, vals
 
     @property
     def dim(self):
         return self.F0.shape[0]
 
+    def entries(self):
+        """(slice, row, col, value) of every nonzero entry, both triangles."""
+        off = self.rows != self.cols
+        return (np.concatenate([self.slices, self.slices[off]]),
+                np.concatenate([self.rows, self.cols[off]]),
+                np.concatenate([self.cols, self.rows[off]]),
+                np.concatenate([self.vals, self.vals[off]]))
+
+    @property
+    def coefs(self):
+        """The slices as a dense (k, n, n) tensor, built on each call.
+
+        The solver never forms it; it is kept for perfbench/tracer.py, which
+        counts a problem's slices and their dense size from it.
+        """
+        j, r, c, v = self.entries()
+        T = np.zeros((len(self.var_idx), self.dim, self.dim))
+        T[j, r, c] = v
+        return T
+
     def evaluate(self, x):
-        return self.F0 + np.tensordot(x[self.var_idx], self.coefs, axes=1)
+        j, r, c, v = self.entries()
+        n = self.dim
+        return self.F0 + np.bincount(r * n + c, weights=x[self.var_idx][j] * v,
+                                     minlength=n * n).reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -219,10 +260,10 @@ class SdpProblem:
                 rows, cols = np.nonzero(blk.F0)
                 for r, cc in zip(rows, cols):
                     f.write(f"{bidx} {r} {cc} -1 {blk.F0[r, cc]:.17g}\n")
-                for j, vi in enumerate(blk.var_idx):
-                    rows, cols = np.nonzero(blk.coefs[j])
-                    for r, cc in zip(rows, cols):
-                        f.write(f"{bidx} {r} {cc} {vi} {blk.coefs[j][r, cc]:.17g}\n")
+                j, r, c, v = blk.entries()
+                order = np.lexsort((c, r, j))  # slice by slice, row by row
+                for row, col, vi, val in zip(r[order], c[order], blk.var_idx[j[order]], v[order]):
+                    f.write(f"{bidx} {row} {col} {vi} {val:.17g}\n")
             for bidx, soc in enumerate(self.socs, start=len(self.blocks)):
                 for r in np.flatnonzero(soc.f0):
                     f.write(f"{bidx} {r} 0 -1 {soc.f0[r]:.17g} q\n")
@@ -350,8 +391,6 @@ class _Cone(_ConeBase):
     def __init__(self, blk: LmiBlock, start):
         sv = self.sv = _SvecMap(blk.dim)
         self.h = sv.svec(blk.F0)
-        upper = blk.coefs[:, sv.rows, sv.cols]  # (k, d) upper-triangle values
-        Gmat = -(upper * sv.w).T  # (d, k)
         self.vi = blk.var_idx
         self.dim = self.degree = blk.dim
         self.sdim = sv.dim
@@ -362,14 +401,23 @@ class _Cone(_ConeBase):
         # Schur data (add_schur): the svec entries (P[p], Q[p]) that the
         # slices touch and Gu, the slices' values on them, halved on the
         # diagonal
-        touched = np.any(upper != 0.0, axis=0)
+        p = sv.full[blk.rows, blk.cols]  # svec entry of each stored value
+        touched, col = np.unique(p, return_inverse=True)
         self.P, self.Q = sv.rows[touched], sv.cols[touched]
-        Gu = upper[:, touched] * np.where(self.P == self.Q, 0.5, 1.0)
-        k, m = Gu.shape
-        if (k * m - np.count_nonzero(Gu)) * (k + m) > SPARSE_SCHUR_WASTE:
+        gu = blk.vals * np.where(blk.rows == blk.cols, 0.5, 1.0)
+        g = -(blk.vals * sv.w[p])
+        k, m = len(self.vi), len(touched)
+        if (k * m - np.count_nonzero(gu)) * (k + m) > SPARSE_SCHUR_WASTE:
             import scipy.sparse  # here: small problems never pay for loading it
-            Gu, Gmat = scipy.sparse.csr_array(Gu), scipy.sparse.csr_array(Gmat)
-        self.Gu, self.Gmat = Gu, Gmat
+            self.Gu = scipy.sparse.csr_array((gu, (blk.slices, col)), shape=(k, m))
+            self.Gmat = scipy.sparse.csr_array((g, (p, blk.slices)), shape=(sv.dim, k))
+        else:
+            # Gu column-major and G row-major: BLAS's summation order in
+            # the products with them depends on the layout
+            self.Gu = np.zeros((m, k)).T
+            self.Gu[blk.slices, col] = gu
+            self.Gmat = np.zeros((sv.dim, k))  # (d, k)
+            self.Gmat[p, blk.slices] = g
         self.hsel = _placement(self.vi)
 
     def identity(self):
@@ -946,8 +994,8 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution) -> Certificate
         dual_mins.append(wz)
         if wz < -1e-8 * (1.0 + np.linalg.norm(Z, 2)):
             flags.append(f"dual block {j} PSD violation: min eig {wz:.3e}")
-        for k, vi in enumerate(blk.var_idx):
-            grad[vi] -= float(np.sum(blk.coefs[k] * Z))
+        j, r, c, v = blk.entries()
+        grad[blk.var_idx] -= np.bincount(j, weights=v * Z[r, c], minlength=len(blk.var_idx))
         dobj -= float(np.sum(blk.F0 * Z))
     dual_soc_margins = []
     for j, (soc, zq) in enumerate(zip(problem.socs, solution.soc_duals)):

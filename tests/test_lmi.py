@@ -2,9 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import random_plant
-from sparsact import lmi
+from sparsact import bench, lmi, sdp
 from sparsact.errors import ModelingError
 from sparsact.joint import JointSpec, synth_joint
 from sparsact.outputfb import synth_of
@@ -186,6 +187,18 @@ class TestVarMap:
             x[vm.offsets[X] + idx] = M[i, j]
         assert vm.value(x, X) == pytest.approx(M)
 
+    @pytest.mark.parametrize("structure, shape", [
+        ("symmetric", (4, 4)), ("rectangular", (3, 5)), ("diagonal", (4, 4)), ("scalar", (1, 1))])
+    def test_assemble_matches_entry_loop(self, structure, shape):
+        var = lmi.MatVar("V", shape, structure)
+        values = np.random.default_rng(9).standard_normal(var.num_scalars)
+        M = np.zeros(shape)
+        for k, (i, j) in enumerate(var.entry_pairs()):
+            M[i, j] = values[k]
+            if structure == "symmetric" and i != j:
+                M[j, i] = values[k]
+        assert np.array_equal(var.assemble(values), M)
+
 
 class _Compiled(Exception):
     """Raised by the capturing compile_lmis to stop a design before its solve."""
@@ -275,3 +288,194 @@ class TestCompiledDesigns:
             assert not any(name.startswith("DKhat") for name in names)
         elif not design.startswith("sf"):
             assert "DKhat" in names
+
+
+# ---------------------------------------------------------------------------
+# the sparse compile against a dense reference compile
+
+
+def dense_coefficients(expr, offsets):
+    """{global scalar index: coefficient matrix}, each a sum of dense outer
+    products: a term's mirrored pair first, then term by term."""
+    coefs = {}
+    for t in expr.terms:
+        base = offsets[t.var]
+        L, R = t.left, t.right
+        live_l = L.any(axis=0).tolist()
+        live_r = R.any(axis=1).tolist()
+        mirrored = t.var.structure == "symmetric"
+        for k, (i, j) in enumerate(t.var.entry_pairs()):
+            if t.transposed:
+                i, j = j, i
+            C = np.outer(L[:, i], R[j, :]) if live_l[i] and live_r[j] else None
+            if mirrored and i != j and live_l[j] and live_r[i]:
+                P = np.outer(L[:, j], R[i, :])
+                C = P if C is None else C + P
+            if C is None:
+                continue
+            key = base + k
+            coefs[key] = coefs[key] + C if key in coefs else C
+    return coefs
+
+
+def dense_compile(variables, constraints, objective):
+    """(c, [(F0, var_idx, (k, n, n) slices)], [(f0, var_idx, (k, m) rows)])."""
+    vm = lmi.VarMap(variables)
+    blocks, socs = [], []
+    for con in constraints:
+        cone = con.sense == "soc"
+        work = -con.expr if con.sense == "neg" else con.expr
+        if con.strict:
+            eps = lmi.STRICT_EPS_SCALE * (1.0 + np.linalg.norm(con.expr.constant, 2))
+            work = work - eps * np.eye(con.expr.shape[0])
+        constant, coefs = work.constant, dense_coefficients(work, vm.offsets)
+        vi = np.array(sorted(coefs), dtype=int)
+        tensor = np.stack([coefs[k] for k in vi]) if coefs else np.zeros((0,) + work.shape)
+        if not cone:
+            constant = 0.5 * (constant + constant.T)
+            tensor = 0.5 * (tensor + np.transpose(tensor, (0, 2, 1)))
+        keep = tensor.any(axis=(1, 2))
+        vi, tensor = vi[keep], tensor[keep]
+        if cone:
+            socs.append((constant[:, 0], vi, tensor[:, :, 0]))
+        else:
+            blocks.append((constant, vi, tensor))
+    c = np.zeros(vm.num_scalars)
+    if objective is not None:
+        for k, C in dense_coefficients(lmi.Expr.wrap(objective), vm.offsets).items():
+            c[k] = C[0, 0]
+    return c, blocks, socs
+
+
+def dense_cone_data(F0, coefs):
+    """h, Gu and G of one PSD block, from its dense slices."""
+    sv = sdp._SvecMap(F0.shape[0])
+    upper = coefs[:, sv.rows, sv.cols]
+    touched = np.any(upper != 0.0, axis=0)
+    on_diagonal = sv.rows[touched] == sv.cols[touched]
+    return sv.svec(F0), upper[:, touched] * np.where(on_diagonal, 0.5, 1.0), -(upper * sv.w).T
+
+
+def dense_dump(c, blocks, socs, path):
+    """The triplet file of the dense problem, every slice scanned entry by entry."""
+    with open(path, "w") as f:
+        for i, ci in enumerate(c):
+            if ci != 0.0:
+                f.write(f"-1 0 0 {i} {ci:.17g}\n")
+        for bidx, (F0, var_idx, coefs) in enumerate(blocks):
+            rows, cols = np.nonzero(F0)
+            for r, cc in zip(rows, cols):
+                f.write(f"{bidx} {r} {cc} -1 {F0[r, cc]:.17g}\n")
+            for j, vi in enumerate(var_idx):
+                rows, cols = np.nonzero(coefs[j])
+                for r, cc in zip(rows, cols):
+                    f.write(f"{bidx} {r} {cc} {vi} {coefs[j][r, cc]:.17g}\n")
+        for bidx, (f0, var_idx, coefs) in enumerate(socs, start=len(blocks)):
+            for r in np.flatnonzero(f0):
+                f.write(f"{bidx} {r} 0 -1 {f0[r]:.17g} q\n")
+            for j, vi in enumerate(var_idx):
+                for r in np.flatnonzero(coefs[j]):
+                    f.write(f"{bidx} {r} 0 {vi} {coefs[j, r]:.17g} q\n")
+
+
+def _compiled_with_objective(monkeypatch, synthesize, spec):
+    """compiled_design, with the objective handed to compile_lmis."""
+    captured = []
+    compile_lmis = lmi.compile_lmis
+
+    def capture(variables, constraints, objective=None):
+        captured.append((list(variables), list(constraints), objective,
+                         compile_lmis(variables, constraints, objective=objective)[0]))
+        raise _Compiled
+
+    monkeypatch.setattr(lmi, "compile_lmis", capture)
+    with pytest.raises(_Compiled):
+        synthesize(spec)
+    return captured[0]
+
+
+def _design(name, kind, nx):
+    synthesize, spec_type = DESIGNS[name]
+    plant = random_plant(np.random.default_rng(11), nx=nx, nu=2, nw=2, nz=2, ny=2)
+    return synthesize, spec_type(plant=plant, performance_kind=kind, gamma0=5.0)
+
+
+def _benchmark(family, kind, gamma0):
+    return synth_joint, JointSpec(plant=bench.make_plant(family), performance_kind=kind,
+                                  gamma0=gamma0)
+
+
+COMPILE_CASES = [
+    *(pytest.param((_design, (name, kind, nx)), id=f"{name}-{kind}-nx{nx}")
+      for name in sorted(DESIGNS) for kind in ("hinf", "h2") for nx in (2, 4)),
+    pytest.param((_benchmark, (bench.TensegrityApprox(), "h2", 0.42)), id="tensegrity-joint-h2"),
+    pytest.param((_benchmark, (bench.MassSpringChain(5), "hinf", 100.0)), id="chain-joint-hinf"),
+]
+
+
+class TestSparseCompile:
+    """The triplet compile gives the dense reference compile's problem and
+    solver set-up bit for bit."""
+
+    @pytest.fixture(params=COMPILE_CASES)
+    def compiled(self, request, monkeypatch):
+        make, args = request.param
+        variables, constraints, objective, problem = _compiled_with_objective(
+            monkeypatch, *make(*args))
+        return problem, dense_compile(variables, constraints, objective)
+
+    def test_same_problem_and_setup(self, compiled):
+        problem, (c, blocks, socs) = compiled
+        assert np.array_equal(problem.c, c)
+        assert (len(problem.blocks), len(problem.socs)) == (len(blocks), len(socs))
+        for blk, (F0, var_idx, coefs), co in zip(problem.blocks, blocks, sdp._cones(problem)):
+            assert np.array_equal(blk.F0, F0) and np.array_equal(blk.var_idx, var_idx)
+            assert np.array_equal(blk.coefs, coefs)
+            h, Gu, Gmat = dense_cone_data(F0, coefs)
+            assert np.array_equal(co.h, h)
+            for got, want in ((co.Gu, Gu), (co.Gmat, Gmat)):
+                if scipy.sparse.issparse(got):
+                    assert got.has_canonical_format and got.nnz == np.count_nonzero(want)
+                    got = got.toarray()
+                else:
+                    # BLAS's summation order follows the memory layout
+                    assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+                        (want.flags.c_contiguous, want.flags.f_contiguous)
+                assert np.array_equal(got, want)
+        for soc, (f0, var_idx, coefs) in zip(problem.socs, socs):
+            assert np.array_equal(soc.f0, f0) and np.array_equal(soc.var_idx, var_idx)
+            assert np.array_equal(soc.coefs, coefs)
+
+    def test_same_triplet_file(self, compiled, tmp_path):
+        problem, dense = compiled
+        problem.dump_triplets(tmp_path / "sparse.txt")
+        dense_dump(*dense, tmp_path / "dense.txt")
+        assert (tmp_path / "sparse.txt").read_bytes() == (tmp_path / "dense.txt").read_bytes()
+
+
+def test_sums_in_dense_order():
+    # several terms of a symmetric variable, each with mirrored pairs, add
+    # to the same entries: their sum rounds as the dense one only if each
+    # term's pair is added first and the terms then in turn
+    rng = np.random.default_rng(13)
+    X = lmi.MatVar("X", (4, 4), "symmetric")
+    for _ in range(5):
+        A, B, C, D = rng.standard_normal((4, 4, 4))
+        expr = A @ X @ A.T + B @ X @ B.T + lmi.sym(C @ X) + D @ X @ D.T
+        cons = [lmi.neg_semidef(expr), lmi.soc(lmi.trace(X), expr.col(0))]
+        problem, _ = lmi.compile_lmis([X], cons)
+        _, [(F0, var_idx, coefs)], [(f0, soc_idx, rows)] = dense_compile([X], cons, None)
+        assert np.array_equal(problem.blocks[0].var_idx, var_idx)
+        assert np.array_equal(problem.blocks[0].coefs, coefs)
+        assert np.array_equal(problem.socs[0].coefs, rows)
+
+
+def test_tensegrity_slices_are_small(monkeypatch):
+    # the paper's structural demo: 801 scalars, 25 PSD blocks whose dense
+    # slices take 11.46 MB
+    *_, problem = _compiled_with_objective(
+        monkeypatch, *_benchmark(bench.TensegrityApprox(), "h2", 0.42))
+    stored = sum(a.nbytes for blk in problem.blocks
+                 for a in (blk.var_idx, blk.slices, blk.rows, blk.cols, blk.vals))
+    dense = sum(8 * len(blk.var_idx) * blk.dim ** 2 for blk in problem.blocks)
+    assert stored < 1e6 < 11e6 < dense

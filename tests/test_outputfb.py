@@ -7,6 +7,7 @@ from sparsact.errors import (
     InfeasiblePerformance,
     NonzeroFeedthroughError,
     ReconstructionFailure,
+    SynthesisNumericalError,
 )
 from sparsact.model import DynamicController, GeneralizedPlant, close_output_feedback
 from sparsact.outputfb import (
@@ -117,3 +118,42 @@ class TestMeasuredStateEquivalence:
             assert res.verified_closed_loop.value < g0 * (1 + 1e-5)
             for i, rep in enumerate(res.verified_channels):
                 assert rep.value <= np.sqrt(res.gamma[i]) * (1 + 1e-5) + 1e-12
+
+
+# The random-designs benchmark pool (perfbench/worker.py, RandomDesigns):
+# batches of 30 requests, every mode at every nx = 2..6, plants drawn in
+# that order from one generator; an H-infinity mode's plant has Dw != 0
+# when (nx + its index among the H-infinity modes) is divisible by 3.
+POOL_MODES = ("sf-hinf", "sf-h2", "of-hinf", "of-h2", "joint-hinf", "joint-h2")
+
+
+def pool_plant(seed, index):
+    """The plant and mode of request `index` of the pool drawn from generator `seed`."""
+    rng = np.random.default_rng(seed)
+    hinf = [m for m in POOL_MODES if m.endswith("hinf")]
+    for i in range(index + 1):
+        nx, mode = 2 + i % 30 // 6, POOL_MODES[i % 6]
+        infeasible = mode in hinf and (nx + hinf.index(mode)) % 3 == 0
+        plant = random_plant(rng, nx=nx, dw_zero=not infeasible)
+    return plant, mode
+
+
+class TestBenchmarkPoolDefects:
+    """Two of-hinf requests that pools drawn from other seeds than the
+    benchmark's meet; each asks for 1.3 times the open-loop norm plus 0.1,
+    which the zero controller already meets."""
+
+    @pytest.mark.parametrize("seed, index, nx", [
+        pytest.param(703, 26, 6, marks=pytest.mark.xfail(
+            strict=True, raises=InfeasiblePerformance,
+            reason="refused as infeasible (dual improving ray found)")),
+        pytest.param(110, 68, 3, marks=pytest.mark.xfail(
+            strict=True, raises=SynthesisNumericalError,
+            reason="ends in an NT scaling breakdown")),
+    ])
+    def test_pool_request_designs(self, seed, index, nx):
+        p, mode = pool_plant(seed, index)
+        assert (mode, p.A.shape[0]) == ("of-hinf", nx)
+        g0 = 1.3 * analysis.hinf_norm((p.A, p.Bw, p.Cz, p.Dw)).value + 0.1
+        res = synth_of_hinf(SfSynthesisSpec(plant=p, performance_kind="hinf", gamma0=g0))
+        assert res.verified_closed_loop.value < g0

@@ -322,6 +322,16 @@ class TestProblemContainer:
         with pytest.raises(ValueError, match="exactly symmetric"):
             LmiBlock(F0=np.eye(2), var_idx=[0], coefs=[[[0.0, 1.0], [1.0 + 1e-15, 0.0]]])
 
+    def test_upper_triplets_checked(self):
+        block = LmiBlock(F0=np.eye(2), var_idx=[0], upper=([0], [0], [1], [2.0]))
+        assert np.array_equal(block.coefs, [[[0.0, 2.0], [2.0, 0.0]]])
+        for bad in [([0], [1], [0], [2.0]),  # lower triangle
+                    ([0], [0], [1], [0.0]),  # zero
+                    ([0, 0], [0, 0], [1, 1], [1.0, 1.0]),  # repeated
+                    ([1], [0], [1], [1.0])]:  # no such slice
+            with pytest.raises(ValueError, match="upper triplets"):
+                LmiBlock(F0=np.eye(2), var_idx=[0], upper=bad)
+
     def test_dump_triplets_deterministic(self, tmp_path):
         prob = det_problem()
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
