@@ -412,8 +412,9 @@ class _Cone(_ConeBase):
             self.Gu = scipy.sparse.csr_array((gu, (blk.slices, col)), shape=(k, m))
             self.Gmat = scipy.sparse.csr_array((g, (p, blk.slices)), shape=(sv.dim, k))
         else:
-            # Gu column-major and G row-major: BLAS's summation order in
-            # the products with them depends on the layout
+            # Gu column-major and G row-major: BLAS's summation order in the
+            # products with them, and so each solve's rounding, follows the
+            # layout
             self.Gu = np.zeros((m, k)).T
             self.Gu[blk.slices, col] = gu
             self.Gmat = np.zeros((sv.dim, k))  # (d, k)
