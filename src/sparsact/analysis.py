@@ -1,15 +1,18 @@
 """Norm computations used to verify synthesis results independently.
 
 Everything here is deliberately LMI-free: H2 norms come from a dense
-Lyapunov solve, H-infinity norms from bisection on the Hamiltonian
-imaginary-eigenvalue test.  Synthesis modules call into this module to
-certify their own output.
+Lyapunov solve, H-infinity norms from the level-set iteration on the
+Hamiltonian imaginary-eigenvalue test (Boyd & Balakrishnan 1990; Bruinsma
+& Steinbuch 1990), which also gives the peak frequency.  Synthesis modules
+call into this module to certify their own output.
 
 Fixed constants: HURWITZ_MARGIN bounds the eigenvalues' real parts; the
-H-infinity bisection stops at relative width HINF_TOL or after HINF_MAX_ITER
-halvings; eigenvalues within HAMILTONIAN_REAL_TOL (relative) of the
-imaginary axis count as on it; freq_response_gap uses FREQ_GRID_NUM
-log-spaced frequencies from FREQ_GRID_LO to FREQ_GRID_HI rad/s.
+H-infinity iteration stops when a level without crossings is within
+relative width 2 HINF_TOL of the highest gain attained or level crossed,
+or after HINF_MAX_ITER Hamiltonian tests; eigenvalues within
+HAMILTONIAN_REAL_TOL (relative) of the imaginary axis count as on it;
+freq_response_gap uses FREQ_GRID_NUM log-spaced frequencies from
+FREQ_GRID_LO to FREQ_GRID_HI rad/s.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ class NormReport:
     method: str
     converged: bool
     iterations: int = 0
+    peak_frequency: float | None = None  # rad/s; inf for the feedthrough, None for H2
 
 
 def _abcd(sys):
@@ -116,22 +120,20 @@ def h2_norm(sys) -> NormReport:
     return _h2_report(C, _checked_gramian(A, B))
 
 
-def hamiltonian_has_gain(A, B, C, D, gamma) -> bool:
-    """True iff the transfer function reaches gain >= gamma on the jw-axis.
+def _imaginary_frequencies(A, B, C, D, gamma):
+    """Sorted frequencies w >= 0 at which the Hamiltonian of level gamma has
+    an eigenvalue jw, or None when gamma^2 I - D'D is singular.
 
-    Standard Hamiltonian test: for gamma > sigma_max(D) the frequency
-    response attains gamma iff the associated Hamiltonian matrix has an
-    imaginary-axis eigenvalue.
+    For gamma > sigma_max(D) these are the frequencies at which some
+    singular value of the frequency response crosses gamma.  Eigenvalues
+    within HAMILTONIAN_REAL_TOL max(1, ||H||_2) of the axis count as on it.
     """
-    n = A.shape[0]
-    if n == 0:
-        return float(np.linalg.norm(D, 2)) >= gamma if D.size else False
     m = B.shape[1]
     R = gamma ** 2 * np.eye(m) - D.T @ D
     try:
         Rinv = np.linalg.inv(R)
     except np.linalg.LinAlgError:
-        return True
+        return None
     Abar = A + B @ Rinv @ D.T @ C
     H = np.block([
         [Abar, B @ Rinv @ B.T],
@@ -139,43 +141,103 @@ def hamiltonian_has_gain(A, B, C, D, gamma) -> bool:
     ])
     eigs = np.linalg.eigvals(H)
     tol = HAMILTONIAN_REAL_TOL * max(1.0, np.linalg.norm(H, 2))
-    return bool(np.any(np.abs(eigs.real) < tol))
+    return np.sort(eigs.imag[(np.abs(eigs.real) < tol) & (eigs.imag >= 0.0)])
+
+
+def hamiltonian_has_gain(A, B, C, D, gamma) -> bool:
+    """True iff the transfer function reaches gain >= gamma on the jw-axis.
+
+    Standard Hamiltonian test: for gamma > sigma_max(D) the frequency
+    response attains gamma iff the associated Hamiltonian matrix has an
+    imaginary-axis eigenvalue.
+    """
+    if A.shape[0] == 0:
+        return float(np.linalg.norm(D, 2)) >= gamma if D.size else False
+    freqs = _imaginary_frequencies(A, B, C, D, gamma)
+    return freqs is None or freqs.size > 0
+
+
+def _gains(A, B, C, D, freqs):
+    """sigma_max(G(jw)) at each finite w, in real arithmetic.
+
+    (jwI - A) X = B is solved as the real 2n x 2n system for (Re X, Im X),
+    and sigma_max(Gr + j Gi) is that of the real embedding
+    [[Gr, -Gi], [Gi, Gr]], whose singular values are G's, each twice.
+    """
+    n = A.shape[0]
+    w = np.asarray(freqs, dtype=float)[:, None, None]
+    M = np.kron(np.eye(2), -A) + w * np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(n))
+    rhs = np.vstack([B, np.zeros_like(B)])
+    X = np.linalg.solve(M, np.broadcast_to(rhs, (len(w),) + rhs.shape))
+    Gr = C @ X[:, :n] + D
+    Gi = C @ X[:, n:]
+    G = np.block([[Gr, -Gi], [Gi, Gr]])
+    return np.linalg.svd(G, compute_uv=False)[:, 0]
+
+
+def _pole_frequency(poles):
+    """Bruinsma & Steinbuch's start frequency: the modulus of the pole with
+    the largest |Im / Re| / |p|, or of the smallest pole if all are real."""
+    mags = np.abs(poles)
+    if np.all(poles.imag == 0.0):
+        return float(np.min(mags))
+    return float(mags[np.argmax(np.abs(poles.imag / poles.real) / mags)])
 
 
 def hinf_norm(sys) -> NormReport:
-    """H-infinity norm by bisection on the Hamiltonian test."""
+    """H-infinity norm by the level-set iteration of Boyd & Balakrishnan
+    (1990) and Bruinsma & Steinbuch (1990).
+
+    The lower bound starts at the largest gain of D (infinite frequency),
+    G(0) and G(j wp), wp the pole frequency.  Each step tests the
+    Hamiltonian at (1 + 2 HINF_TOL) times the lower bound and raises the
+    bound to the largest gain at the geometric midpoints of the crossing
+    frequencies it finds.  A test that finds crossings which no midpoint
+    reaches (a sharp peak, where the test's tolerance still sees a crossing
+    above every gain attained) raises the test level instead, doubling its
+    distance from the bound, and then bisects between the highest level
+    with a crossing and the lowest without one.  The iteration stops when
+    a level without crossings is within 2 HINF_TOL of the highest gain or
+    level crossed; the value is their midpoint, bracketed by the gain
+    attained at ``peak_frequency`` and the level tested.  ``iterations``
+    counts Hamiltonian eigensolves, at most HINF_MAX_ITER.
+    """
     A, B, C, D = _abcd(sys)
     sig_d = float(np.linalg.norm(D, 2)) if D.size else 0.0
-    if A.size == 0 or B.size == 0 or C.size == 0:
-        return NormReport(value=sig_d, kind="Hinf", method="hamiltonian-bisection",
-                          converged=True)
-    if not is_hurwitz(A):
+    if B.size and C.size and not is_hurwitz(A):
         raise NonHurwitzError("Hinf norm undefined: state matrix is not Hurwitz")
-    # Bracket: lower at the feedthrough gain, upper from a Hankel-style
-    # Gramian bound, doubled until the test certifies it as an upper bound.
-    Wc = controllability_gramian(A, B)
-    Wo = controllability_gramian(A.T, C.T)
-    hankel = np.sqrt(np.maximum(0.0, np.real(np.linalg.eigvals(Wc @ Wo))))
-    upper = sig_d + 2.0 * float(np.sum(hankel)) + 1e-12
-    lower = sig_d
-    it = 0
-    while hamiltonian_has_gain(A, B, C, D, upper) and it < 60:
-        lower = upper
-        upper *= 2.0
-        it += 1
-    if it >= 60:
-        raise NonHurwitzError("Hinf bisection failed to bracket the norm")
-    iters = it
-    while (upper - lower) > HINF_TOL * upper and iters < HINF_MAX_ITER:
-        mid = 0.5 * (upper + lower)
-        if hamiltonian_has_gain(A, B, C, D, mid):
-            lower = mid
+    if not (np.any(B) and np.any(C)):  # G is the constant D
+        return NormReport(value=sig_d, kind="Hinf", method="hamiltonian-level-set",
+                          converged=True, peak_frequency=np.inf)
+    start = np.array([0.0, _pole_frequency(np.linalg.eigvals(A))])
+    gains = _gains(A, B, C, D, start)
+    k = int(np.argmax(gains))
+    lower, peak = (sig_d, np.inf) if sig_d >= gains[k] else (float(gains[k]), float(start[k]))
+    # crossed: the highest gain attained or level tested with a crossing;
+    # clear: the lowest level tested clear of crossings
+    crossed, clear, step = lower, np.inf, 2.0 * HINF_TOL
+    tests = 0
+    while clear * (1.0 - HINF_TOL) > crossed * (1.0 + HINF_TOL) and tests < HINF_MAX_ITER:
+        level = lower * (1.0 + step) if clear == np.inf else 0.5 * (crossed + clear)
+        freqs = _imaginary_frequencies(A, B, C, D, level)
+        tests += 1
+        if freqs is not None and freqs.size == 0:
+            clear = level
+            continue
+        if freqs is not None and freqs.size > 1:
+            mids = np.sqrt(freqs[:-1] * freqs[1:])
+            gains = _gains(A, B, C, D, mids)
+            k = int(np.argmax(gains))
+            if gains[k] > lower:
+                lower, peak = float(gains[k]), float(mids[k])
+        if lower >= level:  # a midpoint confirmed the crossing
+            crossed, clear, step = lower, np.inf, 2.0 * HINF_TOL
         else:
-            upper = mid
-        iters += 1
-    val = 0.5 * (upper + lower)
-    return NormReport(value=float(val), kind="Hinf", method="hamiltonian-bisection",
-                      converged=iters < HINF_MAX_ITER, iterations=iters)
+            crossed, step = level, 2.0 * step
+    converged = clear * (1.0 - HINF_TOL) <= crossed * (1.0 + HINF_TOL)
+    return NormReport(value=0.5 * (crossed + clear) if converged else crossed,
+                      kind="Hinf", method="hamiltonian-level-set", converged=converged,
+                      iterations=tests, peak_frequency=peak)
 
 
 def channel_h2_norms(plant, controller):

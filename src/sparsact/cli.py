@@ -99,7 +99,8 @@ def _solver_trace_csv(sol):
 
 def _norm_report_dict(rep):
     return {"value": rep.value, "kind": rep.kind, "method": rep.method,
-            "converged": rep.converged}
+            "converged": rep.converged, "iterations": rep.iterations,
+            "peak_frequency": rep.peak_frequency}
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,24 @@ def random_plant(rng, nx=3, nu=2, nw=2, nz=2, ny=2, stable_margin=0.5,
     raise RuntimeError("could not generate a well-posed random plant")
 
 
+# The random-designs benchmark pool (perfbench/worker.py, RandomDesigns):
+# 8 batches of 30 requests, every mode at every nx = 2..6, plants drawn in
+# that order from one generator; an H-infinity mode's plant has Dw != 0
+# when (nx + its index among the H-infinity modes) is divisible by 3.
+POOL_MODES = ("sf-hinf", "sf-h2", "of-hinf", "of-h2", "joint-hinf", "joint-h2")
+
+
+def pool_requests(seed):
+    """(plant, mode) of each request of the pool drawn from generator `seed`,
+    in draw order."""
+    rng = np.random.default_rng(seed)
+    hinf = [m for m in POOL_MODES if m.endswith("hinf")]
+    for i in range(240):
+        nx, mode = 2 + i % 30 // 6, POOL_MODES[i % 6]
+        infeasible = mode in hinf and (nx + hinf.index(mode)) % 3 == 0
+        yield random_plant(rng, nx=nx, dw_zero=not infeasible), mode
+
+
 def coupled_lyapunov_pair(rng, nx):
     """Random (X, Y) with [[X, I], [I, Y]] positive definite."""
     L = rng.standard_normal((nx, nx))

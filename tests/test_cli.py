@@ -6,6 +6,7 @@ import pytest
 from sparsact.bench import ScalarOracle
 from sparsact.cli import main
 from sparsact.model import GeneralizedPlant, save_plant
+from sparsact.statefb import VERIFY_RTOL
 
 
 @pytest.fixture
@@ -107,6 +108,29 @@ class TestVerify:
         rep = json.loads((out / "verify.json").read_text())
         assert rep["hinf"]["value"] < 2.0
         assert len(rep["channel_h2"]) == 1
+
+    def test_peak_frequency(self, tmp_path):
+        # 1/(s^2 + 2 zeta s + 1) with zeta = 0.05 under the zero gain: the
+        # peak is at sqrt(1 - 2 zeta^2)
+        zeta = 0.05
+        model = tmp_path / "resonance.json"
+        save_plant(GeneralizedPlant(
+            A=[[0.0, 1.0], [-1.0, -2.0 * zeta]], Bu=[[0.0], [1.0]], Bw=[[0.0], [1.0]],
+            Cz=[[1.0, 0.0]], Du=[[0.0]], Dw=[[0.0]], Cy=[[1.0, 0.0]], Dyw=[[0.0]]), model)
+        ctrl = tmp_path / "zero.json"
+        ctrl.write_text(json.dumps({"K": [[0.0, 0.0]]}))
+        out = tmp_path / "verify"
+        rc = main(["verify", "--model", str(model), "--controller", str(ctrl),
+                   "--out", str(out)])
+        assert rc == 0
+        rep = json.loads((out / "verify.json").read_text())
+        hinf = rep["hinf"]
+        assert hinf["converged"] and hinf["iterations"] >= 1
+        w = hinf["peak_frequency"]
+        assert w == pytest.approx(np.sqrt(1.0 - 2.0 * zeta ** 2), abs=1e-3)
+        gain = 1.0 / abs(1.0 - w ** 2 + 2j * zeta * w)
+        assert gain == pytest.approx(hinf["value"], rel=VERIFY_RTOL)
+        assert rep["h2"]["peak_frequency"] is None
 
     def test_bound_check_exit_2(self, scalar_model, tmp_path):
         ctrl = self._synth(scalar_model, tmp_path)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from sparsact.outputfb import (
 )
 from sparsact.statefb import SfSynthesisSpec
 
-from conftest import coupled_lyapunov_pair, random_plant
+from conftest import coupled_lyapunov_pair, pool_requests, random_plant
 
 
 class TestScalarOracle:
@@ -120,22 +122,9 @@ class TestMeasuredStateEquivalence:
                 assert rep.value <= np.sqrt(res.gamma[i]) * (1 + 1e-5) + 1e-12
 
 
-# The random-designs benchmark pool (perfbench/worker.py, RandomDesigns):
-# batches of 30 requests, every mode at every nx = 2..6, plants drawn in
-# that order from one generator; an H-infinity mode's plant has Dw != 0
-# when (nx + its index among the H-infinity modes) is divisible by 3.
-POOL_MODES = ("sf-hinf", "sf-h2", "of-hinf", "of-h2", "joint-hinf", "joint-h2")
-
-
 def pool_plant(seed, index):
     """The plant and mode of request `index` of the pool drawn from generator `seed`."""
-    rng = np.random.default_rng(seed)
-    hinf = [m for m in POOL_MODES if m.endswith("hinf")]
-    for i in range(index + 1):
-        nx, mode = 2 + i % 30 // 6, POOL_MODES[i % 6]
-        infeasible = mode in hinf and (nx + hinf.index(mode)) % 3 == 0
-        plant = random_plant(rng, nx=nx, dw_zero=not infeasible)
-    return plant, mode
+    return next(itertools.islice(pool_requests(seed), index, None))
 
 
 class TestBenchmarkPoolDefects:
