@@ -8,8 +8,19 @@ one parametrizes its null space instead (outputfb).
 
 The solver is a primal-dual interior-point method on the homogeneous
 self-dual embedding with Nesterov-Todd scaling and a Mehrotra corrector.
-The NT scaling of a PSD block is dense (its n x n factors R and Rinv).  A
-block stores its coefficient slices T_i only as the (slice, row, col,
+The NT scaling of a PSD block is dense (its n x n factors R and Rinv), in
+the SVD form of Todd, Toh & Tutuncu (1998).  All PSD blocks of a problem
+are scaled at once, as one (b, N, N) stack padded to N, the largest block
+dimension (_PsdStack): each iteration's Cholesky factorizations, SVD,
+step-length eigenvalues and scaled-space products are one numpy call per
+stack instead of one per block, which is most of the cost of a problem of
+small blocks.  A block is the top-left corner of its matrix.  The pad is
+zero off the diagonal, and on it 1 for the iterates s and z and 0 for
+directions: the scaling then keeps the pad the identity and exactly zero
+across the corner's edge, and a direction's pad eigenvalues are exactly
+zero.  svec reads only the corners, so the pad never reaches the
+solver's vectors.  The Schur complement and the map G stay per block.
+A block stores its coefficient slices T_i only as the (slice, row, col,
 value) triplets of their nonzero upper-triangle entries (LmiBlock), from
 which set-up builds the Schur data below; no dense (k, n, n) tensor is
 formed on the solve path.  LmiBlock.coefs builds that tensor on demand
@@ -26,21 +37,23 @@ nonzero entries, as in the sparse formulas of SDPA (Fujisawa, Kojima &
 Nakata, 1997), without scaling any slice.  With W = Rinv' Rinv, a block
 adds tr(T_i W T_j W) at (i, j).  Set-up records the svec entries the
 block's slices touch, p = (a, b), and the slices' values there, Gu (k x m);
-each iteration forms M_pq = W_ac W_bd + W_ad W_bc on those m entries only
-and adds 2 Gu M Gu', symmetrized, to H (_Cone.add_schur).  Gu is a sparse
-matrix when the dense products would spend more than SPARSE_SCHUR_WASTE
-multiply-adds on its zeros (the largest blocks of the tensegrity and
-chain problems, where a slice has one to a few dozen nonzeros) and a
-dense array otherwise; the block's G is then sparse too, for the products
-with G and G' that form the residuals and the Newton right-hand sides.
-scipy.sparse is imported only once such a block appears.  A second-order
-cone adds (W^-1 G)'(W^-1 G) (_Soc.add_schur).
+each iteration forms M_pq = W_ac W_bd + W_ad W_bc on those m entries only,
+W from the block's corner of the stack's Rinv, and adds 2 Gu M Gu',
+symmetrized, to H (_Cone.add_schur).  Gu is a sparse matrix when the
+dense products would spend more than SPARSE_SCHUR_WASTE multiply-adds on
+its zeros (the largest blocks of the tensegrity and chain problems, where
+a slice has one to a few dozen nonzeros) and a dense array otherwise; the
+block's G is then sparse too, for the products with G and G' that form
+the residuals and the Newton right-hand sides.  scipy.sparse is imported
+only once such a block appears.  A second-order cone adds
+(W^-1 G)'(W^-1 G) (_Soc.add_schur).
 A cone adds its part of H by slices over its runs of consecutive
 variables, or by one gathered addition when it has more than about k / 17
 runs (SLICE_RUN_RATIO).  The Newton solves apply W^-T and W^-1 to one
-vector per cone and right-hand side (_solve3).  An iteration makes two of
-them: the tau-direction and the predictor share one solve with two
-right-hand sides, and the corrector has its own.
+vector per right-hand side, once for the stack and once per second-order
+cone (_solve3).  An iteration makes two of them: the tau-direction and
+the predictor share one solve with two right-hand sides, and the
+corrector has its own.
 
 The Schur system H + delta I is symmetric positive definite and is factored
 by Cholesky; LU is used only when Cholesky fails numerically.  Target
@@ -339,14 +352,6 @@ class _SvecMap:
         return (v / self.w).take(self.full)
 
 
-def _conj(R1, M, R2):
-    return R1 @ M @ R2
-
-
-def _sym(M):
-    return 0.5 * (M + M.T)
-
-
 def _stack(parts):
     """Concatenate per-cone svec parts; empty for a problem without blocks."""
     return np.concatenate([np.zeros(0), *parts])
@@ -386,18 +391,18 @@ class _ConeBase:
 
 
 class _Cone(_ConeBase):
-    """Static conic data for one PSD block plus per-iteration NT scaling."""
+    """Static conic data for one PSD block: its svec part, G and Schur data.
+
+    Its NT scaling is its corner of the _PsdStack of the problem's blocks.
+    """
 
     def __init__(self, blk: LmiBlock, start):
         sv = self.sv = _SvecMap(blk.dim)
         self.h = sv.svec(blk.F0)
         self.vi = blk.var_idx
-        self.dim = self.degree = blk.dim
+        self.dim = blk.dim
         self.sdim = sv.dim
         self.part = slice(start, start + sv.dim)  # this block's svec entries
-        self.R = None
-        self.Rinv = None
-        self.lam = None  # (n,) eigenvalues of the scaled point
         # Schur data (add_schur): the svec entries (P[p], Q[p]) that the
         # slices touch and Gu, the slices' values on them, halved on the
         # diagonal
@@ -421,89 +426,151 @@ class _Cone(_ConeBase):
             self.Gmat[p, blk.slices] = g
         self.hsel = _placement(self.vi)
 
-    def identity(self):
-        return self.sv.svec(np.eye(self.dim))
-
-    def dual(self, z):
-        return self.sv.smat(z)
-
-    # --- NT scaling --------------------------------------------------------
-    def update_scaling(self, s, z):
-        S = self.sv.smat(s)
-        Z = self.sv.smat(z)
-        Ls = np.linalg.cholesky(S)
-        Lz = np.linalg.cholesky(Z)
-        U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
-        if sig.min() <= 0:
-            raise np.linalg.LinAlgError("NT scaling breakdown")
-        sig_isqrt = 1.0 / np.sqrt(sig)
-        self.R = Ls @ Vt.T * sig_isqrt
-        self.Rinv = (sig_isqrt[:, None] * U.T) @ Lz.T
-        self.lam = sig
-
-    def add_schur(self, H):
+    def add_schur(self, H, Rinv):
         """Add this block's G' W^-1 W^-T G to the Schur complement H.
 
-        Its (i, j) entry is tr(T_i W T_j W) with W = Rinv' Rinv.  Summed over
-        the touched entries p = (a, b) and q = (c, d), that is
-        2 (Gu M Gu')_ij with M_pq = W_ac W_bd + W_ad W_bc; X = Gu M Gu' is
-        added as X + X', which is exactly symmetric.
+        Its (i, j) entry is tr(T_i W T_j W) with W = Rinv' Rinv, Rinv the
+        block's n x n corner of the stack's.  Summed over the touched entries
+        p = (a, b) and q = (c, d), that is 2 (Gu M Gu')_ij with
+        M_pq = W_ac W_bd + W_ad W_bc; X = Gu M Gu' is added as X + X', which
+        is exactly symmetric.
         """
-        W = self.Rinv.T @ self.Rinv
+        W = Rinv.T @ Rinv
         WP, WQ = W[:, self.P], W[:, self.Q]
         M = WP[self.P] * WQ[self.Q]
         M += WQ[self.P] * WP[self.Q]
         X = self.Gu @ (self.Gu @ M).T
         self.add_to(H, X + X.T)
 
+
+def _T(M):
+    """The transpose of every matrix of a (b, N, N) stack."""
+    return M.transpose(0, 2, 1)
+
+
+def _sym(M):
+    return 0.5 * (M + _T(M))
+
+
+class _PsdStack:
+    """The NT scaling and scaled-space algebra of all PSD blocks at once.
+
+    Block j (n_j x n_j) is the top-left corner of matrix j of a (b, N, N)
+    stack, N the largest n_j; the rest of the matrix is its pad.  smat
+    fills the pad with zeros off the diagonal and `pad` on it: 1 for S and
+    Z, whose Cholesky factors and NT scaling then keep the pad exactly the
+    identity (up to the order of its columns) and zero across the
+    real/pad boundary; 0 for directions, whose pad eigenvalues are then
+    exactly zero.  svec reads only the real upper entries, so the pad
+    never reaches the stacked vectors.  Towards the solver the stack is one
+    cone of degree sum n_j over the blocks' consecutive svec parts; G and
+    the Schur complement stay per block.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        dims = np.array([co.dim for co in blocks])
+        b, N = len(blocks), dims.max()
+        self.degree = int(dims.sum())
+        self.sdim = blocks[-1].part.stop
+        self.part = slice(0, self.sdim)
+        self.h = _stack(co.h for co in blocks)
+        # index of every stack entry in [v / w, 0, pad]: smat is one take
+        self.full = np.full((b, N, N), self.sdim)
+        self.full[:, np.arange(N), np.arange(N)] = self.sdim + 1
+        for M, co in zip(self.full, blocks):
+            M[:co.dim, :co.dim] = co.sv.full + co.part.start
+        self.upper = np.concatenate([j * N * N + co.sv.rows * N + co.sv.cols
+                                     for j, co in enumerate(blocks)])
+        self.w = _stack(co.sv.w for co in blocks)
+        self.padmask = (np.arange(N) >= dims[:, None]).astype(float)[:, :, None]
+        self.batch = np.arange(b)[:, None]
+        self.eye = np.eye(N)
+        self.R = self.Rinv = None  # (b, N, N)
+        self.lam = None  # (b, N) eigenvalues of the scaled points, the pad's 1 last
+
+    def smat(self, v, pad=0.0):
+        return np.concatenate([v / self.w, (0.0, pad)]).take(self.full)
+
+    def svec(self, M):
+        return M.take(self.upper) * self.w
+
+    def identity(self):
+        return self.svec(np.broadcast_to(self.eye, self.full.shape))
+
+    def duals(self, z):
+        """The blocks' n x n matrices of the stacked svec vector z."""
+        return [co.sv.smat(z[co.part]) for co in self.blocks]
+
+    def Gx(self, x):
+        return _stack(co.Gx(x) for co in self.blocks)
+
+    def add_GTz(self, out, z):
+        for co in self.blocks:
+            co.add_GTz(out, z[co.part])
+
+    def add_schur(self, H):
+        for co, Rinv in zip(self.blocks, self.Rinv):
+            co.add_schur(H, Rinv[:co.dim, :co.dim])
+
+    # --- NT scaling --------------------------------------------------------
+    def update_scaling(self, s, z):
+        """R and Rinv with R' Z R = Rinv S Rinv' = diag(lam), R Rinv = I.
+
+        The SVD sorts each matrix's singular values with the pad's 1s among
+        them; a stable sort moves the pad's vectors, whose weight on the
+        pad is 1, after the block's own, which keep their order.
+        """
+        Ls = np.linalg.cholesky(self.smat(s, 1.0))
+        Lz = np.linalg.cholesky(self.smat(z, 1.0))
+        U, sig, Vt = np.linalg.svd(_T(Lz) @ Ls)
+        on_pad = ((Vt * Vt) @ self.padmask)[:, :, 0] > 0.5
+        order = self.batch, np.argsort(on_pad, axis=1, kind="stable")
+        sig = sig[order]
+        if sig.min() <= 0:
+            raise np.linalg.LinAlgError("NT scaling breakdown")
+        sig_isqrt = 1.0 / np.sqrt(sig)
+        self.R = Ls @ _T(Vt[order]) * sig_isqrt[:, None, :]
+        self.Rinv = (sig_isqrt[:, :, None] * _T(U)[order]) @ _T(Lz)
+        self.lam = sig
+
     # scaled-space operators
     def W_z(self, z):
-        return self.sv.svec(_conj(self.R.T, self.sv.smat(z), self.R))
+        return self.svec(_T(self.R) @ self.smat(z) @ self.R)
 
     def WT_u(self, u):
-        return self.sv.svec(_conj(self.R, self.sv.smat(u), self.R.T))
+        return self.svec(self.R @ self.smat(u) @ _T(self.R))
 
     def scaled_rhs(self, bz, out):
-        """Add G' W^-1 W^-T bz to out[vi]; return W^-T bz as a matrix.
+        """Add G' W^-1 W^-T bz to out[vi]; return W^-T bz as a matrix stack.
 
         W^-T maps smat(v) to Rinv smat(v) Rinv' and W^-1 to Rinv' smat(v)
         Rinv; the intermediate is symmetrized between the two.
         """
-        Bt = _sym(_conj(self.Rinv, self.sv.smat(bz), self.Rinv.T))
-        self.add_GTz(out, self.sv.svec(_conj(self.Rinv.T, Bt, self.Rinv)))
+        Bt = _sym(self.Rinv @ self.smat(bz) @ _T(self.Rinv))
+        self.add_GTz(out, self.svec(_T(self.Rinv) @ Bt @ self.Rinv))
         return Bt
 
     def scaled_dz(self, ux, Bt):
         """W^-1 (W^-T G ux - Bt), with Bt from scaled_rhs."""
-        D = _sym(_conj(self.Rinv, self.sv.smat(self.Gx(ux)), self.Rinv.T)) - Bt
-        return self.sv.svec(_conj(self.Rinv.T, D, self.Rinv))
-
-    # symmetrized product of two scaled svec vectors
-    def jprod(self, u, v):
-        U = self.sv.smat(u)
-        V = self.sv.smat(v)
-        return self.sv.svec(0.5 * (U @ V + V @ U))
-
-    def lam_solve(self, rhs_mat):
-        denom = 0.5 * (self.lam[:, None] + self.lam[None, :])
-        return self.sv.svec(rhs_mat / denom)
+        D = _sym(self.Rinv @ self.smat(self.Gx(ux)) @ _T(self.Rinv)) - Bt
+        return self.svec(_T(self.Rinv) @ D @ self.Rinv)
 
     def q_aff(self):
         """lambda^-1 o (lambda o lambda) = lambda, the predictor's target."""
-        return self.sv.svec(np.diag(self.lam))
+        return self.svec(self.lam[:, :, None] * self.eye)
 
     def q_comb(self, us, uz, sigma_mu):
         """lambda^-1 o (lambda o lambda + us o uz - sigma_mu e)."""
-        return self.lam_solve(np.diag(self.lam ** 2) + self.sv.smat(self.jprod(us, uz))
-                              - sigma_mu * np.eye(self.dim))
+        UV = self.smat(us) @ self.smat(uz)
+        rhs = 0.5 * (UV + _T(UV)) + (self.lam ** 2 - sigma_mu)[:, :, None] * self.eye
+        return self.svec(rhs / (0.5 * (self.lam[:, :, None] + self.lam[:, None, :])))
 
     def max_step(self, d_scaled):
-        """Largest alpha with lambda + alpha*smat(d) >= 0 (scaled space)."""
-        M = self.sv.smat(d_scaled)
+        """Largest alpha with lambda + alpha*smat(d) >= 0 in every block (scaled space)."""
         isq = 1.0 / np.sqrt(self.lam)
-        Mn = isq[:, None] * M * isq[None, :]
-        w = np.linalg.eigvalsh(Mn)
-        wmin = w[0]
+        w = np.linalg.eigvalsh(isq[:, :, None] * self.smat(d_scaled) * isq[:, None, :])
+        wmin = w[:, 0].min()
         if wmin >= 0:
             return np.inf
         return -1.0 / wmin
@@ -542,9 +609,6 @@ class _Soc(_ConeBase):
         e = np.zeros(self.sdim)
         e[0] = 1.0
         return e
-
-    def dual(self, z):
-        return z
 
     def update_scaling(self, s, z):
         """NT scaling W = eta [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]].
@@ -643,13 +707,15 @@ class _Soc(_ConeBase):
 
 
 def _cones(problem):
-    """The problem's cones, PSD blocks first, each given its part of the stacked vectors."""
+    """The _PsdStack of the problem's PSD blocks, if it has any, then its
+    second-order cones, each given its part of the stacked vectors."""
     cones, start = [], 0
     for make, data in [*((_Cone, blk) for blk in problem.blocks),
                        *((_Soc, soc) for soc in problem.socs)]:
         cones.append(make(data, start))
         start += cones[-1].sdim
-    return cones
+    npsd = len(problem.blocks)
+    return ([_PsdStack(cones[:npsd])] if npsd else []) + cones[npsd:]
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +753,8 @@ def _solve3(cones, H, kkt_solve, pairs):
     """Solve the scaled Newton system for (ux, uz), one pair per (bx, bz) in pairs.
 
     The system is  H ux = bx + G' W^-1 W^-T bz,
-    uz = W^-1 (W^-T G ux - W^-T bz), one block at a time (_Cone.scaled_rhs
-    and scaled_dz).  The solve is refined twice against the unregularized
+    uz = W^-1 (W^-T G ux - W^-T bz), for the PSD stack and each second-order
+    cone in turn (scaled_rhs and scaled_dz).  The solve is refined twice against the unregularized
     system.  Every kkt_solve takes all the right-hand sides as columns;
     the refinement residuals are formed one column at a time, so that each
     pair's answer is the one it would get alone.
@@ -935,14 +1001,14 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     # an improving ray is returned as found, any other answer divided by tau
     ray = status in ("infeasible", "unbounded")
     sc = tau if not ray and np.isfinite(tau) and tau > 1e-100 else 1.0
-    duals = [co.dual(zb) / sc for co, zb in zip(cones, split(z))]
+    nstack = 1 if problem.blocks else 0
+    block_duals = [Z / sc for stack in cones[:nstack] for Z in stack.duals(z)]
     x_out = x / sc
-    npsd = len(problem.blocks)
 
     obj = float(c @ x_out) + problem.obj_const if status == "optimal" else np.nan
-    return SdpSolution(status=status, x=x_out, objective=obj, block_duals=duals[:npsd], pres=pres, dres=dres,
+    return SdpSolution(status=status, x=x_out, objective=obj, block_duals=block_duals, pres=pres, dres=dres,
                        gap=gap, iterations=it + 1, iterates=iterates, message=message,
-                       soc_duals=duals[npsd:], phase_s=clock.seconds)
+                       soc_duals=[z[co.part] / sc for co in cones[nstack:]], phase_s=clock.seconds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,13 @@
 """Shared fixtures and oracles for the test suite."""
 
+import os
+
+# one BLAS thread, as CI and the benchmark run: the solver's iteration
+# counts, which tests assert, depend on the thread count; an explicit
+# setting still wins.  Set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

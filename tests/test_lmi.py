@@ -428,7 +428,7 @@ class TestSparseCompile:
         problem, (c, blocks, socs) = compiled
         assert np.array_equal(problem.c, c)
         assert (len(problem.blocks), len(problem.socs)) == (len(blocks), len(socs))
-        for blk, (F0, var_idx, coefs), co in zip(problem.blocks, blocks, sdp._cones(problem)):
+        for blk, (F0, var_idx, coefs), co in zip(problem.blocks, blocks, sdp._cones(problem)[0].blocks):
             assert np.array_equal(blk.F0, F0) and np.array_equal(blk.var_idx, var_idx)
             assert np.array_equal(blk.coefs, coefs)
             h, Gu, Gmat = dense_cone_data(F0, coefs)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_plant
 from sparsact import bench, sdp
@@ -100,6 +102,34 @@ def random_lmi_problem(seed, num_vars=6, dim=5):
         blocks.append(LmiBlock(F0=np.eye(2), var_idx=[i],
                                coefs=[[[0.0, 1.0], [1.0, 0.0]]]))
     return SdpProblem(num_vars=num_vars, c=rng.standard_normal(num_vars), blocks=blocks)
+
+
+def _blocks_problem(seed, dims, num_vars=6):
+    """min c'x s.t. I + sum_i x_i C_i >= 0 in a block of each size in dims,
+    and the |x_i| <= 1 blocks of random_lmi_problem."""
+    rng = np.random.default_rng(seed)
+    box = random_lmi_problem(seed, num_vars=num_vars)
+    blocks = []
+    for n in dims:
+        C = rng.standard_normal((num_vars, n, n))
+        blocks.append(LmiBlock(F0=np.eye(n), var_idx=np.arange(num_vars),
+                               coefs=0.5 * (C + np.transpose(C, (0, 2, 1)))))
+    return SdpProblem(num_vars=num_vars, c=box.c, blocks=blocks + box.blocks[1:]), rng
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dims=st.lists(st.integers(1, 8), min_size=2, max_size=5))
+def test_block_order_does_not_change_the_answer(seed, dims):
+    # the blocks' order decides their place in the padded stack, not the answer
+    problem, rng = _blocks_problem(seed, dims)
+    order = rng.permutation(len(problem.blocks))
+    permuted = SdpProblem(num_vars=problem.num_vars, c=problem.c,
+                          blocks=[problem.blocks[i] for i in order])
+    solutions = [solve_sdp(p) for p in (problem, permuted)]
+    for p, sol in zip((problem, permuted), solutions):
+        assert sol.status == "optimal"
+        assert check_certificate(p, sol).clean
+    assert solutions[1].objective == pytest.approx(solutions[0].objective, rel=1e-7)
 
 
 class TestSchurFactorization:
@@ -310,6 +340,161 @@ class TestSocScaling:
             assert co.q_aff() == pytest.approx(co.lam_solve(co.jprod(co.lam, co.lam)))
 
 
+class _PerBlockScaling:
+    """The NT scaling and scaled-space algebra of one PSD block, as the
+    solver computed them block by block before the padded stack: the
+    stack's oracle."""
+
+    def __init__(self, co):
+        self.co, self.sv, self.dim = co, co.sv, co.dim
+
+    def update_scaling(self, s, z):
+        Ls = np.linalg.cholesky(self.sv.smat(s))
+        Lz = np.linalg.cholesky(self.sv.smat(z))
+        U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
+        if sig.min() <= 0:
+            raise np.linalg.LinAlgError("NT scaling breakdown")
+        sig_isqrt = 1.0 / np.sqrt(sig)
+        self.R = Ls @ Vt.T * sig_isqrt
+        self.Rinv = (sig_isqrt[:, None] * U.T) @ Lz.T
+        self.lam = sig
+
+    def W_z(self, z):
+        return self.sv.svec(self.R.T @ self.sv.smat(z) @ self.R)
+
+    def WT_u(self, u):
+        return self.sv.svec(self.R @ self.sv.smat(u) @ self.R.T)
+
+    def scaled_rhs(self, bz, out):
+        Bt = _symmetrized(self.Rinv @ self.sv.smat(bz) @ self.Rinv.T)
+        self.co.add_GTz(out, self.sv.svec(self.Rinv.T @ Bt @ self.Rinv))
+        return Bt
+
+    def scaled_dz(self, ux, Bt):
+        D = _symmetrized(self.Rinv @ self.sv.smat(self.co.Gx(ux)) @ self.Rinv.T) - Bt
+        return self.sv.svec(self.Rinv.T @ D @ self.Rinv)
+
+    def jprod(self, u, v):
+        U, V = self.sv.smat(u), self.sv.smat(v)
+        return self.sv.svec(0.5 * (U @ V + V @ U))
+
+    def lam_solve(self, rhs_mat):
+        return self.sv.svec(rhs_mat / (0.5 * (self.lam[:, None] + self.lam[None, :])))
+
+    def q_comb(self, us, uz, sigma_mu):
+        return self.lam_solve(np.diag(self.lam ** 2) + self.sv.smat(self.jprod(us, uz))
+                              - sigma_mu * np.eye(self.dim))
+
+    def max_step(self, d_scaled):
+        isq = 1.0 / np.sqrt(self.lam)
+        w = np.linalg.eigvalsh(isq[:, None] * self.sv.smat(d_scaled) * isq[None, :])
+        return np.inf if w[0] >= 0 else -1.0 / w[0]
+
+
+def _symmetrized(M):
+    return 0.5 * (M + M.T)
+
+
+def _random_pd(rng, n, spread):
+    """A random positive definite n x n matrix with eigenvalues in [10^-spread, 1]."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (Q * 10.0 ** rng.uniform(-spread, 0.0, n)) @ Q.T
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (5, 5, 5), (1, 24, 30, 39), (6, 7, 7, 8, 10)],
+                         ids=["all-1x1", "equal", "tensegrity-like", "random-designs-like"])
+class TestPsdStack:
+    """The padded stack's NT scaling and scaled-space operators agree with
+    the per-block ones on every block."""
+
+    @staticmethod
+    def _setup(dims, seed):
+        rng = np.random.default_rng(seed)
+        nv = 6
+        blocks = []
+        for n in dims:
+            C = rng.standard_normal((nv, n, n))
+            blocks.append(LmiBlock(F0=np.eye(n), var_idx=np.arange(nv),
+                                   coefs=C + np.transpose(C, (0, 2, 1))))
+        [stack] = sdp._cones(SdpProblem(num_vars=nv, c=np.zeros(nv), blocks=blocks))
+        return rng, stack, [_PerBlockScaling(co) for co in stack.blocks]
+
+    def test_scaling_and_operators_match_per_block(self, dims):
+        rng, stack, refs = self._setup(dims, sum(dims))
+        nv, N = 6, max(dims)
+        parts = [co.part for co in stack.blocks]
+        for trial in range(6):
+            spread = 0.5 + 0.5 * trial  # condition numbers up to 10^3 in S and in Z
+            s, z = (np.concatenate([co.sv.svec(_random_pd(rng, co.dim, spread))
+                                    for co in stack.blocks]) for _ in range(2))
+            stack.update_scaling(s, z)
+            for ref, p in zip(refs, parts):
+                ref.update_scaling(s[p], z[p])
+            assert stack.lam.shape == stack.R.shape[:2] == stack.Rinv.shape[:2] == (len(dims), N)
+            # R is unique up to an orthogonal factor on the right, which the
+            # two SVDs may choose differently (the signs of the singular
+            # vectors): O maps the reference's scaled coordinates to the
+            # stack's, X -> O X O'
+            Os, cond = [], 1.0
+            for j, (ref, n) in enumerate(zip(refs, dims)):
+                c = np.linalg.cond(ref.R) ** 2
+                cond = max(cond, c)
+                R, Rinv = stack.R[j, :n, :n], stack.Rinv[j, :n, :n]
+                assert np.allclose(stack.lam[j, :n], ref.lam, rtol=1e-12 * c, atol=0.0)
+                assert np.array_equal(stack.lam[j, n:], np.ones(N - n))
+                for M in (stack.R[j], stack.Rinv[j]):
+                    # exactly zero across every real/pad boundary
+                    assert not M[:n, n:].any() and not M[n:, :n].any()
+                # the NT scaling point W = R R' and its inverse are unique
+                for got, want in ((R @ R.T, ref.R @ ref.R.T), (Rinv.T @ Rinv, ref.Rinv.T @ ref.Rinv)):
+                    assert np.linalg.norm(got - want) <= 1e-12 * c * np.linalg.norm(want)
+                Os.append(Rinv @ ref.R)
+
+            def close(got, want):
+                return np.linalg.norm(got - want) <= 1e-12 * cond * np.linalg.norm(want)
+
+            def to_stack(vecs):
+                """Reference scaled vectors in the stack's coordinates."""
+                return np.concatenate([ref.sv.svec(O @ ref.sv.smat(v) @ O.T)
+                                       for ref, O, v in zip(refs, Os, vecs)])
+
+            def to_ref(v):
+                """A stack scaled vector in each reference's coordinates."""
+                return [ref.sv.svec(O.T @ ref.sv.smat(v[p]) @ O)
+                        for ref, O, p in zip(refs, Os, parts)]
+
+            d, u, bz, us, uz = rng.standard_normal((5, stack.sdim))
+            assert close(stack.W_z(d), to_stack([ref.W_z(d[p]) for ref, p in zip(refs, parts)]))
+            assert close(stack.WT_u(u), np.concatenate([ref.WT_u(v) for ref, v in zip(refs, to_ref(u))]))
+            out, out_ref = np.zeros(nv), np.zeros(nv)
+            Bt = stack.scaled_rhs(bz, out)
+            Bt_ref = [ref.scaled_rhs(bz[p], out_ref) for ref, p in zip(refs, parts)]
+            assert close(out, out_ref)
+            for j, (B, O, n) in enumerate(zip(Bt_ref, Os, dims)):
+                assert close(Bt[j, :n, :n], O @ B @ O.T)
+            ux = rng.standard_normal(nv)
+            assert close(stack.scaled_dz(ux, Bt),
+                         np.concatenate([ref.scaled_dz(ux, B) for ref, B in zip(refs, Bt_ref)]))
+            assert close(stack.q_comb(us, uz, 0.3),
+                         to_stack([ref.q_comb(a, b, 0.3)
+                                   for ref, a, b in zip(refs, to_ref(us), to_ref(uz))]))
+            for dd in (us, uz):
+                want = min(ref.max_step(v) for ref, v in zip(refs, to_ref(dd)))
+                assert stack.max_step(dd) == pytest.approx(want, rel=1e-10)
+            # a direction inside the cone in every block: no boundary
+            inside = np.concatenate([co.sv.svec(_random_pd(rng, co.dim, 1.0))
+                                     for co in stack.blocks])
+            assert stack.max_step(inside) == np.inf
+
+    def test_breakdown_in_any_block(self, dims):
+        _, stack, _ = self._setup(dims, 1)
+        s = stack.identity()
+        z = s.copy()
+        z[stack.blocks[-1].part] *= -1.0  # the last block's Z is not positive definite
+        with pytest.raises(np.linalg.LinAlgError):
+            stack.update_scaling(s, z)
+
+
 class TestProblemContainer:
     def test_bad_block_reference(self):
         block = LmiBlock(F0=[[0.0]], var_idx=[3], coefs=[[[1.0]]])
@@ -409,13 +594,29 @@ def _random_scaling(problem, seed):
         if isinstance(co, sdp._Soc):
             co.update_scaling(_interior_soc(rng, co.sdim), _interior_soc(rng, co.sdim))
         else:
-            n = co.dim
-            S, Z = (B @ B.T + n * np.eye(n) for B in rng.standard_normal((2, n, n)))
-            co.update_scaling(co.sv.svec(S), co.sv.svec(Z))
+            s, z = [], []
+            for blk in co.blocks:
+                n = blk.dim
+                S, Z = (B @ B.T + n * np.eye(n) for B in rng.standard_normal((2, n, n)))
+                s.append(blk.sv.svec(S))
+                z.append(blk.sv.svec(Z))
+            co.update_scaling(np.concatenate(s), np.concatenate(z))
     return cones
 
 
-def _reference_scaling(co, blk):
+def _per_block(cones):
+    """(cone, Rinv) of every PSD block and (cone, None) of every second-order
+    cone, each PSD block's Rinv its corner of the stack's."""
+    out = []
+    for co in cones:
+        if isinstance(co, sdp._Soc):
+            out.append((co, None))
+        else:
+            out.extend((blk, Rinv[:blk.dim, :blk.dim]) for blk, Rinv in zip(co.blocks, co.Rinv))
+    return out
+
+
+def _reference_scaling(co, Rinv, blk):
     """W^-T G of one cone, (d, k), and its maps v -> W^-T v and v -> W^-1 v.
 
     A PSD block conjugates every slice with Rinv; a second-order cone
@@ -423,16 +624,19 @@ def _reference_scaling(co, blk):
     if isinstance(co, sdp._Soc):
         Wi = np.linalg.inv(co.W)
         return -Wi @ blk.coefs.T, (lambda v: Wi @ v), (lambda v: Wi @ v)
-    Tsc = co.Rinv @ blk.coefs @ co.Rinv.T
+    Tsc = Rinv @ blk.coefs @ Rinv.T
     return (-(Tsc[:, co.sv.rows, co.sv.cols] * co.sv.w).T,
-            lambda v: co.sv.svec(co.Rinv @ co.sv.smat(v) @ co.Rinv.T),
-            lambda v: co.sv.svec(co.Rinv.T @ co.sv.smat(v) @ co.Rinv))
+            lambda v: co.sv.svec(Rinv @ co.sv.smat(v) @ Rinv.T),
+            lambda v: co.sv.svec(Rinv.T @ co.sv.smat(v) @ Rinv))
 
 
 def _reference_newton(problem, cones, bx, bz):
     """H and solve3 from the dense scaled coefficients of every cone."""
     n = problem.num_vars
-    refs = [_reference_scaling(co, blk) for co, blk in zip(cones, problem.blocks + problem.socs)]
+    per_block = _per_block(cones)
+    refs = [_reference_scaling(co, Rinv, blk)
+            for (co, Rinv), blk in zip(per_block, problem.blocks + problem.socs)]
+    cones = [co for co, _ in per_block]
     H = np.zeros((n, n))
     for co, (S, _, _) in zip(cones, refs):
         H[np.ix_(co.vi, co.vi)] += S.T @ S
@@ -450,10 +654,11 @@ def _reference_newton(problem, cones, bx, bz):
 
 def _assert_newton_matches_reference(problem, seed=0):
     cones = _random_scaling(problem, seed)
+    per_block = [co for co, _ in _per_block(cones)]
     rng = np.random.default_rng(seed + 1)
     n = problem.num_vars
     G = np.zeros((sum(co.sdim for co in cones), n))
-    for co in cones:
+    for co in per_block:
         G[co.part, co.vi] = co.Gmat.toarray() if scipy.sparse.issparse(co.Gmat) else co.Gmat
     # a direction that no block sees (the output-feedback designs have one)
     # is not determined by the Newton system; bx = G'r, like the solver's
@@ -477,7 +682,7 @@ def _assert_newton_matches_reference(problem, seed=0):
     for (ux, uz), pair in zip(sdp._solve3(cones, H, kkt_solve, pairs), pairs):
         [(vx, vz)] = sdp._solve3(cones, H, kkt_solve, [pair])
         assert np.array_equal(ux, vx) and np.array_equal(uz, vz)
-    return cones
+    return per_block
 
 
 class TestSchurAssembly:
