@@ -27,7 +27,7 @@ from .model import (
 from .analysis import NormReport, channel_h2_norms, h2_norm, hinf_norm
 from .sdp import SdpProblem, SdpSolution, SolverOptions, solve_sdp
 from .statefb import SfSynthesisResult, SfSynthesisSpec, synth_sf
-from .outputfb import HatController, OfSynthesisResult, synth_of
+from .outputfb import HatController, OfSynthesisResult, OfSynthesisSpec, synth_of
 from .joint import (
     GroupNormReport,
     JointSpec,
@@ -62,7 +62,7 @@ __all__ = [
     "NormReport", "hinf_norm", "h2_norm", "channel_h2_norms",
     "SdpProblem", "SdpSolution", "SolverOptions", "solve_sdp",
     "SfSynthesisSpec", "SfSynthesisResult", "synth_sf",
-    "HatController", "OfSynthesisResult", "synth_of",
+    "HatController", "OfSynthesisSpec", "OfSynthesisResult", "synth_of",
     "JointSpec", "JointSynthesisResult", "GroupNormReport", "synth_joint",
     "verify_sparsity_preservation",
     "ReweightPolicy", "SparsifyTrace", "PrunedResult",

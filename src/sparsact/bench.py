@@ -22,7 +22,7 @@ import scipy.linalg
 
 from .errors import DimensionError, NonHurwitzError
 from .model import GeneralizedPlant, close_loop
-from .sparsify import ReweightPolicy, default_synthesizer, prune_and_resolve, reweight_iterate
+from .sparsify import ReweightPolicy, prune_and_resolve, reweight_iterate
 from .errors import InfeasiblePerformance, SparsactError
 
 __all__ = [
@@ -382,13 +382,13 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
 # gamma sweeps
 
 
-def gamma_sweep(spec_for, gamma0_list, policy: ReweightPolicy = ReweightPolicy(),
-                synthesize=default_synthesizer):
+def gamma_sweep(spec_for, gamma0_list, policy: ReweightPolicy = ReweightPolicy()):
     """Reweighted synthesis across gamma0 values; one result row per gamma0.
 
-    `spec_for(gamma0)` builds the synthesis spec for a given bound.  Rows
-    record the active sets, sparsity values, and verified norms; an
-    infeasible gamma0 is recorded and the sweep continues.
+    `spec_for(gamma0)` builds the synthesis spec, and so the design, for a
+    given bound.  Rows record the active sets, sparsity values, and
+    verified norms; an infeasible gamma0 is recorded and the sweep
+    continues.
     """
     if not len(gamma0_list):
         raise ValueError("gamma0_list must be nonempty")
@@ -397,7 +397,7 @@ def gamma_sweep(spec_for, gamma0_list, policy: ReweightPolicy = ReweightPolicy()
         spec = spec_for(float(g0))
         row = {"gamma0": float(g0)}
         try:
-            trace = reweight_iterate(spec, policy, synthesize)
+            trace = reweight_iterate(spec, policy)
             pruned = prune_and_resolve(trace, spec)
         except InfeasiblePerformance as exc:
             row.update(status="infeasible", message=str(exc))

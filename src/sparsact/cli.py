@@ -23,14 +23,15 @@ from . import analysis
 from .bench import (MassSpringChain, ScalarOracle, TensegrityApprox,
                     gamma_sweep, simulate_closed_loop, sweep_to_csv)
 from .errors import InfeasiblePerformance, SparsactError
-from .joint import JointSpec, synth_joint
+# synth_joint is unused here but bound for perfbench/tracer.py to patch
+from .joint import JointSpec, synth_joint  # noqa: F401
 from .model import (close_loop, controller_from_dict, controller_to_dict,
                     load_plant, save_plant)
-from .outputfb import synth_of
+from .outputfb import OfSynthesisSpec
 from .sdp import SolverOptions
 from .sparsify import (ReweightPolicy, _iteration_summary, prune_and_resolve,
                        reweight_iterate)
-from .statefb import SfSynthesisSpec, synth_sf
+from .statefb import SfSynthesisSpec
 
 __all__ = ["main"]
 
@@ -66,26 +67,23 @@ def _solver_options(args):
 
 
 def _build_spec(plant, args):
-    kind = args.mode.split("-")[1]
-    if args.mode.startswith("joint"):
-        return JointSpec(plant=plant, performance_kind=kind, gamma0=args.gamma0,
-                         mu=args.mu, nu=args.nu, solver=_solver_options(args))
-    return SfSynthesisSpec(plant=plant, performance_kind=kind, gamma0=args.gamma0,
-                           rho=args.rho, gamma_max=args.gamma_max,
-                           solver=_solver_options(args))
+    """The spec of args.mode; it carries the design that args.mode names."""
+    design, kind = args.mode.split("-")
+    common = dict(plant=plant, performance_kind=kind, gamma0=args.gamma0,
+                  solver=_solver_options(args))
+    if design == "joint":
+        return JointSpec(mu=args.mu, nu=args.nu, **common)
+    spec_type = OfSynthesisSpec if design == "of" else SfSynthesisSpec
+    return spec_type(rho=args.rho, gamma_max=args.gamma_max, **common)
 
 
-def _synth_fn(mode):
-    if mode.startswith("joint"):
-        return synth_joint
-    if mode.startswith("of"):
-        return synth_of
-    return synth_sf
-
-
-def _run_mode(plant, args):
-    spec = _build_spec(plant, args)
-    return spec, _synth_fn(args.mode)(spec)
+def _write_design(out, result, fields):
+    """controller.json, and result.json: the result's own fields with
+    ``fields`` written over them."""
+    _write_json(os.path.join(out, "controller.json"),
+                controller_to_dict(result.controller if hasattr(result, "controller")
+                                   else result.K))
+    _write_json(os.path.join(out, "result.json"), {**result.to_dict(), **fields})
 
 
 def _solver_trace_csv(sol):
@@ -108,14 +106,9 @@ def _norm_report_dict(rep):
 
 
 def _cmd_synth(args):
-    plant = load_plant(args.model)
-    spec, result = _run_mode(plant, args)
+    result = _build_spec(load_plant(args.model), args).synthesize()
     out = _ensure_out(args)
-    _write_json(os.path.join(out, "controller.json"),
-                controller_to_dict(result.controller if hasattr(result, "controller")
-                                   else result.K))
-    _write_json(os.path.join(out, "result.json"),
-                {"mode": args.mode, "gamma0": args.gamma0, **result.to_dict()})
+    _write_design(out, result, {"mode": args.mode, "gamma0": args.gamma0})
     with open(os.path.join(out, "solver_trace.csv"), "w") as f:
         f.write(_solver_trace_csv(result.solution))
     print(f"verified closed-loop {result.verified_closed_loop.kind} norm "
@@ -138,9 +131,12 @@ def _cmd_verify(args):
         if name in reports:
             print(f"{name} norm: {_fmt(reports[name]['value'])}")
     if args.gamma0 is not None:
-        key = "h2" if (args.kind == "h2" and "h2" in reports) else "hinf"
-        if reports[key]["value"] >= args.gamma0:
-            print(f"{key} norm exceeds gamma0 {_fmt(args.gamma0)}", file=sys.stderr)
+        if args.kind not in reports:
+            print(f"{args.kind} norm is unbounded: the closed loop has feedthrough "
+                  "Dcl != 0", file=sys.stderr)
+            return 2
+        if reports[args.kind]["value"] >= args.gamma0:
+            print(f"{args.kind} norm exceeds gamma0 {_fmt(args.gamma0)}", file=sys.stderr)
             return 2
     return 0
 
@@ -156,18 +152,16 @@ def _policy(args):
     return ReweightPolicy(**kw)
 
 
-def _active_sets(pruned, threshold_ratio):
-    """The pruned design's active sets in original plant indices.
-
-    They override the result's own fields, which index the reduced plant
-    and use the default threshold, so that they sit beside kept_* in the
-    same indices and follow the run's threshold_ratio.
-    """
-    _, active = _iteration_summary(pruned.result, threshold_ratio)
-    if isinstance(active, dict):
-        return {"active_actuators": [pruned.kept_actuators[i] for i in active["actuators"]],
-                "active_sensors": [pruned.kept_sensors[j] for j in active["sensors"]]}
-    return {"active_set": [pruned.kept_actuators[i] for i in active]}
+def _pruned_fields(trace, pruned):
+    """result.json fields of a pruned design: kept_*, iterations, and the
+    active sets in original plant indices at the run's threshold, over the
+    result's own (reduced indices, default threshold)."""
+    kept = {"actuators": pruned.kept_actuators, "sensors": pruned.kept_sensors}
+    _, active = _iteration_summary(pruned.result, trace.threshold_ratio)
+    active = {f"active_{g}": [kept[g][i] for i in indices] for g, indices in active.items()}
+    if len(active) == 1:  # the Gamma designs write their one group as "active_set"
+        active = {"active_set": active["active_actuators"]}
+    return {**{f"kept_{g}": v for g, v in kept.items()}, "iterations": len(trace), **active}
 
 
 def _cmd_sweep(args):
@@ -178,8 +172,7 @@ def _cmd_sweep(args):
         ns.gamma0 = g0
         return _build_spec(plant, ns)
 
-    rows = gamma_sweep(spec_for, args.gamma0, policy=_policy(args),
-                       synthesize=_synth_fn(args.mode))
+    rows = gamma_sweep(spec_for, args.gamma0, policy=_policy(args))
     out = _ensure_out(args)
     with open(os.path.join(out, "sweep.csv"), "w") as f:
         f.write(sweep_to_csv(rows))
@@ -193,24 +186,13 @@ def _cmd_sweep(args):
 def _cmd_prune(args):
     plant = load_plant(args.model)
     spec = _build_spec(plant, args)
-    policy = _policy(args)
-    trace = reweight_iterate(spec, policy, _synth_fn(args.mode))
+    trace = reweight_iterate(spec, _policy(args))
     pruned = prune_and_resolve(trace, spec)
     out = _ensure_out(args)
     result = pruned.result
-    _write_json(os.path.join(out, "controller.json"),
-                controller_to_dict(result.controller if hasattr(result, "controller")
-                                   else result.K))
-    _write_json(os.path.join(out, "result.json"), {
-        "mode": args.mode,
-        "gamma0": args.gamma0,
-        "kept_actuators": pruned.kept_actuators,
-        "kept_sensors": pruned.kept_sensors,
-        "iterations": len(trace),
-        "stop_reason": trace.stop_reason,
-        **result.to_dict(),
-        **_active_sets(pruned, trace.threshold_ratio),
-    })
+    _write_design(out, result, {"mode": args.mode, "gamma0": args.gamma0,
+                                "stop_reason": trace.stop_reason,
+                                **_pruned_fields(trace, pruned)})
     _write_json(os.path.join(out, "trace.json"), trace.to_dict())
     save_plant(pruned.reduced_plant, os.path.join(out, "pruned_plant.json"))
     print(f"kept actuators {pruned.kept_actuators}, sensors {pruned.kept_sensors} "
@@ -244,17 +226,8 @@ def _cmd_demo(args):
     trace = reweight_iterate(spec, _policy(args))
     pruned = prune_and_resolve(trace, spec)
     result = pruned.result
-    _write_json(os.path.join(out, "controller.json"),
-                controller_to_dict(result.controller))
-    _write_json(os.path.join(out, "result.json"), {
-        "family": args.family,
-        "gamma0": gamma0,
-        "kept_actuators": pruned.kept_actuators,
-        "kept_sensors": pruned.kept_sensors,
-        "iterations": len(trace),
-        **result.to_dict(),
-        **_active_sets(pruned, trace.threshold_ratio),
-    })
+    _write_design(out, result, {"family": args.family, "gamma0": gamma0,
+                                **_pruned_fields(trace, pruned)})
     extra = None
     if args.nonlinear_sim:
         if not isinstance(family, TensegrityApprox):

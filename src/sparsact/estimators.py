@@ -5,19 +5,21 @@ constructor arguments are plain hyperparameters, ``fit(plant)`` runs the
 design, and everything learned lands in trailing-underscore attributes.
 The wrappers add nothing beyond orchestration; the functional API in
 ``statefb``, ``outputfb``, ``joint``, and ``sparsify`` stays the primary
-interface.
+interface.  ``fit`` is written once over the spec's weight groups: it sets
+``active_<group>_`` at threshold_ratio, and ``kept_<group>_`` when reweighting.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
-from .joint import JointSpec, group_norms, synth_joint
+from .joint import JointSpec
 from .model import GeneralizedPlant
-from .outputfb import synth_of
+from .outputfb import OfSynthesisSpec
 from .sdp import SolverOptions
-from .sparsify import ReweightPolicy, prune_and_resolve, reweight_iterate
-from .statefb import SfSynthesisSpec, _channel_active_set, synth_sf
+from .sparsify import ReweightPolicy, _iteration_summary, prune_and_resolve, reweight_iterate
+from .statefb import SfSynthesisSpec
 
 __all__ = ["SparseStateFeedback", "SparseOutputFeedback", "JointSparseDesign"]
 
@@ -25,8 +27,8 @@ __all__ = ["SparseStateFeedback", "SparseOutputFeedback", "JointSparseDesign"]
 class _BaseDesigner:
     """fit, plus get_params/set_params over the constructor signature, sklearn style.
 
-    Subclasses supply _spec(plant), _synthesize(spec), _read_result(result)
-    and _KEPT, the PrunedResult fields stored when reweighting.
+    Subclasses supply _SPEC, the spec type whose fields other than plant
+    and solver are constructor parameters, and _read_result(result).
     """
 
     @classmethod
@@ -62,17 +64,26 @@ class _BaseDesigner:
     def _solver(self):
         return self.solver if self.solver is not None else SolverOptions()
 
+    def _spec(self, plant):
+        names = [f.name for f in dataclasses.fields(self._SPEC)
+                 if f.name not in ("plant", "solver")]
+        return self._SPEC(plant=plant, solver=self._solver(),
+                          **{name: getattr(self, name) for name in names})
+
     def fit(self, plant: GeneralizedPlant):
         """Design for ``plant``; with ``reweight``, reweight then prune and re-solve."""
         spec = self._spec(plant)
         if self.reweight:
-            self.trace_ = reweight_iterate(spec, self._policy(), self._synthesize)
+            self.trace_ = reweight_iterate(spec, self._policy())
             pruned = prune_and_resolve(self.trace_, spec)
-            for name in self._KEPT:
-                setattr(self, name + "_", getattr(pruned, name))
+            for group in spec.GROUPS:
+                setattr(self, f"kept_{group}_", getattr(pruned, f"kept_{group}"))
             self.result_ = pruned.result
         else:
-            self.result_ = self._synthesize(spec)
+            self.result_ = spec.synthesize()
+        _, active = _iteration_summary(self.result_, self.threshold_ratio)
+        for group, indices in active.items():
+            setattr(self, f"active_{group}_", indices)
         self._read_result(self.result_)
         self.closed_loop_norm_ = self.result_.verified_closed_loop.value
         self._fitted = True
@@ -80,9 +91,7 @@ class _BaseDesigner:
 
 
 class _ChannelBoundDesigner(_BaseDesigner):
-    """Designs with per-actuator squared-H2 bounds gamma (SfSynthesisSpec)."""
-
-    _KEPT = ("kept_actuators",)
+    """Designs with per-actuator squared-H2 bounds gamma."""
 
     def __init__(self, performance_kind="hinf", gamma0=1.0, rho=None,
                  gamma_max=None, reweight=False, max_outer=10, epsilon=1e-4,
@@ -97,15 +106,8 @@ class _ChannelBoundDesigner(_BaseDesigner):
         self.threshold_ratio = threshold_ratio
         self.solver = solver
 
-    def _spec(self, plant):
-        return SfSynthesisSpec(
-            plant=plant, performance_kind=self.performance_kind,
-            gamma0=self.gamma0, rho=self.rho, gamma_max=self.gamma_max,
-            solver=self._solver())
-
     def _read_result(self, result):
         self.gamma_ = result.gamma
-        self.active_actuators_ = _channel_active_set(result.gamma, self.threshold_ratio)
 
 
 class SparseStateFeedback(_ChannelBoundDesigner):
@@ -120,8 +122,7 @@ class SparseStateFeedback(_ChannelBoundDesigner):
     reweighting, ``trace_`` and ``kept_actuators_``.
     """
 
-    def _synthesize(self, spec):
-        return synth_sf(spec)
+    _SPEC = SfSynthesisSpec
 
     def _read_result(self, result):
         super()._read_result(result)
@@ -141,8 +142,7 @@ class SparseOutputFeedback(_ChannelBoundDesigner):
     when reweighting.
     """
 
-    def _synthesize(self, spec):
-        return synth_of(spec)
+    _SPEC = OfSynthesisSpec
 
     def _read_result(self, result):
         super()._read_result(result)
@@ -157,7 +157,7 @@ class JointSparseDesign(_BaseDesigner):
     ``trace_``, ``kept_actuators_``, ``kept_sensors_`` when reweighting.
     """
 
-    _KEPT = ("kept_actuators", "kept_sensors")
+    _SPEC = JointSpec
 
     def __init__(self, performance_kind="h2", gamma0=1.0, mu=None, nu=None,
                  reweight=True, max_outer=10, epsilon=1e-4,
@@ -172,18 +172,7 @@ class JointSparseDesign(_BaseDesigner):
         self.threshold_ratio = threshold_ratio
         self.solver = solver
 
-    def _spec(self, plant):
-        return JointSpec(
-            plant=plant, performance_kind=self.performance_kind,
-            gamma0=self.gamma0, mu=self.mu, nu=self.nu, solver=self._solver())
-
-    def _synthesize(self, spec):
-        return synth_joint(spec)
-
     def _read_result(self, result):
         self.controller_ = result.controller
-        report = group_norms(result.hat, self.threshold_ratio)
-        self.row_norms_ = report.row_norms
-        self.col_norms_ = report.col_norms
-        self.active_actuators_ = report.active_actuators
-        self.active_sensors_ = report.active_sensors
+        self.row_norms_ = result.report.row_norms
+        self.col_norms_ = result.report.col_norms

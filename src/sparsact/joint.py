@@ -13,6 +13,7 @@ from ``outputfb``; status handling and verification from ``statefb``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,11 @@ class JointSpec:
     """Inputs to a joint sparse sensing/actuation design.
 
     mu weights the per-actuator row norms, nu the per-sensor column norms;
-    a zero weight leaves that group unpenalized.
+    a zero weight leaves that group unpenalized.  GROUPS maps each weight
+    group of the reweighted loop to the field holding its weights.
     """
+
+    GROUPS = {"actuators": "mu", "sensors": "nu"}
 
     plant: GeneralizedPlant
     performance_kind: str = "h2"
@@ -81,6 +85,14 @@ class JointSpec:
         if self.performance_kind == "h2" and np.any(self.plant.Dw != 0.0):
             raise NonzeroFeedthroughError("H2 performance needs Dw = 0")
 
+    def synthesize(self):
+        return synth_joint(self)
+
+    def restricted(self, plant, keep_act, keep_sen):
+        """This design on ``plant``, self.plant cut down to the actuators
+        keep_act and the sensors keep_sen, with uniform weights."""
+        return dataclasses.replace(self, plant=plant, mu=None, nu=None)
+
 
 @dataclass(frozen=True)
 class GroupNormReport:
@@ -106,6 +118,13 @@ class JointSynthesisResult:
     objective: float
     verified_closed_loop: analysis.NormReport
     solution: SdpSolution
+
+    @property
+    def group_values(self):
+        """Reweighted and thresholded alike: the hat-matrix group norms."""
+        return {"actuators": self.report.row_norms, "sensors": self.report.col_norms}
+
+    group_norms = group_values
 
     def to_dict(self):
         return {

@@ -36,6 +36,7 @@ from .statefb import (
     COND_LIMIT,
     GAMMA_BACKOFF,
     SfSynthesisSpec,
+    _ChannelBoundGroups,
     _channel_active_set,
     _diag_entry,
     _gamma_caps,
@@ -46,6 +47,7 @@ from .statefb import (
 )
 
 __all__ = [
+    "OfSynthesisSpec",
     "HatController",
     "OfSynthesisResult",
     "synth_of_hinf",
@@ -86,8 +88,15 @@ class HatController:
                 for name in ("AKhat", "BKhat", "CKhat", "DKhat", "X", "Y")}
 
 
+class OfSynthesisSpec(SfSynthesisSpec):
+    """An SfSynthesisSpec whose design is dynamic output feedback."""
+
+    def synthesize(self):
+        return synth_of(self)
+
+
 @dataclass(frozen=True)
-class OfSynthesisResult:
+class OfSynthesisResult(_ChannelBoundGroups):
     hat: HatController
     controller: DynamicController
     gamma: np.ndarray

@@ -1,9 +1,11 @@
 """Reweighted l1 outer loop, thresholding, and prune-and-resolve.
 
-Shared by all synthesis flavors: the per-group sparsity surrogate
-(sqrt(gamma_i) for the Gamma-based designs, hat-matrix group norms for
-the joint design) feeds the canonical reweighting rule
-w_i = 1 / (value_i + epsilon), normalized so the largest weight is 1.
+Written once over weight groups: a spec names its design (``synthesize``),
+its groups (``GROUPS``: actuators, plus sensors in the joint design) and its
+pruned form (``restricted``); a result gives per group the values to
+reweight on (``group_values``: gamma_i, or hat-matrix group norms) and to
+threshold (``group_norms``).  The canonical rule w_i = 1/(value_i + epsilon)
+is normalized so the largest weight is 1.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ReducedInfeasible, SparsactError
-from .joint import JointSpec, JointSynthesisResult, synth_joint
+# unused here but bound for perfbench/tracer.py to patch
+from .joint import synth_joint  # noqa: F401
 from .model import GeneralizedPlant
-from .statefb import (ACTIVE_THRESHOLD_RATIO, SfSynthesisSpec, active_set_from_values,
-                      synth_sf)
+from .statefb import ACTIVE_THRESHOLD_RATIO, active_set_from_values
 
 __all__ = [
     "ReweightPolicy",
@@ -54,24 +56,18 @@ class ReweightPolicy:
             raise ValueError("tie_break must be nonnegative")
 
 
-def default_synthesizer(spec):
-    if isinstance(spec, JointSpec):
-        return synth_joint(spec)
-    return synth_sf(spec)
-
-
 @dataclass
 class SparsifyTrace:
-    """Per-iteration record of a reweighted synthesis run."""
+    """Per-iteration record of a reweighted synthesis run; weights, values
+    and active_sets hold one mapping per iteration, keyed by weight group."""
 
-    weights: list = field(default_factory=list)     # weight vector(s) used
+    weights: list = field(default_factory=list)     # weights used
     objectives: list = field(default_factory=list)  # weighted objective values
-    values: list = field(default_factory=list)      # sqrt(gamma) or group norms
+    values: list = field(default_factory=list)      # gamma or group norms
     active_sets: list = field(default_factory=list)
     results: list = field(default_factory=list)
     stop_reason: str = ""
     threshold_ratio: float = ACTIVE_THRESHOLD_RATIO  # the active sets' threshold
-    synthesize: object = default_synthesizer  # the run's synthesizer, reused by the prune
 
     def __len__(self):
         return len(self.results)
@@ -96,12 +92,8 @@ class SparsifyTrace:
         }
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    return x
+def _jsonable(groups):
+    return {g: np.asarray(v).tolist() for g, v in groups.items()}
 
 
 def _tie_gradient(n, tie_break):
@@ -124,7 +116,7 @@ def update_weights(values, old_weights, epsilon, tie_break=0.0):
 
 
 def _iteration_summary(result, threshold_ratio):
-    """(reweighting values, active_set) per result flavor.
+    """(reweighting values, active sets), each keyed by weight group.
 
     Gamma-based designs reweight on gamma_i itself (squared channel norm):
     the resulting scheme minimizes a log-sum surrogate whose optima are
@@ -133,78 +125,61 @@ def _iteration_summary(result, threshold_ratio):
     threshold_ratio times the largest channel norm (sqrt(gamma_i)) or
     group norm.
     """
-    if isinstance(result, JointSynthesisResult):
-        rep = result.report
-        values = {"actuators": rep.row_norms, "sensors": rep.col_norms}
-        active = {
-            "actuators": active_set_from_values(rep.row_norms, threshold_ratio),
-            "sensors": active_set_from_values(rep.col_norms, threshold_ratio),
-        }
-        return values, active
-    gamma = np.maximum(result.gamma, 0.0)
-    return gamma, active_set_from_values(np.sqrt(gamma), threshold_ratio)
+    active = {g: active_set_from_values(v, threshold_ratio)
+              for g, v in result.group_norms.items()}
+    return result.group_values, active
+
+
+def _weights(spec):
+    """The spec's weights, keyed by weight group."""
+    return {g: getattr(spec, name) for g, name in spec.GROUPS.items()}
+
+
+def _with_weights(spec, weights):
+    return dataclasses.replace(spec, **{spec.GROUPS[g]: w for g, w in weights.items()})
 
 
 def _reweighted_spec(spec, values, policy):
-    if isinstance(spec, JointSpec):
-        return dataclasses.replace(
-            spec,
-            mu=update_weights(values["actuators"], spec.mu, policy.epsilon,
-                              policy.tie_break),
-            nu=update_weights(values["sensors"], spec.nu, policy.epsilon,
-                              policy.tie_break),
-        )
-    rho = update_weights(values, spec.rho, policy.epsilon, policy.tie_break)
-    return dataclasses.replace(spec, rho=rho)
+    return _with_weights(spec, {
+        g: update_weights(values[g], w, policy.epsilon, policy.tie_break)
+        for g, w in _weights(spec).items()})
 
 
 def _tie_broken_start(spec, policy):
     """Apply the tie-break gradient to the user's first-iteration weights."""
     if policy.tie_break == 0.0:
         return spec
-    if isinstance(spec, JointSpec):
-        mu = spec.mu * _tie_gradient(spec.mu.size, policy.tie_break)
-        nu = spec.nu * _tie_gradient(spec.nu.size, policy.tie_break)
-        top = max(mu.max(initial=0.0), nu.max(initial=0.0))
-        return dataclasses.replace(spec, mu=mu / top, nu=nu / top)
-    rho = spec.rho * _tie_gradient(spec.rho.size, policy.tie_break)
-    return dataclasses.replace(spec, rho=rho / rho.max())
+    graded = {g: w * _tie_gradient(w.size, policy.tie_break)
+              for g, w in _weights(spec).items()}
+    top = max(w.max(initial=0.0) for w in graded.values())
+    return _with_weights(spec, {g: w / top for g, w in graded.items()})
 
 
 def _values_close(a, b, rtol):
-    if isinstance(a, dict):
-        return all(_values_close(a[k], b[k], rtol) for k in a)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.linalg.norm(a - b) <= rtol * max(np.linalg.norm(b), 1e-30)
+    return all(np.linalg.norm(a[g] - b[g]) <= rtol * max(np.linalg.norm(b[g]), 1e-30)
+               for g in a)
 
 
-def _current_weights(spec):
-    if isinstance(spec, JointSpec):
-        return {"mu": spec.mu.copy(), "nu": spec.nu.copy()}
-    return spec.rho.copy()
-
-
-def reweight_iterate(spec, policy: ReweightPolicy = ReweightPolicy(),
-                     synthesize=default_synthesizer) -> SparsifyTrace:
+def reweight_iterate(spec, policy: ReweightPolicy = ReweightPolicy()) -> SparsifyTrace:
     """Run the reweighted outer loop until the active set stabilizes.
 
-    Stops on an unchanged active set across two iterations, a relative
-    objective stall, or max_outer iterations.  Synthesis errors are
-    re-raised with the iteration index prepended.
+    Each iteration runs the spec's own design (``spec.synthesize()``) with
+    the current weights.  Stops on an unchanged active set across two
+    iterations, a relative objective stall, or max_outer iterations.
+    Synthesis errors are re-raised with the iteration index prepended.
     """
-    trace = SparsifyTrace(threshold_ratio=policy.threshold_ratio, synthesize=synthesize)
+    trace = SparsifyTrace(threshold_ratio=policy.threshold_ratio)
     current = _tie_broken_start(spec, policy)
     for k in range(policy.max_outer):
         try:
-            result = synthesize(current)
+            result = current.synthesize()
         except SparsactError as exc:
             if k == 0:
                 raise
             exc.args = (f"reweight iteration {k + 1}: {exc}",) + exc.args[1:]
             raise
         values, active = _iteration_summary(result, policy.threshold_ratio)
-        trace.weights.append(_current_weights(current))
+        trace.weights.append({g: w.copy() for g, w in _weights(current).items()})
         trace.objectives.append(result.objective)
         trace.values.append(values)
         trace.active_sets.append(active)
@@ -245,36 +220,27 @@ def _reduce_plant(plant, keep_act, keep_sen):
     )
 
 
-def prune_and_resolve(trace: SparsifyTrace, spec, synthesize=None) -> PrunedResult:
+def prune_and_resolve(trace: SparsifyTrace, spec) -> PrunedResult:
     """Drop inactive actuators (and sensors, joint mode), re-solve, verify.
 
     Prunes to the trace's last active set, which reweight_iterate took at
-    its policy's threshold_ratio, and re-solves with ``synthesize``, by
-    default the trace's own synthesizer.  The reduced problem uses uniform
-    weights; infeasibility after pruning raises ReducedInfeasible carrying
-    that threshold.
+    its policy's threshold_ratio, and re-solves the spec's own design cut
+    down to the kept hardware with uniform weights.  The trace must come
+    from a spec with the same weight groups.  Infeasibility after pruning
+    raises ReducedInfeasible carrying that threshold.
     """
-    synthesize = synthesize or trace.synthesize
     active = trace.active_sets[-1]
-    if isinstance(spec, JointSpec):
-        keep_act = sorted(active["actuators"])
-        keep_sen = sorted(active["sensors"])
-    else:
-        keep_act = sorted(active)
-        keep_sen = list(range(spec.plant.ny))
-    if not keep_act:
-        keep_act = list(range(spec.plant.nu))
-    if not keep_sen:
-        keep_sen = list(range(spec.plant.ny))
-    reduced = _reduce_plant(spec.plant, keep_act, keep_sen)
-    if isinstance(spec, JointSpec):
-        reduced_spec = dataclasses.replace(
-            spec, plant=reduced, mu=np.ones(len(keep_act)), nu=np.ones(len(keep_sen)))
-    else:
-        gm = spec.gamma_max[keep_act] if spec.gamma_max is not None else None
-        reduced_spec = dataclasses.replace(spec, plant=reduced, rho=None, gamma_max=gm)
+    if set(active) != set(spec.GROUPS):
+        raise ValueError(
+            f"the trace's weight groups {sorted(active)} do not match the "
+            f"spec's {sorted(spec.GROUPS)}")
+    plant = spec.plant
+    keep_act, keep_sen = (sorted(active.get(g, ())) or list(range(n))
+                          for g, n in (("actuators", plant.nu), ("sensors", plant.ny)))
+    reduced = _reduce_plant(plant, keep_act, keep_sen)
+    reduced_spec = spec.restricted(reduced, keep_act, keep_sen)
     try:
-        result = synthesize(reduced_spec)
+        result = reduced_spec.synthesize()
     except SparsactError as exc:
         raise ReducedInfeasible(
             f"synthesis infeasible after pruning to actuators {keep_act} "

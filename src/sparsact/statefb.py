@@ -10,6 +10,7 @@ the solver-status-to-exception map, the gamma caps and the verification.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +70,11 @@ class SfSynthesisSpec:
 
     gamma0 bounds the closed-loop norm of the chosen kind; rho weights the
     per-actuator bounds in the objective; gamma_max optionally caps each
-    gamma_i (hardware actuator limits).
+    gamma_i (hardware actuator limits).  GROUPS maps each weight group of
+    the reweighted loop to the field holding its weights.
     """
+
+    GROUPS = {"actuators": "rho"}
 
     plant: GeneralizedPlant
     performance_kind: str = "hinf"
@@ -103,9 +107,30 @@ class SfSynthesisSpec:
                 "H2 performance needs Dw = 0: the disturbance-to-output "
                 "feedthrough makes the H2 norm unbounded")
 
+    def synthesize(self):
+        return synth_sf(self)
+
+    def restricted(self, plant, keep_act, keep_sen):
+        """This design on ``plant``, self.plant cut down to the actuators
+        keep_act and the sensors keep_sen, with uniform weights."""
+        gm = self.gamma_max[keep_act] if self.gamma_max is not None else None
+        return dataclasses.replace(self, plant=plant, rho=None, gamma_max=gm)
+
+
+class _ChannelBoundGroups:
+    """Reweighted on gamma_i, thresholded on the channel norm sqrt(gamma_i)."""
+
+    @property
+    def group_values(self):
+        return {"actuators": np.maximum(self.gamma, 0.0)}
+
+    @property
+    def group_norms(self):
+        return {"actuators": np.sqrt(np.maximum(self.gamma, 0.0))}
+
 
 @dataclass(frozen=True)
-class SfSynthesisResult:
+class SfSynthesisResult(_ChannelBoundGroups):
     K: StateFeedbackGain
     gamma: np.ndarray            # per-actuator squared-H2 bounds
     objective: float             # rho . gamma
@@ -173,9 +198,9 @@ def _solved_gamma(spec, vm, sol, G):
     return gamma
 
 
-def _channel_active_set(gamma, threshold_ratio=ACTIVE_THRESHOLD_RATIO):
-    """Actuators whose channel norm sqrt(gamma_i) clears the threshold."""
-    return active_set_from_values(np.sqrt(np.maximum(gamma, 0.0)), threshold_ratio)
+def _channel_active_set(gamma):
+    """Actuators whose channel norm sqrt(gamma_i) clears the default threshold."""
+    return active_set_from_values(np.sqrt(np.maximum(gamma, 0.0)))
 
 
 def _verify(spec, closed_loop, gamma=None):

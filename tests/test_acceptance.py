@@ -142,7 +142,7 @@ def test_reweighting_deactivates_duplicates(dup_actuator_plant,
     spec = SfSynthesisSpec(plant=dup_actuator_plant, performance_kind="hinf",
                            gamma0=2.0)
     trace = reweight_iterate(spec)
-    vals = np.asarray(trace.values[-1])
+    vals = np.asarray(trace.values[-1]["actuators"])
     assert vals.min() <= 1e-6 * vals.max(), "duplicate actuator still active"
     pruned = prune_and_resolve(trace, spec)
     assert len(pruned.kept_actuators) == 1

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sparsact import outputfb, statefb
 from sparsact.bench import ScalarOracle
 from sparsact.cli import main
 from sparsact.model import GeneralizedPlant, save_plant
@@ -138,6 +139,24 @@ class TestVerify:
                    "--gamma0", "0.1", "--out", str(tmp_path / "v")])
         assert rc == 2
 
+    def test_h2_bound_with_feedthrough_is_unbounded(self, tmp_path, capsys):
+        # under K = 0 the closed loop keeps the feedthrough Dw = 0.5, so its
+        # H2 norm is infinite; its H-infinity norm, 1.5, would pass gamma0 = 10
+        model = tmp_path / "feed.json"
+        save_plant(GeneralizedPlant(
+            A=[[-1.0]], Bu=[[1.0]], Bw=[[1.0]], Cz=[[1.0]], Du=[[0.0]],
+            Dw=[[0.5]], Cy=[[1.0]], Dyw=[[0.0]]), model)
+        ctrl = tmp_path / "zero.json"
+        ctrl.write_text(json.dumps({"K": [[0.0]]}))
+        out = tmp_path / "verify"
+        rc = main(["verify", "--model", str(model), "--controller", str(ctrl),
+                   "--kind", "h2", "--gamma0", "10", "--out", str(out)])
+        assert rc == 2
+        assert "h2 norm is unbounded" in capsys.readouterr().err
+        rep = json.loads((out / "verify.json").read_text())
+        assert "h2" not in rep
+        assert rep["hinf"]["value"] == pytest.approx(1.5, rel=1e-5)
+
 
 class TestSweep:
     def test_csv_and_exit_codes(self, dup_model, tmp_path):
@@ -148,6 +167,25 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().strip().split("\n")
         assert lines[0].startswith("gamma0,status")
         assert len(lines) == 3
+
+    def test_output_feedback_mode_runs_output_feedback(self, dup_model, tmp_path,
+                                                       monkeypatch):
+        calls = {"sf": 0, "of": 0}
+
+        def counting(name, fn):
+            def synthesize(spec):
+                calls[name] += 1
+                return fn(spec)
+            return synthesize
+
+        monkeypatch.setattr(statefb, "synth_sf", counting("sf", statefb.synth_sf))
+        monkeypatch.setattr(outputfb, "synth_of", counting("of", outputfb.synth_of))
+        rc = main(["sweep", "--model", dup_model, "--mode", "of-hinf",
+                   "--gamma0", "3.0", "--reweight-max", "2",
+                   "--out", str(tmp_path / "s")])
+        assert rc == 0
+        # two reweighted solves and the pruned re-solve, all output feedback
+        assert calls == {"sf": 0, "of": 3}
 
     def test_all_infeasible_exit_2(self, dup_model, tmp_path):
         rc = main(["sweep", "--model", dup_model, "--mode", "sf-hinf",
@@ -176,6 +214,24 @@ class TestPrune:
         result = json.loads((out / "result.json").read_text())
         assert "kept_sensors" in result
 
+
+    @pytest.mark.parametrize("mode,groups", [("sf-hinf", ["actuators"]),
+                                             ("joint-hinf", ["actuators", "sensors"])])
+    def test_trace_is_keyed_by_weight_group(self, dup_model, tmp_path, mode, groups):
+        out = tmp_path / "o"
+        rc = main(["prune", "--model", dup_model, "--mode", mode, "--gamma0", "3.0",
+                   "--reweight-max", "3", "--out", str(out)])
+        assert rc == 0
+        trace = json.loads((out / "trace.json").read_text())
+        sizes = {"actuators": 2, "sensors": 1}
+        assert trace["iterations"]
+        for it in trace["iterations"]:
+            for key in ("weights", "values", "active_set"):
+                assert sorted(it[key]) == groups
+            for g in groups:
+                assert len(it["weights"][g]) == sizes[g]
+                assert len(it["values"][g]) == sizes[g]
+                assert set(it["active_set"][g]) <= set(range(sizes[g]))
 
     @pytest.mark.parametrize("mode", ["sf-hinf", "joint-h2"])
     def test_active_sets_in_original_indices(self, tmp_path, mode):

@@ -8,6 +8,7 @@ from sparsact.estimators import (
 )
 from sparsact.joint import group_norms
 from sparsact.model import DynamicController
+from sparsact.outputfb import OfSynthesisResult
 from sparsact.statefb import active_set_from_values
 
 from conftest import random_plant
@@ -68,6 +69,13 @@ class TestSparseOutputFeedback:
         est = SparseOutputFeedback(gamma0=2.0).fit(scalar_plant)
         assert isinstance(est.controller_, DynamicController)
         assert est.closed_loop_norm_ < 2.0 * (1 + 1e-5)
+
+    def test_reweight_stays_output_feedback(self, dup_actuator_plant):
+        est = SparseOutputFeedback(gamma0=2.0, reweight=True).fit(dup_actuator_plant)
+        assert all(isinstance(r, OfSynthesisResult) for r in est.trace_.results)
+        assert isinstance(est.result_, OfSynthesisResult)
+        assert est.kept_actuators_ == [0]
+        assert est.active_actuators_ == [0]
 
 
 class TestJointSparseDesign:

@@ -4,8 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sparsact import statefb
 from sparsact.errors import InfeasiblePerformance, ReducedInfeasible
-from sparsact.outputfb import OfSynthesisResult, synth_of
+from sparsact.joint import JointSpec
+from sparsact.outputfb import OfSynthesisResult, OfSynthesisSpec
 from sparsact.sparsify import (
     PrunedResult,
     ReweightPolicy,
@@ -15,7 +17,7 @@ from sparsact.sparsify import (
     reweight_iterate,
     update_weights,
 )
-from sparsact.statefb import SfSynthesisSpec, active_set_from_values
+from sparsact.statefb import SfSynthesisSpec, _ChannelBoundGroups, active_set_from_values
 
 
 class TestUpdateWeights:
@@ -63,9 +65,9 @@ class TestReweightedStateFeedback:
         spec = SfSynthesisSpec(plant=dup_actuator_plant,
                                performance_kind="hinf", gamma0=2.0)
         trace = reweight_iterate(spec)
-        final_gamma = np.asarray(trace.values[-1])
+        final_gamma = np.asarray(trace.values[-1]["actuators"])
         assert min(final_gamma) <= 1e-6 * max(final_gamma)
-        assert len(trace.active_sets[-1]) == 1
+        assert len(trace.active_sets[-1]["actuators"]) == 1
         assert trace.stop_reason == "active set and values stable"
 
     def test_prune_recovers_scalar_optimum(self, dup_actuator_plant):
@@ -96,14 +98,32 @@ class TestReweightedStateFeedback:
 
 class TestPruneKeepsDesignType:
     def test_output_feedback_trace_prunes_to_output_feedback(self, dup_actuator_plant):
-        spec = SfSynthesisSpec(plant=dup_actuator_plant,
+        spec = OfSynthesisSpec(plant=dup_actuator_plant,
                                performance_kind="hinf", gamma0=2.0)
-        trace = reweight_iterate(spec, ReweightPolicy(), synth_of)
-        assert trace.synthesize is synth_of
+        trace = reweight_iterate(spec, ReweightPolicy())
+        assert all(isinstance(r, OfSynthesisResult) for r in trace.results)
         pruned = prune_and_resolve(trace, spec)
         assert isinstance(pruned.result, OfSynthesisResult)
         assert pruned.kept_actuators == [0]
         assert pruned.result.verified_closed_loop.value < 2.0
+
+
+class TestGroupMismatch:
+    """A trace pruned with a spec of other weight groups is a typed error."""
+
+    def test_joint_trace_with_state_feedback_spec(self, dup_sensor_plant):
+        jspec = JointSpec(plant=dup_sensor_plant, performance_kind="h2", gamma0=0.5)
+        trace = reweight_iterate(jspec, ReweightPolicy(max_outer=1))
+        spec = SfSynthesisSpec(plant=dup_sensor_plant, performance_kind="h2", gamma0=0.5)
+        with pytest.raises(ValueError, match="weight groups"):
+            prune_and_resolve(trace, spec)
+
+    def test_state_feedback_trace_with_joint_spec(self, dup_actuator_plant):
+        spec = SfSynthesisSpec(plant=dup_actuator_plant, performance_kind="hinf", gamma0=2.0)
+        trace = reweight_iterate(spec, ReweightPolicy(max_outer=1))
+        jspec = JointSpec(plant=dup_actuator_plant, performance_kind="hinf", gamma0=2.0)
+        with pytest.raises(ValueError, match="weight groups"):
+            prune_and_resolve(trace, jspec)
 
 
 class TestReducePlant:
@@ -131,8 +151,12 @@ class TestReducedInfeasibility:
         assert exc.value.threshold > 0
 
 
-def fixed_gamma_synthesizer(gamma, fail_reduced=False):
-    """Synthesizer stub whose per-actuator bounds are fixed in advance.
+class StubResult(_ChannelBoundGroups, SimpleNamespace):
+    """A result with per-actuator bounds gamma and nothing else."""
+
+
+def install_fixed_gamma_synthesizer(monkeypatch, gamma, fail_reduced=False):
+    """Replace synth_sf with a stub whose per-actuator bounds are fixed in advance.
 
     It reports gamma[:nu] and the active set at the default threshold, as
     synth_sf does; on a pruned plant it can raise instead.
@@ -142,9 +166,9 @@ def fixed_gamma_synthesizer(gamma, fail_reduced=False):
         if fail_reduced and nu < len(gamma):
             raise InfeasiblePerformance("stub: pruned plant infeasible")
         g = np.asarray(gamma[:nu], dtype=float)
-        return SimpleNamespace(gamma=g, objective=float(spec.rho @ g),
-                               active_set=active_set_from_values(np.sqrt(g)))
-    return synthesize
+        return StubResult(gamma=g, objective=float(spec.rho @ g),
+                          active_set=active_set_from_values(np.sqrt(g)))
+    monkeypatch.setattr(statefb, "synth_sf", synthesize)
 
 
 class TestThresholdRatio:
@@ -152,25 +176,25 @@ class TestThresholdRatio:
     # threshold ratio 1e-3, only the first clears 0.5
     GAMMA = [1.0, 0.01]
 
-    def test_policy_threshold_sets_active_sets(self, dup_actuator_plant):
+    def test_policy_threshold_sets_active_sets(self, dup_actuator_plant, monkeypatch):
         spec = SfSynthesisSpec(plant=dup_actuator_plant, gamma0=2.0)
-        synth = fixed_gamma_synthesizer(self.GAMMA)
-        assert reweight_iterate(spec, ReweightPolicy(), synth).active_sets[-1] == [0, 1]
-        trace = reweight_iterate(spec, ReweightPolicy(threshold_ratio=0.5), synth)
-        assert trace.active_sets == [[0]] * len(trace)
+        install_fixed_gamma_synthesizer(monkeypatch, self.GAMMA)
+        assert reweight_iterate(spec, ReweightPolicy()).active_sets[-1] == {"actuators": [0, 1]}
+        trace = reweight_iterate(spec, ReweightPolicy(threshold_ratio=0.5))
+        assert trace.active_sets == [{"actuators": [0]}] * len(trace)
 
-    def test_prune_follows_policy_threshold(self, dup_actuator_plant):
+    def test_prune_follows_policy_threshold(self, dup_actuator_plant, monkeypatch):
         spec = SfSynthesisSpec(plant=dup_actuator_plant, gamma0=2.0)
-        synth = fixed_gamma_synthesizer(self.GAMMA)
-        trace = reweight_iterate(spec, ReweightPolicy(threshold_ratio=0.5), synth)
-        pruned = prune_and_resolve(trace, spec, synth)
+        install_fixed_gamma_synthesizer(monkeypatch, self.GAMMA)
+        trace = reweight_iterate(spec, ReweightPolicy(threshold_ratio=0.5))
+        pruned = prune_and_resolve(trace, spec)
         assert pruned.kept_actuators == [0]
         assert pruned.reduced_plant.nu == 1
 
-    def test_reduced_infeasible_reports_threshold_used(self, dup_actuator_plant):
+    def test_reduced_infeasible_reports_threshold_used(self, dup_actuator_plant, monkeypatch):
         spec = SfSynthesisSpec(plant=dup_actuator_plant, gamma0=2.0)
-        synth = fixed_gamma_synthesizer(self.GAMMA, fail_reduced=True)
-        trace = reweight_iterate(spec, ReweightPolicy(threshold_ratio=0.5), synth)
+        install_fixed_gamma_synthesizer(monkeypatch, self.GAMMA, fail_reduced=True)
+        trace = reweight_iterate(spec, ReweightPolicy(threshold_ratio=0.5))
         with pytest.raises(ReducedInfeasible) as exc:
-            prune_and_resolve(trace, spec, synth)
+            prune_and_resolve(trace, spec)
         assert exc.value.threshold == 0.5
