@@ -28,13 +28,7 @@ from .analysis import NormReport, channel_h2_norms, h2_norm, hinf_norm
 from .sdp import SdpProblem, SdpSolution, SolverOptions, solve_sdp
 from .statefb import SfSynthesisResult, SfSynthesisSpec, synth_sf
 from .outputfb import HatController, OfSynthesisResult, OfSynthesisSpec, synth_of
-from .joint import (
-    GroupNormReport,
-    JointSpec,
-    JointSynthesisResult,
-    synth_joint,
-    verify_sparsity_preservation,
-)
+from .joint import JointSpec, JointSynthesisResult, synth_joint, verify_sparsity_preservation
 from .sparsify import (
     PrunedResult,
     ReweightPolicy,
@@ -63,7 +57,7 @@ __all__ = [
     "SdpProblem", "SdpSolution", "SolverOptions", "solve_sdp",
     "SfSynthesisSpec", "SfSynthesisResult", "synth_sf",
     "HatController", "OfSynthesisSpec", "OfSynthesisResult", "synth_of",
-    "JointSpec", "JointSynthesisResult", "GroupNormReport", "synth_joint",
+    "JointSpec", "JointSynthesisResult", "synth_joint",
     "verify_sparsity_preservation",
     "ReweightPolicy", "SparsifyTrace", "PrunedResult",
     "reweight_iterate", "prune_and_resolve",

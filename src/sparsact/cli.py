@@ -31,7 +31,7 @@ from .outputfb import OfSynthesisSpec
 from .sdp import SolverOptions
 from .sparsify import (ReweightPolicy, _iteration_summary, prune_and_resolve,
                        reweight_iterate)
-from .statefb import SfSynthesisSpec
+from .statefb import ACTIVE_THRESHOLD_RATIO, SfSynthesisSpec, result_to_dict
 
 __all__ = ["main"]
 
@@ -67,8 +67,14 @@ def _solver_options(args):
 
 
 def _build_spec(plant, args):
-    """The spec of args.mode; it carries the design that args.mode names."""
+    """The spec of args.mode; it carries the design that args.mode names.
+    A weight or cap flag that this design does not read is a usage error."""
     design, kind = args.mode.split("-")
+    unread = ("rho", "gamma_max") if design == "joint" else ("mu", "nu")
+    given = [f"--{name.replace('_', '-')}" for name in unread
+             if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"mode {args.mode} does not read {', '.join(given)}")
     common = dict(plant=plant, performance_kind=kind, gamma0=args.gamma0,
                   solver=_solver_options(args))
     if design == "joint":
@@ -77,13 +83,22 @@ def _build_spec(plant, args):
     return spec_type(rho=args.rho, gamma_max=args.gamma_max, **common)
 
 
-def _write_design(out, result, fields):
-    """controller.json, and result.json: the result's own fields with
-    ``fields`` written over them."""
-    _write_json(os.path.join(out, "controller.json"),
-                controller_to_dict(result.controller if hasattr(result, "controller")
-                                   else result.K))
-    _write_json(os.path.join(out, "result.json"), {**result.to_dict(), **fields})
+def _write_design(out, result, fields, threshold_ratio=ACTIVE_THRESHOLD_RATIO, kept=None):
+    """controller.json, and result.json: the result's values, its active sets
+    at threshold_ratio, and ``fields``.  A pruned design passes ``kept``, the
+    original index of each kept actuator and sensor by weight group;
+    result.json then lists them as kept_<group> and gives the active sets in
+    those original indices."""
+    _write_json(os.path.join(out, "controller.json"), controller_to_dict(result.controller))
+    _, active = _iteration_summary(result, threshold_ratio)
+    if kept is not None:
+        fields = {**fields, **{f"kept_{g}": v for g, v in kept.items()}}
+        active = {g: [kept[g][i] for i in indices] for g, indices in active.items()}
+    active = {f"active_{g}": v for g, v in active.items()}
+    if len(active) == 1:  # the Gamma designs write their one group as "active_set"
+        active = {"active_set": active["active_actuators"]}
+    _write_json(os.path.join(out, "result.json"),
+                {**result_to_dict(result), **active, **fields})
 
 
 def _solver_trace_csv(sol):
@@ -152,16 +167,8 @@ def _policy(args):
     return ReweightPolicy(**kw)
 
 
-def _pruned_fields(trace, pruned):
-    """result.json fields of a pruned design: kept_*, iterations, and the
-    active sets in original plant indices at the run's threshold, over the
-    result's own (reduced indices, default threshold)."""
-    kept = {"actuators": pruned.kept_actuators, "sensors": pruned.kept_sensors}
-    _, active = _iteration_summary(pruned.result, trace.threshold_ratio)
-    active = {f"active_{g}": [kept[g][i] for i in indices] for g, indices in active.items()}
-    if len(active) == 1:  # the Gamma designs write their one group as "active_set"
-        active = {"active_set": active["active_actuators"]}
-    return {**{f"kept_{g}": v for g, v in kept.items()}, "iterations": len(trace), **active}
+def _kept(pruned):
+    return {"actuators": pruned.kept_actuators, "sensors": pruned.kept_sensors}
 
 
 def _cmd_sweep(args):
@@ -191,8 +198,8 @@ def _cmd_prune(args):
     out = _ensure_out(args)
     result = pruned.result
     _write_design(out, result, {"mode": args.mode, "gamma0": args.gamma0,
-                                "stop_reason": trace.stop_reason,
-                                **_pruned_fields(trace, pruned)})
+                                "stop_reason": trace.stop_reason, "iterations": len(trace)},
+                  trace.threshold_ratio, _kept(pruned))
     _write_json(os.path.join(out, "trace.json"), trace.to_dict())
     save_plant(pruned.reduced_plant, os.path.join(out, "pruned_plant.json"))
     print(f"kept actuators {pruned.kept_actuators}, sensors {pruned.kept_sensors} "
@@ -227,7 +234,8 @@ def _cmd_demo(args):
     pruned = prune_and_resolve(trace, spec)
     result = pruned.result
     _write_design(out, result, {"family": args.family, "gamma0": gamma0,
-                                **_pruned_fields(trace, pruned)})
+                                "iterations": len(trace)},
+                  trace.threshold_ratio, _kept(pruned))
     extra = None
     if args.nonlinear_sim:
         if not isinstance(family, TensegrityApprox):
@@ -276,7 +284,6 @@ def _add_common_synth_args(sp, gamma0_list=False):
     sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--dump-sdp", default=None, metavar="PATH",
                     help="dump the packed cone program as sparse triplets")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def _add_policy_args(sp):

@@ -174,5 +174,5 @@ class JointSparseDesign(_BaseDesigner):
 
     def _read_result(self, result):
         self.controller_ = result.controller
-        self.row_norms_ = result.report.row_norms
-        self.col_norms_ = result.report.col_norms
+        self.row_norms_ = result.row_norms
+        self.col_norms_ = result.col_norms

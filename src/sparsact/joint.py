@@ -32,11 +32,10 @@ from .outputfb import (
     reconstruct_controller,
 )
 from .sdp import SdpSolution, SolverOptions, solve_sdp
-from .statefb import ACTIVE_THRESHOLD_RATIO, _raise_for_status, _verify, active_set_from_values
+from .statefb import _raise_for_status, _verify
 
 __all__ = [
     "JointSpec",
-    "GroupNormReport",
     "JointSynthesisResult",
     "synth_joint",
     "group_norms",
@@ -95,26 +94,13 @@ class JointSpec:
 
 
 @dataclass(frozen=True)
-class GroupNormReport:
-    row_norms: np.ndarray       # per actuator, rows of [CKhat DKhat]
-    col_norms: np.ndarray       # per sensor, columns of [BKhat; DKhat]
-    active_actuators: list
-    active_sensors: list
-
-    def to_csv(self):
-        lines = ["kind,index,norm,active"]
-        for i, v in enumerate(self.row_norms):
-            lines.append(f"actuator,{i},{v!r},{int(i in self.active_actuators)}")
-        for j, v in enumerate(self.col_norms):
-            lines.append(f"sensor,{j},{v!r},{int(j in self.active_sensors)}")
-        return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
 class JointSynthesisResult:
+    REPORTED = ("row_norms", "col_norms")  # the values result_to_dict writes
+
     hat: HatController
     controller: object
-    report: GroupNormReport
+    row_norms: np.ndarray       # per actuator, rows of [CKhat DKhat]
+    col_norms: np.ndarray       # per sensor, columns of [BKhat; DKhat]
     objective: float
     verified_closed_loop: analysis.NormReport
     solution: SdpSolution
@@ -122,38 +108,15 @@ class JointSynthesisResult:
     @property
     def group_values(self):
         """Reweighted and thresholded alike: the hat-matrix group norms."""
-        return {"actuators": self.report.row_norms, "sensors": self.report.col_norms}
+        return {"actuators": self.row_norms, "sensors": self.col_norms}
 
     group_norms = group_values
 
-    def to_dict(self):
-        return {
-            "AK": self.controller.AK.tolist(),
-            "BK": self.controller.BK.tolist(),
-            "CK": self.controller.CK.tolist(),
-            "DK": self.controller.DK.tolist(),
-            "row_norms": self.report.row_norms.tolist(),
-            "col_norms": self.report.col_norms.tolist(),
-            "active_actuators": self.report.active_actuators,
-            "active_sensors": self.report.active_sensors,
-            "objective": self.objective,
-            "closed_loop_norm": self.verified_closed_loop.value,
-            "closed_loop_kind": self.verified_closed_loop.kind,
-        }
 
-
-def group_norms(hat: HatController, threshold_ratio=ACTIVE_THRESHOLD_RATIO) -> GroupNormReport:
-    """Row norms of [CKhat DKhat] and column norms of [BKhat; DKhat]."""
-    rows = np.hstack([hat.CKhat, hat.DKhat])
-    cols = np.vstack([hat.BKhat, hat.DKhat])
-    row_norms = np.linalg.norm(rows, axis=1)
-    col_norms = np.linalg.norm(cols, axis=0)
-    return GroupNormReport(
-        row_norms=row_norms,
-        col_norms=col_norms,
-        active_actuators=active_set_from_values(row_norms, threshold_ratio),
-        active_sensors=active_set_from_values(col_norms, threshold_ratio),
-    )
+def group_norms(hat: HatController):
+    """(row norms of [CKhat DKhat], column norms of [BKhat; DKhat])."""
+    return (np.linalg.norm(np.hstack([hat.CKhat, hat.DKhat]), axis=1),
+            np.linalg.norm(np.vstack([hat.BKhat, hat.DKhat]), axis=0))
 
 
 def synth_joint(spec: JointSpec) -> JointSynthesisResult:
@@ -186,12 +149,13 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
     hat = _recover_hat(vm, sol, *hat_vars)
     ctrl = reconstruct_controller(hat, p)
     report, _ = _verify(spec, close_output_feedback(p, ctrl))
-    gn = group_norms(hat)
+    rows, cols = group_norms(hat)
     return JointSynthesisResult(
         hat=hat,
         controller=ctrl,
-        report=gn,
-        objective=float(spec.mu @ gn.row_norms + spec.nu @ gn.col_norms),
+        row_norms=rows,
+        col_norms=cols,
+        objective=float(spec.mu @ rows + spec.nu @ cols),
         verified_closed_loop=report,
         solution=sol,
     )

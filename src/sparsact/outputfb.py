@@ -37,11 +37,9 @@ from .statefb import (
     GAMMA_BACKOFF,
     SfSynthesisSpec,
     _ChannelBoundGroups,
-    _channel_active_set,
     _diag_entry,
     _gamma_caps,
     _raise_for_status,
-    _require_kind,
     _solved_gamma,
     _verify,
 )
@@ -50,8 +48,6 @@ __all__ = [
     "OfSynthesisSpec",
     "HatController",
     "OfSynthesisResult",
-    "synth_of_hinf",
-    "synth_of_h2",
     "synth_of",
     "reconstruct_controller",
     "hat_transform",
@@ -83,10 +79,6 @@ class HatController:
         if self.BKhat.shape[0] != nx or self.CKhat.shape[1] != nx:
             raise DimensionError("BKhat/CKhat dimensions inconsistent with X")
 
-    def to_dict(self):
-        return {name: getattr(self, name).tolist()
-                for name in ("AKhat", "BKhat", "CKhat", "DKhat", "X", "Y")}
-
 
 class OfSynthesisSpec(SfSynthesisSpec):
     """An SfSynthesisSpec whose design is dynamic output feedback."""
@@ -101,24 +93,9 @@ class OfSynthesisResult(_ChannelBoundGroups):
     controller: DynamicController
     gamma: np.ndarray
     objective: float
-    active_set: list
     verified_closed_loop: analysis.NormReport
     verified_channels: list
     solution: SdpSolution
-
-    def to_dict(self):
-        return {
-            "AK": self.controller.AK.tolist(),
-            "BK": self.controller.BK.tolist(),
-            "CK": self.controller.CK.tolist(),
-            "DK": self.controller.DK.tolist(),
-            "gamma": self.gamma.tolist(),
-            "objective": self.objective,
-            "active_set": self.active_set,
-            "closed_loop_norm": self.verified_closed_loop.value,
-            "closed_loop_kind": self.verified_closed_loop.kind,
-            "channel_h2_norms": [r.value for r in self.verified_channels],
-        }
 
 
 def _check_of_preconditions(plant, *, need_dw_zero):
@@ -254,21 +231,10 @@ def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
         controller=ctrl,
         gamma=gamma,
         objective=float(spec.rho @ gamma),
-        active_set=_channel_active_set(gamma),
         verified_closed_loop=report,
         verified_channels=channels,
         solution=sol,
     )
-
-
-def synth_of_hinf(spec: SfSynthesisSpec) -> OfSynthesisResult:
-    """synth_of for a spec whose performance_kind is 'hinf'."""
-    return synth_of(_require_kind(spec, "hinf"))
-
-
-def synth_of_h2(spec: SfSynthesisSpec) -> OfSynthesisResult:
-    """synth_of for a spec whose performance_kind is 'h2'."""
-    return synth_of(_require_kind(spec, "h2"))
 
 
 def factor_lyapunov_partitions(X, Y):

@@ -28,32 +28,34 @@ __all__ = [
     "reweight_iterate",
     "prune_and_resolve",
     "update_weights",
+    "STALL_TOL",
+    "TIE_BREAK",
 ]
+
+
+# The loop stops once the active set is unchanged and the values moved by
+# at most this relative amount.
+STALL_TOL = 1e-4
+# The weights are graded by channel index so that exactly symmetric groups
+# (duplicated actuators or sensors) cannot sit at the symmetric saddle point
+# of the reweighting map forever; the grade perturbs weights by at most a
+# factor 1 + TIE_BREAK.
+TIE_BREAK = 0.1
 
 
 @dataclass(frozen=True)
 class ReweightPolicy:
-    """Knobs for the reweighted outer loop.
-
-    tie_break grades the weights by channel index so that exactly
-    symmetric groups (duplicated actuators or sensors) cannot sit at the
-    symmetric saddle point of the reweighting map forever; it perturbs
-    weights by at most a factor 1 + tie_break.
-    """
+    """Knobs for the reweighted outer loop."""
 
     epsilon: float = 1e-4
     max_outer: int = 10
-    stall_tol: float = 1e-4
     threshold_ratio: float = ACTIVE_THRESHOLD_RATIO
-    tie_break: float = 0.1
 
     def __post_init__(self):
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if self.tie_break < 0:
-            raise ValueError("tie_break must be nonnegative")
 
 
 @dataclass
@@ -141,15 +143,13 @@ def _with_weights(spec, weights):
 
 def _reweighted_spec(spec, values, policy):
     return _with_weights(spec, {
-        g: update_weights(values[g], w, policy.epsilon, policy.tie_break)
+        g: update_weights(values[g], w, policy.epsilon, TIE_BREAK)
         for g, w in _weights(spec).items()})
 
 
-def _tie_broken_start(spec, policy):
+def _tie_broken_start(spec):
     """Apply the tie-break gradient to the user's first-iteration weights."""
-    if policy.tie_break == 0.0:
-        return spec
-    graded = {g: w * _tie_gradient(w.size, policy.tie_break)
+    graded = {g: w * _tie_gradient(w.size, TIE_BREAK)
               for g, w in _weights(spec).items()}
     top = max(w.max(initial=0.0) for w in graded.values())
     return _with_weights(spec, {g: w / top for g, w in graded.items()})
@@ -169,7 +169,7 @@ def reweight_iterate(spec, policy: ReweightPolicy = ReweightPolicy()) -> Sparsif
     Synthesis errors are re-raised with the iteration index prepended.
     """
     trace = SparsifyTrace(threshold_ratio=policy.threshold_ratio)
-    current = _tie_broken_start(spec, policy)
+    current = _tie_broken_start(spec)
     for k in range(policy.max_outer):
         try:
             result = current.synthesize()
@@ -188,7 +188,7 @@ def reweight_iterate(spec, policy: ReweightPolicy = ReweightPolicy()) -> Sparsif
         # settled: an unchanged active set alone can just mean a symmetric
         # tie that later iterations would still resolve.
         if k > 0 and active == trace.active_sets[-2] \
-                and _values_close(values, trace.values[-2], policy.stall_tol):
+                and _values_close(values, trace.values[-2], STALL_TOL):
             trace.stop_reason = "active set and values stable"
             break
         current = _reweighted_spec(current, values, policy)

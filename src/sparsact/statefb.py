@@ -22,15 +22,15 @@ from .errors import (
     NonzeroFeedthroughError,
     SynthesisNumericalError,
 )
-from .model import GeneralizedPlant, StateFeedbackGain, close_state_feedback, validate_plant
+from .model import (GeneralizedPlant, StateFeedbackGain, close_state_feedback,
+                    controller_to_dict, validate_plant)
 from .sdp import SdpSolution, SolverOptions, solve_sdp
 
 __all__ = [
     "SfSynthesisSpec",
     "SfSynthesisResult",
-    "synth_sf_hinf",
-    "synth_sf_h2",
     "synth_sf",
+    "result_to_dict",
     "active_set_from_values",
     "ACTIVE_THRESHOLD_RATIO",
     "VERIFY_RTOL",
@@ -120,6 +120,12 @@ class SfSynthesisSpec:
 class _ChannelBoundGroups:
     """Reweighted on gamma_i, thresholded on the channel norm sqrt(gamma_i)."""
 
+    REPORTED = ("gamma", "channel_h2_norms")  # the values result_to_dict writes
+
+    @property
+    def channel_h2_norms(self):
+        return [r.value for r in self.verified_channels]
+
     @property
     def group_values(self):
         return {"actuators": np.maximum(self.gamma, 0.0)}
@@ -134,34 +140,32 @@ class SfSynthesisResult(_ChannelBoundGroups):
     K: StateFeedbackGain
     gamma: np.ndarray            # per-actuator squared-H2 bounds
     objective: float             # rho . gamma
-    active_set: list
     verified_closed_loop: analysis.NormReport
     verified_channels: list
     X: np.ndarray                # Lyapunov-type certificate variable
     solution: SdpSolution
 
-    def to_dict(self):
-        return {
-            "K": self.K.K.tolist(),
-            "gamma": self.gamma.tolist(),
-            "objective": self.objective,
-            "active_set": self.active_set,
-            "closed_loop_norm": self.verified_closed_loop.value,
-            "closed_loop_kind": self.verified_closed_loop.kind,
-            "channel_h2_norms": [r.value for r in self.verified_channels],
-        }
+    @property
+    def controller(self):
+        return self.K
+
+
+def result_to_dict(result):
+    """JSON fields of any synthesis result: its controller, the values its
+    class REPORTED, its objective and its verified closed-loop norm."""
+    return {
+        **controller_to_dict(result.controller),
+        **{name: np.asarray(getattr(result, name)).tolist() for name in result.REPORTED},
+        "objective": result.objective,
+        "closed_loop_norm": result.verified_closed_loop.value,
+        "closed_loop_kind": result.verified_closed_loop.kind,
+    }
 
 
 def _check_stabilizable(plant):
     diags = [d for d in validate_plant(plant) if "unstabilizable" in d]
     if diags:
         raise InfeasiblePerformance("; ".join(diags), status="infeasible")
-
-
-def _require_kind(spec, kind):
-    if spec.performance_kind != kind:
-        raise ValueError(f"spec.performance_kind must be {kind!r}")
-    return spec
 
 
 def _raise_for_status(sol: SdpSolution):
@@ -196,11 +200,6 @@ def _solved_gamma(spec, vm, sol, G):
     if spec.gamma_max is not None:
         gamma = np.minimum(gamma, spec.gamma_max)
     return gamma
-
-
-def _channel_active_set(gamma):
-    """Actuators whose channel norm sqrt(gamma_i) clears the default threshold."""
-    return active_set_from_values(np.sqrt(np.maximum(gamma, 0.0)))
 
 
 def _verify(spec, closed_loop, gamma=None):
@@ -286,19 +285,8 @@ def synth_sf(spec: SfSynthesisSpec) -> SfSynthesisResult:
         K=gain,
         gamma=gamma,
         objective=float(spec.rho @ gamma),
-        active_set=_channel_active_set(gamma),
         verified_closed_loop=report,
         verified_channels=channels,
         X=Xv,
         solution=sol,
     )
-
-
-def synth_sf_hinf(spec: SfSynthesisSpec) -> SfSynthesisResult:
-    """synth_sf for a spec whose performance_kind is 'hinf'."""
-    return synth_sf(_require_kind(spec, "hinf"))
-
-
-def synth_sf_h2(spec: SfSynthesisSpec) -> SfSynthesisResult:
-    """synth_sf for a spec whose performance_kind is 'h2'."""
-    return synth_sf(_require_kind(spec, "h2"))

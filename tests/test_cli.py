@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from sparsact import outputfb, statefb
+from sparsact import joint, outputfb, statefb
 from sparsact.bench import ScalarOracle
 from sparsact.cli import main
 from sparsact.model import GeneralizedPlant, save_plant
-from sparsact.statefb import VERIFY_RTOL
+from sparsact.statefb import ACTIVE_THRESHOLD_RATIO, VERIFY_RTOL, active_set_from_values
 
 
 @pytest.fixture
@@ -23,6 +23,17 @@ def dup_model(tmp_path):
     save_plant(GeneralizedPlant(
         A=[[1.0]], Bu=[[1.0, 1.0]], Bw=[[1.0]], Cz=[[1.0]],
         Du=[[0.0, 0.0]], Dw=[[0.0]], Cy=[[1.0]], Dyw=[[0.0]]), path)
+    return str(path)
+
+
+@pytest.fixture
+def second_model(tmp_path):
+    """Actuator 0 and sensor 0 do nothing; the second of each does."""
+    path = tmp_path / "second.json"
+    save_plant(GeneralizedPlant(
+        A=[[1.0]], Bu=[[0.0, 1.0]], Bw=[[1.0]], Cz=[[1.0], [0.0]],
+        Du=[[0.0, 0.0], [0.0, 0.1]], Dw=[[0.0], [0.0]],
+        Cy=[[0.0], [1.0]], Dyw=[[0.0], [0.0]]), path)
     return str(path)
 
 
@@ -91,6 +102,35 @@ class TestSynth:
                   "--gamma0", "2.0", "--out", str(out)])
             outs.append((out / "result.json").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("mode", ["sf-hinf", "of-h2", "joint-hinf"])
+    def test_active_sets_at_default_threshold(self, second_model, tmp_path, monkeypatch,
+                                              mode):
+        module, name = {"sf": (statefb, "synth_sf"), "of": (outputfb, "synth_of"),
+                        "joint": (joint, "synth_joint")}[mode.split("-")[0]]
+        synthesize, results = getattr(module, name), []
+
+        def recording(spec):
+            results.append(synthesize(spec))
+            return results[-1]
+
+        monkeypatch.setattr(module, name, recording)
+        out = tmp_path / "o"
+        rc = main(["synth", "--model", second_model, "--mode", mode, "--gamma0", "3.0",
+                   "--out", str(out)])
+        assert rc == 0
+        result = json.loads((out / "result.json").read_text())
+        [res] = results
+        norms = res.group_norms
+        # only the second actuator and sensor act, so each set is [1]
+        if mode.startswith("joint"):
+            assert result["active_actuators"] == active_set_from_values(
+                norms["actuators"], ACTIVE_THRESHOLD_RATIO) == [1]
+            assert result["active_sensors"] == active_set_from_values(
+                norms["sensors"], ACTIVE_THRESHOLD_RATIO) == [1]
+        else:
+            assert result["active_set"] == active_set_from_values(
+                norms["actuators"], ACTIVE_THRESHOLD_RATIO) == [1]
 
 
 class TestVerify:
@@ -234,16 +274,11 @@ class TestPrune:
                 assert set(it["active_set"][g]) <= set(range(sizes[g]))
 
     @pytest.mark.parametrize("mode", ["sf-hinf", "joint-h2"])
-    def test_active_sets_in_original_indices(self, tmp_path, mode):
-        # actuator 0 and sensor 0 do nothing, so only the second of each is
-        # kept; the active sets must name it by its original index, 1
-        path = tmp_path / "second.json"
-        save_plant(GeneralizedPlant(
-            A=[[1.0]], Bu=[[0.0, 1.0]], Bw=[[1.0]], Cz=[[1.0], [0.0]],
-            Du=[[0.0, 0.0], [0.0, 0.1]], Dw=[[0.0], [0.0]],
-            Cy=[[0.0], [1.0]], Dyw=[[0.0], [0.0]]), path)
+    def test_active_sets_in_original_indices(self, second_model, tmp_path, mode):
+        # only the second actuator and sensor are kept; the active sets must
+        # name each by its original index, 1
         out = tmp_path / "o"
-        rc = main(["prune", "--model", str(path), "--mode", mode, "--gamma0", "3.0",
+        rc = main(["prune", "--model", second_model, "--mode", mode, "--gamma0", "3.0",
                    "--reweight-max", "3", "--out", str(out)])
         assert rc == 0
         result = json.loads((out / "result.json").read_text())
@@ -272,6 +307,14 @@ class TestDemo:
                    "--out", str(tmp_path / "d")])
         assert rc == 1
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the second outer solve stalls at reduced accuracy (dual residual "
+        "2.5e-7), and its controller verifies at 2.00685 > gamma0 = 2"))
+    def test_chain_family(self, tmp_path):
+        rc = main(["demo", "--family", "chain", "--horizon", "1",
+                   "--out", str(tmp_path / "d")])
+        assert rc == 0
+
 
 class TestUsage:
     def test_missing_required_flag(self):
@@ -284,6 +327,21 @@ class TestUsage:
     def test_bad_gamma0_list(self, scalar_model):
         assert main(["sweep", "--model", scalar_model, "--mode", "sf-hinf",
                      "--gamma0", "abc"]) == 1
+
+    @pytest.mark.parametrize("case", [
+        "synth-sf-hinf--seed", "sweep-sf-hinf--seed", "prune-sf-hinf--seed",
+        "synth-joint-hinf--rho", "prune-joint-h2--gamma-max",
+        "synth-sf-hinf--mu", "sweep-of-h2--nu",
+    ])
+    def test_flag_the_mode_does_not_read(self, scalar_model, tmp_path, case):
+        # demo alone reads --seed; the scalar plant has one actuator and sensor
+        command, _, rest = case.partition("-")
+        mode, _, flag = rest.partition("--")
+        out = tmp_path / "o"
+        rc = main([command, "--model", scalar_model, "--mode", mode, "--gamma0", "2.0",
+                   "--out", str(out), f"--{flag}", "1"])
+        assert rc == 1
+        assert not out.exists()
 
     def test_missing_model_file(self, tmp_path):
         assert main(["synth", "--model", str(tmp_path / "nope.json"),

@@ -114,7 +114,7 @@ class TestThresholdRatio:
         plant = random_plant(np.random.default_rng(1), nx=3, nu=3, ny=3, stable_margin=-0.5)
         est = JointSparseDesign(performance_kind="hinf", gamma0=5, reweight=False,
                                 threshold_ratio=0.9).fit(plant)
-        report = group_norms(est.result_.hat, 0.9)
+        rows, cols = group_norms(est.result_.hat)
         assert (est.active_actuators_, est.active_sensors_) == (
-            report.active_actuators, report.active_sensors)
+            active_set_from_values(rows, 0.9), active_set_from_values(cols, 0.9))
         assert (est.active_actuators_, est.active_sensors_) == ([2], [1])

@@ -18,8 +18,6 @@ from sparsact.outputfb import (
     hat_transform,
     reconstruct_controller,
     synth_of,
-    synth_of_h2,
-    synth_of_hinf,
 )
 from sparsact.statefb import SfSynthesisSpec
 
@@ -29,13 +27,13 @@ from conftest import coupled_lyapunov_pair, pool_requests, random_plant
 class TestScalarOracle:
     def test_hinf_matches_state_feedback_bound(self, scalar_plant):
         # with y = x the dynamic controller can do no better than u = Kx
-        res = synth_of_hinf(SfSynthesisSpec(
+        res = synth_of(SfSynthesisSpec(
             plant=scalar_plant, performance_kind="hinf", gamma0=2.0))
         assert res.gamma[0] == pytest.approx(2.0, rel=1e-2)
         assert res.verified_closed_loop.value < 2.0 * (1 + 1e-5)
 
     def test_h2_verified(self, scalar_plant):
-        res = synth_of_h2(SfSynthesisSpec(
+        res = synth_of(SfSynthesisSpec(
             plant=scalar_plant, performance_kind="h2", gamma0=2.0))
         assert res.verified_closed_loop.value < 2.0 * (1 + 1e-5)
         cl = close_output_feedback(scalar_plant, res.controller)
@@ -47,7 +45,7 @@ class TestScalarOracle:
         assert res.verified_closed_loop.kind == "H2"
 
     def test_controller_full_order(self, scalar_plant):
-        res = synth_of_hinf(SfSynthesisSpec(
+        res = synth_of(SfSynthesisSpec(
             plant=scalar_plant, performance_kind="hinf", gamma0=2.0))
         assert res.controller.nk == scalar_plant.nx
 
@@ -91,15 +89,15 @@ class TestPreconditions:
                              Du=[[0.0]], Dw=[[0.0]], Cy=[[1.0]], Dyu=[[1.0]],
                              Dyw=[[0.0]])
         with pytest.raises(NonzeroFeedthroughError):
-            synth_of_hinf(SfSynthesisSpec(plant=p, performance_kind="hinf",
-                                          gamma0=2.0))
+            synth_of(SfSynthesisSpec(plant=p, performance_kind="hinf",
+                                     gamma0=2.0))
 
     def test_undetectable_is_infeasible(self):
         p = GeneralizedPlant(A=[[1.0]], Bu=[[1.0]], Bw=[[1.0]], Cz=[[1.0]],
                              Du=[[0.0]], Dw=[[0.0]], Cy=[[0.0]], Dyw=[[0.0]])
         with pytest.raises(InfeasiblePerformance):
-            synth_of_hinf(SfSynthesisSpec(plant=p, performance_kind="hinf",
-                                          gamma0=2.0))
+            synth_of(SfSynthesisSpec(plant=p, performance_kind="hinf",
+                                     gamma0=2.0))
 
     def test_hat_controller_shape_checks(self):
         with pytest.raises(DimensionError):
@@ -115,7 +113,7 @@ class TestMeasuredStateEquivalence:
             p = random_plant(rng, nx=3, nu=2, nw=2, nz=2, ny=2)
             base = analysis.hinf_norm((p.A, p.Bw, p.Cz, p.Dw))
             g0 = 1.3 * base.value + 0.1
-            res = synth_of_hinf(SfSynthesisSpec(
+            res = synth_of(SfSynthesisSpec(
                 plant=p, performance_kind="hinf", gamma0=g0))
             assert res.verified_closed_loop.value < g0 * (1 + 1e-5)
             for i, rep in enumerate(res.verified_channels):
@@ -144,5 +142,5 @@ class TestBenchmarkPoolDefects:
         p, mode = pool_plant(seed, index)
         assert (mode, p.A.shape[0]) == ("of-hinf", nx)
         g0 = 1.3 * analysis.hinf_norm((p.A, p.Bw, p.Cz, p.Dw)).value + 0.1
-        res = synth_of_hinf(SfSynthesisSpec(plant=p, performance_kind="hinf", gamma0=g0))
+        res = synth_of(SfSynthesisSpec(plant=p, performance_kind="hinf", gamma0=g0))
         assert res.verified_closed_loop.value < g0

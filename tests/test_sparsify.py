@@ -17,7 +17,7 @@ from sparsact.sparsify import (
     reweight_iterate,
     update_weights,
 )
-from sparsact.statefb import SfSynthesisSpec, _ChannelBoundGroups, active_set_from_values
+from sparsact.statefb import SfSynthesisSpec, _ChannelBoundGroups
 
 
 class TestUpdateWeights:
@@ -54,10 +54,6 @@ class TestPolicyValidation:
     def test_bad_max_outer(self):
         with pytest.raises(ValueError):
             ReweightPolicy(max_outer=0)
-
-    def test_bad_tie_break(self):
-        with pytest.raises(ValueError):
-            ReweightPolicy(tie_break=-0.1)
 
 
 class TestReweightedStateFeedback:
@@ -158,16 +154,15 @@ class StubResult(_ChannelBoundGroups, SimpleNamespace):
 def install_fixed_gamma_synthesizer(monkeypatch, gamma, fail_reduced=False):
     """Replace synth_sf with a stub whose per-actuator bounds are fixed in advance.
 
-    It reports gamma[:nu] and the active set at the default threshold, as
-    synth_sf does; on a pruned plant it can raise instead.
+    It reports gamma[:nu], as synth_sf does; on a pruned plant it can raise
+    instead.
     """
     def synthesize(spec):
         nu = spec.plant.nu
         if fail_reduced and nu < len(gamma):
             raise InfeasiblePerformance("stub: pruned plant infeasible")
         g = np.asarray(gamma[:nu], dtype=float)
-        return StubResult(gamma=g, objective=float(spec.rho @ g),
-                          active_set=active_set_from_values(np.sqrt(g)))
+        return StubResult(gamma=g, objective=float(spec.rho @ g))
     monkeypatch.setattr(statefb, "synth_sf", synthesize)
 
 

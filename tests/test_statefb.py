@@ -10,9 +10,8 @@ from sparsact.model import GeneralizedPlant, close_state_feedback
 from sparsact.statefb import (
     SfSynthesisSpec,
     active_set_from_values,
+    result_to_dict,
     synth_sf,
-    synth_sf_h2,
-    synth_sf_hinf,
 )
 
 
@@ -21,7 +20,7 @@ class TestScalarOracle:
     minimized at k = -2 with value 2 (1-D calculus oracle)."""
 
     def test_hinf_gain_and_bound(self, scalar_plant):
-        res = synth_sf_hinf(SfSynthesisSpec(
+        res = synth_sf(SfSynthesisSpec(
             plant=scalar_plant, performance_kind="hinf", gamma0=2.0))
         assert res.K.K[0, 0] == pytest.approx(-2.0, rel=1e-2)
         assert res.gamma[0] == pytest.approx(2.0, rel=1e-2)
@@ -29,13 +28,13 @@ class TestScalarOracle:
 
     def test_h2_gain_and_bound(self, scalar_plant):
         # loose gamma0: the optimum of the channel objective is the same
-        res = synth_sf_h2(SfSynthesisSpec(
+        res = synth_sf(SfSynthesisSpec(
             plant=scalar_plant, performance_kind="h2", gamma0=5.0))
         assert res.K.K[0, 0] == pytest.approx(-2.0, rel=1e-2)
         assert res.gamma[0] == pytest.approx(2.0, rel=1e-2)
 
     def test_channel_bound_is_certified(self, scalar_plant):
-        res = synth_sf_hinf(SfSynthesisSpec(
+        res = synth_sf(SfSynthesisSpec(
             plant=scalar_plant, performance_kind="hinf", gamma0=2.0))
         assert len(res.verified_channels) == 1
         assert res.verified_channels[0].value <= np.sqrt(res.gamma[0]) * (1 + 1e-5)
@@ -49,15 +48,15 @@ class TestScalarOracle:
 class TestDuplicatedActuators:
     def test_symmetric_weights_split_evenly(self, dup_actuator_plant):
         # total squared effort 1.0 at the optimum (hand-derived)
-        res = synth_sf_hinf(SfSynthesisSpec(
+        res = synth_sf(SfSynthesisSpec(
             plant=dup_actuator_plant, performance_kind="hinf", gamma0=2.0))
         assert res.objective == pytest.approx(1.0, rel=1e-2)
         assert np.sum(res.gamma) == pytest.approx(1.0, rel=1e-2)
 
     def test_caps_bind_exactly_and_cost_more(self, dup_actuator_plant):
-        free = synth_sf_hinf(SfSynthesisSpec(
+        free = synth_sf(SfSynthesisSpec(
             plant=dup_actuator_plant, performance_kind="hinf", gamma0=2.0))
-        capped = synth_sf_hinf(SfSynthesisSpec(
+        capped = synth_sf(SfSynthesisSpec(
             plant=dup_actuator_plant, performance_kind="hinf", gamma0=2.0,
             gamma_max=[0.3, 10.0]))
         assert capped.gamma[0] <= 0.3 + 1e-9
@@ -66,12 +65,12 @@ class TestDuplicatedActuators:
     def test_infeasible_caps_certified(self, dup_actuator_plant):
         # per-channel bound below 0.5 is unattainable for this plant
         with pytest.raises(InfeasiblePerformance):
-            synth_sf_hinf(SfSynthesisSpec(
+            synth_sf(SfSynthesisSpec(
                 plant=dup_actuator_plant, performance_kind="hinf", gamma0=2.0,
                 gamma_max=[0.4, 0.4]))
 
     def test_weighted_objective_prefers_cheap_actuator(self, dup_actuator_plant):
-        res = synth_sf_hinf(SfSynthesisSpec(
+        res = synth_sf(SfSynthesisSpec(
             plant=dup_actuator_plant, performance_kind="hinf", gamma0=2.0,
             rho=[10.0, 1.0]))
         assert res.gamma[1] > res.gamma[0]
@@ -88,8 +87,8 @@ class TestSpecValidation:
         p = GeneralizedPlant(A=[[1.0]], Bu=[[0.0]], Bw=[[1.0]], Cz=[[1.0]],
                              Du=[[0.0]], Dw=[[0.0]], Cy=[[1.0]], Dyw=[[0.0]])
         with pytest.raises(InfeasiblePerformance):
-            synth_sf_hinf(SfSynthesisSpec(plant=p, performance_kind="hinf",
-                                          gamma0=2.0))
+            synth_sf(SfSynthesisSpec(plant=p, performance_kind="hinf",
+                                     gamma0=2.0))
 
     def test_bad_gamma0(self, scalar_plant):
         with pytest.raises(ValueError):
@@ -99,15 +98,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SfSynthesisSpec(plant=scalar_plant, gamma0=1.0, rho=[0.0])
 
-    def test_kind_mismatch(self, scalar_plant):
-        spec = SfSynthesisSpec(plant=scalar_plant, performance_kind="h2", gamma0=2.0)
-        with pytest.raises(ValueError):
-            synth_sf_hinf(spec)
-
 
 class TestIndependentVerification:
     def test_closed_loop_recomputed_from_scratch(self, scalar_plant):
-        res = synth_sf_hinf(SfSynthesisSpec(
+        res = synth_sf(SfSynthesisSpec(
             plant=scalar_plant, performance_kind="hinf", gamma0=2.0))
         cl = close_state_feedback(scalar_plant, res.K)
         fresh = analysis.hinf_norm(cl)
@@ -115,15 +109,15 @@ class TestIndependentVerification:
         assert fresh.value < 2.0 * (1 + 1e-5)
 
     def test_certificate_matrix_returned(self, scalar_plant):
-        res = synth_sf_hinf(SfSynthesisSpec(
+        res = synth_sf(SfSynthesisSpec(
             plant=scalar_plant, performance_kind="hinf", gamma0=2.0))
         assert res.X.shape == (1, 1) and res.X[0, 0] > 0
 
     def test_to_dict_serializable(self, scalar_plant):
         import json
-        res = synth_sf_hinf(SfSynthesisSpec(
+        res = synth_sf(SfSynthesisSpec(
             plant=scalar_plant, performance_kind="hinf", gamma0=2.0))
-        json.dumps(res.to_dict())
+        json.dumps(result_to_dict(res))
 
 
 class TestActiveSet:
