@@ -167,15 +167,6 @@ class _Term:
     transposed: bool  # term is left @ var.T @ right when True
 
 
-def _as_const(M, shape=None):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if shape is not None and M.shape == (1, 1) and shape != (1, 1):
-        M = M[0, 0] * np.eye(*shape) if shape[0] == shape[1] else None
-        if M is None:
-            raise ModelingError("cannot broadcast scalar to non-square shape")
-    return M
-
-
 class Expr:
     """Affine matrix expression: const + sum of L @ V(^T) @ R terms."""
 

@@ -14,17 +14,20 @@ are scaled at once, as one (b, N, N) stack padded to N, the largest block
 dimension (_PsdStack): each iteration's Cholesky factorizations, SVD,
 step-length eigenvalues and scaled-space products are one numpy call per
 stack instead of one per block, which is most of the cost of a problem of
-small blocks.  A block is the top-left corner of its matrix.  The pad is
-zero off the diagonal, and on it 1 for the iterates s and z and 0 for
-directions: the scaling then keeps the pad the identity and exactly zero
-across the corner's edge, and a direction's pad eigenvalues are exactly
-zero.  svec reads only the corners, so the pad never reaches the
-solver's vectors.  The Schur complement and the map G stay per block.
-A block stores its coefficient slices T_i only as the (slice, row, col,
-value) triplets of their nonzero upper-triangle entries (LmiBlock), from
-which set-up builds the Schur data below; no dense (k, n, n) tensor is
-formed on the solve path.  LmiBlock.coefs builds that tensor on demand
-for perfbench/tracer.py, which sizes a problem's slices from it.
+small blocks; the step length of both directions is one eigvalsh call over
+the (2, b, N, N) stack of the two.  A block is the top-left corner of its
+matrix.  The pad is zero off the diagonal, and on it 1 for the iterates s
+and z and 0 for directions: the scaling then keeps the pad the identity
+and exactly zero across the corner's edge, and a direction's pad
+eigenvalues are exactly zero.  svec reads only the corners, so the pad
+never reaches the solver's vectors.  The map G is one matrix for the
+problem, stacked over the svec parts of all cones (_G), so each product
+with G or G' is one call; the Schur complement stays per block.  A block
+stores its coefficient slices T_i only as the (slice, row, col, value)
+triplets of their nonzero upper-triangle entries (LmiBlock), from which
+set-up builds G and the Schur data below; no dense (k, n, n) tensor is
+formed on the solve path.  LmiBlock.coefs builds that tensor on demand for
+perfbench/tracer.py, which sizes a problem's slices from it.
 The NT scaling of a second-order cone is the hyperbolic-Householder matrix
 W = eta [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]] of Vandenberghe, "The
 CVXOPT linear and quadratic cone program solvers" (2010), section 4; see
@@ -42,21 +45,23 @@ W from the block's corner of the stack's Rinv, and adds 2 Gu M Gu',
 symmetrized, to H (_Cone.add_schur).  Gu is a sparse matrix when the
 dense products would spend more than SPARSE_SCHUR_WASTE multiply-adds on
 its zeros (the largest blocks of the tensegrity and chain problems, where
-a slice has one to a few dozen nonzeros) and a dense array otherwise; the
-block's G is then sparse too, for the products with G and G' that form
-the residuals and the Newton right-hand sides.  scipy.sparse is imported
-only once such a block appears.  A second-order cone adds
-(W^-1 G)'(W^-1 G) (_Soc.add_schur).
+a slice has one to a few dozen nonzeros) and a dense array otherwise.  The
+problem's G, which forms the residuals and the Newton right-hand sides,
+is a CSR matrix when some block's Gu is sparse, and a column-major dense
+array otherwise.  scipy.sparse is imported only once such a block
+appears.  A second-order cone adds (W^-1 G)'(W^-1 G) (_Soc.add_schur).
 A cone adds its part of H by slices over its runs of consecutive
 variables, or by one gathered addition when it has more than about k / 17
 runs (SLICE_RUN_RATIO).  The Newton solves apply W^-T and W^-1 to one
 vector per right-hand side, once for the stack and once per second-order
-cone (_solve3).  An iteration makes two of them: the tau-direction and
-the predictor share one solve with two right-hand sides, and the
-corrector has its own.
+cone, and G' and G once each (_solve3).  An iteration makes two of them:
+the tau-direction and the predictor share one solve with two right-hand
+sides, and the corrector has its own.
 
 The Schur system H + delta I is symmetric positive definite and is factored
-by Cholesky; LU is used only when Cholesky fails numerically.  Target
+by Cholesky, LAPACK's dpotrf and dpotrs called directly (the calls that
+scipy's cho_factor and cho_solve make, without their wrappers' per-call
+cost); LU is used only when Cholesky fails numerically.  Target
 problems have at most a few hundred variables and LMI rows.
 SdpSolution.phase_s gives the seconds each solve spends on scaling,
 Schur assembly, factorization, Newton solves and the rest of the step.
@@ -251,10 +256,6 @@ class SdpProblem:
         """An empty equality matrix, for perfbench/tracer.py's KKT size."""
         return np.zeros((0, self.num_vars))
 
-    @property
-    def block_dims(self):
-        return [blk.dim for blk in self.blocks]
-
     def dump_triplets(self, path):
         """Write the packed problem as plain-text sparse triplets.
 
@@ -376,14 +377,8 @@ def _placement(vi):
 
 
 class _ConeBase:
-    """What every cone shares: its linear map G (Gmat on the scalars vi) and
-    the placement of its part of the Schur complement."""
-
-    def Gx(self, x):
-        return self.Gmat @ x[self.vi]
-
-    def add_GTz(self, out, z):
-        out[self.vi] += self.Gmat.T @ z
+    """What every cone shares: the placement of its part of the Schur
+    complement on its scalars vi."""
 
     def add_to(self, H, X):
         for h_at, x_at in self.hsel:
@@ -410,20 +405,18 @@ class _Cone(_ConeBase):
         touched, col = np.unique(p, return_inverse=True)
         self.P, self.Q = sv.rows[touched], sv.cols[touched]
         gu = blk.vals * np.where(blk.rows == blk.cols, 0.5, 1.0)
-        g = -(blk.vals * sv.w[p])
         k, m = len(self.vi), len(touched)
-        if (k * m - np.count_nonzero(gu)) * (k + m) > SPARSE_SCHUR_WASTE:
+        # (row, variable, value) of this block's entries of the problem's G
+        self.G_entries = (start + p, self.vi[blk.slices], -(blk.vals * sv.w[p]))
+        self.sparse = (k * m - np.count_nonzero(gu)) * (k + m) > SPARSE_SCHUR_WASTE
+        if self.sparse:
             import scipy.sparse  # here: small problems never pay for loading it
             self.Gu = scipy.sparse.csr_array((gu, (blk.slices, col)), shape=(k, m))
-            self.Gmat = scipy.sparse.csr_array((g, (p, blk.slices)), shape=(sv.dim, k))
         else:
-            # Gu column-major and G row-major: BLAS's summation order in the
-            # products with them, and so each solve's rounding, follows the
-            # layout
+            # Gu column-major: BLAS's summation order in the products with
+            # it, and so each solve's rounding, follows the layout
             self.Gu = np.zeros((m, k)).T
             self.Gu[blk.slices, col] = gu
-            self.Gmat = np.zeros((sv.dim, k))  # (d, k)
-            self.Gmat[p, blk.slices] = g
         self.hsel = _placement(self.vi)
 
     def add_schur(self, H, Rinv):
@@ -463,8 +456,8 @@ class _PsdStack:
     real/pad boundary; 0 for directions, whose pad eigenvalues are then
     exactly zero.  svec reads only the real upper entries, so the pad
     never reaches the stacked vectors.  Towards the solver the stack is one
-    cone of degree sum n_j over the blocks' consecutive svec parts; G and
-    the Schur complement stay per block.
+    cone of degree sum n_j over the blocks' consecutive svec parts; the
+    Schur complement stays per block.
     """
 
     def __init__(self, blocks):
@@ -483,6 +476,8 @@ class _PsdStack:
         self.upper = np.concatenate([j * N * N + co.sv.rows * N + co.sv.cols
                                      for j, co in enumerate(blocks)])
         self.w = _stack(co.sv.w for co in blocks)
+        self.G_entries = tuple(np.concatenate(e) for e in zip(*(co.G_entries for co in blocks)))
+        self.sparse = any(co.sparse for co in blocks)
         self.padmask = (np.arange(N) >= dims[:, None]).astype(float)[:, :, None]
         self.batch = np.arange(b)[:, None]
         self.eye = np.eye(N)
@@ -501,13 +496,6 @@ class _PsdStack:
     def duals(self, z):
         """The blocks' n x n matrices of the stacked svec vector z."""
         return [co.sv.smat(z[co.part]) for co in self.blocks]
-
-    def Gx(self, x):
-        return _stack(co.Gx(x) for co in self.blocks)
-
-    def add_GTz(self, out, z):
-        for co in self.blocks:
-            co.add_GTz(out, z[co.part])
 
     def add_schur(self, H):
         for co, Rinv in zip(self.blocks, self.Rinv):
@@ -541,19 +529,18 @@ class _PsdStack:
     def WT_u(self, u):
         return self.svec(self.R @ self.smat(u) @ _T(self.R))
 
-    def scaled_rhs(self, bz, out):
-        """Add G' W^-1 W^-T bz to out[vi]; return W^-T bz as a matrix stack.
+    def scaled_rhs(self, bz):
+        """W^-1 W^-T bz, and W^-T bz as a matrix stack.
 
         W^-T maps smat(v) to Rinv smat(v) Rinv' and W^-1 to Rinv' smat(v)
         Rinv; the intermediate is symmetrized between the two.
         """
         Bt = _sym(self.Rinv @ self.smat(bz) @ _T(self.Rinv))
-        self.add_GTz(out, self.svec(_T(self.Rinv) @ Bt @ self.Rinv))
-        return Bt
+        return self.svec(_T(self.Rinv) @ Bt @ self.Rinv), Bt
 
-    def scaled_dz(self, ux, Bt):
-        """W^-1 (W^-T G ux - Bt), with Bt from scaled_rhs."""
-        D = _sym(self.Rinv @ self.smat(self.Gx(ux)) @ _T(self.Rinv)) - Bt
+    def scaled_dz(self, gx, Bt):
+        """W^-1 (W^-T gx - Bt), gx the stack's part of G ux and Bt from scaled_rhs."""
+        D = _sym(self.Rinv @ self.smat(gx) @ _T(self.Rinv)) - Bt
         return self.svec(_T(self.Rinv) @ D @ self.Rinv)
 
     def q_aff(self):
@@ -566,11 +553,14 @@ class _PsdStack:
         rhs = 0.5 * (UV + _T(UV)) + (self.lam ** 2 - sigma_mu)[:, :, None] * self.eye
         return self.svec(rhs / (0.5 * (self.lam[:, :, None] + self.lam[:, None, :])))
 
-    def max_step(self, d_scaled):
-        """Largest alpha with lambda + alpha*smat(d) >= 0 in every block (scaled space)."""
+    def max_step(self, ds, dz):
+        """Largest alpha with lambda + alpha*smat(d) >= 0 in every block, for
+        both scaled directions d = ds and d = dz: one eigvalsh call over the
+        (2, b, N, N) stack of both, which decomposes each matrix on its own."""
         isq = 1.0 / np.sqrt(self.lam)
-        w = np.linalg.eigvalsh(isq[:, :, None] * self.smat(d_scaled) * isq[:, None, :])
-        wmin = w[:, 0].min()
+        D = np.stack([self.smat(ds), self.smat(dz)])
+        w = np.linalg.eigvalsh(isq[:, :, None] * D * isq[:, None, :])
+        wmin = w[..., 0].min()
         if wmin >= 0:
             return np.inf
         return -1.0 / wmin
@@ -593,13 +583,16 @@ class _Soc(_ConeBase):
     """
 
     degree = 1  # each cone adds 1 to the complementarity measure's denominator
+    sparse = False
 
     def __init__(self, soc: SocBlock, start):
         self.h = soc.f0
-        self.Gmat = -soc.coefs.T  # (m, k)
+        self.Gmat = -soc.coefs.T  # (m, k), this cone's G on its scalars vi
         self.vi = soc.var_idx
         self.sdim = soc.dim
         self.part = slice(start, start + soc.dim)
+        r, j = np.nonzero(self.Gmat)
+        self.G_entries = (start + r, self.vi[j], self.Gmat[r, j])
         self.hsel = _placement(self.vi)
         self.W = self.Winv = None
         self.lam = None  # the scaled point W z = W^-1 s
@@ -653,15 +646,14 @@ class _Soc(_ConeBase):
     def WT_u(self, u):
         return self.W @ u
 
-    def scaled_rhs(self, bz, out):
-        """Add G' W^-2 bz to out[vi]; return W^-1 bz."""
+    def scaled_rhs(self, bz):
+        """W^-2 bz and W^-1 bz."""
         Bt = self.Winv @ bz
-        self.add_GTz(out, self.Winv @ Bt)
-        return Bt
+        return self.Winv @ Bt, Bt
 
-    def scaled_dz(self, ux, Bt):
-        """W^-1 (W^-1 G ux - Bt), with Bt from scaled_rhs."""
-        return self.Winv @ (self.Winv @ self.Gx(ux) - Bt)
+    def scaled_dz(self, gx, Bt):
+        """W^-1 (W^-1 gx - Bt), gx the cone's part of G ux and Bt from scaled_rhs."""
+        return self.Winv @ (self.Winv @ gx - Bt)
 
     @staticmethod
     def jprod(u, v):
@@ -686,24 +678,26 @@ class _Soc(_ConeBase):
         r[0] -= sigma_mu
         return self.lam_solve(r)
 
-    def max_step(self, d):
-        """Largest alpha with lambda + alpha d in Q.
+    def max_step(self, ds, dz):
+        """Largest alpha with lambda + alpha d in Q, for both d = ds and d = dz.
 
-        It is infinite when d is in Q.  Otherwise the point leaves Q at the
+        It is infinite for a d in Q.  Otherwise the point leaves Q at the
         smallest positive root of its J-norm a alpha^2 + 2 b alpha + c,
         c = lambda'J lambda > 0, which then exists; a negative discriminant
         is the rounding of a double root (the path through the apex) and is
         taken as zero.
         """
-        if d[0] >= np.linalg.norm(d[1:]):
-            return np.inf
-        lam = self.lam
-        a = d[0] * d[0] - d[1:] @ d[1:]
-        b = lam[0] * d[0] - lam[1:] @ d[1:]
-        c = self.lam_det
-        q = -(b + np.copysign(np.sqrt(max(b * b - a * c, 0.0)), b))
-        roots = (c / q, q / a) if a else (c / q,)
-        return min(r for r in roots if r > 0.0)
+        lam, c = self.lam, self.lam_det
+        alpha = np.inf
+        for d in (ds, dz):
+            if d[0] >= np.linalg.norm(d[1:]):
+                continue
+            a = d[0] * d[0] - d[1:] @ d[1:]
+            b = lam[0] * d[0] - lam[1:] @ d[1:]
+            q = -(b + np.copysign(np.sqrt(max(b * b - a * c, 0.0)), b))
+            roots = (c / q, q / a) if a else (c / q,)
+            alpha = min(alpha, *(r for r in roots if r > 0.0))
+        return alpha
 
 
 def _cones(problem):
@@ -718,6 +712,25 @@ def _cones(problem):
     return ([_PsdStack(cones[:npsd])] if npsd else []) + cones[npsd:]
 
 
+def _G(cones, n):
+    """The problem's map G (d x n), stacked over the svec parts of all cones.
+
+    A CSR matrix when some PSD block keeps a sparse Gu, and a dense array
+    otherwise.  The dense array is column-major: BLAS's summation order in
+    the products with G, and so each solve's rounding, follows the layout.
+    """
+    d = sum(co.sdim for co in cones)
+    if any(co.sparse for co in cones):
+        import scipy.sparse
+        rows, cols, vals = (np.concatenate(e) for e in zip(*(co.G_entries for co in cones)))
+        return scipy.sparse.csr_array((vals, (rows, cols)), shape=(d, n))
+    G = np.zeros((n, d)).T
+    for co in cones:
+        rows, cols, vals = co.G_entries
+        G[rows, cols] = vals
+    return G
+
+
 # ---------------------------------------------------------------------------
 # main solver
 
@@ -726,17 +739,18 @@ def _factor_kkt(H, delta):
     """Factor H + delta*I and return its solve function.
 
     The matrix is symmetric positive definite in exact arithmetic and is
-    factored by Cholesky; when Cholesky fails numerically, by LU.  H is
-    exactly symmetric, so its copy's transpose is H in the column-major
-    order that LAPACK factors in place.
+    factored by LAPACK's Cholesky, dpotrf and dpotrs called directly; when
+    Cholesky fails numerically, by LU.  H is exactly symmetric, so its
+    copy's transpose is H in the column-major order that LAPACK factors in
+    place.
     """
     KKT = H.copy().T
     KKT.flat[::H.shape[0] + 1] += delta
-    try:
-        cho = scipy.linalg.cho_factor(KKT, overwrite_a=True, check_finite=False)
-        return lambda rhs: scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
+    U, info = scipy.linalg.lapack.dpotrf(KKT, clean=False, overwrite_a=True)
+    if info == 0:
+        # dpotrs takes no empty right-hand side, which a problem without
+        # variables has
+        return lambda rhs: scipy.linalg.lapack.dpotrs(U, rhs)[0] if len(rhs) else rhs
     lu = scipy.linalg.lu_factor(H + delta * np.eye(H.shape[0]))
     return lambda rhs: scipy.linalg.lu_solve(lu, rhs)
 
@@ -749,24 +763,24 @@ def _schur(cones, H):
     return H
 
 
-def _solve3(cones, H, kkt_solve, pairs):
+def _solve3(cones, G, H, kkt_solve, pairs):
     """Solve the scaled Newton system for (ux, uz), one pair per (bx, bz) in pairs.
 
     The system is  H ux = bx + G' W^-1 W^-T bz,
     uz = W^-1 (W^-T G ux - W^-T bz), for the PSD stack and each second-order
-    cone in turn (scaled_rhs and scaled_dz).  The solve is refined twice against the unregularized
-    system.  Every kkt_solve takes all the right-hand sides as columns;
-    the refinement residuals are formed one column at a time, so that each
-    pair's answer is the one it would get alone.
+    cone in turn (scaled_rhs and scaled_dz).  The solve is refined twice
+    against the unregularized system.  Every kkt_solve takes all the
+    right-hand sides as columns; the right-hand sides and refinement
+    residuals are formed one column at a time, so that each pair's answer
+    is the one it would get alone.
     """
-    rhs = np.array([bx for bx, _ in pairs])
-    scaled_bz = [[co.scaled_rhs(bz[co.part], r) for co in cones]
-                 for r, (_, bz) in zip(rhs, pairs)]
+    scaled = [[co.scaled_rhs(bz[co.part]) for co in cones] for _, bz in pairs]
+    rhs = np.array([bx + G.T @ _stack(v for v, _ in sc) for (bx, _), sc in zip(pairs, scaled)])
     ux = kkt_solve(rhs.T).T
     for _ in range(2):
         ux = ux + kkt_solve(np.array([r - H @ u for r, u in zip(rhs, ux)]).T).T
-    return [(u, _stack(co.scaled_dz(u, Bt) for co, Bt in zip(cones, bts)))
-            for u, bts in zip(ux, scaled_bz)]
+    return [(u, _stack(co.scaled_dz(gx[co.part], Bt) for co, (_, Bt) in zip(cones, sc)))
+            for u, gx, sc in zip(ux, (G @ u for u in ux), scaled)]
 
 
 class _PhaseClock:
@@ -795,20 +809,12 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     n = problem.num_vars
     c = problem.c
     cones = _cones(problem)
+    G = _G(cones, n)
     h = _stack(co.h for co in cones)
     m1 = sum(co.degree for co in cones) + 1
 
     def split(v):
         return [v[co.part] for co in cones]
-
-    def G_of(x):
-        return _stack(co.Gx(x) for co in cones)
-
-    def GT_of(z):
-        out = np.zeros(n)
-        for co, zb in zip(cones, split(z)):
-            co.add_GTz(out, zb)
-        return out
 
     # start at the identity in every cone
     x = np.zeros(n)
@@ -821,10 +827,10 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
     # residuals of the raw (unnormalized) improving rays
     def dual_ray_res():
-        return np.linalg.norm(GT_of(z))
+        return np.linalg.norm(G.T @ z)
 
     def primal_ray_res():
-        return np.linalg.norm(G_of(x) + s)
+        return np.linalg.norm(G @ x + s)
 
     iterates = []
     status, message = "max_iter", "iteration limit reached"
@@ -845,8 +851,8 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         if not finite:
             status, message = "max_iter", "numerical breakdown (non-finite iterate)"
             break
-        rx = GT_of(z) + c * tau
-        rz = G_of(x) + s - h * tau
+        rx = G.T @ z + c * tau
+        rz = G @ x + s - h * tau
         rtau = float(c @ x + h @ z + kappa)
         mu = (float(s @ z) + tau * kappa) / m1
 
@@ -932,7 +938,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
         def solve3(*pairs):
             clock.lap("step")
-            out = _solve3(cones, H, kkt_solve, pairs)
+            out = _solve3(cones, G, H, kkt_solve, pairs)
             clock.lap("solve")
             return out
 
@@ -958,7 +964,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         def max_step(ds_sc, dz_sc, dtau, dkap):
             alpha = np.inf
             for co, us, uz in zip(cones, split(ds_sc), split(dz_sc)):
-                alpha = min(alpha, co.max_step(us), co.max_step(uz))
+                alpha = min(alpha, co.max_step(us, uz))
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkap < 0:

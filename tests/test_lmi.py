@@ -428,27 +428,35 @@ class TestSparseCompile:
         problem, (c, blocks, socs) = compiled
         assert np.array_equal(problem.c, c)
         assert (len(problem.blocks), len(problem.socs)) == (len(blocks), len(socs))
-        for blk, (F0, var_idx, coefs), co in zip(problem.blocks, blocks, sdp._cones(problem)[0].blocks):
+        cones = sdp._cones(problem)
+        # the problem's G from the dense slices, column-major as the solver's
+        G_want = np.zeros((problem.num_vars, sum(co.sdim for co in cones))).T
+        matrices = []
+        for blk, (F0, var_idx, coefs), co in zip(problem.blocks, blocks, cones[0].blocks):
             assert np.array_equal(blk.F0, F0) and np.array_equal(blk.var_idx, var_idx)
             assert np.array_equal(blk.coefs, coefs)
             h, Gu, Gmat = dense_cone_data(F0, coefs)
             assert np.array_equal(co.h, h)
-            for got, want in ((co.Gu, Gu), (co.Gmat, Gmat)):
-                if scipy.sparse.issparse(got):
-                    # the entries, in the order of the matrix built from the dense one
-                    ref = scipy.sparse.csr_array(want)
-                    for a, b in ((got.data, ref.data), (got.indices, ref.indices),
-                                 (got.indptr, ref.indptr)):
-                        assert np.array_equal(a, b)
-                    got = got.toarray()
-                else:
-                    # BLAS's summation order follows the memory layout
-                    assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
-                        (want.flags.c_contiguous, want.flags.f_contiguous)
-                assert np.array_equal(got, want)
-        for soc, (f0, var_idx, coefs) in zip(problem.socs, socs):
+            G_want[co.part, var_idx] = Gmat
+            matrices.append((co.Gu, Gu))
+        for soc, (f0, var_idx, coefs), co in zip(problem.socs, socs, cones[1:]):
             assert np.array_equal(soc.f0, f0) and np.array_equal(soc.var_idx, var_idx)
             assert np.array_equal(soc.coefs, coefs)
+            G_want[co.part, var_idx] = -coefs.T
+        matrices.append((sdp._G(cones, problem.num_vars), G_want))
+        for got, want in matrices:
+            if scipy.sparse.issparse(got):
+                # the entries, in the order of the matrix built from the dense one
+                ref = scipy.sparse.csr_array(want)
+                for a, b in ((got.data, ref.data), (got.indices, ref.indices),
+                             (got.indptr, ref.indptr)):
+                    assert np.array_equal(a, b)
+                got = got.toarray()
+            else:
+                # BLAS's summation order follows the memory layout
+                assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+                    (want.flags.c_contiguous, want.flags.f_contiguous)
+            assert np.array_equal(got, want)
 
     def test_same_triplet_file(self, compiled, tmp_path):
         problem, dense = compiled

@@ -20,7 +20,7 @@ from sparsact.sdp import (
     check_certificate,
     solve_sdp,
 )
-from test_lmi import DESIGNS, compiled_design
+from test_lmi import COMPILE_CASES, DESIGNS, compiled_design
 
 
 def det_problem():
@@ -137,12 +137,13 @@ class TestSchurFactorization:
         prob = random_lmi_problem(3)
         chol = solve_sdp(prob)
         calls = []
+        dpotrf = scipy.linalg.lapack.dpotrf
 
-        def failing_cho_factor(*args, **kwargs):
+        def failing_dpotrf(*args, **kwargs):
             calls.append(1)
-            raise np.linalg.LinAlgError("forced Cholesky failure")
+            return dpotrf(*args, **kwargs)[0], 1  # the first leading minor "not positive"
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", failing_cho_factor)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing_dpotrf)
         lu = solve_sdp(prob)
         assert calls, "the solve never tried Cholesky"
         assert chol.status == lu.status == "optimal"
@@ -278,6 +279,29 @@ def _soc_cone(m):
     return sdp._Soc(SocBlock(f0=np.zeros(m), var_idx=[], coefs=np.zeros((0, m))), 0)
 
 
+def _soc_step(co, d):
+    """The step length of one direction, as the solver computed it one
+    direction at a time: the cone's oracle."""
+    if d[0] >= np.linalg.norm(d[1:]):
+        return np.inf
+    lam = co.lam
+    a = d[0] * d[0] - d[1:] @ d[1:]
+    b = lam[0] * d[0] - lam[1:] @ d[1:]
+    c = co.lam_det
+    q = -(b + np.copysign(np.sqrt(max(b * b - a * c, 0.0)), b))
+    roots = (c / q, q / a) if a else (c / q,)
+    return min(r for r in roots if r > 0.0)
+
+
+def _stack_step(stack, d):
+    """The step length of one direction, as the stack computed it one
+    direction at a time: the stack's oracle."""
+    isq = 1.0 / np.sqrt(stack.lam)
+    w = np.linalg.eigvalsh(isq[:, :, None] * stack.smat(d) * isq[:, None, :])
+    wmin = w[:, 0].min()
+    return np.inf if wmin >= 0 else -1.0 / wmin
+
+
 def _in_soc(u):
     return u[0] >= np.linalg.norm(u[1:])
 
@@ -310,7 +334,7 @@ class TestSocScaling:
                 d = np.linalg.norm(lam) * _interior_soc(rng, m)  # d in Q: no boundary
             else:
                 d = np.linalg.norm(lam) * rng.standard_normal(m)
-            alpha = co.max_step(d)
+            alpha = co.max_step(d, d)
             hi = 1.0
             while _in_soc(lam + hi * d) and hi < 1e12:
                 hi *= 2.0
@@ -325,8 +349,19 @@ class TestSocScaling:
         # through the apex: a double root, which rounding moves by about
         # sqrt(eps) ||lambda||^2 / lambda'J lambda
         co.update_scaling(_interior_soc(rng, m), _interior_soc(rng, m))
-        assert co.max_step(-2.0 * co.lam) == pytest.approx(0.5, rel=1e-5)
-        assert co.max_step(co.lam) == np.inf
+        assert co.max_step(-2.0 * co.lam, co.lam) == pytest.approx(0.5, rel=1e-5)
+        assert co.max_step(co.lam, co.lam) == np.inf
+
+    def test_max_step_of_two_directions(self, m):
+        # both directions at once give the smaller of their step lengths,
+        # bit for bit
+        rng = np.random.default_rng(30 + m)
+        co = _soc_cone(m)
+        for _ in range(50):
+            co.update_scaling(_interior_soc(rng, m), _interior_soc(rng, m))
+            ds, dz = np.linalg.norm(co.lam) * rng.standard_normal((2, m))
+            for a, b in ((ds, dz), (dz, ds), (ds, co.lam), (co.lam, co.lam)):
+                assert co.max_step(a, b) == min(_soc_step(co, a), _soc_step(co, b))
 
     def test_lam_solve_inverts_jordan_product(self, m):
         rng = np.random.default_rng(20 + m)
@@ -346,7 +381,7 @@ class _PerBlockScaling:
     stack's oracle."""
 
     def __init__(self, co):
-        self.co, self.sv, self.dim = co, co.sv, co.dim
+        self.sv, self.dim = co.sv, co.dim
 
     def update_scaling(self, s, z):
         Ls = np.linalg.cholesky(self.sv.smat(s))
@@ -365,13 +400,12 @@ class _PerBlockScaling:
     def WT_u(self, u):
         return self.sv.svec(self.R @ self.sv.smat(u) @ self.R.T)
 
-    def scaled_rhs(self, bz, out):
+    def scaled_rhs(self, bz):
         Bt = _symmetrized(self.Rinv @ self.sv.smat(bz) @ self.Rinv.T)
-        self.co.add_GTz(out, self.sv.svec(self.Rinv.T @ Bt @ self.Rinv))
-        return Bt
+        return self.sv.svec(self.Rinv.T @ Bt @ self.Rinv), Bt
 
-    def scaled_dz(self, ux, Bt):
-        D = _symmetrized(self.Rinv @ self.sv.smat(self.co.Gx(ux)) @ self.Rinv.T) - Bt
+    def scaled_dz(self, gx, Bt):
+        D = _symmetrized(self.Rinv @ self.sv.smat(gx) @ self.Rinv.T) - Bt
         return self.sv.svec(self.Rinv.T @ D @ self.Rinv)
 
     def jprod(self, u, v):
@@ -466,25 +500,29 @@ class TestPsdStack:
             d, u, bz, us, uz = rng.standard_normal((5, stack.sdim))
             assert close(stack.W_z(d), to_stack([ref.W_z(d[p]) for ref, p in zip(refs, parts)]))
             assert close(stack.WT_u(u), np.concatenate([ref.WT_u(v) for ref, v in zip(refs, to_ref(u))]))
-            out, out_ref = np.zeros(nv), np.zeros(nv)
-            Bt = stack.scaled_rhs(bz, out)
-            Bt_ref = [ref.scaled_rhs(bz[p], out_ref) for ref, p in zip(refs, parts)]
-            assert close(out, out_ref)
+            G = sdp._G([stack], nv)
+            v, Bt = stack.scaled_rhs(bz)
+            v_ref, Bt_ref = zip(*(ref.scaled_rhs(bz[p]) for ref, p in zip(refs, parts)))
+            assert close(G.T @ v, G.T @ np.concatenate(v_ref))
             for j, (B, O, n) in enumerate(zip(Bt_ref, Os, dims)):
                 assert close(Bt[j, :n, :n], O @ B @ O.T)
-            ux = rng.standard_normal(nv)
-            assert close(stack.scaled_dz(ux, Bt),
-                         np.concatenate([ref.scaled_dz(ux, B) for ref, B in zip(refs, Bt_ref)]))
+            gx = G @ rng.standard_normal(nv)
+            assert close(stack.scaled_dz(gx, Bt),
+                         np.concatenate([ref.scaled_dz(gx[p], B) for ref, B, p in zip(refs, Bt_ref, parts)]))
             assert close(stack.q_comb(us, uz, 0.3),
                          to_stack([ref.q_comb(a, b, 0.3)
                                    for ref, a, b in zip(refs, to_ref(us), to_ref(uz))]))
             for dd in (us, uz):
                 want = min(ref.max_step(v) for ref, v in zip(refs, to_ref(dd)))
-                assert stack.max_step(dd) == pytest.approx(want, rel=1e-10)
+                assert stack.max_step(dd, dd) == pytest.approx(want, rel=1e-10)
             # a direction inside the cone in every block: no boundary
             inside = np.concatenate([co.sv.svec(_random_pd(rng, co.dim, 1.0))
                                      for co in stack.blocks])
-            assert stack.max_step(inside) == np.inf
+            assert stack.max_step(inside, inside) == np.inf
+            # both directions at once give the smaller of their step
+            # lengths, bit for bit
+            for a, b in ((us, uz), (uz, us), (us, inside), (inside, uz)):
+                assert stack.max_step(a, b) == min(_stack_step(stack, a), _stack_step(stack, b))
 
     def test_breakdown_in_any_block(self, dims):
         _, stack, _ = self._setup(dims, 1)
@@ -576,6 +614,16 @@ class TestEmptyShapes:
         assert rep.clean, rep.flags
         assert rep.psd_min_eigs[1] == 2.0
 
+    def test_problem_without_variables(self):
+        def constant(F0):
+            return SdpProblem(num_vars=0, c=np.zeros(0), blocks=[
+                LmiBlock(F0=F0, var_idx=np.zeros(0, dtype=int), coefs=np.zeros((0, 2, 2)))])
+
+        sol = solve_sdp(constant(np.eye(2)))
+        assert (sol.status, sol.message, sol.x.shape) == ("optimal", "converged", (0,))
+        sol = solve_sdp(constant(-np.eye(2)))
+        assert (sol.status, sol.message) == ("infeasible", "dual improving ray found")
+
     def test_problem_without_blocks(self):
         sol = solve_sdp(SdpProblem(num_vars=2, c=[0.0, 0.0], blocks=[]))
         assert (sol.status, sol.message, sol.iterations) == ("optimal", "converged", 1)
@@ -657,9 +705,8 @@ def _assert_newton_matches_reference(problem, seed=0):
     per_block = [co for co, _ in _per_block(cones)]
     rng = np.random.default_rng(seed + 1)
     n = problem.num_vars
-    G = np.zeros((sum(co.sdim for co in cones), n))
-    for co in per_block:
-        G[co.part, co.vi] = co.Gmat.toarray() if scipy.sparse.issparse(co.Gmat) else co.Gmat
+    G_solver = sdp._G(cones, n)
+    G = G_solver.toarray() if scipy.sparse.issparse(G_solver) else G_solver
     # a direction that no block sees (the output-feedback designs have one)
     # is not determined by the Newton system; bx = G'r, like the solver's
     # residuals, has no part along it
@@ -670,7 +717,7 @@ def _assert_newton_matches_reference(problem, seed=0):
     assert np.array_equal(H, H.T)
     assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
     kkt_solve = sdp._factor_kkt(H, 1e-12 * (1.0 + np.abs(np.diag(H)).max()))
-    [(dx, dz)] = sdp._solve3(cones, H, kkt_solve, [(bx, bz)])
+    [(dx, dz)] = sdp._solve3(cones, G_solver, H, kkt_solve, [(bx, bz)])
     assert np.linalg.norm(dz - dz_ref) <= 1e-10 * np.linalg.norm(dz_ref)
     assert np.linalg.norm(G @ (dx - dx_ref)) <= 1e-10 * np.linalg.norm(G @ dx_ref)
     eigs = np.linalg.eigvalsh(H_ref)
@@ -679,10 +726,10 @@ def _assert_newton_matches_reference(problem, seed=0):
     # the solver solves the tau-direction and the predictor together; each
     # pair of a two-pair solve gets the bits it gets alone
     pairs = [(bx, bz), (G.T @ rng.standard_normal(len(G)), rng.standard_normal(len(G)))]
-    for (ux, uz), pair in zip(sdp._solve3(cones, H, kkt_solve, pairs), pairs):
-        [(vx, vz)] = sdp._solve3(cones, H, kkt_solve, [pair])
+    for (ux, uz), pair in zip(sdp._solve3(cones, G_solver, H, kkt_solve, pairs), pairs):
+        [(vx, vz)] = sdp._solve3(cones, G_solver, H, kkt_solve, [pair])
         assert np.array_equal(ux, vx) and np.array_equal(uz, vz)
-    return per_block
+    return per_block, G_solver
 
 
 class TestSchurAssembly:
@@ -704,13 +751,12 @@ class TestSchurAssembly:
     def test_benchmark_problems_cover_both_forms(self, monkeypatch, family, kind, gamma0):
         _, _, problem, _ = compiled_design(monkeypatch, synth_joint, JointSpec(
             plant=bench.make_plant(family), performance_kind=kind, gamma0=gamma0))
-        cones = _assert_newton_matches_reference(problem)
+        cones, G = _assert_newton_matches_reference(problem)
         assert {type(co) for co in cones} == {sdp._Cone, sdp._Soc}
-        assert {scipy.sparse.issparse(co.Gu) for co in cones if isinstance(co, sdp._Cone)} == \
-            {True, False}
-        # a block with a sparse Gu keeps its G sparse as well
-        assert all(scipy.sparse.issparse(co.Gmat) == scipy.sparse.issparse(co.Gu)
-                   for co in cones if isinstance(co, sdp._Cone))
+        sparse_gu = {scipy.sparse.issparse(co.Gu) for co in cones if isinstance(co, sdp._Cone)}
+        assert sparse_gu == {True, False}
+        # the problem's G is sparse if and only if some block's Gu is
+        assert scipy.sparse.issparse(G) == (True in sparse_gu)
         # H is added by slices over runs of variables and by one gather; on
         # the chain problem the PSD blocks add by slices and the cones gather
         assert {type(co.hsel[0][0][0]) for co in cones} == {slice, np.ndarray}
@@ -732,8 +778,40 @@ class TestSchurAssembly:
         socs = [SocBlock(f0=rng.standard_normal(m), var_idx=vi, coefs=rng.standard_normal((len(vi), m)))
                 for m, vi in ((7, np.arange(5, 25)), (12, np.arange(0, 40, 2)), (1, [5]))]
         problem = SdpProblem(num_vars=40, c=prob.c, blocks=prob.blocks, socs=socs)
-        cones = _assert_newton_matches_reference(problem)
+        cones, _ = _assert_newton_matches_reference(problem)
         assert [type(co.hsel[0][0][0]) for co in cones[-3:]] == [slice, np.ndarray, slice]
+
+
+@pytest.mark.parametrize("case", COMPILE_CASES)
+def test_G_stacks_every_cone(monkeypatch, case):
+    """The solver's G is the one assembled from each LmiBlock's triplets
+    and each SocBlock's coefficients, over the cones' consecutive parts."""
+    make, args = case
+    _, _, problem, _ = compiled_design(monkeypatch, *make(*args))
+    cones = sdp._cones(problem)
+    G = sdp._G(cones, problem.num_vars)
+    want = np.zeros((sum(co.sdim for co in cones), problem.num_vars))
+    row = 0
+    for blk in problem.blocks:
+        n = blk.dim
+        svec_index = np.zeros((n, n), dtype=int)
+        svec_index[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+        weight = np.where(blk.rows == blk.cols, 1.0, np.sqrt(2.0))
+        want[row + svec_index[blk.rows, blk.cols], blk.var_idx[blk.slices]] = -blk.vals * weight
+        row += n * (n + 1) // 2
+    for soc in problem.socs:
+        want[row:row + soc.dim, soc.var_idx] = -soc.coefs.T
+        row += soc.dim
+    assert scipy.sparse.issparse(G) == any(scipy.sparse.issparse(co.Gu) for co in cones[0].blocks)
+    if scipy.sparse.issparse(G):
+        G = G.toarray()
+    else:
+        # BLAS's summation order in the products with G, and so each
+        # solve's rounding, follows the layout: with a row-major G the
+        # half-space SOCP of TestSecondOrderCones, whose pres ends within
+        # 25% of FEAS_TOL, stops as stalled instead of converging
+        assert G.flags.f_contiguous
+    assert np.array_equal(G, want)
 
 
 def _hinf_sf_problem(monkeypatch):
