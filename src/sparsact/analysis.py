@@ -30,7 +30,6 @@ __all__ = [
     "is_hurwitz",
     "h2_norm",
     "hinf_norm",
-    "hamiltonian_has_gain",
     "channel_h2_norms",
     "freq_response_gap",
     "default_frequency_grid",
@@ -142,19 +141,6 @@ def _imaginary_frequencies(A, B, C, D, gamma):
     eigs = np.linalg.eigvals(H)
     tol = HAMILTONIAN_REAL_TOL * max(1.0, np.linalg.norm(H, 2))
     return np.sort(eigs.imag[(np.abs(eigs.real) < tol) & (eigs.imag >= 0.0)])
-
-
-def hamiltonian_has_gain(A, B, C, D, gamma) -> bool:
-    """True iff the transfer function reaches gain >= gamma on the jw-axis.
-
-    Standard Hamiltonian test: for gamma > sigma_max(D) the frequency
-    response attains gamma iff the associated Hamiltonian matrix has an
-    imaginary-axis eigenvalue.
-    """
-    if A.shape[0] == 0:
-        return float(np.linalg.norm(D, 2)) >= gamma if D.size else False
-    freqs = _imaginary_frequencies(A, B, C, D, gamma)
-    return freqs is None or freqs.size > 0
 
 
 def _gains(A, B, C, D, freqs):

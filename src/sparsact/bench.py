@@ -29,7 +29,6 @@ __all__ = [
     "ScalarOracle",
     "MassSpringChain",
     "TensegrityApprox",
-    "make_plant",
     "SimResult",
     "simulate_closed_loop",
     "gamma_sweep",
@@ -243,10 +242,6 @@ class TensegrityApprox:
             return N @ ((G @ xstate) ** 3)
 
         return extra
-
-
-def make_plant(family) -> GeneralizedPlant:
-    return family.build()
 
 
 # ---------------------------------------------------------------------------

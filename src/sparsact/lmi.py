@@ -104,10 +104,6 @@ class MatVar:
             k = np.concatenate([k, k[off]])
         return rows, cols, k
 
-    def entry_pairs(self):
-        """Yield (row, col) of the independent entries, in storage order."""
-        return zip(*(a.tolist() for a in self.entry_index))
-
     def assemble(self, values):
         """Matrix from the flat vector of independent entries."""
         M = np.zeros(self.shape)

@@ -50,7 +50,6 @@ __all__ = [
     "OfSynthesisResult",
     "synth_of",
     "reconstruct_controller",
-    "hat_transform",
 ]
 
 
@@ -265,21 +264,3 @@ def reconstruct_controller(hat: HatController, plant: GeneralizedPlant) -> Dynam
     AK = np.linalg.solve(M, np.linalg.solve(N, core).T).T
     return DynamicController(AK=AK, BK=BK, CK=CK, DK=DK)
 
-
-def hat_transform(ctrl: DynamicController, plant: GeneralizedPlant, X, Y, M, N) -> HatController:
-    """Forward change of variables; the inverse of reconstruct_controller.
-
-    Exists for testing the reconstruction round trip.
-    """
-    A, Bu, Cy = plant.A, plant.Bu, plant.Cy
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    N = np.atleast_2d(np.asarray(N, dtype=float))
-    AK, BK, CK, DK = ctrl.AK, ctrl.BK, ctrl.CK, ctrl.DK
-    AKhat = (N @ AK @ M.T + N @ BK @ Cy @ X + Y @ Bu @ CK @ M.T
-             + Y @ (A + Bu @ DK @ Cy) @ X)
-    BKhat = N @ BK + Y @ Bu @ DK
-    CKhat = CK @ M.T + DK @ Cy @ X
-    DKhat = DK
-    return HatController(AKhat=AKhat, BKhat=BKhat, CKhat=CKhat, DKhat=DKhat, X=X, Y=Y)

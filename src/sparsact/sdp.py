@@ -58,11 +58,26 @@ cone, and G' and G once each (_solve3).  An iteration makes two of them:
 the tau-direction and the predictor share one solve with two right-hand
 sides, and the corrector has its own.
 
+A sparse block forms its part of H in a workspace that the stack
+allocates once per solve, sized for the largest such block, in two
+regions used in turn: alpha of max(m^2, m k) and beta of max(k m, k^2)
+entries.  M goes in alpha, its gathered factors in beta in row chunks;
+Y = Gu M in beta; Y', copied in C order, in alpha; X = Gu Y' in beta,
+where X + X' is then formed in place, a row chunk at a time through
+alpha.  The products run scipy's CSR kernel, csr_matvecs, which Gu @ M
+runs, so every entry is the sum that the allocating expressions form, in
+their order, and no iteration allocates or faults in a temporary of the
+size of M.  A dense Gu keeps the allocating expressions: on the small
+blocks that have one, the workspace's views and chunk loops would cost
+more than the allocations they save.
+
 The Schur system H + delta I is symmetric positive definite and is factored
 by Cholesky, LAPACK's dpotrf and dpotrs called directly (the calls that
 scipy's cho_factor and cho_solve make, without their wrappers' per-call
-cost); LU is used only when Cholesky fails numerically.  Target
-problems have at most a few hundred variables and LMI rows.
+cost), in place of a column-major copy of H in a buffer that the solve
+allocates once; a numerical failure ends the solve as "KKT factorization
+failure".  Target problems have at most a few hundred variables and LMI
+rows.
 SdpSolution.phase_s gives the seconds each solve spends on scaling,
 Schur assembly, factorization, Newton solves and the rest of the step.
 
@@ -411,13 +426,22 @@ class _Cone(_ConeBase):
         self.sparse = (k * m - np.count_nonzero(gu)) * (k + m) > SPARSE_SCHUR_WASTE
         if self.sparse:
             import scipy.sparse  # here: small problems never pay for loading it
+            from scipy.sparse._sparsetools import csr_matvecs  # the kernel of Gu @ M
             self.Gu = scipy.sparse.csr_array((gu, (blk.slices, col)), shape=(k, m))
+            self.matvecs = csr_matvecs
+            # the sizes of the two regions of the Schur workspace (bind)
+            self.regions = (max(m * m, m * k), max(k * m, k * k))
         else:
             # Gu column-major: BLAS's summation order in the products with
             # it, and so each solve's rounding, follows the layout
             self.Gu = np.zeros((m, k)).T
             self.Gu[blk.slices, col] = gu
         self.hsel = _placement(self.vi)
+
+    def bind(self, ws):
+        """Take this sparse block's two regions of the Schur workspace ws."""
+        a, b = self.regions
+        self.alpha, self.beta = ws[:a], ws[a:a + b]
 
     def add_schur(self, H, Rinv):
         """Add this block's G' W^-1 W^-T G to the Schur complement H.
@@ -426,14 +450,49 @@ class _Cone(_ConeBase):
         block's n x n corner of the stack's.  Summed over the touched entries
         p = (a, b) and q = (c, d), that is 2 (Gu M Gu')_ij with
         M_pq = W_ac W_bd + W_ad W_bc; X = Gu M Gu' is added as X + X', which
-        is exactly symmetric.
+        is exactly symmetric.  A sparse Gu forms each array in the block's
+        regions alpha and beta of the workspace (module docstring), with the
+        kernel and the order of sums of the allocating expressions.
         """
         W = Rinv.T @ Rinv
         WP, WQ = W[:, self.P], W[:, self.Q]
-        M = WP[self.P] * WQ[self.Q]
-        M += WQ[self.P] * WP[self.Q]
-        X = self.Gu @ (self.Gu @ M).T
-        self.add_to(H, X + X.T)
+        if not self.sparse:
+            M = WP[self.P] * WQ[self.Q]
+            M += WQ[self.P] * WP[self.Q]
+            X = self.Gu @ (self.Gu @ M).T
+            self.add_to(H, X + X.T)
+            return
+        Gu, alpha, beta = self.Gu, self.alpha, self.beta
+        k, m = Gu.shape
+
+        def rows(V, idx, out):
+            # mode "clip": the default "raise" buffers out
+            return np.take(V, idx, axis=0, out=out, mode="clip")
+
+        M = alpha[:m * m].reshape(m, m)
+        h = len(beta) // (2 * m)
+        for r in range(0, m, h):
+            P, Q = self.P[r:r + h], self.Q[r:r + h]
+            A, B = beta[:2 * len(P) * m].reshape(2, len(P), m)
+            np.multiply(rows(WP, P, A), rows(WQ, Q, B), out=M[r:r + h])
+            M[r:r + h] += np.multiply(rows(WQ, P, A), rows(WP, Q, B), out=A)
+        Y = beta[:k * m]  # Gu M
+        Y.fill(0.0)
+        self.matvecs(k, m, m, Gu.indptr, Gu.indices, Gu.data, alpha[:m * m], Y)
+        Z = alpha[:m * k].reshape(m, k)  # Y', C-order
+        np.copyto(Z, Y.reshape(k, m).T)
+        X = beta[:k * k]  # Gu Z
+        X.fill(0.0)
+        self.matvecs(k, m, k, Gu.indptr, Gu.indices, Gu.data, alpha[:m * k], X)
+        # X + X' in place: X_ij + X_ji in rows r:r+h from column r on, and
+        # the same sums transposed in columns r:r+h from row r on
+        X, h = X.reshape(k, k), len(alpha) // k
+        for r in range(0, k, h):
+            C = alpha[:min(h, k - r) * (k - r)].reshape(-1, k - r)
+            np.add(X[r:r + h, r:], X[r:, r:r + h].T, out=C)
+            X[r:r + h, r:] = C
+            X[r:, r:r + h] = C.T
+        self.add_to(H, X)
 
 
 def _T(M):
@@ -477,7 +536,12 @@ class _PsdStack:
                                      for j, co in enumerate(blocks)])
         self.w = _stack(co.sv.w for co in blocks)
         self.G_entries = tuple(np.concatenate(e) for e in zip(*(co.G_entries for co in blocks)))
-        self.sparse = any(co.sparse for co in blocks)
+        sparse = [co for co in blocks if co.sparse]
+        self.sparse = bool(sparse)
+        # one Schur workspace, sized for the largest sparse block
+        ws = np.empty(max((sum(co.regions) for co in sparse), default=0))
+        for co in sparse:
+            co.bind(ws)
         self.padmask = (np.arange(N) >= dims[:, None]).astype(float)[:, :, None]
         self.batch = np.arange(b)[:, None]
         self.eye = np.eye(N)
@@ -735,24 +799,24 @@ def _G(cones, n):
 # main solver
 
 
-def _factor_kkt(H, delta):
-    """Factor H + delta*I and return its solve function.
+def _factor_kkt(H, delta, KKT):
+    """Factor H + delta*I in the column-major n x n buffer KKT and return
+    its solve function.
 
     The matrix is symmetric positive definite in exact arithmetic and is
-    factored by LAPACK's Cholesky, dpotrf and dpotrs called directly; when
-    Cholesky fails numerically, by LU.  H is exactly symmetric, so its
-    copy's transpose is H in the column-major order that LAPACK factors in
-    place.
+    factored by LAPACK's Cholesky, dpotrf and dpotrs called directly, in
+    place of KKT; a numerical failure raises LinAlgError.  H is exactly
+    symmetric, so its transpose, copied into KKT, is H in the column-major
+    order that LAPACK factors in place.
     """
-    KKT = H.copy().T
+    np.copyto(KKT, H.T)
     KKT.flat[::H.shape[0] + 1] += delta
     U, info = scipy.linalg.lapack.dpotrf(KKT, clean=False, overwrite_a=True)
-    if info == 0:
-        # dpotrs takes no empty right-hand side, which a problem without
-        # variables has
-        return lambda rhs: scipy.linalg.lapack.dpotrs(U, rhs)[0] if len(rhs) else rhs
-    lu = scipy.linalg.lu_factor(H + delta * np.eye(H.shape[0]))
-    return lambda rhs: scipy.linalg.lu_solve(lu, rhs)
+    if info != 0:
+        raise np.linalg.LinAlgError("KKT Cholesky failure")
+    # dpotrs takes no empty right-hand side, which a problem without
+    # variables has
+    return lambda rhs: scipy.linalg.lapack.dpotrs(U, rhs)[0] if len(rhs) else rhs
 
 
 def _schur(cones, H):
@@ -843,6 +907,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     best = None
     best_it = 0
     H = np.zeros((n, n))
+    KKT = np.empty((n, n), order="F")  # _factor_kkt's factor
     clock = _PhaseClock()
 
     for it in range(MAX_ITER):
@@ -930,7 +995,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         clock.lap("schur")
         delta = 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0))
         try:
-            kkt_solve = _factor_kkt(H, delta)
+            kkt_solve = _factor_kkt(H, delta, KKT)
         except (np.linalg.LinAlgError, ValueError):
             status, message = "max_iter", "KKT factorization failure"
             break

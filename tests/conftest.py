@@ -1,6 +1,7 @@
 """Shared fixtures and oracles for the test suite."""
 
 import os
+import tracemalloc
 
 # one BLAS thread, as CI and the benchmark run: the solver's iteration
 # counts, which tests assert, depend on the thread count; an explicit
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from sparsact.model import GeneralizedPlant, validate_plant
+from sparsact.outputfb import HatController
 
 SCALAR = dict(A=[[1.0]], Bu=[[1.0]], Bw=[[1.0]], Cz=[[1.0]],
               Du=[[0.0]], Dw=[[0.0]], Cy=[[1.0]], Dyw=[[0.0]])
@@ -80,6 +82,23 @@ def pool_requests(seed):
         yield random_plant(rng, nx=nx, dw_zero=not infeasible), mode
 
 
+def allocation_peak(fn, *args):
+    """The peak bytes that fn(*args) holds allocated beyond what is live at
+    its call, as tracemalloc counts them.  numpy reports its arrays' data
+    buffers to tracemalloc, so a large temporary array shows."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def coupled_lyapunov_pair(rng, nx):
     """Random (X, Y) with [[X, I], [I, Y]] positive definite."""
     L = rng.standard_normal((nx, nx))
@@ -87,3 +106,20 @@ def coupled_lyapunov_pair(rng, nx):
     P = rng.standard_normal((nx, nx))
     Y = np.linalg.inv(X) + P @ P.T + 0.5 * np.eye(nx)
     return X, 0.5 * (Y + Y.T)
+
+
+def hat_transform(ctrl, plant, X, Y, M, N):
+    """Forward change of variables; the inverse of
+    outputfb.reconstruct_controller, for testing its round trip."""
+    A, Bu, Cy = plant.A, plant.Bu, plant.Cy
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    N = np.atleast_2d(np.asarray(N, dtype=float))
+    AK, BK, CK, DK = ctrl.AK, ctrl.BK, ctrl.CK, ctrl.DK
+    AKhat = (N @ AK @ M.T + N @ BK @ Cy @ X + Y @ Bu @ CK @ M.T
+             + Y @ (A + Bu @ DK @ Cy) @ X)
+    BKhat = N @ BK + Y @ Bu @ DK
+    CKhat = CK @ M.T + DK @ Cy @ X
+    DKhat = DK
+    return HatController(AKhat=AKhat, BKhat=BKhat, CKhat=CKhat, DKhat=DKhat, X=X, Y=Y)

@@ -17,7 +17,6 @@ from sparsact.model import DynamicController
 from sparsact.outputfb import (
     HatController,
     factor_lyapunov_partitions,
-    hat_transform,
     reconstruct_controller,
     synth_of,
 )
@@ -25,7 +24,7 @@ from sparsact.sdp import LmiBlock, SdpProblem, check_certificate, solve_sdp
 from sparsact.sparsify import ReweightPolicy, prune_and_resolve, reweight_iterate
 from sparsact.statefb import SfSynthesisSpec, synth_sf
 
-from conftest import coupled_lyapunov_pair, random_plant
+from conftest import coupled_lyapunov_pair, hat_transform, random_plant
 
 VERIFY_SLACK = 1.0 + 1e-5
 

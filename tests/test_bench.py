@@ -13,12 +13,12 @@ from sparsact.statefb import SfSynthesisSpec
 
 class TestPlantCatalog:
     def test_scalar_oracle(self):
-        p = bench.make_plant(bench.ScalarOracle())
+        p = bench.ScalarOracle().build()
         assert (p.nx, p.nu, p.nw, p.ny, p.nz) == (1, 1, 1, 1, 1)
         assert p.A[0, 0] == 1.0
 
     def test_mass_spring_chain_dims(self):
-        p = bench.make_plant(bench.MassSpringChain(3))
+        p = bench.MassSpringChain(3).build()
         assert (p.nx, p.nu, p.nw, p.ny, p.nz) == (6, 3, 3, 6, 6)
         assert validate_plant(p) == []
         # undamped-ish oscillator: marginally stable open loop, poles near jw axis
@@ -29,14 +29,14 @@ class TestPlantCatalog:
             bench.MassSpringChain(0).build()
 
     def test_tensegrity_dims_and_names(self):
-        p = bench.make_plant(bench.TensegrityApprox())
+        p = bench.TensegrityApprox().build()
         assert (p.nx, p.nu, p.nw, p.ny, p.nz) == (12, 9, 6, 12, 15)
         assert validate_plant(p) == []
         assert p.actuator_names[0] == "cable1" and p.actuator_names[-1] == "cable9"
         assert p.sensor_names[0] == "angle1" and p.sensor_names[-1] == "rate6"
 
     def test_tensegrity_open_loop_stable(self):
-        p = bench.make_plant(bench.TensegrityApprox())
+        p = bench.TensegrityApprox().build()
         assert analysis.is_hurwitz(p.A)
 
     def test_tensegrity_cable_geometry(self):
@@ -49,7 +49,7 @@ class TestPlantCatalog:
 class TestSimulator:
     def test_first_order_step_matches_closed_form(self):
         # A + Bu K = -1, so x' = -x + w; step w = 1 gives x(t) = 1 - exp(-t)
-        p = bench.make_plant(bench.ScalarOracle())
+        p = bench.ScalarOracle().build()
         res = bench.simulate_closed_loop(
             p, StateFeedbackGain([[-2.0]]), {"kind": "step"},
             horizon=5.0, dt=1e-3)
@@ -57,14 +57,14 @@ class TestSimulator:
         assert res.states[:, 0] == pytest.approx(expect, abs=1e-6)
 
     def test_controls_recorded_with_peaks(self):
-        p = bench.make_plant(bench.ScalarOracle())
+        p = bench.ScalarOracle().build()
         res = bench.simulate_closed_loop(
             p, StateFeedbackGain([[-2.0]]), {"kind": "step"}, horizon=5.0)
         assert res.controls.shape == (len(res.time), 1)
         assert res.peaks[0] == pytest.approx(np.abs(res.controls[:, 0]).max())
 
     def test_unit_norm_disturbances(self):
-        p = bench.make_plant(bench.MassSpringChain(2))
+        p = bench.MassSpringChain(2).build()
         for kind in ("step", "sinusoid", "noise"):
             res = bench.simulate_closed_loop(
                 p, StateFeedbackGain(np.zeros((2, 4))), {"kind": kind},
@@ -75,7 +75,7 @@ class TestSimulator:
                 assert np.linalg.norm(fn(t)) == pytest.approx(1.0, abs=1e-9)
 
     def test_noise_deterministic_per_seed(self):
-        p = bench.make_plant(bench.ScalarOracle())
+        p = bench.ScalarOracle().build()
         a = bench.simulate_closed_loop(p, StateFeedbackGain([[-2.0]]),
                                        {"kind": "noise"}, horizon=1.0, seed=7)
         b = bench.simulate_closed_loop(p, StateFeedbackGain([[-2.0]]),
@@ -83,12 +83,12 @@ class TestSimulator:
         assert a.states == pytest.approx(b.states)
 
     def test_unstable_loop_rejected(self):
-        p = bench.make_plant(bench.ScalarOracle())
+        p = bench.ScalarOracle().build()
         with pytest.raises(NonHurwitzError):
             bench.simulate_closed_loop(p, StateFeedbackGain([[0.5]]))
 
     def test_destabilizing_nonlinearity_caught(self):
-        p = bench.make_plant(bench.ScalarOracle())
+        p = bench.ScalarOracle().build()
         with pytest.raises(NonHurwitzError):
             bench.simulate_closed_loop(
                 p, StateFeedbackGain([[-2.0]]), {"kind": "step"},
@@ -96,7 +96,7 @@ class TestSimulator:
                 nonlinear_extra=lambda x: 10.0 * x ** 3)
 
     def test_blow_up_raises_without_overflow_warning(self):
-        p = bench.make_plant(bench.ScalarOracle())
+        p = bench.ScalarOracle().build()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonHurwitzError):
@@ -107,7 +107,7 @@ class TestSimulator:
 
     def test_blow_up_in_nonlinear_stage_raises_without_warning(self):
         # K = -1.5 overflows x**3 inside an RK4 stage before the energy check
-        p = bench.make_plant(bench.ScalarOracle())
+        p = bench.ScalarOracle().build()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonHurwitzError):
@@ -118,7 +118,7 @@ class TestSimulator:
 
     def test_cubic_stiffening_changes_trajectory(self):
         fam = bench.TensegrityApprox()
-        p = bench.make_plant(fam)
+        p = fam.build()
         K = np.zeros((9, 12))
         x0 = np.zeros(12)
         x0[:6] = 0.2
@@ -225,7 +225,7 @@ class TestVectorisedSimulation:
     @pytest.fixture
     def tensegrity_of_loop(self):
         fam = bench.TensegrityApprox()
-        p = bench.make_plant(fam)
+        p = fam.build()
         rng = np.random.default_rng(2)
         ctrl = DynamicController(AK=-2.0 * np.eye(4),
                                  BK=0.03 * rng.standard_normal((4, p.ny)),
@@ -252,7 +252,7 @@ class TestVectorisedSimulation:
 
     def test_controls_carry_disturbance_feedthrough(self):
         # Dyw != 0 and DK != 0 give Dtilde != 0, which the tensegrity lacks
-        chain = bench.make_plant(bench.MassSpringChain(2))
+        chain = bench.MassSpringChain(2).build()
         p = GeneralizedPlant(A=chain.A, Bu=chain.Bu, Bw=chain.Bw, Cz=chain.Cz,
                              Du=chain.Du, Dw=chain.Dw, Cy=chain.Cy,
                              Dyw=0.5 * np.ones((chain.ny, chain.nw)))

@@ -13,6 +13,11 @@ from sparsact.sdp import solve_sdp
 from sparsact.statefb import SfSynthesisSpec, synth_sf
 
 
+def entry_pairs(var):
+    """Yield (row, col) of the variable's independent entries, in storage order."""
+    return zip(*(a.tolist() for a in var.entry_index))
+
+
 def rand_assignment(rng, *variables):
     out = {}
     for v in variables:
@@ -183,7 +188,7 @@ class TestVarMap:
         M = M @ M.T
         x = np.zeros(prob.num_vars)
         # scatter entries through the variable's storage order and read back
-        for idx, (i, j) in enumerate(X.entry_pairs()):
+        for idx, (i, j) in enumerate(entry_pairs(X)):
             x[vm.offsets[X] + idx] = M[i, j]
         assert vm.value(x, X) == pytest.approx(M)
 
@@ -193,7 +198,7 @@ class TestVarMap:
         var = lmi.MatVar("V", shape, structure)
         values = np.random.default_rng(9).standard_normal(var.num_scalars)
         M = np.zeros(shape)
-        for k, (i, j) in enumerate(var.entry_pairs()):
+        for k, (i, j) in enumerate(entry_pairs(var)):
             M[i, j] = values[k]
             if structure == "symmetric" and i != j:
                 M[j, i] = values[k]
@@ -304,7 +309,7 @@ def dense_coefficients(expr, offsets):
         live_l = L.any(axis=0).tolist()
         live_r = R.any(axis=1).tolist()
         mirrored = t.var.structure == "symmetric"
-        for k, (i, j) in enumerate(t.var.entry_pairs()):
+        for k, (i, j) in enumerate(entry_pairs(t.var)):
             if t.transposed:
                 i, j = j, i
             C = np.outer(L[:, i], R[j, :]) if live_l[i] and live_r[j] else None
@@ -401,7 +406,7 @@ def _design(name, kind, nx):
 
 
 def _benchmark(family, kind, gamma0):
-    return synth_joint, JointSpec(plant=bench.make_plant(family), performance_kind=kind,
+    return synth_joint, JointSpec(plant=family.build(), performance_kind=kind,
                                   gamma0=gamma0)
 
 

@@ -15,13 +15,12 @@ from sparsact.model import DynamicController, GeneralizedPlant, close_output_fee
 from sparsact.outputfb import (
     HatController,
     factor_lyapunov_partitions,
-    hat_transform,
     reconstruct_controller,
     synth_of,
 )
 from sparsact.statefb import SfSynthesisSpec
 
-from conftest import coupled_lyapunov_pair, pool_requests, random_plant
+from conftest import coupled_lyapunov_pair, hat_transform, pool_requests, random_plant
 
 
 class TestScalarOracle:

@@ -2,12 +2,11 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_plant
+from conftest import allocation_peak, random_plant
 from sparsact import bench, sdp
 from sparsact.joint import JointSpec, synth_joint
 from sparsact.statefb import SfSynthesisSpec, synth_sf
@@ -130,25 +129,6 @@ def test_block_order_does_not_change_the_answer(seed, dims):
         assert sol.status == "optimal"
         assert check_certificate(p, sol).clean
     assert solutions[1].objective == pytest.approx(solutions[0].objective, rel=1e-7)
-
-
-class TestSchurFactorization:
-    def test_lu_fallback_matches_cholesky(self, monkeypatch):
-        prob = random_lmi_problem(3)
-        chol = solve_sdp(prob)
-        calls = []
-        dpotrf = scipy.linalg.lapack.dpotrf
-
-        def failing_dpotrf(*args, **kwargs):
-            calls.append(1)
-            return dpotrf(*args, **kwargs)[0], 1  # the first leading minor "not positive"
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing_dpotrf)
-        lu = solve_sdp(prob)
-        assert calls, "the solve never tried Cholesky"
-        assert chol.status == lu.status == "optimal"
-        assert lu.x == pytest.approx(chol.x, abs=1e-8)
-        assert check_certificate(prob, chol).clean
 
 
 class TestWeakDuality:
@@ -634,10 +614,11 @@ class TestEmptyShapes:
         assert np.array_equal(sol.x, [-1.0, 0.0])
 
 
-def _random_scaling(problem, seed):
-    """The problem's cones at the NT scaling of random strictly interior s, z."""
+def _random_scaling(problem, seed, cones=None):
+    """The problem's cones, new or the given ones, at the NT scaling of
+    random strictly interior s, z."""
     rng = np.random.default_rng(seed)
-    cones = sdp._cones(problem)
+    cones = sdp._cones(problem) if cones is None else cones
     for co in cones:
         if isinstance(co, sdp._Soc):
             co.update_scaling(_interior_soc(rng, co.sdim), _interior_soc(rng, co.sdim))
@@ -688,7 +669,8 @@ def _reference_newton(problem, cones, bx, bz):
     H = np.zeros((n, n))
     for co, (S, _, _) in zip(cones, refs):
         H[np.ix_(co.vi, co.vi)] += S.T @ S
-    kkt_solve = sdp._factor_kkt(H, 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0)))
+    kkt_solve = sdp._factor_kkt(H, 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0)),
+                                np.empty((n, n), order="F"))
     bz_t = [winv_t(bz[co.part]) for co, (_, winv_t, _) in zip(cones, refs)]
     rhs = bx.copy()
     for co, (S, _, _), v in zip(cones, refs, bz_t):
@@ -716,7 +698,8 @@ def _assert_newton_matches_reference(problem, seed=0):
     H = sdp._schur(cones, np.zeros((n, n)))
     assert np.array_equal(H, H.T)
     assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
-    kkt_solve = sdp._factor_kkt(H, 1e-12 * (1.0 + np.abs(np.diag(H)).max()))
+    kkt_solve = sdp._factor_kkt(H, 1e-12 * (1.0 + np.abs(np.diag(H)).max()),
+                                np.empty((n, n), order="F"))
     [(dx, dz)] = sdp._solve3(cones, G_solver, H, kkt_solve, [(bx, bz)])
     assert np.linalg.norm(dz - dz_ref) <= 1e-10 * np.linalg.norm(dz_ref)
     assert np.linalg.norm(G @ (dx - dx_ref)) <= 1e-10 * np.linalg.norm(G @ dx_ref)
@@ -730,6 +713,16 @@ def _assert_newton_matches_reference(problem, seed=0):
         [(vx, vz)] = sdp._solve3(cones, G_solver, H, kkt_solve, [pair])
         assert np.array_equal(ux, vx) and np.array_equal(uz, vz)
     return per_block, G_solver
+
+
+# the joint designs whose largest blocks keep a sparse Gu: the tensegrity
+# demo's and the chain prune's first solves
+BENCHMARK_PROBLEMS = [(bench.TensegrityApprox(), "h2", 0.42), (bench.MassSpringChain(5), "hinf", 100.0)]
+
+
+def _benchmark_problem(monkeypatch, family, kind, gamma0):
+    return compiled_design(monkeypatch, synth_joint, JointSpec(
+        plant=family.build(), performance_kind=kind, gamma0=gamma0))[2]
 
 
 class TestSchurAssembly:
@@ -746,11 +739,9 @@ class TestSchurAssembly:
             plant=plant, performance_kind=kind, gamma0=5.0))
         _assert_newton_matches_reference(problem)
 
-    @pytest.mark.parametrize("family, kind, gamma0", [
-        (bench.TensegrityApprox(), "h2", 0.42), (bench.MassSpringChain(5), "hinf", 100.0)])
+    @pytest.mark.parametrize("family, kind, gamma0", BENCHMARK_PROBLEMS)
     def test_benchmark_problems_cover_both_forms(self, monkeypatch, family, kind, gamma0):
-        _, _, problem, _ = compiled_design(monkeypatch, synth_joint, JointSpec(
-            plant=bench.make_plant(family), performance_kind=kind, gamma0=gamma0))
+        problem = _benchmark_problem(monkeypatch, family, kind, gamma0)
         cones, G = _assert_newton_matches_reference(problem)
         assert {type(co) for co in cones} == {sdp._Cone, sdp._Soc}
         sparse_gu = {scipy.sparse.issparse(co.Gu) for co in cones if isinstance(co, sdp._Cone)}
@@ -780,6 +771,65 @@ class TestSchurAssembly:
         problem = SdpProblem(num_vars=40, c=prob.c, blocks=prob.blocks, socs=socs)
         cones, _ = _assert_newton_matches_reference(problem)
         assert [type(co.hsel[0][0][0]) for co in cones[-3:]] == [slice, np.ndarray, slice]
+
+
+def _allocating_schur(cones, n):
+    """The Schur complement with every block's part formed by allocating
+    expressions: X = Gu (Gu M)', added as X + X'."""
+    H = np.zeros((n, n))
+    for co, Rinv in _per_block(cones):
+        if Rinv is None:
+            co.add_schur(H)
+            continue
+        W = Rinv.T @ Rinv
+        WP, WQ = W[:, co.P], W[:, co.Q]
+        M = WP[co.P] * WQ[co.Q]
+        M += WQ[co.P] * WP[co.Q]
+        X = co.Gu @ (co.Gu @ M).T
+        co.add_to(H, X + X.T)
+    return H
+
+
+@pytest.mark.parametrize("family, kind, gamma0", BENCHMARK_PROBLEMS)
+class TestSchurWorkspace:
+    """The sparse blocks form their Schur part in the stack's workspace,
+    with the bits of the allocating expressions and without their
+    temporaries."""
+
+    def test_same_bits_as_allocating_products(self, monkeypatch, family, kind, gamma0):
+        # two consecutive assemblies at different scalings: contents that the
+        # first leaves in the workspace would show in the second
+        problem = _benchmark_problem(monkeypatch, family, kind, gamma0)
+        n = problem.num_vars
+        cones = sdp._cones(problem)
+        H = np.zeros((n, n))
+        for seed in (0, 1):
+            _random_scaling(problem, seed, cones)
+            assert np.array_equal(sdp._schur(cones, H), _allocating_schur(cones, n))
+
+    def test_kernel_is_the_one_of_the_sparse_product(self, monkeypatch, family, kind, gamma0):
+        # csr_matvecs with C-order operands is what Gu @ M runs; pinned bit
+        # for bit, so that a scipy that changes either shows here
+        rng = np.random.default_rng(2)
+        sparse = [co for co in sdp._cones(_benchmark_problem(monkeypatch, family, kind, gamma0))[0].blocks
+                  if co.sparse]
+        assert sparse
+        for co in sparse:
+            Gu = co.Gu
+            k, m = Gu.shape
+            for cols in (m, k):
+                V = rng.standard_normal((m, cols))
+                out = np.zeros(k * cols)
+                co.matvecs(k, m, cols, Gu.indptr, Gu.indices, Gu.data, V.ravel(), out)
+                assert np.array_equal(out.reshape(k, cols), Gu @ V)
+
+    def test_no_temporary_of_the_size_of_M(self, monkeypatch, family, kind, gamma0):
+        problem = _benchmark_problem(monkeypatch, family, kind, gamma0)
+        n = problem.num_vars
+        cones = _random_scaling(problem, 0)
+        H = sdp._schur(cones, np.zeros((n, n)))
+        m = max(co.Gu.shape[1] for co in cones[0].blocks if co.sparse)
+        assert allocation_peak(sdp._schur, cones, H) < m * m * H.itemsize
 
 
 @pytest.mark.parametrize("case", COMPILE_CASES)
@@ -828,9 +878,7 @@ def _hinf_sf_problem(monkeypatch):
 
 def _chain_problem(monkeypatch):
     """The joint H-infinity design of the chain-prune benchmark's first solve."""
-    return compiled_design(monkeypatch, synth_joint, JointSpec(
-        plant=bench.make_plant(bench.MassSpringChain(5)), performance_kind="hinf",
-        gamma0=100.0))[2]
+    return _benchmark_problem(monkeypatch, *BENCHMARK_PROBLEMS[1])
 
 
 def _solve_without_stall_stop(monkeypatch, problem):
