@@ -15,15 +15,15 @@ Three plant families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, NonHurwitzError
+from .errors import DimensionError, InfeasiblePerformance, NonHurwitzError, SparsactError
 from .model import GeneralizedPlant, close_loop
 from .sparsify import ReweightPolicy, prune_and_resolve, reweight_iterate
-from .errors import InfeasiblePerformance, SparsactError
 
 __all__ = [
     "ScalarOracle",
@@ -52,10 +52,11 @@ class ScalarOracle:
 
 @dataclass(frozen=True)
 class MassSpringChain:
-    """n unit masses in a line, unit springs to neighbors and ground ends."""
+    """n unit masses in a line, unit springs to neighbors and ground ends,
+    and the light damping DAMPING on each mass."""
 
+    DAMPING = 0.01
     n: int
-    damping: float = 0.01
 
     def build(self) -> GeneralizedPlant:
         n = self.n
@@ -64,7 +65,7 @@ class MassSpringChain:
         K = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         A = np.block([
             [np.zeros((n, n)), np.eye(n)],
-            [-K, -self.damping * np.eye(n)],
+            [-K, -self.DAMPING * np.eye(n)],
         ])
         Bf = np.vstack([np.zeros((n, n)), np.eye(n)])
         Cz = np.vstack([
@@ -77,6 +78,18 @@ class MassSpringChain:
             Cy=np.eye(2 * n), Dyw=np.zeros((2 * n, n)))
 
 
+def _central_jacobian(f, q, step=1e-6):
+    """Jacobian of f at q by central differences, one column per entry of q."""
+    cols = []
+    for k in range(len(q)):
+        qp = q.copy()
+        qp[k] += step
+        qm = q.copy()
+        qm[k] -= step
+        cols.append((f(qp) - f(qm)) / (2 * step))
+    return np.stack(cols, axis=1)
+
+
 @dataclass(frozen=True)
 class TensegrityApprox:
     """Planar two-chain, nine-cable cantilever approximation.
@@ -86,100 +99,84 @@ class TensegrityApprox:
     chain hangs at absolute tip angles (55, -45, 23) degrees from its
     anchor, the second chain is the mirror image from an anchor offset
     vertically; the nine cables connect every free node of one chain to
-    every free node of the other.
+    every free node of the other.  These values, the joint stiffness, the
+    Rayleigh damping and the output weights are class constants.
     """
 
-    bar_length: float = 1.0
-    bar_radius: float = 5e-3
-    bar_density: float = 2700.0
-    cable_diameter: float = 2e-3
-    cable_modulus: float = 0.26e9
-    anchor_offset: float = 1.0
-    joint_stiffness: float = 2.0
-    rayleigh_alpha: float = 0.05
-    rayleigh_beta: float = 1e-4
-    disturbance_scale: float = 0.1
-    control_weight: float = 0.1
+    BAR_LENGTH = 1.0
+    BAR_RADIUS = 5e-3
+    BAR_DENSITY = 2700.0
+    CABLE_DIAMETER = 2e-3
+    CABLE_MODULUS = 0.26e9
+    ANCHOR_OFFSET = 1.0
+    JOINT_STIFFNESS = 2.0
+    RAYLEIGH_ALPHA = 0.05
+    RAYLEIGH_BETA = 1e-4
+    DISTURBANCE_SCALE = 0.1
+    CONTROL_WEIGHT = 0.1
 
     @property
     def trim_angles(self):
         base = np.deg2rad([55.0, -45.0, 23.0])
         return np.concatenate([base, -base])
 
-    def _node_positions(self, q):
-        """Free-node coordinates of both chains for absolute angles q."""
-        L = self.bar_length
+    def _nodes(self, q):
+        """The four nodes of each chain, anchor first, for absolute angles q."""
+        L = self.BAR_LENGTH
         a = [np.array([0.0, 0.0])]
         for k in range(3):
             a.append(a[-1] + L * np.array([math.cos(q[k]), math.sin(q[k])]))
-        b = [np.array([0.0, -self.anchor_offset])]
+        b = [np.array([0.0, -self.ANCHOR_OFFSET])]
         for k in range(3):
             b.append(b[-1] + L * np.array([math.cos(q[3 + k]), math.sin(q[3 + k])]))
-        return a[1:], b[1:]
-
-    def _cable_endpoints(self):
-        # cable c = 3*i + j connects free node i of chain one to free node
-        # j of chain two (i, j in 0..2)
-        return [(i, j) for i in range(3) for j in range(3)]
+        return a, b
 
     def cable_lengths(self, q):
-        a, b = self._node_positions(q)
-        return np.array([np.linalg.norm(a[i] - b[j])
-                         for i, j in self._cable_endpoints()])
+        # cable c = 3*i + j connects free node i of chain one to free node
+        # j of chain two (i, j in 0..2)
+        a, b = self._nodes(q)
+        return np.array([np.linalg.norm(a[i + 1] - b[j + 1])
+                         for i in range(3) for j in range(3)])
 
-    def _length_jacobian(self, q, step=1e-6):
-        base = self.cable_lengths(q)
-        Gm = np.zeros((9, 6))
-        for k in range(6):
-            qp = q.copy()
-            qp[k] += step
-            qm = q.copy()
-            qm[k] -= step
-            Gm[:, k] = (self.cable_lengths(qp) - self.cable_lengths(qm)) / (2 * step)
-        return Gm, base
+    def _bar_centers(self, q):
+        a, b = self._nodes(q)
+        return np.concatenate([0.5 * (c[k] + c[k + 1]) for c in (a, b) for k in range(3)])
 
-    def _mass_matrix(self, q, step=1e-6):
-        """M(q) from the bar center-of-mass Jacobians plus rod inertia."""
-        L = self.bar_length
-        m = self.bar_density * math.pi * self.bar_radius ** 2 * L
-        I_com = m * L ** 2 / 12.0
-
-        def coms(qv):
-            a, b = self._node_positions(qv)
-            a = [np.array([0.0, 0.0])] + a
-            b = [np.array([0.0, -self.anchor_offset])] + b
-            out = []
-            for k in range(3):
-                out.append(0.5 * (a[k] + a[k + 1]))
-            for k in range(3):
-                out.append(0.5 * (b[k] + b[k + 1]))
-            return np.concatenate(out)
-
-        J = np.zeros((12, 6))
-        for k in range(6):
-            qp = q.copy()
-            qp[k] += step
-            qm = q.copy()
-            qm[k] -= step
-            J[:, k] = (coms(qp) - coms(qm)) / (2 * step)
-        M = m * (J.T @ J) + I_com * np.eye(6)
-        return 0.5 * (M + M.T)
-
-    def _raw_dynamics(self):
-        """Unbalanced (A, Bu, Bw) in physical angle/rate coordinates."""
+    @cached_property
+    def _trim(self):
+        """(M, Gm, lengths, k_cable) at the trim angles: the mass matrix from
+        the bar center-of-mass Jacobians plus rod inertia, the cable-length
+        Jacobian, the cable lengths and the cable stiffnesses EA / l0."""
         q0 = self.trim_angles
-        M = self._mass_matrix(q0)
-        Gm, lengths = self._length_jacobian(q0)
-        area = math.pi * (self.cable_diameter / 2.0) ** 2
-        k_cable = self.cable_modulus * area / lengths  # EA / l0, zero pretension
+        L = self.BAR_LENGTH
+        m = self.BAR_DENSITY * math.pi * self.BAR_RADIUS ** 2 * L
+        I_com = m * L ** 2 / 12.0
+        J = _central_jacobian(self._bar_centers, q0)
+        M = m * (J.T @ J) + I_com * np.eye(6)
+        lengths = self.cable_lengths(q0)
+        area = math.pi * (self.CABLE_DIAMETER / 2.0) ** 2
+        k_cable = self.CABLE_MODULUS * area / lengths  # zero pretension
+        return 0.5 * (M + M.T), _central_jacobian(self.cable_lengths, q0), lengths, k_cable
+
+    @cached_property
+    def _dynamics(self):
+        """(A, Bu, Bw, T): the linearized dynamics in balanced coordinates
+        and the diagonal balancing T of the physical angle/rate state.
+
+        The stiffness-to-inertia ratios make raw A entries span four orders
+        of magnitude, which the interior-point certificates cannot resolve
+        in double precision.  A similarity folded into the input/output
+        maps leaves every signal unchanged.
+        """
+        M, Gm, lengths, k_cable = self._trim
         Kq = Gm.T @ np.diag(k_cable) @ Gm
         # flexural stiffness of the pin joints, on relative angles; without
         # it the mirror-symmetric scissor motion changes no cable length
         D = np.eye(3) - np.eye(3, k=-1)
         Dj = np.block([[D, np.zeros((3, 3))], [np.zeros((3, 3)), D]])
-        Kq = Kq + self.joint_stiffness * Dj.T @ Dj
+        Kq = Kq + self.JOINT_STIFFNESS * Dj.T @ Dj
         Kq = 0.5 * (Kq + Kq.T)
-        Cq = self.rayleigh_alpha * M + self.rayleigh_beta * Kq
+        Cq = self.RAYLEIGH_ALPHA * M + self.RAYLEIGH_BETA * Kq
 
         Minv = np.linalg.inv(M)
         A = np.block([
@@ -189,30 +186,19 @@ class TensegrityApprox:
         # force-density input sigma_c produces generalized force -|s_c| g_c
         Bu = np.vstack([np.zeros((6, 9)), -Minv @ (Gm.T * lengths)])
         Bw = np.vstack([np.zeros((6, 6)),
-                        Minv @ (self.disturbance_scale * np.eye(6))])
-        return A, Bu, Bw
-
-    def _balance_transform(self):
-        A, _, _ = self._raw_dynamics()
-        _, T = scipy.linalg.matrix_balance(A)
-        return T
-
-    def build(self) -> GeneralizedPlant:
-        A, Bu, Bw = self._raw_dynamics()
-        Cz = np.vstack([np.hstack([np.eye(6), np.zeros((6, 6))]),
-                        np.zeros((9, 12))])
-        Du = np.vstack([np.zeros((6, 9)), self.control_weight * np.eye(9)])
-        Cy = np.eye(12)
-        # diagonal state balancing: the stiffness-to-inertia ratios make raw
-        # A entries span four orders of magnitude, which the interior-point
-        # certificates cannot resolve in double precision.  A similarity
-        # folded into the input/output maps leaves every signal unchanged.
+                        Minv @ (self.DISTURBANCE_SCALE * np.eye(6))])
         A, T = scipy.linalg.matrix_balance(A)
         Tinv = np.diag(1.0 / np.diag(T))
-        Bu, Bw, Cz, Cy = Tinv @ Bu, Tinv @ Bw, Cz @ T, Cy @ T
+        return A, Tinv @ Bu, Tinv @ Bw, T
+
+    def build(self) -> GeneralizedPlant:
+        A, Bu, Bw, T = self._dynamics
+        Cz = np.vstack([np.hstack([np.eye(6), np.zeros((6, 6))]),
+                        np.zeros((9, 12))])
+        Du = np.vstack([np.zeros((6, 9)), self.CONTROL_WEIGHT * np.eye(9)])
         return GeneralizedPlant(
-            A=A, Bu=Bu, Bw=Bw, Cz=Cz, Du=Du, Dw=np.zeros((15, 6)),
-            Cy=Cy, Dyw=np.zeros((12, 6)),
+            A=A, Bu=Bu, Bw=Bw, Cz=Cz @ T, Du=Du, Dw=np.zeros((15, 6)),
+            Cy=np.eye(12) @ T, Dyw=np.zeros((12, 6)),
             actuator_names=[f"cable{c + 1}" for c in range(9)],
             sensor_names=[f"angle{k + 1}" for k in range(6)]
             + [f"rate{k + 1}" for k in range(6)])
@@ -228,12 +214,8 @@ class TensegrityApprox:
         are folded into two constant matrices, so the term is
         N @ (G @ x)^3 with G mapping the state to cable elongations.
         """
-        q0 = self.trim_angles
-        M = self._mass_matrix(q0)
-        Gm, lengths = self._length_jacobian(q0)
-        area = math.pi * (self.cable_diameter / 2.0) ** 2
-        k_cable = self.cable_modulus * area / lengths
-        t_diag = np.diag(self._balance_transform())
+        M, Gm, _, k_cable = self._trim
+        t_diag = np.diag(self._dynamics[3])
         G = np.hstack([Gm * t_diag[:6], np.zeros((9, 6))])  # state -> elongations
         N = np.vstack([np.zeros((6, 9)),
                        -np.linalg.solve(M, Gm.T * (k_cable * strength))]) / t_diag[:, None]

@@ -209,18 +209,13 @@ def _cmd_prune(args):
     return 0
 
 
-def _demo_family(name):
-    if name == "scalar":
-        return ScalarOracle()
-    if name == "chain":
-        return MassSpringChain(4)
-    if name == "tensegrity":
-        return TensegrityApprox()
-    raise argparse.ArgumentTypeError(f"unknown family {name!r}")
-
-
 def _cmd_demo(args):
-    family = _demo_family(args.family)
+    if args.nonlinear_sim and args.family != "tensegrity":
+        print("--nonlinear-sim is only available for the tensegrity family",
+              file=sys.stderr)
+        return 1
+    family = {"scalar": ScalarOracle(), "chain": MassSpringChain(4),
+              "tensegrity": TensegrityApprox()}[args.family]
     plant = family.build()
     out = _ensure_out(args)
     save_plant(plant, os.path.join(out, "plant.json"))
@@ -236,13 +231,7 @@ def _cmd_demo(args):
     _write_design(out, result, {"family": args.family, "gamma0": gamma0,
                                 "iterations": len(trace)},
                   trace.threshold_ratio, _kept(pruned))
-    extra = None
-    if args.nonlinear_sim:
-        if not isinstance(family, TensegrityApprox):
-            print("--nonlinear-sim is only available for the tensegrity family",
-                  file=sys.stderr)
-            return 1
-        extra = family.cubic_stiffening()
+    extra = family.cubic_stiffening() if args.nonlinear_sim else None
     # the pruned controller lives on the reduced actuator/sensor sets; the
     # reduced plant has the same states, so the nonlinear term still applies
     sim = simulate_closed_loop(pruned.reduced_plant, result.controller,

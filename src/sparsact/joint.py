@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, lmi
-from .errors import DimensionError, NonzeroFeedthroughError
+from .errors import DimensionError
 from .model import GeneralizedPlant, close_output_feedback
 from .outputfb import (
     HatController,
@@ -32,7 +32,7 @@ from .outputfb import (
     reconstruct_controller,
 )
 from .sdp import SdpSolution, SolverOptions, solve_sdp
-from .statefb import _raise_for_status, _verify
+from .statefb import _check_performance, _raise_for_status, _verify
 
 __all__ = [
     "JointSpec",
@@ -64,10 +64,7 @@ class JointSpec:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.performance_kind not in ("hinf", "h2"):
-            raise ValueError(f"performance_kind must be 'hinf' or 'h2', got {self.performance_kind!r}")
-        if not (self.gamma0 > 0):
-            raise ValueError("gamma0 must be positive")
+        _check_performance(self)
         n_act, n_sen = self.plant.nu, self.plant.ny
         mu = np.ones(n_act) if self.mu is None else np.asarray(self.mu, dtype=float).ravel()
         nu = np.ones(n_sen) if self.nu is None else np.asarray(self.nu, dtype=float).ravel()
@@ -81,8 +78,6 @@ class JointSpec:
             raise ValueError("mu and nu cannot both be identically zero")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
-        if self.performance_kind == "h2" and np.any(self.plant.Dw != 0.0):
-            raise NonzeroFeedthroughError("H2 performance needs Dw = 0")
 
     def synthesize(self):
         return synth_joint(self)
@@ -122,7 +117,7 @@ def group_norms(hat: HatController):
 def synth_joint(spec: JointSpec) -> JointSynthesisResult:
     """Minimize weighted hat-matrix group norms under a gamma0 performance LMI."""
     p = spec.plant
-    _check_of_preconditions(p, need_dw_zero=spec.performance_kind == "h2")
+    _check_of_preconditions(p)
     hat_vars, variables = _declare_of_variables(p)
     X, Y, AKh, BKh, CKh, DKh = hat_vars
     parts = _of_common_exprs(p, *hat_vars)
@@ -137,7 +132,7 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
         for i, w in enumerate(weights):
             if w == 0.0:
                 continue
-            t = lmi.MatVar(f"{name}_{i}", (1, 1), "scalar")
+            t = lmi.MatVar(f"{name}_{i}", (1, 1), "diagonal")
             variables.append(t)
             cons.append(lmi.soc(t, lmi.bmat(group(i))))
             objective = objective + w * t

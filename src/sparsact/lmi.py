@@ -1,11 +1,13 @@
 """Affine matrix-expression modeling and compilation to an SdpProblem.
 
-Decision variables are matrices (symmetric, rectangular, diagonal, or
-scalar).  Expressions are affine: constant + sum of L @ V @ R terms (V
-possibly transposed).  Products of two variable expressions are rejected
-at construction time -- the synthesis change of variables exists precisely
-so that no bilinear term is ever needed.  Constraints are matrix
-inequalities (PSD blocks) and 2-norm bounds ||v|| <= t (second-order cones).
+Decision variables are matrices: symmetric, rectangular or diagonal (a
+1 x 1 diagonal variable is a scalar).  Expressions are affine: constant +
+sum of L @ V @ R terms (V possibly transposed), and a variable V is itself
+an expression, the one term I @ V @ I.  Products of two variable
+expressions are rejected at construction time -- the synthesis change of
+variables exists precisely so that no bilinear term is ever needed.
+Constraints are matrix inequalities (PSD blocks) and 2-norm bounds
+||v|| <= t (second-order cones).
 
 Compilation never forms a dense coefficient slice.  Each term L @ V @ R
 yields the triplets (scalar, row, col, value) of its nonzero products
@@ -46,113 +48,7 @@ __all__ = [
 
 STRICT_EPS_SCALE = 1e-7
 
-_STRUCTURES = ("symmetric", "rectangular", "diagonal", "scalar")
-
-
-@dataclass(frozen=True, eq=False)
-class MatVar:
-    """A matrix decision variable."""
-
-    __array_priority__ = 100  # keep ndarray @ MatVar from dispatching to numpy
-
-    name: str
-    shape: tuple
-    structure: str = "rectangular"
-
-    def __post_init__(self):
-        if self.structure not in _STRUCTURES:
-            raise ModelingError(f"unknown structure {self.structure!r}")
-        r, c = self.shape
-        if self.structure in ("symmetric", "diagonal") and r != c:
-            raise ModelingError(f"{self.structure} variable {self.name} must be square")
-        if self.structure == "scalar" and self.shape != (1, 1):
-            raise ModelingError("scalar variable must have shape (1, 1)")
-
-    @property
-    def num_scalars(self):
-        r, c = self.shape
-        if self.structure == "symmetric":
-            return r * (r + 1) // 2
-        if self.structure == "diagonal":
-            return r
-        if self.structure == "scalar":
-            return 1
-        return r * c
-
-    @cached_property
-    def entry_index(self):
-        """(rows, cols) arrays of the independent entries, in storage order."""
-        r, c = self.shape
-        if self.structure == "symmetric":
-            return np.triu_indices(r)
-        if self.structure in ("diagonal", "scalar"):
-            return np.arange(r), np.arange(r)
-        return np.divmod(np.arange(r * c), c)
-
-    @cached_property
-    def positions(self):
-        """(rows, cols, k): matrix entry (rows[e], cols[e]) is independent entry k[e].
-
-        A symmetric variable's off-diagonal entries appear twice, once
-        mirrored.
-        """
-        rows, cols = self.entry_index
-        k = np.arange(len(rows))
-        if self.structure == "symmetric":
-            off = rows != cols
-            rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
-            k = np.concatenate([k, k[off]])
-        return rows, cols, k
-
-    def assemble(self, values):
-        """Matrix from the flat vector of independent entries."""
-        M = np.zeros(self.shape)
-        rows, cols, k = self.positions
-        M[rows, cols] = np.asarray(values, dtype=float)[k]
-        return M
-
-    # expression sugar -----------------------------------------------------
-    def as_expr(self):
-        r, c = self.shape
-        return Expr((r, c), np.zeros((r, c)),
-                    [_Term(np.eye(r), self, np.eye(c), False)])
-
-    @property
-    def T(self):
-        return self.as_expr().T
-
-    def __add__(self, other):
-        return self.as_expr() + other
-
-    def __radd__(self, other):
-        return self.as_expr().__radd__(other)
-
-    def __sub__(self, other):
-        return self.as_expr() - other
-
-    def __rsub__(self, other):
-        return self.as_expr().__rsub__(other)
-
-    def __neg__(self):
-        return -self.as_expr()
-
-    def __mul__(self, a):
-        return self.as_expr() * a
-
-    def __rmul__(self, a):
-        return self.as_expr() * a
-
-    def __matmul__(self, other):
-        return self.as_expr() @ other
-
-    def __rmatmul__(self, other):
-        return self.as_expr().__rmatmul__(other)
-
-    def row(self, i):
-        return self.as_expr().row(i)
-
-    def col(self, j):
-        return self.as_expr().col(j)
+_STRUCTURES = ("symmetric", "rectangular", "diagonal")
 
 
 @dataclass(frozen=True)
@@ -179,8 +75,6 @@ class Expr:
     def wrap(obj, like=None):
         if isinstance(obj, Expr):
             return obj
-        if isinstance(obj, MatVar):
-            return obj.as_expr()
         M = np.atleast_2d(np.asarray(obj, dtype=float))
         if like is not None and M.shape == (1, 1) and like != (1, 1):
             if like[0] != like[1]:
@@ -282,6 +176,65 @@ class Expr:
         nz = val != 0.0
         key, rc = np.divmod(code[nz], rows * cols)
         return self.constant, (key, *np.divmod(rc, cols), val[nz])
+
+
+class MatVar(Expr):
+    """A matrix decision variable V, itself the expression I @ V @ I.
+
+    As a VarMap key a variable is hashed by identity.
+    """
+
+    def __init__(self, name, shape, structure="rectangular"):
+        if structure not in _STRUCTURES:
+            raise ModelingError(f"unknown structure {structure!r}")
+        r, c = shape
+        if structure in ("symmetric", "diagonal") and r != c:
+            raise ModelingError(f"{structure} variable {name} must be square")
+        self.name, self.structure = name, structure
+        self.shape, self.constant = (r, c), np.zeros((r, c))
+
+    @property
+    def terms(self):
+        # made on each use: a stored term would hold its own variable in a
+        # reference cycle, which only the cyclic garbage collector frees
+        r, c = self.shape
+        return [_Term(np.eye(r), self, np.eye(c), False)]
+
+    @property
+    def num_scalars(self):
+        return len(self.entry_index[0])
+
+    @cached_property
+    def entry_index(self):
+        """(rows, cols) arrays of the independent entries, in storage order."""
+        r, c = self.shape
+        if self.structure == "symmetric":
+            return np.triu_indices(r)
+        if self.structure == "diagonal":
+            return np.arange(r), np.arange(r)
+        return np.divmod(np.arange(r * c), c)
+
+    @cached_property
+    def positions(self):
+        """(rows, cols, k): matrix entry (rows[e], cols[e]) is independent entry k[e].
+
+        A symmetric variable's off-diagonal entries appear twice, once
+        mirrored.
+        """
+        rows, cols = self.entry_index
+        k = np.arange(len(rows))
+        if self.structure == "symmetric":
+            off = rows != cols
+            rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+            k = np.concatenate([k, k[off]])
+        return rows, cols, k
+
+    def assemble(self, values):
+        """Matrix from the flat vector of independent entries."""
+        M = np.zeros(self.shape)
+        rows, cols, k = self.positions
+        M[rows, cols] = np.asarray(values, dtype=float)[k]
+        return M
 
 
 _NO_TRIPLETS = (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)

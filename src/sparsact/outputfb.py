@@ -8,10 +8,11 @@ state-feedback design.  The preconditions, variables, H-infinity/H2
 performance constraints and hat recovery here are shared with ``joint``.
 
 A measurement feedthrough Dyw != 0 needs DKhat Dyw = 0 so that the
-disturbance does not reach the actuators directly.  DKhat is parametrized
-as Z P' with P an orthonormal basis of null(Dyw'), so the condition holds by
-construction and the compiled problem has no equality constraints: DKhat is
-the plain variable when Dyw = 0 and the constant zero when null(Dyw') = {0}.
+disturbance does not reach the actuators directly.  DKhat is the
+expression Z P' for every Dyw: P = I when Dyw = 0, and otherwise an
+orthonormal basis of null(Dyw'), so the condition holds by construction and
+the compiled problem has no equality constraints.  When Dyw has full row
+rank, P and Z have no columns and DKhat evaluates to zeros.
 The closed loop's DK Dyw is then zero up to the rounding of the products,
 which ``model.close_output_feedback`` sets to exact zeros.
 """
@@ -97,39 +98,27 @@ class OfSynthesisResult(_ChannelBoundGroups):
     solution: SdpSolution
 
 
-def _check_of_preconditions(plant, *, need_dw_zero):
+def _check_of_preconditions(plant):
     diags = validate_plant(plant)
     feed = [d for d in diags if "Dyu" in d]
     if feed:
         raise NonzeroFeedthroughError(feed[0])
     if diags:
         raise InfeasiblePerformance("; ".join(diags), status="infeasible")
-    if need_dw_zero and np.any(plant.Dw != 0.0):
-        raise NonzeroFeedthroughError("H2 performance needs Dw = 0")
 
 
 def _declare_of_variables(plant):
     """The hat variables (X, Y, AKhat, BKhat, CKhat, DKhat) and the matrix
-    variables they are made of; DKhat = Z P' is an expression when Dyw != 0."""
+    variables they are made of; DKhat is the expression Z P'."""
     nx, nu, ny = plant.nx, plant.nu, plant.ny
     X = lmi.MatVar("X", (nx, nx), "symmetric")
     Y = lmi.MatVar("Y", (nx, nx), "symmetric")
     AKh = lmi.MatVar("AKhat", (nx, nx))
     BKh = lmi.MatVar("BKhat", (nx, ny))
     CKh = lmi.MatVar("CKhat", (nu, nx))
-    variables = [X, Y, AKh, BKh, CKh]
-    if np.all(plant.Dyw == 0.0):
-        DKh = lmi.MatVar("DKhat", (nu, ny))
-        variables.append(DKh)
-    else:
-        P = scipy.linalg.null_space(plant.Dyw.T)
-        if P.shape[1] == 0:
-            DKh = lmi.const(np.zeros((nu, ny)))
-        else:
-            Z = lmi.MatVar("DKhat_Z", (nu, P.shape[1]))
-            variables.append(Z)
-            DKh = Z @ P.T
-    return (X, Y, AKh, BKh, CKh, DKh), variables
+    P = np.eye(ny) if np.all(plant.Dyw == 0.0) else scipy.linalg.null_space(plant.Dyw.T)
+    Z = lmi.MatVar("DKhat_Z", (nu, P.shape[1]))
+    return (X, Y, AKh, BKh, CKh, Z @ P.T), [X, Y, AKh, BKh, CKh, Z]
 
 
 def _of_common_exprs(p, X, Y, AKh, BKh, CKh, DKh):
@@ -167,9 +156,9 @@ def _performance_constraints(spec, X, Y, CKh, DKh, parts):
         return [lmi.neg_def(lmi.bmat(rows))], []
     Q = lmi.MatVar("Q", (p.nz, p.nz), "symmetric")
     q_block = lmi.bmat([
-        [X.as_expr(), lmi.const(np.eye(p.nx)), (p.Cz @ X + p.Du @ CKh).T],
-        [None, Y.as_expr(), (lmi.const(p.Cz) + p.Du @ DKh @ p.Cy).T],
-        [None, None, Q.as_expr()],
+        [X, lmi.const(np.eye(p.nx)), (p.Cz @ X + p.Du @ CKh).T],
+        [None, Y, (lmi.const(p.Cz) + p.Du @ DKh @ p.Cy).T],
+        [None, None, Q],
     ])
     cons = [
         lmi.neg_def(_channel_lyapunov_block(p, parts)),
@@ -182,15 +171,15 @@ def _performance_constraints(spec, X, Y, CKh, DKh, parts):
 def _of_channel_blocks(p, X, Y, CKh, DKh, G):
     return [lmi.pos_def(lmi.bmat([
         [_diag_entry(G, i), CKh.row(i), DKh.row(i) @ p.Cy],
-        [None, X.as_expr(), lmi.const(np.eye(p.nx))],
-        [None, None, Y.as_expr()],
+        [None, X, lmi.const(np.eye(p.nx))],
+        [None, None, Y],
     ])) for i in range(p.nu)]
 
 
 def _positivity_block(X, Y, nx):
     return lmi.pos_def(lmi.bmat([
-        [X.as_expr(), lmi.const(np.eye(nx))],
-        [None, Y.as_expr()],
+        [X, lmi.const(np.eye(nx))],
+        [None, Y],
     ]))
 
 
@@ -201,9 +190,9 @@ def _recover_hat(vm, sol, X, Y, AKh, BKh, CKh, DKh):
 
 def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
     """Dynamic output feedback with ||w -> z|| < gamma0 in the norm of
-    spec.performance_kind (H2 needs Dw = 0), minimizing rho . Gamma."""
+    spec.performance_kind, minimizing rho . Gamma."""
     p = spec.plant
-    _check_of_preconditions(p, need_dw_zero=spec.performance_kind == "h2")
+    _check_of_preconditions(p)
     hat_vars, variables = _declare_of_variables(p)
     X, Y, AKh, BKh, CKh, DKh = hat_vars
     G = lmi.MatVar("Gamma", (p.nu, p.nu), "diagonal")

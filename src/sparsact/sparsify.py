@@ -74,10 +74,6 @@ class SparsifyTrace:
     def __len__(self):
         return len(self.results)
 
-    @property
-    def final(self):
-        return self.results[-1]
-
     def to_dict(self):
         return {
             "iterations": [

@@ -64,6 +64,18 @@ def active_set_from_values(values, threshold_ratio=ACTIVE_THRESHOLD_RATIO):
     return [int(i) for i in np.flatnonzero(values > cut)]
 
 
+def _check_performance(spec):
+    """The performance_kind and gamma0 checks of every spec; H2 needs Dw = 0."""
+    if spec.performance_kind not in ("hinf", "h2"):
+        raise ValueError(f"performance_kind must be 'hinf' or 'h2', got {spec.performance_kind!r}")
+    if not (spec.gamma0 > 0):
+        raise ValueError("gamma0 must be positive")
+    if spec.performance_kind == "h2" and np.any(spec.plant.Dw != 0.0):
+        raise NonzeroFeedthroughError(
+            "H2 performance needs Dw = 0: the disturbance-to-output "
+            "feedthrough makes the H2 norm unbounded")
+
+
 @dataclass(frozen=True)
 class SfSynthesisSpec:
     """Inputs to a state-feedback design.
@@ -84,10 +96,7 @@ class SfSynthesisSpec:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.performance_kind not in ("hinf", "h2"):
-            raise ValueError(f"performance_kind must be 'hinf' or 'h2', got {self.performance_kind!r}")
-        if not (self.gamma0 > 0):
-            raise ValueError("gamma0 must be positive")
+        _check_performance(self)
         nu = self.plant.nu
         rho = np.ones(nu) if self.rho is None else np.asarray(self.rho, dtype=float).ravel()
         if rho.shape != (nu,):
@@ -102,10 +111,6 @@ class SfSynthesisSpec:
             if np.any(gm <= 0):
                 raise ValueError("gamma_max must be positive elementwise")
             object.__setattr__(self, "gamma_max", gm)
-        if self.performance_kind == "h2" and np.any(self.plant.Dw != 0.0):
-            raise NonzeroFeedthroughError(
-                "H2 performance needs Dw = 0: the disturbance-to-output "
-                "feedthrough makes the H2 norm unbounded")
 
     def synthesize(self):
         return synth_sf(self)
@@ -239,10 +244,8 @@ def _recover_gain(vm, sol, X, W):
 
 def synth_sf(spec: SfSynthesisSpec) -> SfSynthesisResult:
     """Design u = Kx with ||w -> z|| < gamma0 in the norm of
-    spec.performance_kind (H2 needs Dw = 0), minimizing rho . Gamma."""
+    spec.performance_kind, minimizing rho . Gamma."""
     p = spec.plant
-    if spec.performance_kind == "h2" and np.any(p.Dw != 0.0):
-        raise NonzeroFeedthroughError("H2 performance needs Dw = 0")
     _check_stabilizable(p)
     X = lmi.MatVar("X", (p.nx, p.nx), "symmetric")
     W = lmi.MatVar("W", (p.nu, p.nx))
@@ -262,7 +265,7 @@ def synth_sf(spec: SfSynthesisSpec) -> SfSynthesisResult:
     else:
         Z = lmi.MatVar("Z", (p.nz, p.nz), "symmetric")
         variables.append(Z)
-        z_block = lmi.bmat([[-(Z.as_expr()), p.Cz @ X + p.Du @ W], [None, -X]])
+        z_block = lmi.bmat([[-Z, p.Cz @ X + p.Du @ W], [None, -X]])
         cons = [
             gramian,
             lmi.neg_def(z_block),

@@ -183,9 +183,9 @@ def test_per_channel_caps_bind_and_recruit_hardware(dup_actuator_plant):
 def test_tensegrity_joint_study():
     """Joint sparse design on the tensegrity benchmark.
 
-    At the tight bound the design must drop actuators and sensors, the
-    pruned re-solve must verify, and loosening the bound must not increase
-    the active actuator count.  Budget: ten minutes.
+    At the two bounds below the open-loop norm the design must drop
+    actuators and sensors, the pruned re-solves must verify, and loosening
+    the bound must not increase the active actuator count.  Budget: ten minutes.
     """
     t0 = time.monotonic()
     plant = bench.TensegrityApprox().build()
@@ -194,11 +194,15 @@ def test_tensegrity_joint_study():
     def spec_for(g0):
         return JointSpec(plant=plant, performance_kind="h2", gamma0=g0)
 
-    rows = bench.gamma_sweep(spec_for, [0.42, 0.46, 0.60], policy=policy)
-    assert [r["status"] for r in rows] == ["ok", "ok", "ok"]
+    # 0.42 and 0.44 lie below the open-loop H2 norm 0.4451, so both need
+    # control and are real designs; at 0.46 and 0.60 nothing is active
+    rows = bench.gamma_sweep(spec_for, [0.42, 0.44, 0.46, 0.60], policy=policy)
+    assert [r["status"] for r in rows] == ["ok", "ok", "ok", "ok"]
     tight = rows[0]
-    assert len(tight["kept_actuators"]) < plant.nu, "no actuator was dropped"
-    assert len(tight["kept_sensors"]) < plant.ny, "no sensor was dropped"
+    for row in rows[:2]:
+        g0 = row["gamma0"]
+        assert len(row["kept_actuators"]) < plant.nu, f"no actuator was dropped at {g0}"
+        assert len(row["kept_sensors"]) < plant.ny, f"no sensor was dropped at {g0}"
     for row in rows:
         assert row["verified_norm"] < row["gamma0"] * VERIFY_SLACK
     # judge monotonicity on the active sets: pruning keeps all hardware as a

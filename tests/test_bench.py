@@ -132,11 +132,10 @@ class TestSimulator:
 
 def _unfolded_cubic(fam, strength=10.0):
     """The cubic stiffening force written term by term from its definition."""
-    q0 = fam.trim_angles
-    Minv = np.linalg.inv(fam._mass_matrix(q0))
-    Gm, lengths = fam._length_jacobian(q0)
-    k_cable = fam.cable_modulus * math.pi * (fam.cable_diameter / 2.0) ** 2 / lengths
-    t_diag = np.diag(fam._balance_transform())
+    M, Gm, lengths, _ = fam._trim
+    Minv = np.linalg.inv(M)
+    k_cable = fam.CABLE_MODULUS * math.pi * (fam.CABLE_DIAMETER / 2.0) ** 2 / lengths
+    t_diag = np.diag(fam._dynamics[3])
 
     def extra(xstate):
         e = Gm @ (t_diag[:6] * xstate[:6])

@@ -306,6 +306,8 @@ class TestDemo:
         rc = main(["demo", "--family", "scalar", "--nonlinear-sim",
                    "--out", str(tmp_path / "d")])
         assert rc == 1
+        # refused before the design runs, so nothing was written
+        assert not (tmp_path / "d" / "controller.json").exists()
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "the second outer solve stalls at reduced accuracy (dual residual "

@@ -26,9 +26,9 @@ from conftest import coupled_lyapunov_pair, random_plant
 class TestArrowEpigraph:
     def test_minimizing_t_recovers_vector_norm(self):
         v = np.array([[3.0], [4.0]])
-        t = lmi.MatVar("t", (1, 1), "scalar")
+        t = lmi.MatVar("t", (1, 1), "diagonal")
         cons = [lmi.soc(t, lmi.const(v))]
-        prob, vm = lmi.compile_lmis([t], cons, objective=t.as_expr())
+        prob, vm = lmi.compile_lmis([t], cons, objective=t)
         sol = solve_sdp(prob)
         assert sol.status == "optimal"
         assert vm.value(sol.x, t)[0, 0] == pytest.approx(5.0, rel=1e-6)

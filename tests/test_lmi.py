@@ -85,6 +85,49 @@ class TestExprAlgebra:
             _ = X + lmi.const(np.eye(3))
 
 
+STRUCTURES = [("symmetric", (3, 3)), ("rectangular", (2, 3)), ("diagonal", (3, 3)),
+              ("diagonal", (1, 1))]
+
+
+@pytest.mark.parametrize("structure, shape", STRUCTURES)
+class TestVariableIsExpression:
+    def test_wrap_returns_the_variable(self, structure, shape):
+        X = lmi.MatVar("X", shape, structure)
+        assert lmi.Expr.wrap(X) is X
+
+    def test_one_identity_term(self, structure, shape):
+        X = lmi.MatVar("X", shape, structure)
+        [term] = X.terms
+        assert term.var is X and not term.transposed
+        assert np.array_equal(term.left, np.eye(shape[0]))
+        assert np.array_equal(term.right, np.eye(shape[1]))
+        assert np.array_equal(X.constant, np.zeros(shape))
+
+    def test_evaluates_to_its_value(self, structure, shape):
+        X = lmi.MatVar("X", shape, structure)
+        V = rand_assignment(np.random.default_rng(3), X)[X]
+        assert lmi.evaluate(X, {X: V}).tobytes() == V.tobytes()
+
+    def test_times_identity_compiles_as_itself(self, structure, shape):
+        # the Dyw = 0 path of the output-feedback DKhat = Z @ I relies on this
+        X = lmi.MatVar("X", shape, structure)
+        const, triplets = X.coefficients({X: 4})
+        const_i, triplets_i = (X @ np.eye(shape[1])).coefficients({X: 4})
+        assert np.array_equal(const, const_i)
+        for a, b in zip(triplets, triplets_i):
+            assert np.array_equal(a, b)
+
+
+def test_variable_without_columns():
+    # DKhat = Z P' when Dyw has full row rank: P and Z have no columns
+    Z = lmi.MatVar("Z", (2, 0))
+    assert Z.num_scalars == 0
+    _, triplets = Z.coefficients({Z: 0})
+    assert all(len(a) == 0 for a in triplets)
+    DK = Z @ np.zeros((0, 3))
+    assert np.array_equal(lmi.evaluate(DK, {Z: np.zeros((2, 0))}), np.zeros((2, 3)))
+
+
 class TestBmat:
     def test_mirror_fill(self):
         rng = np.random.default_rng(6)
@@ -128,8 +171,8 @@ class TestCompileAndSolve:
 
     def test_strict_margin_enforced(self):
         # minimizing a strictly positive scalar leaves the shifted margin
-        t = lmi.MatVar("t", (1, 1), "scalar")
-        prob, vm = lmi.compile_lmis([t], [lmi.pos_def(t)], objective=t.as_expr())
+        t = lmi.MatVar("t", (1, 1), "diagonal")
+        prob, vm = lmi.compile_lmis([t], [lmi.pos_def(t)], objective=t)
         sol = solve_sdp(prob)
         assert sol.status == "optimal"
         assert vm.value(sol.x, t)[0, 0] > 0
@@ -142,17 +185,17 @@ class TestCompileAndSolve:
     def test_objective_must_be_scalar(self):
         X = lmi.MatVar("X", (2, 2), "symmetric")
         with pytest.raises(ModelingError):
-            lmi.compile_lmis([X], [lmi.pos_def(X)], objective=X.as_expr())
+            lmi.compile_lmis([X], [lmi.pos_def(X)], objective=X)
 
     def test_second_order_cone(self):
         # min t s.t. ||W' a - b|| <= t, a 2-norm regression with its optimum
         # at the least-squares solution
         rng = np.random.default_rng(5)
         W = lmi.MatVar("W", (3, 1))
-        t = lmi.MatVar("t", (1, 1), "scalar")
+        t = lmi.MatVar("t", (1, 1), "diagonal")
         A, b = rng.standard_normal((5, 3)), rng.standard_normal((5, 1))
         con = lmi.soc(t, A @ W - b)
-        prob, vm = lmi.compile_lmis([W, t], [con], objective=t.as_expr())
+        prob, vm = lmi.compile_lmis([W, t], [con], objective=t)
         assert prob.blocks == [] and len(prob.socs) == 1 and prob.socs[0].dim == 6
         x = rng.standard_normal(prob.num_vars)
         assert prob.socs[0].evaluate(x) == pytest.approx(
@@ -164,7 +207,7 @@ class TestCompileAndSolve:
         assert sol.objective == pytest.approx(np.sqrt(res[0]), rel=1e-7)
 
     def test_soc_shapes_checked(self):
-        t = lmi.MatVar("t", (1, 1), "scalar")
+        t = lmi.MatVar("t", (1, 1), "diagonal")
         with pytest.raises(ModelingError):
             lmi.soc(t, lmi.MatVar("V", (1, 2)))
         with pytest.raises(ModelingError):
@@ -193,7 +236,7 @@ class TestVarMap:
         assert vm.value(x, X) == pytest.approx(M)
 
     @pytest.mark.parametrize("structure, shape", [
-        ("symmetric", (4, 4)), ("rectangular", (3, 5)), ("diagonal", (4, 4)), ("scalar", (1, 1))])
+        ("symmetric", (4, 4)), ("rectangular", (3, 5)), ("diagonal", (4, 4)), ("diagonal", (1, 1))])
     def test_assemble_matches_entry_loop(self, structure, shape):
         var = lmi.MatVar("V", shape, structure)
         values = np.random.default_rng(9).standard_normal(var.num_scalars)
@@ -284,15 +327,15 @@ class TestCompiledDesigns:
     def test_equality_rows_evaluate_their_constraints(self, compiled, design):
         # no design has equality rows; DKhat Dyw = 0, the one there was for
         # Dyw != 0, holds by construction, and with this full-rank 2 x 2 Dyw
-        # DKhat is the constant zero
+        # DKhat = Z P' has no scalars
         variables, constraints, problem, _ = compiled
         assert problem.eq_A.shape == (0, problem.num_vars)
         assert {c.sense for c in constraints} <= {"pos", "neg", "soc"}
-        names = {v.name for v in variables}
-        if design.endswith("dyw"):
-            assert not any(name.startswith("DKhat") for name in names)
-        elif not design.startswith("sf"):
-            assert "DKhat" in names
+        counts = {v.name: v.num_scalars for v in variables}
+        if design.startswith("sf"):
+            assert "DKhat_Z" not in counts
+        else:
+            assert counts["DKhat_Z"] == (0 if design.endswith("dyw") else 2 * 2)  # nu x ny
 
 
 # ---------------------------------------------------------------------------
