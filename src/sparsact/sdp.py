@@ -32,8 +32,12 @@ The NT scaling of a second-order cone is the hyperbolic-Householder matrix
 W = eta [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]] of Vandenberghe, "The
 CVXOPT linear and quadratic cone program solvers" (2010), section 4; see
 also Lobo, Vandenberghe, Boyd & Lebret, "Applications of second-order cone
-programming" (1998).  A cone is one unit of the complementarity measure's
-degree; an n x n block is n.
+programming" (1998).  It is never formed: W x = eta (w'x, x1 + ((x0 +
+w'x) / (1 + w0)) w1), and W^-1 takes -w1 and 1 / eta.  All cones are scaled
+at once, as one (c, M) stack zero-padded to the largest cone dimension M,
+which is exact: a zero u1 entry changes no norm, Jordan product or
+Householder image (_SocStack).  A cone is one unit of the complementarity
+measure's degree; an n x n block is n.
 
 The Schur complement H = G' W^-1 W^-T G is assembled from the slices'
 nonzero entries, as in the sparse formulas of SDPA (Fujisawa, Kojima &
@@ -49,12 +53,13 @@ a slice has one to a few dozen nonzeros) and a dense array otherwise.  The
 problem's G, which forms the residuals and the Newton right-hand sides,
 is a CSR matrix when some block's Gu is sparse, and a column-major dense
 array otherwise.  scipy.sparse is imported only once such a block
-appears.  A second-order cone adds (W^-1 G)'(W^-1 G) (_Soc.add_schur).
-A cone adds its part of H by slices over its runs of consecutive
-variables, or by one gathered addition when it has more than about k / 17
-runs (SLICE_RUN_RATIO).  The Newton solves apply W^-T and W^-1 to one
-vector per right-hand side, once for the stack and once per second-order
-cone, and G' and G once each (_solve3).  An iteration makes two of them:
+appears.  A block adds its part of H by slices over its runs of
+consecutive variables, or by one gathered addition when it has more than
+about k / 17 runs (SLICE_RUN_RATIO).  The cones add (W^-1 G)'(W^-1 G) by
+one np.bincount into H, which sums in array order, so cones that share a
+scalar add up (_SocStack.add_schur).  The Newton solves apply W^-T and
+W^-1 to one vector per right-hand side, once per stack, and G' and G once
+each (_solve3).  An iteration makes two of them:
 the tau-direction and the predictor share one solve with two right-hand
 sides, and the corrector has its own.
 
@@ -80,6 +85,8 @@ failure".  Target problems have at most a few hundred variables and LMI
 rows.
 SdpSolution.phase_s gives the seconds each solve spends on scaling,
 Schur assembly, factorization, Newton solves and the rest of the step.
+Each solve writes one DEBUG record (status, iterations, final residuals,
+phase_s) to the "sparsact" logger.
 
 Problems without cones or cone variables take the same path as any
 other, through zero-size arrays.
@@ -98,6 +105,7 @@ breaks down, and return the same iterate.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -139,6 +147,8 @@ SLICE_RUN_RATIO = 17
 # the phases of an iteration that SdpSolution.phase_s times
 PHASES = ("scaling", "schur", "factor", "solve", "step")
 
+_log = logging.getLogger("sparsact")
+
 
 # ---------------------------------------------------------------------------
 # problem containers
@@ -155,6 +165,7 @@ class LmiBlock:
     must be exactly symmetric; the solver uses it and the slices as given.
     A scalar missing from var_idx has a zero coefficient in this block;
     blocks from lmi.compile_lmis list only scalars with a nonzero slice.
+    var_idx lists each scalar at most once; SdpProblem rejects a repeat.
     """
 
     def __init__(self, F0, var_idx, coefs=None, *, upper=None):
@@ -221,7 +232,8 @@ class LmiBlock:
 class SocBlock:
     """One second-order cone u0 >= ||u[1:]||_2 on u = f0 + sum_j coefs[j] * x[var_idx[j]].
 
-    As for LmiBlock, a scalar missing from var_idx has a zero coefficient.
+    As for LmiBlock, a scalar missing from var_idx has a zero coefficient,
+    and var_idx lists each scalar at most once.
     """
 
     f0: np.ndarray
@@ -264,6 +276,8 @@ class SdpProblem:
                 raise ValueError("block dimensions must be >= 1")
             if np.any((blk.var_idx < 0) | (blk.var_idx >= num_vars)):
                 raise ValueError("block references undeclared variables")
+            if len(np.unique(blk.var_idx)) < len(blk.var_idx):
+                raise ValueError("block repeats a scalar in var_idx")
         self.obj_const = float(obj_const)
 
     @property
@@ -378,7 +392,7 @@ def _stack(parts):
 
 
 def _placement(vi):
-    """Where a cone's part X of H goes: [(H index, X index)].
+    """Where a PSD block's part X of H goes: [(H index, X index)].
 
     One pair of slices per pair of runs of consecutive variables in vi, or
     one gathered addition when there are many runs (SLICE_RUN_RATIO).
@@ -391,16 +405,7 @@ def _placement(vi):
     return [(np.ix_(vi, vi), (slice(None),) * 2)]
 
 
-class _ConeBase:
-    """What every cone shares: the placement of its part of the Schur
-    complement on its scalars vi."""
-
-    def add_to(self, H, X):
-        for h_at, x_at in self.hsel:
-            H[h_at] += X[x_at]
-
-
-class _Cone(_ConeBase):
+class _Cone:
     """Static conic data for one PSD block: its svec part, G and Schur data.
 
     Its NT scaling is its corner of the _PsdStack of the problem's blocks.
@@ -437,6 +442,10 @@ class _Cone(_ConeBase):
             self.Gu = np.zeros((m, k)).T
             self.Gu[blk.slices, col] = gu
         self.hsel = _placement(self.vi)
+
+    def add_to(self, H, X):
+        for h_at, x_at in self.hsel:
+            H[h_at] += X[x_at]
 
     def bind(self, ws):
         """Take this sparse block's two regions of the Schur workspace ws."""
@@ -558,7 +567,7 @@ class _PsdStack:
         return self.svec(np.broadcast_to(self.eye, self.full.shape))
 
     def duals(self, z):
-        """The blocks' n x n matrices of the stacked svec vector z."""
+        """The blocks' n x n matrices of the stack's part z of an svec vector."""
         return [co.sv.smat(z[co.part]) for co in self.blocks]
 
     def add_schur(self, H):
@@ -630,150 +639,167 @@ class _PsdStack:
         return -1.0 / wmin
 
 
-def _jnorm(u):
-    """sqrt(u0^2 - ||u1||^2) of a point inside the second-order cone."""
-    n1 = np.linalg.norm(u[1:])
-    if not u[0] - n1 > 0.0:
+def _jnorm(U):
+    """sqrt(u0^2 - ||u1||^2) of every row u of U, each inside the second-order cone."""
+    u0, n1 = U[:, 0], np.sqrt(np.einsum("ij,ij->i", U[:, 1:], U[:, 1:]))
+    if not (u0 - n1 > 0.0).all():
         raise np.linalg.LinAlgError("NT scaling breakdown")
-    return np.sqrt((u[0] - n1) * (u[0] + n1))
+    return np.sqrt((u0 - n1) * (u0 + n1))
 
 
-class _Soc(_ConeBase):
-    """Static data for one second-order cone plus per-iteration NT scaling.
+class _SocStack:
+    """The NT scaling and scaled-space algebra of all second-order cones at once.
 
-    u in Q means u0 >= ||u1|| for u = (u0, u1); J = diag(1, -I).  The
-    scaling W and its inverse are kept as dense m x m matrices, built from
-    the hyperbolic-Householder form of the module docstring.
+    Cone j is row j of a (c, M) stack, zero past its dimension (module
+    docstring); u in Q means u0 >= ||u1|| for u = (u0, u1), J = diag(1, -I).
+    G stacks each cone's G on its scalars as (c, M, K), K the most scalars.
     """
 
-    degree = 1  # each cone adds 1 to the complementarity measure's denominator
     sparse = False
 
-    def __init__(self, soc: SocBlock, start):
-        self.h = soc.f0
-        self.Gmat = -soc.coefs.T  # (m, k), this cone's G on its scalars vi
-        self.vi = soc.var_idx
-        self.sdim = soc.dim
-        self.part = slice(start, start + soc.dim)
-        r, j = np.nonzero(self.Gmat)
-        self.G_entries = (start + r, self.vi[j], self.Gmat[r, j])
-        self.hsel = _placement(self.vi)
-        self.W = self.Winv = None
-        self.lam = None  # the scaled point W z = W^-1 s
-        self.lam_det = None  # lam' J lam
+    def __init__(self, socs, start, n):
+        dims = np.array([soc.dim for soc in socs])
+        c, M, K = len(socs), dims.max(), max(len(soc.var_idx) for soc in socs)
+        self.degree, self.sdim = c, int(dims.sum())  # each cone is one unit of the degree
+        self.part = slice(start, start + self.sdim)
+        self.h = _stack(soc.f0 for soc in socs)
+        self.cuts = np.cumsum(dims)[:-1]  # where each cone after the first starts
+        real = np.arange(M) < dims[:, None]
+        # the index of every stack entry in [v, 0]: stacking is one take
+        self.full = np.where(real, np.r_[0, self.cuts][:, None] + np.arange(M), self.sdim)
+        self.flat = np.flatnonzero(real)
+        self.G = np.zeros((c, M, K))
+        vis = np.full((c, K), -1)  # each cone's scalars, -1 on the pad
+        for j, soc in enumerate(socs):
+            self.G[j, :soc.dim, :len(soc.var_idx)] = -soc.coefs.T
+            vis[j, :len(soc.var_idx)] = soc.var_idx
+        j, r, q = np.nonzero(self.G)
+        self.G_entries = (start + self.full[j, r], vis[j, q], self.G[j, r, q])
+        # each Schur entry's bin among the distinct flat positions hpos of H
+        # that they reach; the pad's entries go to one more bin, dropped
+        pos = (vis[:, :, None] * n + vis[:, None, :]).reshape(-1)
+        pair = ((vis[:, :, None] >= 0) & (vis[:, None, :] >= 0)).reshape(-1)
+        self.hpos, inv = np.unique(pos[pair], return_inverse=True)
+        self.bins = np.full(len(pos), len(self.hpos), dtype=np.int32)
+        self.bins[pair] = inv
+        self.j = np.r_[1.0, -np.ones(M - 1)]  # the diagonal of J
+
+    def stack(self, v):
+        return np.concatenate([v, (0.0,)]).take(self.full)
+
+    def unstack(self, U):
+        return U.take(self.flat)
 
     def identity(self):
-        e = np.zeros(self.sdim)
-        e[0] = 1.0
-        return e
+        return np.isin(np.arange(self.sdim), np.r_[0, self.cuts]).astype(float)
+
+    def duals(self, z):
+        return np.split(z, self.cuts)
 
     def update_scaling(self, s, z):
-        """NT scaling W = eta [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]].
+        """The NT scaling of every cone: with s_ = s / sqrt(s'Js), z_ = z /
+        sqrt(z'Jz) and gamma = sqrt((1 + s_'z_) / 2), w = (s_ + J z_) / (2
+        gamma), eta = (s'Js / z'Jz)^(1/4), and lambda = W z = W^-1 s formed
+        from s_, z_ and gamma directly (Vandenberghe 2010, section 4)."""
+        S, Z = self.stack(s), self.stack(z)
+        sn, zn = _jnorm(S), _jnorm(Z)
+        sb, zb = S / sn[:, None], Z / zn[:, None]
+        g = np.sqrt(0.5 * (1.0 + np.einsum("ij,ij->i", sb, zb)))[:, None]  # gamma
+        w = (sb + zb * self.j) / (2.0 * g)
+        eta, d = np.sqrt(sn / zn)[:, None, None], 1.0 / (1.0 + w[:, :1, None])
+        # (w' as rows, w as columns, 1 / (1 + w0), eta) of W and of W^-1
+        self.nt = [(v[:, None, :], v[:, :, None], d, e) for v, e in ((w, eta), (w * self.j, 1.0 / eta))]
+        lam = ((g + zb[:, :1]) * sb + (g + sb[:, :1]) * zb) / (sb[:, :1] + zb[:, :1] + 2.0 * g)
+        lam[:, :1] = g
+        lam *= np.sqrt(sn * zn)[:, None]
+        self.lam, self.lam_j = lam, lam * self.j
+        self.lam_det = _jnorm(lam) ** 2  # lambda'J lambda
 
-        With s_ = s / sqrt(s'Js), z_ = z / sqrt(z'Jz) and
-        gamma = sqrt((1 + s_'z_) / 2): w = (s_ + J z_) / (2 gamma) and
-        eta = (s'Js / z'Jz)^(1/4); W^-1 is the same matrix with -w1 in
-        place of w1, divided by eta.  lambda = W z = W^-1 s is formed from
-        s_, z_ and gamma directly (Vandenberghe 2010, section 4).
-        """
-        sn, zn = _jnorm(s), _jnorm(z)
-        sb, zb = s / sn, z / zn
-        gamma = np.sqrt(0.5 * (1.0 + sb @ zb))
-        w = sb - zb
-        w[0] = sb[0] + zb[0]
-        w /= 2.0 * gamma
-        Wb = np.outer(w, w) / (1.0 + w[0])
-        Wb.flat[::self.sdim + 1] += 1.0
-        Wb[0] = Wb[:, 0] = w
-        Wi = Wb.copy()
-        Wi[0, 1:] = Wi[1:, 0] = -w[1:]
-        eta = np.sqrt(sn / zn)
-        self.W = eta * Wb
-        self.Winv = Wi / eta
-        lam = ((gamma + zb[0]) * sb + (gamma + sb[0]) * zb) / (sb[0] + zb[0] + 2.0 * gamma)
-        lam[0] = gamma
-        self.lam = np.sqrt(sn * zn) * lam
-        n1 = np.linalg.norm(self.lam[1:])
-        self.lam_det = (self.lam[0] - n1) * (self.lam[0] + n1)
-        if not self.lam_det > 0.0:
-            raise np.linalg.LinAlgError("NT scaling breakdown")
+    def W(self, X, inv=False):
+        """W X, or W^-1 X with inv, for every cone of the (c, M) or (c, M, K)
+        stack X, in the hyperbolic-Householder form (module docstring)."""
+        wt, wc, d, eta = self.nt[inv]
+        Xc = X[:, :, None] if X.ndim == 2 else X
+        wx = wt @ Xc
+        Y = Xc + wc * ((Xc[:, :1] + wx) * d)
+        Y[:, :1] = wx
+        Y *= eta
+        return Y[:, :, 0] if X.ndim == 2 else Y
 
     def add_schur(self, H):
-        """Add this cone's (W^-1 G)'(W^-1 G) to the Schur complement H."""
-        S = self.Winv @ self.Gmat
-        self.add_to(H, S.T @ S)
+        """Add every cone's (W^-1 G)'(W^-1 G) to H, each entry of H summed
+        in array order, cone by cone."""
+        S = self.W(self.G, inv=True)
+        X = np.bincount(self.bins, weights=(_T(S) @ S).reshape(-1), minlength=len(self.hpos) + 1)
+        np.put(H, self.hpos, H.take(self.hpos) + X[:-1])
 
-    # scaled-space operators; W is symmetric, so W^-T = W^-1
     def W_z(self, z):
-        return self.W @ z
+        return self.unstack(self.W(self.stack(z)))
 
-    def WT_u(self, u):
-        return self.W @ u
+    WT_u = W_z  # W is symmetric, and so W^-T = W^-1
 
     def scaled_rhs(self, bz):
-        """W^-2 bz and W^-1 bz."""
-        Bt = self.Winv @ bz
-        return self.Winv @ Bt, Bt
+        """W^-2 bz, and W^-1 bz as a stack."""
+        Bt = self.W(self.stack(bz), inv=True)
+        return self.unstack(self.W(Bt, inv=True)), Bt
 
     def scaled_dz(self, gx, Bt):
-        """W^-1 (W^-1 gx - Bt), gx the cone's part of G ux and Bt from scaled_rhs."""
-        return self.Winv @ (self.Winv @ gx - Bt)
+        """W^-1 (W^-1 gx - Bt), gx the stack's part of G ux and Bt from scaled_rhs."""
+        return self.unstack(self.W(self.W(self.stack(gx), inv=True) - Bt, inv=True))
 
     @staticmethod
-    def jprod(u, v):
-        """Jordan product u o v = (u'v, u0 v1 + v0 u1)."""
-        out = u[0] * v + v[0] * u
-        out[0] = u @ v
+    def jprod(U, V):
+        """The Jordan product u o v = (u'v, u0 v1 + v0 u1) of every row."""
+        out = U[:, :1] * V + V[:, :1] * U
+        out[:, 0] = np.einsum("ij,ij->i", U, V)
         return out
 
-    def lam_solve(self, r):
-        """The x with lambda o x = r."""
-        lam = self.lam
-        x = r / lam[0]
-        x[0] = (lam[0] * r[0] - lam[1:] @ r[1:]) / self.lam_det
-        x[1:] -= (x[0] / lam[0]) * lam[1:]
-        return x
+    def lam_solve(self, R):
+        """The X with lambda o x = r in every row."""
+        l0 = self.lam[:, :1]
+        X = R / l0
+        X[:, 0] = np.einsum("ij,ij->i", self.lam_j, R) / self.lam_det
+        X[:, 1:] -= (X[:, :1] / l0) * self.lam[:, 1:]
+        return X
 
     def q_aff(self):
-        return self.lam
+        return self.unstack(self.lam)
 
     def q_comb(self, us, uz, sigma_mu):
-        r = self.jprod(self.lam, self.lam) + self.jprod(us, uz)
-        r[0] -= sigma_mu
-        return self.lam_solve(r)
+        R = self.jprod(self.lam, self.lam) + self.jprod(self.stack(us), self.stack(uz))
+        R[:, 0] -= sigma_mu
+        return self.unstack(self.lam_solve(R))
 
     def max_step(self, ds, dz):
-        """Largest alpha with lambda + alpha d in Q, for both d = ds and d = dz.
+        """Largest alpha with lambda + alpha d in Q in every cone, for d = ds
+        and d = dz: one root formula over the (2c, M) stack of both.
 
-        It is infinite for a d in Q.  Otherwise the point leaves Q at the
-        smallest positive root of its J-norm a alpha^2 + 2 b alpha + c,
-        c = lambda'J lambda > 0, which then exists; a negative discriminant
-        is the rounding of a double root (the path through the apex) and is
-        taken as zero.
-        """
-        lam, c = self.lam, self.lam_det
-        alpha = np.inf
-        for d in (ds, dz):
-            if d[0] >= np.linalg.norm(d[1:]):
-                continue
-            a = d[0] * d[0] - d[1:] @ d[1:]
-            b = lam[0] * d[0] - lam[1:] @ d[1:]
-            q = -(b + np.copysign(np.sqrt(max(b * b - a * c, 0.0)), b))
-            roots = (c / q, q / a) if a else (c / q,)
-            alpha = min(alpha, *(r for r in roots if r > 0.0))
-        return alpha
+        Infinite for a d in Q; else the smallest positive root of the J-norm
+        a alpha^2 + 2 b alpha + c, c = lambda'J lambda > 0, which exists and
+        makes q nonzero.  A negative discriminant rounds a double root (the
+        path through the apex) and is taken as zero.  Rows in Q skip the
+        divisions."""
+        D = np.vstack([self.stack(ds), self.stack(dz)])
+        n1sq = np.einsum("ij,ij->i", D[:, 1:], D[:, 1:])
+        out = D[:, 0] < np.sqrt(n1sq)
+        a = D[:, 0] * D[:, 0] - n1sq
+        b = np.einsum("ij,ij->i", np.vstack([self.lam_j, self.lam_j]), D)
+        c = np.r_[self.lam_det, self.lam_det]
+        q = -(b + np.copysign(np.sqrt(np.maximum(b * b - a * c, 0.0)), b))
+        roots = np.full((2, len(D)), np.inf)
+        np.divide(c, q, out=roots[0], where=out)
+        np.divide(q, a, out=roots[1], where=out & (a != 0.0))
+        return roots[roots > 0.0].min(initial=np.inf)
 
 
 def _cones(problem):
-    """The _PsdStack of the problem's PSD blocks, if it has any, then its
-    second-order cones, each given its part of the stacked vectors."""
-    cones, start = [], 0
-    for make, data in [*((_Cone, blk) for blk in problem.blocks),
-                       *((_Soc, soc) for soc in problem.socs)]:
-        cones.append(make(data, start))
-        start += cones[-1].sdim
-    npsd = len(problem.blocks)
-    return ([_PsdStack(cones[:npsd])] if npsd else []) + cones[npsd:]
+    """The problem's _PsdStack and _SocStack, each it has, on consecutive parts of the vectors."""
+    blocks, start = [], 0
+    for blk in problem.blocks:
+        blocks.append(_Cone(blk, start))
+        start += blocks[-1].sdim
+    return ([_PsdStack(blocks)] if blocks else []) + \
+        ([_SocStack(problem.socs, start, problem.num_vars)] if problem.socs else [])
 
 
 def _G(cones, n):
@@ -831,8 +857,8 @@ def _solve3(cones, G, H, kkt_solve, pairs):
     """Solve the scaled Newton system for (ux, uz), one pair per (bx, bz) in pairs.
 
     The system is  H ux = bx + G' W^-1 W^-T bz,
-    uz = W^-1 (W^-T G ux - W^-T bz), for the PSD stack and each second-order
-    cone in turn (scaled_rhs and scaled_dz).  The solve is refined twice
+    uz = W^-1 (W^-T G ux - W^-T bz), for the PSD stack and then the
+    second-order cones' stack (scaled_rhs and scaled_dz).  The solve is refined twice
     against the unregularized system.  Every kkt_solve takes all the
     right-hand sides as columns; the right-hand sides and refinement
     residuals are formed one column at a time, so that each pair's answer
@@ -872,6 +898,9 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
     n = problem.num_vars
     c = problem.c
+    # the n x n buffers first, to reuse the previous solve's before set-up splits it
+    H = np.zeros((n, n))
+    KKT = np.empty((n, n), order="F")  # _factor_kkt's factor
     cones = _cones(problem)
     G = _G(cones, n)
     h = _stack(co.h for co in cones)
@@ -906,8 +935,6 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     best_score = np.inf
     best = None
     best_it = 0
-    H = np.zeros((n, n))
-    KKT = np.empty((n, n), order="F")  # _factor_kkt's factor
     clock = _PhaseClock()
 
     for it in range(MAX_ITER):
@@ -1027,9 +1054,8 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
             return dx, dz, ds, dtau, dkap, ds_sc, dz_sc
 
         def max_step(ds_sc, dz_sc, dtau, dkap):
-            alpha = np.inf
-            for co, us, uz in zip(cones, split(ds_sc), split(dz_sc)):
-                alpha = min(alpha, co.max_step(us, uz))
+            steps = [co.max_step(us, uz) for co, us, uz in zip(cones, split(ds_sc), split(dz_sc))]
+            alpha = min(steps, default=np.inf)
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkap < 0:
@@ -1073,13 +1099,17 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     ray = status in ("infeasible", "unbounded")
     sc = tau if not ray and np.isfinite(tau) and tau > 1e-100 else 1.0
     nstack = 1 if problem.blocks else 0
-    block_duals = [Z / sc for stack in cones[:nstack] for Z in stack.duals(z)]
+    block_duals, soc_duals = ([u / sc for stack in part for u in stack.duals(z[stack.part])]
+                              for part in (cones[:nstack], cones[nstack:]))
     x_out = x / sc
 
     obj = float(c @ x_out) + problem.obj_const if status == "optimal" else np.nan
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("sdp %s (%s) after %d iterations: pres %.3e dres %.3e gap %.3e, phase_s %s",
+                   status, message, it + 1, pres, dres, gap, clock.seconds)
     return SdpSolution(status=status, x=x_out, objective=obj, block_duals=block_duals, pres=pres, dres=dres,
                        gap=gap, iterations=it + 1, iterates=iterates, message=message,
-                       soc_duals=[z[co.part] / sc for co in cones[nstack:]], phase_s=clock.seconds)
+                       soc_duals=soc_duals, phase_s=clock.seconds)
 
 
 # ---------------------------------------------------------------------------

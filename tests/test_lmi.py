@@ -487,10 +487,14 @@ class TestSparseCompile:
             assert np.array_equal(co.h, h)
             G_want[co.part, var_idx] = Gmat
             matrices.append((co.Gu, Gu))
-        for soc, (f0, var_idx, coefs), co in zip(problem.socs, socs, cones[1:]):
+        stack = cones[-1]  # the second-order cones' stack, when there are cones
+        for j, (soc, (f0, var_idx, coefs)) in enumerate(zip(problem.socs, socs)):
             assert np.array_equal(soc.f0, f0) and np.array_equal(soc.var_idx, var_idx)
             assert np.array_equal(soc.coefs, coefs)
-            G_want[co.part, var_idx] = -coefs.T
+            m, k = coefs.shape[1], len(var_idx)
+            assert np.array_equal(stack.G[j, :m, :k], -coefs.T) and not stack.G[j, m:].any() \
+                and not stack.G[j, :, k:].any()
+            G_want[np.ix_(stack.part.start + stack.full[j, :m], var_idx)] = -coefs.T
         matrices.append((sdp._G(cones, problem.num_vars), G_want))
         for got, want in matrices:
             if scipy.sparse.issparse(got):

@@ -1,4 +1,6 @@
+import logging
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +65,22 @@ def distance_socp(a, g=None, beta=None, t_max=None):
     if t_max is not None:
         blocks.append(LmiBlock(F0=[[t_max]], var_idx=[0], coefs=[[[-1.0]]]))
     return SdpProblem(num_vars=p + 1, c=np.eye(p + 1)[0], blocks=blocks, socs=socs)
+
+
+def cones_only_socp():
+    """min t + s s.t. ||x - a|| <= t, g'x >= beta and ||y - b|| <= s, as
+    second-order cones of dimensions 1, 3 and 7 and no PSD block.
+
+    Variables (t, x, s, y), x in R^6 and y in R^2.  The optimum is the
+    distance 3 / ||g|| from a to the half-space, with s = 0 at y = b; the
+    first and last cones share x.
+    """
+    rng = np.random.default_rng(5)
+    a, g, b = rng.standard_normal(6), rng.standard_normal(6), rng.standard_normal(2)
+    socs = [SocBlock(f0=[-(g @ a + 3.0)], var_idx=np.arange(1, 7), coefs=g[:, None]),
+            SocBlock(f0=np.r_[0.0, -b], var_idx=[7, 8, 9], coefs=np.eye(3)),
+            SocBlock(f0=np.r_[0.0, -a], var_idx=np.arange(7), coefs=np.eye(7))]
+    return SdpProblem(num_vars=10, c=np.eye(10)[0] + np.eye(10)[7], blocks=[], socs=socs), a, g, b
 
 
 class TestSolveOptimal:
@@ -231,6 +249,32 @@ class TestSecondOrderCones:
         assert hz == pytest.approx(-1.0)
         assert np.linalg.norm(GTz) <= sdp.INFEAS_TOL
 
+    def test_cones_only(self):
+        prob, a, g, b = cones_only_socp()
+        sol = solve_sdp(prob)
+        assert sol.message == "converged" and sol.block_duals == []
+        gn = np.linalg.norm(g)
+        assert sol.objective == pytest.approx(3.0 / gn, rel=1e-7)
+        assert sol.x == pytest.approx(np.r_[3.0 / gn, a + 3.0 * g / gn ** 2, 0.0, b], abs=1e-6)
+        assert check_certificate(prob, sol).clean
+        # one dual vector per SocBlock, in order: the half-space's weight
+        # 1 / ||g||, the point's (1, 0) and the distance's (1, -g / ||g||)
+        assert [len(z) for z in sol.soc_duals] == [1, 3, 7]
+        for z, want in zip(sol.soc_duals, ([1.0 / gn], [1.0, 0.0, 0.0], np.r_[1.0, -g / gn])):
+            assert z == pytest.approx(want, abs=1e-6)
+
+    def test_breakdown_in_one_cone_ends_the_solve(self, monkeypatch):
+        identity = sdp._SocStack.identity
+
+        def start_outside(stack):
+            e = identity(stack)
+            e[_soc_parts(stack)[1].start] = -1.0  # the dimension-3 cone starts outside Q
+            return e
+
+        monkeypatch.setattr(sdp._SocStack, "identity", start_outside)
+        sol = solve_sdp(cones_only_socp()[0])
+        assert (sol.status, sol.message, sol.iterations) == ("max_iter", "NT scaling breakdown", 1)
+
     def test_certificate_flags_corrupted_cones(self):
         prob = distance_socp(self.A, self.G, beta=4.0)
         sol = solve_sdp(prob)
@@ -255,22 +299,77 @@ def _interior_soc(rng, m):
     return u
 
 
-def _soc_cone(m):
-    return sdp._Soc(SocBlock(f0=np.zeros(m), var_idx=[], coefs=np.zeros((0, m))), 0)
+class _PerConeScaling:
+    """The NT scaling and scaled-space algebra of one second-order cone, as
+    the solver computed them cone by cone, with dense m x m matrices W and
+    W^-1, before the stack: the stack's oracle."""
+
+    def update_scaling(self, s, z):
+        sn, zn = _jnorm(s), _jnorm(z)
+        sb, zb = s / sn, z / zn
+        gamma = np.sqrt(0.5 * (1.0 + sb @ zb))
+        w = sb - zb
+        w[0] = sb[0] + zb[0]
+        w /= 2.0 * gamma
+        Wb = np.outer(w, w) / (1.0 + w[0])
+        Wb.flat[::len(w) + 1] += 1.0
+        Wb[0] = Wb[:, 0] = w
+        Wi = Wb.copy()
+        Wi[0, 1:] = Wi[1:, 0] = -w[1:]
+        eta = np.sqrt(sn / zn)
+        self.W = eta * Wb
+        self.Winv = Wi / eta
+        lam = ((gamma + zb[0]) * sb + (gamma + sb[0]) * zb) / (sb[0] + zb[0] + 2.0 * gamma)
+        lam[0] = gamma
+        self.lam = np.sqrt(sn * zn) * lam
+        self.lam_det = _jnorm(self.lam) ** 2
+
+    def W_z(self, z):
+        return self.W @ z
+
+    def WT_u(self, u):
+        return self.W @ u
+
+    def scaled_rhs(self, bz):
+        Bt = self.Winv @ bz
+        return self.Winv @ Bt, Bt
+
+    def scaled_dz(self, gx, Bt):
+        return self.Winv @ (self.Winv @ gx - Bt)
+
+    @staticmethod
+    def jprod(u, v):
+        out = u[0] * v + v[0] * u
+        out[0] = u @ v
+        return out
+
+    def lam_solve(self, r):
+        lam = self.lam
+        x = r / lam[0]
+        x[0] = (lam[0] * r[0] - lam[1:] @ r[1:]) / self.lam_det
+        x[1:] -= (x[0] / lam[0]) * lam[1:]
+        return x
+
+    def q_comb(self, us, uz, sigma_mu):
+        r = self.jprod(self.lam, self.lam) + self.jprod(us, uz)
+        r[0] -= sigma_mu
+        return self.lam_solve(r)
+
+    def step(self, d):
+        """The step length of one direction."""
+        if d[0] >= np.linalg.norm(d[1:]):
+            return np.inf
+        lam, c = self.lam, self.lam_det
+        a = d[0] * d[0] - d[1:] @ d[1:]
+        b = lam[0] * d[0] - lam[1:] @ d[1:]
+        q = -(b + np.copysign(np.sqrt(max(b * b - a * c, 0.0)), b))
+        roots = (c / q, q / a) if a else (c / q,)
+        return min(r for r in roots if r > 0.0)
 
 
-def _soc_step(co, d):
-    """The step length of one direction, as the solver computed it one
-    direction at a time: the cone's oracle."""
-    if d[0] >= np.linalg.norm(d[1:]):
-        return np.inf
-    lam = co.lam
-    a = d[0] * d[0] - d[1:] @ d[1:]
-    b = lam[0] * d[0] - lam[1:] @ d[1:]
-    c = co.lam_det
-    q = -(b + np.copysign(np.sqrt(max(b * b - a * c, 0.0)), b))
-    roots = (c / q, q / a) if a else (c / q,)
-    return min(r for r in roots if r > 0.0)
+def _jnorm(u):
+    n1 = np.linalg.norm(u[1:])
+    return np.sqrt((u[0] - n1) * (u[0] + n1))
 
 
 def _stack_step(stack, d):
@@ -282,77 +381,180 @@ def _stack_step(stack, d):
     return np.inf if wmin >= 0 else -1.0 / wmin
 
 
+def _step_tol(ref):
+    """The relative tolerance of TestSocScaling on a step length."""
+    return 1e-15 * ref.kappa * ref.cond
+
+
 def _in_soc(u):
     return u[0] >= np.linalg.norm(u[1:])
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 25])
+SOC_DIMS = (1, 2, 5, 25)
+
+
+def _soc_stack(dims=SOC_DIMS):
+    """The _SocStack of cones of the given dimensions, without variables."""
+    return sdp._SocStack([SocBlock(f0=np.zeros(m), var_idx=[], coefs=np.zeros((0, m)))
+                          for m in dims], 0, 0)
+
+
+def _soc_parts(stack):
+    """The slice of the stacked vectors that each cone of the stack holds."""
+    edges = stack.part.start + np.r_[0, stack.cuts, stack.sdim]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+@pytest.mark.parametrize("m", SOC_DIMS)
 class TestSocScaling:
-    """NT scaling, Jordan algebra and step length of one second-order cone."""
+    """The stack's NT scaling, Jordan algebra and step length agree with
+    the per-cone ones on the cone of dimension m of one stack of cones of
+    dimensions 1, 2, 5 and 25.
+
+    The two compute each cone's scaling with differently rounded norms.
+    A point u near the boundary of Q fixes its scaling with a condition
+    number of about ||u||^2 / u'Ju (the cancellation in u0 - ||u1||), and
+    each application of W or W^-1 rounds at about eps ||W|| ||W^-1||.  So
+    a cone's operators are compared with the oracle at a relative
+    tolerance of 1e-15 (about 5 eps) times kappa, the sum of that number
+    over s and z, times cond(W) to the power of the factors of W applied;
+    a step length as one factor."""
+
+    @staticmethod
+    def _scaled(rng, m):
+        """The stack at the scaling of random s and z, the index j of the
+        cone of dimension m, its slice p of the stacked vectors, and every
+        cone's oracle at the same s and z."""
+        stack = _soc_stack()
+        s, z = (np.concatenate([_interior_soc(rng, n) for n in SOC_DIMS]) for _ in range(2))
+        stack.update_scaling(s, z)
+        refs = []
+        for q in _soc_parts(stack):
+            ref = _PerConeScaling()
+            ref.update_scaling(s[q], z[q])
+            ref.kappa = sum(u @ u / _jnorm(u) ** 2 for u in (s[q], z[q]))
+            ref.cond = np.linalg.norm(ref.W) * np.linalg.norm(ref.Winv)
+            refs.append(ref)
+        j = SOC_DIMS.index(m)
+        return stack, j, _soc_parts(stack)[j], refs, s, z
 
     def test_nt_scaling(self, m):
         rng = np.random.default_rng(m)
-        co = _soc_cone(m)
         for _ in range(50):
-            s, z = _interior_soc(rng, m), _interior_soc(rng, m)
-            co.update_scaling(s, z)
-            W, Wi, lam = co.W, co.Winv, co.lam
-            cond = np.linalg.norm(W) * np.linalg.norm(Wi)
-            assert np.linalg.norm(W @ z - lam) <= 1e-13 * cond * np.linalg.norm(lam)
-            assert np.linalg.norm(Wi @ s - lam) <= 1e-13 * cond * np.linalg.norm(lam)
+            stack, j, p, refs, s, z = self._scaled(rng, m)
+            ref = refs[j]
+            c, M = stack.full.shape
+            # W and W^-1 of every cone from their images of the unit vectors
+            W, Wi = (f(np.broadcast_to(np.eye(M), (c, M, M)).copy())[j, :m, :m]
+                     for f in (stack.W, lambda X: stack.W(X, inv=True)))
+            lam = stack.q_aff()[p]
+            assert not stack.lam[j, m:].any()  # the pad stays zero
+            cond, tol = ref.cond, 1e-15 * ref.kappa * ref.cond
+            assert np.linalg.norm(W - ref.W) <= tol * np.linalg.norm(ref.W)
+            assert np.linalg.norm(Wi - ref.Winv) <= tol * np.linalg.norm(ref.Winv)
+            assert np.linalg.norm(lam - ref.lam) <= tol * np.linalg.norm(ref.lam)
+            assert stack.lam_det[j] == pytest.approx(ref.lam_det, rel=tol)
+            # the NT identities W z = W^-1 s = lambda, inside the cone
+            Wis = stack.unstack(stack.W(stack.stack(s), inv=True))
+            assert np.linalg.norm(stack.W_z(z)[p] - lam) <= 1e-13 * cond * np.linalg.norm(lam)
+            assert np.linalg.norm(Wis[p] - lam) <= 1e-13 * cond * np.linalg.norm(lam)
             assert np.linalg.norm(W @ Wi - np.eye(m)) <= 1e-13 * cond
-            assert np.array_equal(W, W.T) and np.array_equal(Wi, Wi.T)
+            # W is symmetric; formed column by column, to rounding
+            assert np.linalg.norm(W - W.T) <= 1e-15 * np.linalg.norm(W)
+            assert np.linalg.norm(Wi - Wi.T) <= 1e-15 * np.linalg.norm(Wi)
             assert lam[0] > np.linalg.norm(lam[1:])
+
+    def test_operators_match_per_cone(self, m):
+        rng = np.random.default_rng(50 + m)
+        for _ in range(50):
+            stack, j, p, refs, _, _ = self._scaled(rng, m)
+            ref = refs[j]
+            d, u, bz, gx, us, uz, r = rng.standard_normal((7, stack.sdim))
+
+            def close(got, want, factors):
+                tol = 1e-15 * ref.kappa * ref.cond ** factors
+                return np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+            v, Bt = stack.scaled_rhs(bz)
+            v_ref, Bt_ref = ref.scaled_rhs(bz[p])
+            assert close(stack.W_z(d)[p], ref.W_z(d[p]), 1)
+            assert close(stack.WT_u(u)[p], ref.WT_u(u[p]), 1)
+            assert close(Bt[j, :m], Bt_ref, 1) and close(v[p], v_ref, 2)
+            assert not Bt[j, m:].any()
+            assert close(stack.scaled_dz(gx, Bt)[p], ref.scaled_dz(gx[p], Bt_ref), 2)
+            assert close(stack.q_comb(us, uz, 0.3)[p], ref.q_comb(us[p], uz[p], 0.3), 2)
+            assert close(stack.unstack(stack.lam_solve(stack.stack(r)))[p], ref.lam_solve(r[p]), 2)
+            jp = stack.unstack(stack.jprod(stack.stack(us), stack.stack(uz)))
+            assert close(jp[p], ref.jprod(us[p], uz[p]), 0)
 
     def test_max_step_matches_bisection(self, m):
         rng = np.random.default_rng(10 + m)
-        co = _soc_cone(m)
         for trial in range(50):
-            co.update_scaling(_interior_soc(rng, m), _interior_soc(rng, m))
-            lam = co.lam
+            stack, j, p, refs, _, _ = self._scaled(rng, m)
+            lam = stack.q_aff()[p]
+            # a direction in this cone alone: the others' zero parts are in Q
+            d = np.zeros(stack.sdim)
             if trial % 5 == 0:
-                d = np.linalg.norm(lam) * _interior_soc(rng, m)  # d in Q: no boundary
+                d[p] = np.linalg.norm(lam) * _interior_soc(rng, m)  # d in Q: no boundary
             else:
-                d = np.linalg.norm(lam) * rng.standard_normal(m)
-            alpha = co.max_step(d, d)
+                d[p] = np.linalg.norm(lam) * rng.standard_normal(m)
+            alpha = stack.max_step(d, d)
+            assert alpha == pytest.approx(refs[j].step(d[p]), rel=_step_tol(refs[j]))
             hi = 1.0
-            while _in_soc(lam + hi * d) and hi < 1e12:
+            while _in_soc(lam + hi * d[p]) and hi < 1e12:
                 hi *= 2.0
-            if _in_soc(lam + hi * d):
+            if _in_soc(lam + hi * d[p]):
                 assert alpha == np.inf
                 continue
             lo = 0.0
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if _in_soc(lam + mid * d) else (lo, mid)
+                lo, hi = (mid, hi) if _in_soc(lam + mid * d[p]) else (lo, mid)
             assert alpha == pytest.approx(lo, rel=1e-7)
         # through the apex: a double root, which rounding moves by about
         # sqrt(eps) ||lambda||^2 / lambda'J lambda
-        co.update_scaling(_interior_soc(rng, m), _interior_soc(rng, m))
-        assert co.max_step(-2.0 * co.lam, co.lam) == pytest.approx(0.5, rel=1e-5)
-        assert co.max_step(co.lam, co.lam) == np.inf
+        stack, _, p, _, _, _ = self._scaled(rng, m)
+        lam = np.zeros(stack.sdim)
+        lam[p] = stack.q_aff()[p]
+        assert stack.max_step(-2.0 * lam, lam) == pytest.approx(0.5, rel=1e-5)
+        assert stack.max_step(lam, lam) == np.inf
 
     def test_max_step_of_two_directions(self, m):
         # both directions at once give the smaller of their step lengths,
-        # bit for bit
+        # bit for bit, and the per-cone oracle's; the directions span every
+        # cone, or only this one
         rng = np.random.default_rng(30 + m)
-        co = _soc_cone(m)
         for _ in range(50):
-            co.update_scaling(_interior_soc(rng, m), _interior_soc(rng, m))
-            ds, dz = np.linalg.norm(co.lam) * rng.standard_normal((2, m))
-            for a, b in ((ds, dz), (dz, ds), (ds, co.lam), (co.lam, co.lam)):
-                assert co.max_step(a, b) == min(_soc_step(co, a), _soc_step(co, b))
+            stack, j, p, refs, _, _ = self._scaled(rng, m)
+            lam = stack.q_aff()
+            ds, dz = np.linalg.norm(lam) * rng.standard_normal((2, stack.sdim))
+            alone = np.zeros((2, stack.sdim))
+            alone[:, p] = ds[p], dz[p]
+            for a, b in ((ds, dz), (dz, ds), (ds, lam), (lam, lam), alone, alone[::-1]):
+                alpha = stack.max_step(a, b)
+                assert alpha == min(stack.max_step(a, a), stack.max_step(b, b))
+                want = min(ref.step(d[q]) for ref, q in zip(refs, _soc_parts(stack)) for d in (a, b))
+                assert alpha == pytest.approx(want, rel=max(_step_tol(ref) for ref in refs))
 
     def test_lam_solve_inverts_jordan_product(self, m):
         rng = np.random.default_rng(20 + m)
-        co = _soc_cone(m)
         for _ in range(20):
-            co.update_scaling(_interior_soc(rng, m), _interior_soc(rng, m))
-            r = rng.standard_normal(m)
-            x = co.lam_solve(r)
-            scale = np.linalg.norm(co.lam) * np.linalg.norm(x)
-            assert np.linalg.norm(co.jprod(co.lam, x) - r) <= 1e-12 * scale
-            assert co.q_aff() == pytest.approx(co.lam_solve(co.jprod(co.lam, co.lam)))
+            stack, j, _, _, _, _ = self._scaled(rng, m)
+            R = stack.stack(rng.standard_normal(stack.sdim))
+            X = stack.lam_solve(R)
+            scale = np.linalg.norm(stack.lam[j]) * np.linalg.norm(X[j])
+            assert np.linalg.norm(stack.jprod(stack.lam, X)[j] - R[j]) <= 1e-12 * scale
+            assert stack.q_aff() == pytest.approx(
+                stack.unstack(stack.lam_solve(stack.jprod(stack.lam, stack.lam))))
+
+    def test_breakdown_in_any_cone(self, m):
+        rng = np.random.default_rng(40 + m)
+        for outside in "sz":
+            stack = _soc_stack()
+            u = {k: np.concatenate([_interior_soc(rng, n) for n in SOC_DIMS]) for k in "sz"}
+            u[outside][_soc_parts(stack)[SOC_DIMS.index(m)].start] = -1.0  # u0 < 0 <= ||u1||
+            with pytest.raises(np.linalg.LinAlgError, match="NT scaling breakdown"):
+                stack.update_scaling(u["s"], u["z"])
 
 
 class _PerBlockScaling:
@@ -535,6 +737,19 @@ class TestProblemContainer:
             with pytest.raises(ValueError, match="upper triplets"):
                 LmiBlock(F0=np.eye(2), var_idx=[0], upper=bad)
 
+    def test_repeated_scalar_rejected(self):
+        # |x - 3| <= 1 with x listed twice, each with half its coefficient:
+        # the sum of the two is the one-entry cone, whose optimum is x = 2
+        once = SocBlock(f0=[1.0, -3.0], var_idx=[0], coefs=[[0.0, 1.0]])
+        assert solve_sdp(SdpProblem(num_vars=1, c=[1.0], blocks=[], socs=[once])).x[0] == \
+            pytest.approx(2.0, abs=1e-6)
+        twice = SocBlock(f0=[1.0, -3.0], var_idx=[0, 0], coefs=[[0.0, 0.5], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="repeats a scalar"):
+            SdpProblem(num_vars=1, c=[1.0], blocks=[], socs=[twice])
+        block = LmiBlock(F0=[[0.0, 1.0], [1.0, 0.0]], var_idx=[0, 0], coefs=[0.5 * np.eye(2)] * 2)
+        with pytest.raises(ValueError, match="repeats a scalar"):
+            SdpProblem(num_vars=1, c=[1.0], blocks=[block])
+
     def test_dump_triplets_deterministic(self, tmp_path):
         prob = det_problem()
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -594,6 +809,19 @@ class TestEmptyShapes:
         assert rep.clean, rep.flags
         assert rep.psd_min_eigs[1] == 2.0
 
+    @pytest.mark.parametrize("f0, status", [([2.0, 1.0], "optimal"), ([1.0, 2.0], "infeasible")])
+    def test_cone_without_variables(self, f0, status):
+        constant = SocBlock(f0=f0, var_idx=np.zeros(0, dtype=int), coefs=np.zeros((0, 2)))
+        prob = SdpProblem(num_vars=1, c=[1.0], blocks=det_problem().blocks, socs=[constant])
+        sol = solve_sdp(prob)
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.x[0] == pytest.approx(1.0, abs=1e-6)
+            assert check_certificate(prob, sol).clean
+        else:
+            # the certificate puts its weight on the constant cone
+            assert sol.soc_duals[0][0] > 0.4
+
     def test_problem_without_variables(self):
         def constant(F0):
             return SdpProblem(num_vars=0, c=np.zeros(0), blocks=[
@@ -620,8 +848,8 @@ def _random_scaling(problem, seed, cones=None):
     rng = np.random.default_rng(seed)
     cones = sdp._cones(problem) if cones is None else cones
     for co in cones:
-        if isinstance(co, sdp._Soc):
-            co.update_scaling(_interior_soc(rng, co.sdim), _interior_soc(rng, co.sdim))
+        if isinstance(co, sdp._SocStack):
+            s, z = ([_interior_soc(rng, p.stop - p.start) for p in _soc_parts(co)] for _ in range(2))
         else:
             s, z = [], []
             for blk in co.blocks:
@@ -629,17 +857,24 @@ def _random_scaling(problem, seed, cones=None):
                 S, Z = (B @ B.T + n * np.eye(n) for B in rng.standard_normal((2, n, n)))
                 s.append(blk.sv.svec(S))
                 z.append(blk.sv.svec(Z))
-            co.update_scaling(np.concatenate(s), np.concatenate(z))
+        co.update_scaling(np.concatenate(s), np.concatenate(z))
     return cones
 
 
 def _per_block(cones):
-    """(cone, Rinv) of every PSD block and (cone, None) of every second-order
-    cone, each PSD block's Rinv its corner of the stack's."""
+    """(cone, Rinv) of every PSD block, each Rinv its corner of the stack's,
+    and (cone, None) of every second-order cone, with the cone's part of the
+    stacked vectors and its dense W, built from the stack's w and eta."""
     out = []
     for co in cones:
-        if isinstance(co, sdp._Soc):
-            out.append((co, None))
+        if isinstance(co, sdp._SocStack):
+            _, w_cols, _, eta = co.nt[0]
+            for j, p in enumerate(_soc_parts(co)):
+                w = w_cols[j, :p.stop - p.start, 0]
+                W = np.outer(w, w) / (1.0 + w[0])
+                W.flat[::len(w) + 1] += 1.0
+                W[0] = W[:, 0] = w
+                out.append((SimpleNamespace(part=p, W=eta[j, 0, 0] * W), None))
         else:
             out.extend((blk, Rinv[:blk.dim, :blk.dim]) for blk, Rinv in zip(co.blocks, co.Rinv))
     return out
@@ -650,7 +885,7 @@ def _reference_scaling(co, Rinv, blk):
 
     A PSD block conjugates every slice with Rinv; a second-order cone
     inverts its symmetric W."""
-    if isinstance(co, sdp._Soc):
+    if Rinv is None:
         Wi = np.linalg.inv(co.W)
         return -Wi @ blk.coefs.T, (lambda v: Wi @ v), (lambda v: Wi @ v)
     Tsc = Rinv @ blk.coefs @ Rinv.T
@@ -663,28 +898,29 @@ def _reference_newton(problem, cones, bx, bz):
     """H and solve3 from the dense scaled coefficients of every cone."""
     n = problem.num_vars
     per_block = _per_block(cones)
-    refs = [_reference_scaling(co, Rinv, blk)
-            for (co, Rinv), blk in zip(per_block, problem.blocks + problem.socs)]
+    blocks = problem.blocks + problem.socs
+    refs = [_reference_scaling(co, Rinv, blk) for (co, Rinv), blk in zip(per_block, blocks)]
     cones = [co for co, _ in per_block]
     H = np.zeros((n, n))
-    for co, (S, _, _) in zip(cones, refs):
-        H[np.ix_(co.vi, co.vi)] += S.T @ S
+    for blk, (S, _, _) in zip(blocks, refs):
+        H[np.ix_(blk.var_idx, blk.var_idx)] += S.T @ S
     kkt_solve = sdp._factor_kkt(H, 1e-12 * (1.0 + np.abs(np.diag(H)).max(initial=0.0)),
                                 np.empty((n, n), order="F"))
     bz_t = [winv_t(bz[co.part]) for co, (_, winv_t, _) in zip(cones, refs)]
     rhs = bx.copy()
-    for co, (S, _, _), v in zip(cones, refs, bz_t):
-        rhs[co.vi] += S.T @ v
+    for blk, (S, _, _), v in zip(blocks, refs, bz_t):
+        rhs[blk.var_idx] += S.T @ v
     ux = kkt_solve(rhs)
     for _ in range(2):
         ux = ux + kkt_solve(rhs - H @ ux)
-    uz = [winv(S @ ux[co.vi] - v) for co, (S, _, winv), v in zip(cones, refs, bz_t)]
+    uz = [winv(S @ ux[blk.var_idx] - v) for blk, (S, _, winv), v in zip(blocks, refs, bz_t)]
     return H, ux, np.concatenate(uz)
 
 
 def _assert_newton_matches_reference(problem, seed=0):
+    """The solver's H and Newton solves against the dense reference; returns
+    the problem's cones, at their random scaling, and its G."""
     cones = _random_scaling(problem, seed)
-    per_block = [co for co, _ in _per_block(cones)]
     rng = np.random.default_rng(seed + 1)
     n = problem.num_vars
     G_solver = sdp._G(cones, n)
@@ -712,7 +948,7 @@ def _assert_newton_matches_reference(problem, seed=0):
     for (ux, uz), pair in zip(sdp._solve3(cones, G_solver, H, kkt_solve, pairs), pairs):
         [(vx, vz)] = sdp._solve3(cones, G_solver, H, kkt_solve, [pair])
         assert np.array_equal(ux, vx) and np.array_equal(uz, vz)
-    return per_block, G_solver
+    return cones, G_solver
 
 
 # the joint designs whose largest blocks keep a sparse Gu: the tensegrity
@@ -743,14 +979,18 @@ class TestSchurAssembly:
     def test_benchmark_problems_cover_both_forms(self, monkeypatch, family, kind, gamma0):
         problem = _benchmark_problem(monkeypatch, family, kind, gamma0)
         cones, G = _assert_newton_matches_reference(problem)
-        assert {type(co) for co in cones} == {sdp._Cone, sdp._Soc}
-        sparse_gu = {scipy.sparse.issparse(co.Gu) for co in cones if isinstance(co, sdp._Cone)}
+        assert [type(co) for co in cones] == [sdp._PsdStack, sdp._SocStack]
+        blocks = cones[0].blocks
+        sparse_gu = {scipy.sparse.issparse(co.Gu) for co in blocks}
         assert sparse_gu == {True, False}
         # the problem's G is sparse if and only if some block's Gu is
         assert scipy.sparse.issparse(G) == (True in sparse_gu)
-        # H is added by slices over runs of variables and by one gather; on
-        # the chain problem the PSD blocks add by slices and the cones gather
-        assert {type(co.hsel[0][0][0]) for co in cones} == {slice, np.ndarray}
+        # a PSD block adds its part of H by slices over runs of variables or
+        # by one gather: the tensegrity problem's blocks take both branches,
+        # the chain problem's only the slices
+        placements = {type(co.hsel[0][0][0]) for co in blocks}
+        assert placements == ({slice, np.ndarray} if isinstance(family, bench.TensegrityApprox)
+                              else {slice})
 
     def test_zero_slices(self):
         prob = random_lmi_problem(6, num_vars=40, dim=12)
@@ -760,33 +1000,46 @@ class TestSchurAssembly:
         blocks = [LmiBlock(F0=blk.F0, var_idx=blk.var_idx, coefs=coefs), *prob.blocks[1:]]
         _assert_newton_matches_reference(SdpProblem(num_vars=40, c=prob.c, blocks=blocks))
 
-
     def test_second_order_cones(self):
         # random dense cones beside the PSD blocks, with variables in one
-        # run (added by slices) and in many (gathered)
+        # run and in many, which share scalars: H sums their parts
         rng = np.random.default_rng(8)
         prob = random_lmi_problem(8, num_vars=40, dim=6)
         socs = [SocBlock(f0=rng.standard_normal(m), var_idx=vi, coefs=rng.standard_normal((len(vi), m)))
                 for m, vi in ((7, np.arange(5, 25)), (12, np.arange(0, 40, 2)), (1, [5]))]
         problem = SdpProblem(num_vars=40, c=prob.c, blocks=prob.blocks, socs=socs)
         cones, _ = _assert_newton_matches_reference(problem)
-        assert [type(co.hsel[0][0][0]) for co in cones[-3:]] == [slice, np.ndarray, slice]
+        _assert_shares_scalars(cones[-1])
+
+    def test_cones_sharing_scalars_without_psd_blocks(self):
+        cones, _ = _assert_newton_matches_reference(cones_only_socp()[0])
+        assert [type(co) for co in cones] == [sdp._SocStack]
+        _assert_shares_scalars(cones[0])
+
+
+def _assert_shares_scalars(stack):
+    """Some entry of H gets the parts of more than one cone of the stack."""
+    counts = np.bincount(stack.bins.reshape(-1))[:-1]
+    assert len(counts) == len(stack.hpos) and counts.max() > 1
 
 
 def _allocating_schur(cones, n):
-    """The Schur complement with every block's part formed by allocating
-    expressions: X = Gu (Gu M)', added as X + X'."""
+    """The Schur complement with every PSD block's part formed by
+    allocating expressions, X = Gu (Gu M)' added as X + X', and the
+    second-order cones' by their stack."""
     H = np.zeros((n, n))
-    for co, Rinv in _per_block(cones):
-        if Rinv is None:
-            co.add_schur(H)
+    for stack in cones:
+        if isinstance(stack, sdp._SocStack):
+            stack.add_schur(H)
             continue
-        W = Rinv.T @ Rinv
-        WP, WQ = W[:, co.P], W[:, co.Q]
-        M = WP[co.P] * WQ[co.Q]
-        M += WQ[co.P] * WP[co.Q]
-        X = co.Gu @ (co.Gu @ M).T
-        co.add_to(H, X + X.T)
+        for co, Rinv in zip(stack.blocks, stack.Rinv):
+            Rinv = Rinv[:co.dim, :co.dim]
+            W = Rinv.T @ Rinv
+            WP, WQ = W[:, co.P], W[:, co.Q]
+            M = WP[co.P] * WQ[co.Q]
+            M += WQ[co.P] * WP[co.Q]
+            X = co.Gu @ (co.Gu @ M).T
+            co.add_to(H, X + X.T)
     return H
 
 
@@ -938,3 +1191,20 @@ class TestPhaseTimes:
         assert tuple(sol.phase_s) == sdp.PHASES == ("scaling", "schur", "factor", "solve", "step")
         assert all(t >= 0.0 for t in sol.phase_s.values())
         assert 0.0 < sum(sol.phase_s.values()) <= wall
+
+
+class TestSolveLog:
+    def test_one_debug_record_per_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="sparsact"):
+            sol = solve_sdp(det_problem())
+        [rec] = caplog.records
+        assert (rec.name, rec.levelno) == ("sparsact", logging.DEBUG)
+        text = rec.getMessage()
+        for part in (sol.status, sol.message, f"{sol.iterations} iterations",
+                     f"pres {sol.pres:.3e}", f"dres {sol.dres:.3e}", f"gap {sol.gap:.3e}", "schur"):
+            assert part in text
+
+    def test_silent_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="sparsact"):
+            solve_sdp(det_problem())
+        assert not caplog.records
