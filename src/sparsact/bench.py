@@ -376,12 +376,9 @@ def gamma_sweep(spec_for, gamma0_list, policy: ReweightPolicy = ReweightPolicy()
         try:
             trace = reweight_iterate(spec, policy)
             pruned = prune_and_resolve(trace, spec)
-        except InfeasiblePerformance as exc:
-            row.update(status="infeasible", message=str(exc))
-            rows.append(row)
-            continue
         except SparsactError as exc:
-            row.update(status="error", message=str(exc))
+            status = "infeasible" if isinstance(exc, InfeasiblePerformance) else "error"
+            row.update(status=status, message=str(exc))
             rows.append(row)
             continue
         row.update(
@@ -389,8 +386,7 @@ def gamma_sweep(spec_for, gamma0_list, policy: ReweightPolicy = ReweightPolicy()
             iterations=len(trace),
             active=trace.active_sets[-1],
             values=trace.values[-1],
-            kept_actuators=pruned.kept_actuators,
-            kept_sensors=pruned.kept_sensors,
+            **{f"kept_{g}": v for g, v in pruned.kept.items()},
             verified_norm=pruned.result.verified_closed_loop.value,
         )
         rows.append(row)

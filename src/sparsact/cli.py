@@ -83,17 +83,10 @@ def _build_spec(plant, args):
     return spec_type(rho=args.rho, gamma_max=args.gamma_max, **common)
 
 
-def _write_design(out, result, fields, threshold_ratio=ACTIVE_THRESHOLD_RATIO, kept=None):
-    """controller.json, and result.json: the result's values, its active sets
-    at threshold_ratio, and ``fields``.  A pruned design passes ``kept``, the
-    original index of each kept actuator and sensor by weight group;
-    result.json then lists them as kept_<group> and gives the active sets in
-    those original indices."""
+def _write_design(out, result, active, fields):
+    """controller.json, and result.json: the result's values, its active
+    sets ``active`` by weight group, and ``fields``."""
     _write_json(os.path.join(out, "controller.json"), controller_to_dict(result.controller))
-    _, active = _iteration_summary(result, threshold_ratio)
-    if kept is not None:
-        fields = {**fields, **{f"kept_{g}": v for g, v in kept.items()}}
-        active = {g: [kept[g][i] for i in indices] for g, indices in active.items()}
     active = {f"active_{g}": v for g, v in active.items()}
     if len(active) == 1:  # the Gamma designs write their one group as "active_set"
         active = {"active_set": active["active_actuators"]}
@@ -123,7 +116,8 @@ def _norm_report_dict(rep):
 def _cmd_synth(args):
     result = _build_spec(load_plant(args.model), args).synthesize()
     out = _ensure_out(args)
-    _write_design(out, result, {"mode": args.mode, "gamma0": args.gamma0})
+    _, active = _iteration_summary(result, ACTIVE_THRESHOLD_RATIO)
+    _write_design(out, result, active, {"mode": args.mode, "gamma0": args.gamma0})
     with open(os.path.join(out, "solver_trace.csv"), "w") as f:
         f.write(_solver_trace_csv(result.solution))
     print(f"verified closed-loop {result.verified_closed_loop.kind} norm "
@@ -157,18 +151,22 @@ def _cmd_verify(args):
 
 
 def _policy(args):
-    kw = {}
-    if args.reweight_max is not None:
-        kw["max_outer"] = args.reweight_max
-    if args.epsilon is not None:
-        kw["epsilon"] = args.epsilon
-    if args.threshold is not None:
-        kw["threshold_ratio"] = args.threshold
-    return ReweightPolicy(**kw)
+    """The loop policy of the flags given; ReweightPolicy's defaults stand for the rest."""
+    given = {"max_outer": args.reweight_max, "epsilon": args.epsilon,
+             "threshold_ratio": args.threshold}
+    return ReweightPolicy(**{name: v for name, v in given.items() if v is not None})
 
 
-def _kept(pruned):
-    return {"actuators": pruned.kept_actuators, "sensors": pruned.kept_sensors}
+def _pruned_design(spec, args, fields):
+    """Reweight spec, prune and re-solve it, and write the pruned design
+    into args.out, with ``fields``, the kept hardware and the loop's stop."""
+    trace = reweight_iterate(spec, _policy(args))
+    pruned = prune_and_resolve(trace, spec)
+    out = _ensure_out(args)
+    _write_design(out, pruned.result, pruned.active, {
+        **fields, **{f"kept_{g}": v for g, v in pruned.kept.items()},
+        "stop_reason": trace.stop_reason, "iterations": len(trace)})
+    return out, trace, pruned
 
 
 def _cmd_sweep(args):
@@ -193,13 +191,8 @@ def _cmd_sweep(args):
 def _cmd_prune(args):
     plant = load_plant(args.model)
     spec = _build_spec(plant, args)
-    trace = reweight_iterate(spec, _policy(args))
-    pruned = prune_and_resolve(trace, spec)
-    out = _ensure_out(args)
+    out, trace, pruned = _pruned_design(spec, args, {"mode": args.mode, "gamma0": args.gamma0})
     result = pruned.result
-    _write_design(out, result, {"mode": args.mode, "gamma0": args.gamma0,
-                                "stop_reason": trace.stop_reason, "iterations": len(trace)},
-                  trace.threshold_ratio, _kept(pruned))
     _write_json(os.path.join(out, "trace.json"), trace.to_dict())
     save_plant(pruned.reduced_plant, os.path.join(out, "pruned_plant.json"))
     print(f"kept actuators {pruned.kept_actuators}, sensors {pruned.kept_sensors} "
@@ -217,20 +210,16 @@ def _cmd_demo(args):
     family = {"scalar": ScalarOracle(), "chain": MassSpringChain(4),
               "tensegrity": TensegrityApprox()}[args.family]
     plant = family.build()
-    out = _ensure_out(args)
-    save_plant(plant, os.path.join(out, "plant.json"))
     gamma0 = args.gamma0
     if gamma0 is None:
         gamma0 = {"scalar": 2.0, "chain": 2.0, "tensegrity": 0.42}[args.family]
     kind = "h2" if args.family == "tensegrity" else "hinf"
     spec = JointSpec(plant=plant, performance_kind=kind, gamma0=gamma0,
                      solver=_solver_options(args))
-    trace = reweight_iterate(spec, _policy(args))
-    pruned = prune_and_resolve(trace, spec)
+    # plant.json too is written only once the design is certified
+    out, _, pruned = _pruned_design(spec, args, {"family": args.family, "gamma0": gamma0})
+    save_plant(plant, os.path.join(out, "plant.json"))
     result = pruned.result
-    _write_design(out, result, {"family": args.family, "gamma0": gamma0,
-                                "iterations": len(trace)},
-                  trace.threshold_ratio, _kept(pruned))
     extra = family.cubic_stiffening() if args.nonlinear_sim else None
     # the pruned controller lives on the reduced actuator/sensor sets; the
     # reduced plant has the same states, so the nonlinear term still applies

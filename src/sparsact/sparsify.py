@@ -56,6 +56,8 @@ class ReweightPolicy:
             raise ValueError("epsilon must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
+        if not (0 <= self.threshold_ratio < 1):
+            raise ValueError("threshold_ratio must be at least 0 and below 1")
 
 
 @dataclass
@@ -195,10 +197,18 @@ def reweight_iterate(spec, policy: ReweightPolicy = ReweightPolicy()) -> Sparsif
 
 @dataclass(frozen=True)
 class PrunedResult:
+    """The re-solved design and, in the original plant's indices, the
+    hardware it kept and which of that is active."""
+
     result: object                 # synthesis result on the reduced plant
     reduced_plant: GeneralizedPlant
     kept_actuators: list           # reduced index -> original actuator index
     kept_sensors: list             # reduced index -> original sensor index
+    active: dict                   # by weight group: active original indices
+
+    @property
+    def kept(self):
+        return {"actuators": self.kept_actuators, "sensors": self.kept_sensors}
 
 
 def _reduce_plant(plant, keep_act, keep_sen):
@@ -221,7 +231,8 @@ def prune_and_resolve(trace: SparsifyTrace, spec) -> PrunedResult:
 
     Prunes to the trace's last active set, which reweight_iterate took at
     its policy's threshold_ratio, and re-solves the spec's own design cut
-    down to the kept hardware with uniform weights.  The trace must come
+    down to the kept hardware with uniform weights; the re-solved design's
+    active sets are taken at the same threshold.  The trace must come
     from a spec with the same weight groups.  Infeasibility after pruning
     raises ReducedInfeasible carrying that threshold.
     """
@@ -231,20 +242,22 @@ def prune_and_resolve(trace: SparsifyTrace, spec) -> PrunedResult:
             f"the trace's weight groups {sorted(active)} do not match the "
             f"spec's {sorted(spec.GROUPS)}")
     plant = spec.plant
-    keep_act, keep_sen = (sorted(active.get(g, ())) or list(range(n))
-                          for g, n in (("actuators", plant.nu), ("sensors", plant.ny)))
-    reduced = _reduce_plant(plant, keep_act, keep_sen)
-    reduced_spec = spec.restricted(reduced, keep_act, keep_sen)
+    kept = {g: sorted(active.get(g, ())) or list(range(n))
+            for g, n in (("actuators", plant.nu), ("sensors", plant.ny))}
+    reduced = _reduce_plant(plant, kept["actuators"], kept["sensors"])
+    reduced_spec = spec.restricted(reduced, kept["actuators"], kept["sensors"])
     try:
         result = reduced_spec.synthesize()
     except SparsactError as exc:
         raise ReducedInfeasible(
-            f"synthesis infeasible after pruning to actuators {keep_act} "
-            f"and sensors {keep_sen}: {exc}",
+            f"synthesis infeasible after pruning to actuators {kept['actuators']} "
+            f"and sensors {kept['sensors']}: {exc}",
             threshold=trace.threshold_ratio) from exc
+    _, reduced_active = _iteration_summary(result, trace.threshold_ratio)
     return PrunedResult(
         result=result,
         reduced_plant=reduced,
-        kept_actuators=keep_act,
-        kept_sensors=keep_sen,
+        kept_actuators=kept["actuators"],
+        kept_sensors=kept["sensors"],
+        active={g: [kept[g][i] for i in indices] for g, indices in reduced_active.items()},
     )

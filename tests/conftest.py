@@ -17,6 +17,11 @@ from sparsact.outputfb import HatController
 
 SCALAR = dict(A=[[1.0]], Bu=[[1.0]], Bw=[[1.0]], Cz=[[1.0]],
               Du=[[0.0]], Dw=[[0.0]], Cy=[[1.0]], Dyw=[[0.0]])
+# scalar dynamics with three actuators of gains 0.3, 1 and 0.2: a pruned
+# design keeps actuator 1 alone, so its reduced index 0 differs from the
+# original index
+THREE_ACTUATORS = dict(A=[[1.0]], Bu=[[0.3, 1.0, 0.2]], Bw=[[1.0]], Cz=[[1.0]],
+                       Du=[[0.0, 0.0, 0.0]], Dw=[[0.0]], Cy=[[1.0]], Dyw=[[0.0]])
 
 
 @pytest.fixture

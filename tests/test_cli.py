@@ -9,6 +9,8 @@ from sparsact.cli import main
 from sparsact.model import GeneralizedPlant, save_plant
 from sparsact.statefb import ACTIVE_THRESHOLD_RATIO, VERIFY_RTOL, active_set_from_values
 
+from conftest import THREE_ACTUATORS
+
 
 @pytest.fixture
 def scalar_model(tmp_path):
@@ -343,6 +345,22 @@ class TestUsage:
         rc = main([command, "--model", scalar_model, "--mode", mode, "--gamma0", "2.0",
                    "--out", str(out), f"--{flag}", "1"])
         assert rc == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["prune", "demo"])
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.5"])
+    def test_impossible_threshold(self, tmp_path, command, threshold, capsys):
+        # a ratio of 1.5 would keep every actuator and mark none active, and
+        # -0.5 would act as 0; both are refused before any design runs, and
+        # nothing is written
+        model = tmp_path / "plant.json"
+        save_plant(GeneralizedPlant(**THREE_ACTUATORS), model)
+        out = tmp_path / "o"
+        argv = (["prune", "--model", str(model), "--mode", "sf-hinf", "--gamma0", "2.0"]
+                if command == "prune" else ["demo", "--family", "scalar"])
+        rc = main(argv + ["--threshold", threshold, "--out", str(out)])
+        assert rc == 1
+        assert "threshold_ratio" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_model_file(self, tmp_path):

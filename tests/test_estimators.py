@@ -1,17 +1,22 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from sparsact.cli import main
 from sparsact.estimators import (
     JointSparseDesign,
     SparseOutputFeedback,
     SparseStateFeedback,
 )
-from sparsact.joint import group_norms
-from sparsact.model import DynamicController
-from sparsact.outputfb import OfSynthesisResult
-from sparsact.statefb import active_set_from_values
+from sparsact.joint import JointSpec, group_norms
+from sparsact.model import DynamicController, GeneralizedPlant, save_plant
+from sparsact.outputfb import OfSynthesisResult, OfSynthesisSpec
+from sparsact.sparsify import ReweightPolicy
+from sparsact.statefb import SfSynthesisSpec, active_set_from_values
 
-from conftest import random_plant
+from conftest import THREE_ACTUATORS, random_plant
 
 
 class TestParamProtocol:
@@ -40,6 +45,34 @@ class TestParamProtocol:
         with pytest.raises(RuntimeError, match="not fitted"):
             SparseStateFeedback().predict(np.zeros((1, 1)))
 
+    GAMMA_DESIGN = dict(performance_kind="hinf", rho=None, gamma_max=None, reweight=False)
+
+    @pytest.mark.parametrize("cls,spec,own", [
+        (SparseStateFeedback, SfSynthesisSpec, GAMMA_DESIGN),
+        (SparseOutputFeedback, OfSynthesisSpec, GAMMA_DESIGN),
+        (JointSparseDesign, JointSpec,
+         dict(performance_kind="h2", mu=None, nu=None, reweight=True)),
+    ])
+    def test_params_are_the_spec_and_policy_fields(self, cls, spec, own):
+        # the spec's fields other than plant and solver, the policy's fields,
+        # reweight and solver, with the defaults the estimators have always had
+        mirrored = {f.name: f.default for f in dataclasses.fields(spec)
+                    if f.name not in ("plant", "solver")}
+        mirrored.update({f.name: f.default for f in dataclasses.fields(ReweightPolicy)})
+        params = cls().get_params()
+        assert params == {**mirrored, "reweight": own["reweight"], "solver": None}
+        assert params == {**own, "gamma0": 1.0, "max_outer": 10, "epsilon": 1e-4,
+                          "threshold_ratio": 1e-3, "solver": None}
+
+    def test_keyword_only(self):
+        with pytest.raises(TypeError):
+            SparseStateFeedback(2.0)
+
+    def test_impossible_threshold_raises_at_fit(self, scalar_plant):
+        est = SparseStateFeedback(gamma0=2.0, threshold_ratio=1.0)
+        with pytest.raises(ValueError, match="threshold_ratio"):
+            est.fit(scalar_plant)
+
 
 class TestSparseStateFeedback:
     def test_fit_scalar(self, scalar_plant):
@@ -58,6 +91,19 @@ class TestSparseStateFeedback:
         assert est.kept_actuators_ == [0]
         assert est.K_.shape == (1, 1)
         assert len(est.trace_) >= 2
+
+    def test_reweighted_sets_in_original_indices(self, tmp_path):
+        # actuator 1 alone is kept, so it is index 0 of the reduced plant;
+        # the fitted active set names it by its original index, as the
+        # active_set of `sparsact prune` on the same plant does
+        plant = GeneralizedPlant(**THREE_ACTUATORS)
+        est = SparseStateFeedback(gamma0=2.0, reweight=True).fit(plant)
+        assert est.kept_actuators_ == est.active_actuators_ == [1]
+        save_plant(plant, tmp_path / "plant.json")
+        assert main(["prune", "--model", str(tmp_path / "plant.json"), "--mode", "sf-hinf",
+                     "--gamma0", "2.0", "--out", str(tmp_path / "o")]) == 0
+        result = json.loads((tmp_path / "o" / "result.json").read_text())
+        assert result["active_set"] == est.active_actuators_
 
     def test_fit_returns_self(self, scalar_plant):
         est = SparseStateFeedback(gamma0=2.0)

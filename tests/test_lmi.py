@@ -535,8 +535,8 @@ def test_sums_in_dense_order():
 
 
 def test_tensegrity_slices_are_small(monkeypatch):
-    # the paper's structural demo: 801 scalars, 25 PSD blocks whose dense
-    # slices take 11.46 MB
+    # the paper's structural demo: 801 scalars, 4 PSD blocks whose dense
+    # slices take 11.46 MB, and 21 second-order cones
     *_, problem = _compiled_with_objective(
         monkeypatch, *_benchmark(bench.TensegrityApprox(), "h2", 0.42))
     stored = sum(a.nbytes for blk in problem.blocks

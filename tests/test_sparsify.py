@@ -55,6 +55,12 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             ReweightPolicy(max_outer=0)
 
+    @pytest.mark.parametrize("ratio", [1.0, 1.5, -0.5])
+    def test_bad_threshold_ratio(self, ratio):
+        # a ratio of 1 or more marks no group active; a negative one acts as 0
+        with pytest.raises(ValueError, match="threshold_ratio"):
+            ReweightPolicy(threshold_ratio=ratio)
+
 
 class TestReweightedStateFeedback:
     def test_duplicate_actuators_collapse_to_one(self, dup_actuator_plant):
