@@ -81,20 +81,15 @@ def is_hurwitz(A) -> bool:
     return bool(np.max(eigs.real) < HURWITZ_MARGIN)
 
 
-def controllability_gramian(A, B):
-    """Solve A Wc + Wc A^T + B B^T = 0 for a Hurwitz A (dense Schur method)."""
-    Wc = scipy.linalg.solve_continuous_lyapunov(A, -B @ B.T)
-    return 0.5 * (Wc + Wc.T)
-
-
 def _checked_gramian(A, B):
-    """Controllability Gramian of a Hurwitz A, its Lyapunov residual checked
-    against a tight relative bound."""
+    """Controllability Gramian of a Hurwitz A (A Wc + Wc A^T + B B^T = 0, dense
+    Schur method), its Lyapunov residual checked against a tight relative bound."""
     if A.size == 0:
         return np.zeros((0, 0))
     if not is_hurwitz(A):
         raise NonHurwitzError("H2 norm undefined: state matrix is not Hurwitz")
-    Wc = controllability_gramian(A, B)
+    Wc = scipy.linalg.solve_continuous_lyapunov(A, -B @ B.T)
+    Wc = 0.5 * (Wc + Wc.T)
     res = np.linalg.norm(A @ Wc + Wc @ A.T + B @ B.T)
     bound = 1e-10 * (np.linalg.norm(A) * np.linalg.norm(Wc) + np.linalg.norm(B) ** 2)
     if res > max(bound, 1e-13):

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -103,12 +104,6 @@ def _solver_trace_csv(sol):
     return "\n".join(lines) + "\n"
 
 
-def _norm_report_dict(rep):
-    return {"value": rep.value, "kind": rep.kind, "method": rep.method,
-            "converged": rep.converged, "iterations": rep.iterations,
-            "peak_frequency": rep.peak_frequency}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -129,11 +124,10 @@ def _cmd_verify(args):
     plant = load_plant(args.model)
     with open(args.controller) as f:
         cl = close_loop(plant, controller_from_dict(json.load(f)))
-    reports = {"hinf": _norm_report_dict(analysis.hinf_norm(cl))}
+    reports = {"hinf": asdict(analysis.hinf_norm(cl))}
     if not np.any(cl.Dcl != 0.0):
-        reports["h2"] = _norm_report_dict(analysis.h2_norm(cl))
-    reports["channel_h2"] = [_norm_report_dict(r)
-                             for r in analysis.channel_h2_norms(plant, cl)]
+        reports["h2"] = asdict(analysis.h2_norm(cl))
+    reports["channel_h2"] = [asdict(r) for r in analysis.channel_h2_norms(plant, cl)]
     out = _ensure_out(args)
     _write_json(os.path.join(out, "verify.json"), reports)
     for name in ("hinf", "h2"):
@@ -261,7 +255,10 @@ def _add_common_synth_args(sp, gamma0_list=False):
                     help="per-actuator caps on the bounds (sf/of modes)")
     sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--dump-sdp", default=None, metavar="PATH",
-                    help="dump the packed cone program as sparse triplets")
+                    help="dump the packed cone program as sparse triplets; every "
+                         "solve rewrites PATH, so under prune it holds the re-solve "
+                         "on the pruned plant and under sweep the last solve of "
+                         "the last gamma0")
 
 
 def _add_policy_args(sp):
@@ -310,7 +307,9 @@ def build_parser():
     sp.add_argument("--horizon", type=float, default=20.0)
     sp.add_argument("--nonlinear-sim", action="store_true")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--dump-sdp", default=None)
+    sp.add_argument("--dump-sdp", default=None, metavar="PATH",
+                    help="dump the packed cone program of the re-solve on the "
+                         "pruned plant as sparse triplets (every solve rewrites PATH)")
     sp.add_argument("--seed", type=int, default=0)
     _add_policy_args(sp)
     sp.set_defaults(func=_cmd_demo)

@@ -24,10 +24,6 @@ class ModelingError(SparsactError):
 class InfeasiblePerformance(SparsactError):
     """No controller meets the requested performance bound."""
 
-    def __init__(self, message, status=None):
-        super().__init__(message)
-        self.status = status
-
 
 class SynthesisNumericalError(SparsactError):
     """The SDP solver stopped without a usable certificate."""

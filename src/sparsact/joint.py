@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, lmi
-from .errors import DimensionError
 from .model import GeneralizedPlant, close_output_feedback
 from .outputfb import (
     HatController,
@@ -32,7 +31,7 @@ from .outputfb import (
     reconstruct_controller,
 )
 from .sdp import SdpSolution, SolverOptions, solve_sdp
-from .statefb import _check_performance, _raise_for_status, _verify
+from .statefb import _check_performance, _raise_for_status, _set_vector, _verify
 
 __all__ = [
     "JointSpec",
@@ -65,19 +64,10 @@ class JointSpec:
 
     def __post_init__(self):
         _check_performance(self)
-        n_act, n_sen = self.plant.nu, self.plant.ny
-        mu = np.ones(n_act) if self.mu is None else np.asarray(self.mu, dtype=float).ravel()
-        nu = np.ones(n_sen) if self.nu is None else np.asarray(self.nu, dtype=float).ravel()
-        if mu.shape != (n_act,):
-            raise DimensionError(f"mu must have length {n_act}")
-        if nu.shape != (n_sen,):
-            raise DimensionError(f"nu must have length {n_sen}")
-        if np.any(mu < 0) or np.any(nu < 0):
-            raise ValueError("mu and nu must be nonnegative")
-        if not (np.any(mu > 0) or np.any(nu > 0)):
+        _set_vector(self, "mu", self.plant.nu, nonneg=True)
+        _set_vector(self, "nu", self.plant.ny, nonneg=True)
+        if not (np.any(self.mu > 0) or np.any(self.nu > 0)):
             raise ValueError("mu and nu cannot both be identically zero")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
 
     def synthesize(self):
         return synth_joint(self)

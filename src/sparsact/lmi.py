@@ -72,14 +72,10 @@ class Expr:
             raise ModelingError("constant shape mismatch")
 
     @staticmethod
-    def wrap(obj, like=None):
+    def wrap(obj):
         if isinstance(obj, Expr):
             return obj
         M = np.atleast_2d(np.asarray(obj, dtype=float))
-        if like is not None and M.shape == (1, 1) and like != (1, 1):
-            if like[0] != like[1]:
-                raise ModelingError("cannot broadcast scalar constant here")
-            M = M[0, 0] * np.eye(like[0])
         return Expr(M.shape, M, [])
 
     @property
@@ -88,7 +84,7 @@ class Expr:
 
     # --- algebra ----------------------------------------------------------
     def __add__(self, other):
-        o = Expr.wrap(other, like=self.shape)
+        o = Expr.wrap(other)
         if o.shape != self.shape:
             raise ModelingError(f"shape mismatch in +: {self.shape} vs {o.shape}")
         return Expr(self.shape, self.constant + o.constant, self.terms + o.terms)
@@ -96,10 +92,10 @@ class Expr:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-Expr.wrap(other, like=self.shape))
+        return self + (-Expr.wrap(other))
 
     def __rsub__(self, other):
-        return (-self) + Expr.wrap(other, like=self.shape)
+        return (-self) + Expr.wrap(other)
 
     def __neg__(self):
         return Expr(self.shape, -self.constant,

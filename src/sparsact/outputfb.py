@@ -38,7 +38,6 @@ from .statefb import (
     GAMMA_BACKOFF,
     SfSynthesisSpec,
     _ChannelBoundGroups,
-    _diag_entry,
     _gamma_caps,
     _raise_for_status,
     _solved_gamma,
@@ -104,7 +103,7 @@ def _check_of_preconditions(plant):
     if feed:
         raise NonzeroFeedthroughError(feed[0])
     if diags:
-        raise InfeasiblePerformance("; ".join(diags), status="infeasible")
+        raise InfeasiblePerformance("; ".join(diags))
 
 
 def _declare_of_variables(plant):
@@ -170,7 +169,7 @@ def _performance_constraints(spec, X, Y, CKh, DKh, parts):
 
 def _of_channel_blocks(p, X, Y, CKh, DKh, G):
     return [lmi.pos_def(lmi.bmat([
-        [_diag_entry(G, i), CKh.row(i), DKh.row(i) @ p.Cy],
+        [G.row(i).col(i), CKh.row(i), DKh.row(i) @ p.Cy],
         [None, X, lmi.const(np.eye(p.nx))],
         [None, None, Y],
     ])) for i in range(p.nu)]

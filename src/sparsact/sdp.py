@@ -918,13 +918,6 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
 
-    # residuals of the raw (unnormalized) improving rays
-    def dual_ray_res():
-        return np.linalg.norm(G.T @ z)
-
-    def primal_ray_res():
-        return np.linalg.norm(G @ x + s)
-
     iterates = []
     status, message = "max_iter", "iteration limit reached"
     pres = dres = gap = np.inf
@@ -975,33 +968,19 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         # variable starts to collapse
         viol_p = -(h @ z)
         if kappa > tau and viol_p > 0:
-            if dual_ray_res() <= INFEAS_TOL * viol_p and \
+            if np.linalg.norm(G.T @ z) <= INFEAS_TOL * viol_p and \
                     viol_p >= INFEAS_TOL * max(1.0, np.linalg.norm(z)):
                 status, message = "infeasible", "dual improving ray found"
                 z = z / viol_p
                 break
         viol_d = -float(c @ x)
         if kappa > tau and viol_d > 0:
-            if primal_ray_res() <= INFEAS_TOL * viol_d and \
+            if np.linalg.norm(G @ x + s) <= INFEAS_TOL * viol_d and \
                     viol_d >= INFEAS_TOL * max(1.0, np.linalg.norm(x)):
                 status, message = "unbounded", "primal improving ray found"
                 x = x / viol_d
                 s = s / viol_d
                 break
-
-        # homogenizing variable collapsed: classify by the better certificate
-        if tau <= 1e-10 * max(1.0, kappa):
-            res_p = dual_ray_res() / max(viol_p, 1e-300)
-            res_d = primal_ray_res() / max(viol_d, 1e-300)
-            if viol_p > 0 and res_p <= min(res_d, 1e-4):
-                status, message = "infeasible", "dual improving ray found (tau collapse)"
-                z = z / viol_p
-            elif viol_d > 0 and res_d <= 1e-4:
-                status, message = "unbounded", "primal improving ray found (tau collapse)"
-                x, s = x / viol_d, s / viol_d
-            else:
-                status, message = "max_iter", "tau collapse without certificate"
-            break
 
         # stalled: the best iterate is good enough and has not been bettered
         if best_score <= REDUCED_TOL and it - best_it >= STALL_ITERS:

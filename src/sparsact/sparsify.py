@@ -52,8 +52,8 @@ class ReweightPolicy:
     threshold_ratio: float = ACTIVE_THRESHOLD_RATIO
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
+        if not (0 < self.epsilon < np.inf):
+            raise ValueError("epsilon must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
         if not (0 <= self.threshold_ratio < 1):

@@ -4,8 +4,8 @@ Minimizes a weighted l1 norm of per-actuator squared-H2 bounds Gamma
 subject to a closed-loop performance constraint (H-infinity or H2) on
 the disturbance-to-output channel.  Small per-actuator bounds mean the
 corresponding actuator does little work and can eventually be pruned.
-This module also holds what all three designs share: the shared constants,
-the solver-status-to-exception map, the gamma caps and the verification.
+This module also holds what all three designs share: the constants, the
+solver-status map, the weight check, the gamma caps and the verification.
 """
 
 from __future__ import annotations
@@ -68,12 +68,27 @@ def _check_performance(spec):
     """The performance_kind and gamma0 checks of every spec; H2 needs Dw = 0."""
     if spec.performance_kind not in ("hinf", "h2"):
         raise ValueError(f"performance_kind must be 'hinf' or 'h2', got {spec.performance_kind!r}")
-    if not (spec.gamma0 > 0):
-        raise ValueError("gamma0 must be positive")
+    if not (0 < spec.gamma0 < np.inf):
+        raise ValueError("gamma0 must be positive and finite")
     if spec.performance_kind == "h2" and np.any(spec.plant.Dw != 0.0):
         raise NonzeroFeedthroughError(
             "H2 performance needs Dw = 0: the disturbance-to-output "
             "feedthrough makes the H2 norm unbounded")
+
+
+def _set_vector(spec, name, n, nonneg=False):
+    """Store spec's weight field `name` as a float vector, ones when it is
+    None, after checking its length n and that every entry is finite and
+    positive (nonnegative with nonneg); each error names the field."""
+    v = getattr(spec, name)
+    v = np.ones(n) if v is None else np.asarray(v, dtype=float).ravel()
+    if v.shape != (n,):
+        raise DimensionError(f"{name} must have length {n}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(v < 0) if nonneg else np.any(v <= 0):
+        raise ValueError(f"{name} must be {'nonnegative' if nonneg else 'positive'} elementwise")
+    object.__setattr__(spec, name, v)
 
 
 @dataclass(frozen=True)
@@ -97,20 +112,9 @@ class SfSynthesisSpec:
 
     def __post_init__(self):
         _check_performance(self)
-        nu = self.plant.nu
-        rho = np.ones(nu) if self.rho is None else np.asarray(self.rho, dtype=float).ravel()
-        if rho.shape != (nu,):
-            raise DimensionError(f"rho must have length {nu}")
-        if np.any(rho <= 0):
-            raise ValueError("rho must be positive elementwise")
-        object.__setattr__(self, "rho", rho)
+        _set_vector(self, "rho", self.plant.nu)
         if self.gamma_max is not None:
-            gm = np.asarray(self.gamma_max, dtype=float).ravel()
-            if gm.shape != (nu,):
-                raise DimensionError(f"gamma_max must have length {nu}")
-            if np.any(gm <= 0):
-                raise ValueError("gamma_max must be positive elementwise")
-            object.__setattr__(self, "gamma_max", gm)
+            _set_vector(self, "gamma_max", self.plant.nu)
 
     def synthesize(self):
         return synth_sf(self)
@@ -170,7 +174,7 @@ def result_to_dict(result):
 def _check_stabilizable(plant):
     diags = [d for d in validate_plant(plant) if "unstabilizable" in d]
     if diags:
-        raise InfeasiblePerformance("; ".join(diags), status="infeasible")
+        raise InfeasiblePerformance("; ".join(diags))
 
 
 def _raise_for_status(sol: SdpSolution):
@@ -178,24 +182,16 @@ def _raise_for_status(sol: SdpSolution):
         return
     if sol.status == "infeasible":
         raise InfeasiblePerformance(
-            f"no Lyapunov certificate exists for the requested bounds ({sol.message})",
-            status=sol.status)
+            f"no Lyapunov certificate exists for the requested bounds ({sol.message})")
     raise SynthesisNumericalError(
         f"SDP solve ended with status {sol.status}: {sol.message}", solution=sol)
-
-
-def _diag_entry(G, i):
-    """The 1x1 expression e_i G e_i^T."""
-    ei = np.zeros((1, G.shape[0]))
-    ei[0, i] = 1.0
-    return ei @ G @ ei.T
 
 
 def _gamma_caps(G, gamma_max):
     """gamma_i <= gamma_max[i]; no constraint when gamma_max is None."""
     if gamma_max is None:
         return []
-    return [lmi.neg_semidef(_diag_entry(G, i) - gamma_max[i] * np.eye(1))
+    return [lmi.neg_semidef(G.row(i).col(i) - gamma_max[i] * np.eye(1))
             for i in range(G.shape[0])]
 
 
@@ -272,7 +268,7 @@ def synth_sf(spec: SfSynthesisSpec) -> SfSynthesisResult:
             lmi.neg_def(lmi.trace(Z) - g0 ** 2 * np.eye(1)),
             lmi.pos_def(X),
         ]
-    cons += [lmi.neg_def(lmi.bmat([[-_diag_entry(G, i), W.row(i)], [None, -X]]))
+    cons += [lmi.neg_def(lmi.bmat([[-G.row(i).col(i), W.row(i)], [None, -X]]))
              for i in range(p.nu)]
     cons += _gamma_caps(G, spec.gamma_max)
 

@@ -248,6 +248,19 @@ class TestPrune:
         pruned = json.loads((out / "pruned_plant.json").read_text())
         assert np.asarray(pruned["Bu"]).shape == (1, 1)
 
+    @pytest.mark.parametrize("mode", ["sf-hinf", "joint-hinf"])
+    def test_dump_sdp_holds_the_re_solve(self, tmp_path, mode):
+        # every solve rewrites the dump, so prune leaves the re-solve's problem,
+        # byte for byte the one that synth on the pruned plant writes
+        model = tmp_path / "plant.json"
+        save_plant(GeneralizedPlant(**THREE_ACTUATORS), model)
+        design = ["--mode", mode, "--gamma0", "2"]
+        assert main(["prune", "--model", str(model), *design, "--out", str(tmp_path / "p"),
+                     "--dump-sdp", str(tmp_path / "prune.txt")]) == 0
+        assert main(["synth", "--model", str(tmp_path / "p" / "pruned_plant.json"), *design,
+                     "--out", str(tmp_path / "s"), "--dump-sdp", str(tmp_path / "synth.txt")]) == 0
+        assert (tmp_path / "prune.txt").read_bytes() == (tmp_path / "synth.txt").read_bytes()
+
     def test_joint_mode(self, scalar_model, tmp_path):
         out = tmp_path / "jp"
         rc = main(["prune", "--model", scalar_model, "--mode", "joint-h2",
@@ -361,6 +374,26 @@ class TestUsage:
         rc = main(argv + ["--threshold", threshold, "--out", str(out)])
         assert rc == 1
         assert "threshold_ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,field", [
+        (["synth", "--mode", "sf-hinf", "--gamma0", "2", "--rho", "nan,1,1"], "rho"),
+        (["synth", "--mode", "sf-hinf", "--gamma0", "inf"], "gamma0"),
+        (["synth", "--mode", "sf-h2", "--gamma0", "inf"], "gamma0"),
+        (["synth", "--mode", "joint-h2", "--gamma0", "2", "--mu", "nan,1,1"], "mu"),
+        (["synth", "--mode", "sf-hinf", "--gamma0", "2", "--gamma-max", "inf,inf,inf"],
+         "gamma_max"),
+        (["prune", "--mode", "sf-hinf", "--gamma0", "2", "--epsilon", "inf"], "epsilon"),
+    ], ids=["rho-nan", "sf-hinf-gamma0-inf", "sf-h2-gamma0-inf", "mu-nan", "gamma-max-inf",
+            "epsilon-inf"])
+    def test_non_finite_input(self, tmp_path, argv, field, capsys):
+        # refused before any solve, with the field named, and nothing written
+        model = tmp_path / "plant.json"
+        save_plant(GeneralizedPlant(**THREE_ACTUATORS), model)
+        out = tmp_path / "o"
+        rc = main(argv + ["--model", str(model), "--out", str(out)])
+        assert rc == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_model_file(self, tmp_path):

@@ -73,6 +73,12 @@ class TestParamProtocol:
         with pytest.raises(ValueError, match="threshold_ratio"):
             est.fit(scalar_plant)
 
+    def test_non_finite_weight_raises_at_fit(self):
+        # matched by message: numpy's LinAlgError from a solve is a ValueError too
+        est = SparseStateFeedback(gamma0=2.0, rho=[np.nan, 1.0, 1.0])
+        with pytest.raises(ValueError, match="rho"):
+            est.fit(GeneralizedPlant(**THREE_ACTUATORS))
+
 
 class TestSparseStateFeedback:
     def test_fit_scalar(self, scalar_plant):

@@ -194,6 +194,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             JointSpec(plant=scalar_plant, gamma0=1.0, mu=[-1.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["mu", "nu"])
+    def test_non_finite_weights(self, scalar_plant, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            JointSpec(plant=scalar_plant, gamma0=1.0, **{name: [value]})
+
     def test_bad_kind(self, scalar_plant):
         with pytest.raises(ValueError):
             JointSpec(plant=scalar_plant, performance_kind="lqr", gamma0=1.0)

@@ -84,6 +84,12 @@ class TestExprAlgebra:
         with pytest.raises((ModelingError, ValueError)):
             _ = X + lmi.const(np.eye(3))
 
+    def test_scalar_constant_is_not_broadcast(self):
+        # a float is the 1x1 constant, not a multiple of the identity
+        X = lmi.MatVar("X", (2, 2), "symmetric")
+        with pytest.raises(ModelingError, match="shape mismatch"):
+            _ = X + 1.0
+
 
 STRUCTURES = [("symmetric", (3, 3)), ("rectangular", (2, 3)), ("diagonal", (3, 3)),
               ("diagonal", (1, 1))]

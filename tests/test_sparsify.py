@@ -51,6 +51,11 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             ReweightPolicy(epsilon=0.0)
 
+    def test_infinite_epsilon(self):
+        # every reweighted weight would be 0
+        with pytest.raises(ValueError, match="epsilon"):
+            ReweightPolicy(epsilon=np.inf)
+
     def test_bad_max_outer(self):
         with pytest.raises(ValueError):
             ReweightPolicy(max_outer=0)

@@ -6,7 +6,9 @@ from sparsact.errors import (
     InfeasiblePerformance,
     NonzeroFeedthroughError,
 )
+from sparsact.joint import JointSpec
 from sparsact.model import GeneralizedPlant, close_state_feedback
+from sparsact.outputfb import OfSynthesisSpec
 from sparsact.statefb import (
     SfSynthesisSpec,
     active_set_from_values,
@@ -97,6 +99,17 @@ class TestSpecValidation:
     def test_bad_weights(self, scalar_plant):
         with pytest.raises(ValueError):
             SfSynthesisSpec(plant=scalar_plant, gamma0=1.0, rho=[0.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["rho", "gamma_max"])
+    def test_non_finite_weights(self, scalar_plant, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SfSynthesisSpec(plant=scalar_plant, gamma0=1.0, **{name: [value]})
+
+    @pytest.mark.parametrize("spec", [SfSynthesisSpec, OfSynthesisSpec, JointSpec])
+    def test_infinite_gamma0(self, scalar_plant, spec):
+        with pytest.raises(ValueError, match="gamma0"):
+            spec(plant=scalar_plant, gamma0=np.inf)
 
 
 class TestIndependentVerification:
