@@ -302,6 +302,10 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
     disturbance work.  Controls Ctilde x + Dtilde d(t_k) are recorded from
     the states after the last step, along with their per-channel peaks.
     """
+    if not 0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     cl = close_loop(plant, controller)
     Acl, Bcl = cl.Acl, cl.Bcl
     Ct, Dt = cl.Ctilde, cl.Dtilde

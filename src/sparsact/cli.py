@@ -121,6 +121,8 @@ def _cmd_synth(args):
 
 
 def _cmd_verify(args):
+    if args.gamma0 is not None and not 0 < args.gamma0 < np.inf:
+        raise ValueError("gamma0 must be positive and finite")
     plant = load_plant(args.model)
     with open(args.controller) as f:
         cl = close_loop(plant, controller_from_dict(json.load(f)))
@@ -201,6 +203,8 @@ def _cmd_demo(args):
         print("--nonlinear-sim is only available for the tensegrity family",
               file=sys.stderr)
         return 1
+    if not 0 <= args.horizon < np.inf:
+        raise ValueError("horizon must be finite and nonnegative")
     family = {"scalar": ScalarOracle(), "chain": MassSpringChain(4),
               "tensegrity": TensegrityApprox()}[args.family]
     plant = family.build()

@@ -7,8 +7,11 @@ transformed controller matrices: weighted 2-norms of the rows of
 each norm is bounded by its epigraph variable through a second-order cone.
 Zero rows/columns of the hat matrices reconstruct to zero rows/columns
 of the actual controller, so pruning survives the inverse transform.
-Preconditions, variables, performance constraints and hat recovery come
-from ``outputfb``; status handling and verification from ``statefb``.
+The performance constraints are the blocks of the closed loop in the hat
+variables (``outputfb.hat_loop``, a statefb.HatLoop): [[X, I], [I, Y]] > 0
+first, then the bounded-real block, or the H2 Lyapunov, output and trace
+blocks.  Preconditions and hat recovery come from ``outputfb``; the solve,
+its status map and the verification from ``statefb``.
 """
 
 from __future__ import annotations
@@ -20,18 +23,11 @@ import numpy as np
 
 from . import analysis, lmi
 from .model import GeneralizedPlant, close_output_feedback
-from .outputfb import (
-    HatController,
-    _check_of_preconditions,
-    _declare_of_variables,
-    _of_common_exprs,
-    _performance_constraints,
-    _positivity_block,
-    _recover_hat,
-    reconstruct_controller,
-)
-from .sdp import SdpSolution, SolverOptions, solve_sdp
-from .statefb import _check_performance, _raise_for_status, _set_vector, _verify
+from .outputfb import (HatController, _check_of_preconditions, _recover_hat, hat_loop,
+                       reconstruct_controller)
+# solve_sdp is unused here but bound for perfbench/tracer.py to patch
+from .sdp import SdpSolution, SolverOptions, solve_sdp  # noqa: F401
+from .statefb import _check_performance, _set_vector, _solve, _verify
 
 __all__ = [
     "JointSpec",
@@ -108,12 +104,11 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
     """Minimize weighted hat-matrix group norms under a gamma0 performance LMI."""
     p = spec.plant
     _check_of_preconditions(p)
-    hat_vars, variables = _declare_of_variables(p)
-    X, Y, AKh, BKh, CKh, DKh = hat_vars
-    parts = _of_common_exprs(p, *hat_vars)
-    perf, extra = _performance_constraints(spec, X, Y, CKh, DKh, parts)
+    loop, hat_exprs, variables = hat_loop(p)
+    _, BKh, CKh, DKh, _, _ = hat_exprs
+    perf, extra = loop.performance(spec)
     variables += extra
-    cons = [_positivity_block(X, Y, p.nx), *perf]
+    cons = [loop.positive(), *perf]
 
     objective = lmi.Expr.wrap(np.zeros((1, 1)))
     groups = (("t_act", spec.mu, lambda i: [[CKh.row(i).T], [DKh.row(i).T]]),
@@ -127,11 +122,8 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
             cons.append(lmi.soc(t, lmi.bmat(group(i))))
             objective = objective + w * t
 
-    problem, vm = lmi.compile_lmis(variables, cons, objective=objective)
-    sol = solve_sdp(problem, spec.solver)
-    _raise_for_status(sol)
-
-    hat = _recover_hat(vm, sol, *hat_vars)
+    vm, sol = _solve(spec, variables, cons, objective)
+    hat = _recover_hat(vm, sol, hat_exprs)
     ctrl = reconstruct_controller(hat, p)
     report, _ = _verify(spec, close_output_feedback(p, ctrl))
     rows, cols = group_norms(hat)

@@ -1,11 +1,13 @@
 """Dynamic output-feedback synthesis with sparse actuation.
 
 The synthesis works in transformed ("hat") controller variables that make
-the closed-loop performance conditions affine; the actual controller is
-recovered afterwards by inverting the change of variables.  Per-actuator
-squared-H2 bounds Gamma play the same sparsity-surrogate role as in the
-state-feedback design.  The preconditions, variables, H-infinity/H2
-performance constraints and hat recovery here are shared with ``joint``.
+the closed-loop performance conditions affine.  ``hat_loop`` writes the
+closed loop in them as a statefb.HatLoop, whose Lyapunov matrix is
+[[X, I], [I, Y]] and whose row i of K is [CKhat_i, DKhat_i Cy]; the
+design is then statefb's channel-bound design on that loop, the same as
+the state-feedback one.  The actual controller is recovered afterwards by
+inverting the change of variables.  ``joint`` shares the preconditions,
+the hat loop and the hat recovery.
 
 A measurement feedthrough Dyw != 0 needs DKhat Dyw = 0 so that the
 disturbance does not reach the actuators directly.  DKhat is the
@@ -32,21 +34,21 @@ from .errors import (
     ReconstructionFailure,
 )
 from .model import DynamicController, GeneralizedPlant, close_output_feedback, validate_plant
-from .sdp import SdpSolution, solve_sdp
+# solve_sdp is unused here but bound for perfbench/tracer.py to patch
+from .sdp import SdpSolution, solve_sdp  # noqa: F401
 from .statefb import (
     COND_LIMIT,
-    GAMMA_BACKOFF,
+    HatLoop,
     SfSynthesisSpec,
+    _channel_bound_design,
     _ChannelBoundGroups,
-    _gamma_caps,
-    _raise_for_status,
-    _solved_gamma,
     _verify,
 )
 
 __all__ = [
     "OfSynthesisSpec",
     "HatController",
+    "hat_loop",
     "OfSynthesisResult",
     "synth_of",
     "reconstruct_controller",
@@ -106,85 +108,35 @@ def _check_of_preconditions(plant):
         raise InfeasiblePerformance("; ".join(diags))
 
 
-def _declare_of_variables(plant):
-    """The hat variables (X, Y, AKhat, BKhat, CKhat, DKhat) and the matrix
-    variables they are made of; DKhat is the expression Z P'."""
-    nx, nu, ny = plant.nx, plant.nu, plant.ny
+def hat_loop(plant):
+    """The closed loop in the hat variables (Scherer, Gahinet & Chilali,
+    1997), the hat expressions (AKhat, BKhat, CKhat, DKhat, X, Y) in
+    HatController's order, and the matrix variables they are made of;
+    DKhat is the expression Z P'."""
+    p = plant
+    nx, nu, ny = p.nx, p.nu, p.ny
     X = lmi.MatVar("X", (nx, nx), "symmetric")
     Y = lmi.MatVar("Y", (nx, nx), "symmetric")
     AKh = lmi.MatVar("AKhat", (nx, nx))
     BKh = lmi.MatVar("BKhat", (nx, ny))
     CKh = lmi.MatVar("CKhat", (nu, nx))
-    P = np.eye(ny) if np.all(plant.Dyw == 0.0) else scipy.linalg.null_space(plant.Dyw.T)
+    P = np.eye(ny) if np.all(p.Dyw == 0.0) else scipy.linalg.null_space(p.Dyw.T)
     Z = lmi.MatVar("DKhat_Z", (nu, P.shape[1]))
-    return (X, Y, AKh, BKh, CKh, Z @ P.T), [X, Y, AKh, BKh, CKh, Z]
+    DKh = Z @ P.T
+    loop = HatLoop(
+        A=lmi.bmat([[p.A @ X + p.Bu @ CKh, lmi.const(p.A) + p.Bu @ DKh @ p.Cy],
+                    [AKh, Y @ p.A + BKh @ p.Cy]]),
+        B=lmi.bmat([[lmi.const(p.Bw) + p.Bu @ DKh @ p.Dyw], [Y @ p.Bw + BKh @ p.Dyw]]),
+        C=lmi.bmat([[p.Cz @ X + p.Du @ CKh, lmi.const(p.Cz) + p.Du @ DKh @ p.Cy]]),
+        D=lmi.const(p.Dw) + p.Du @ DKh @ p.Dyw,
+        X=lmi.bmat([[X, lmi.const(np.eye(nx))], [None, Y]]),
+        K=lmi.bmat([[CKh, DKh @ p.Cy]]))
+    return loop, (AKh, BKh, CKh, DKh, X, Y), [X, Y, AKh, BKh, CKh, Z]
 
 
-def _of_common_exprs(p, X, Y, AKh, BKh, CKh, DKh):
-    """The repeated sub-expressions of the transformed closed-loop blocks."""
-    b11 = lmi.sym(p.A @ X + p.Bu @ CKh)
-    b21 = AKh + lmi.const(p.A.T) + (p.Bu @ DKh @ p.Cy).T
-    b22 = lmi.sym(Y @ p.A + BKh @ p.Cy)
-    b31 = (lmi.const(p.Bw) + p.Bu @ DKh @ p.Dyw).T
-    b32 = (Y @ p.Bw + BKh @ p.Dyw).T
-    return b11, b21, b22, b31, b32
-
-
-def _lyapunov_rows(parts, ww):
-    """Block rows of the transformed Lyapunov block; ww is its w-w entry."""
-    b11, b21, b22, b31, b32 = parts
-    return [[b11, None, None], [b21, b22, None], [b31, b32, ww]]
-
-
-def _channel_lyapunov_block(p, parts):
-    return lmi.bmat(_lyapunov_rows(parts, lmi.const(-np.eye(p.nw))))
-
-
-def _performance_constraints(spec, X, Y, CKh, DKh, parts):
-    """(constraints, extra variables) bounding the norm of spec.performance_kind
-    by gamma0: the bounded-real block, or the H2 blocks in Q (their
-    feedthrough Dw + Du DKhat Dyw is zero: Dw = 0 and DKhat Dyw = 0)."""
-    p = spec.plant
-    g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
-    if spec.performance_kind == "hinf":
-        rows = [row + [None] for row in _lyapunov_rows(parts, lmi.const(-g0 * np.eye(p.nw)))]
-        rows.append([p.Cz @ X + p.Du @ CKh,
-                     lmi.const(p.Cz) + p.Du @ DKh @ p.Cy,
-                     lmi.const(p.Dw) + p.Du @ DKh @ p.Dyw,
-                     lmi.const(-g0 * np.eye(p.nz))])
-        return [lmi.neg_def(lmi.bmat(rows))], []
-    Q = lmi.MatVar("Q", (p.nz, p.nz), "symmetric")
-    q_block = lmi.bmat([
-        [X, lmi.const(np.eye(p.nx)), (p.Cz @ X + p.Du @ CKh).T],
-        [None, Y, (lmi.const(p.Cz) + p.Du @ DKh @ p.Cy).T],
-        [None, None, Q],
-    ])
-    cons = [
-        lmi.neg_def(_channel_lyapunov_block(p, parts)),
-        lmi.pos_def(q_block),
-        lmi.neg_def(lmi.trace(Q) - g0 ** 2 * np.eye(1)),
-    ]
-    return cons, [Q]
-
-
-def _of_channel_blocks(p, X, Y, CKh, DKh, G):
-    return [lmi.pos_def(lmi.bmat([
-        [G.row(i).col(i), CKh.row(i), DKh.row(i) @ p.Cy],
-        [None, X, lmi.const(np.eye(p.nx))],
-        [None, None, Y],
-    ])) for i in range(p.nu)]
-
-
-def _positivity_block(X, Y, nx):
-    return lmi.pos_def(lmi.bmat([
-        [X, lmi.const(np.eye(nx))],
-        [None, Y],
-    ]))
-
-
-def _recover_hat(vm, sol, X, Y, AKh, BKh, CKh, DKh):
+def _recover_hat(vm, sol, hat):
     values = vm.assignment(sol.x)
-    return HatController(*(lmi.evaluate(v, values) for v in (AKh, BKh, CKh, DKh, X, Y)))
+    return HatController(*(lmi.evaluate(v, values) for v in hat))
 
 
 def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
@@ -192,26 +144,10 @@ def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
     spec.performance_kind, minimizing rho . Gamma."""
     p = spec.plant
     _check_of_preconditions(p)
-    hat_vars, variables = _declare_of_variables(p)
-    X, Y, AKh, BKh, CKh, DKh = hat_vars
-    G = lmi.MatVar("Gamma", (p.nu, p.nu), "diagonal")
-    parts = _of_common_exprs(p, *hat_vars)
-
-    cons, extra = _performance_constraints(spec, X, Y, CKh, DKh, parts)
-    if spec.performance_kind == "hinf":  # the channel bounds need it; H2 has it already
-        cons.append(lmi.neg_def(_channel_lyapunov_block(p, parts)))
-    cons.append(_positivity_block(X, Y, p.nx))
-    cons += _of_channel_blocks(p, X, Y, CKh, DKh, G)
-    cons += _gamma_caps(G, spec.gamma_max)
-
-    objective = lmi.trace(np.diag(spec.rho) @ G)
-    problem, vm = lmi.compile_lmis([*variables, G, *extra], cons, objective=objective)
-    sol = solve_sdp(problem, spec.solver)
-    _raise_for_status(sol)
-
-    hat = _recover_hat(vm, sol, *hat_vars)
+    loop, hat_exprs, variables = hat_loop(p)
+    vm, sol, gamma = _channel_bound_design(spec, loop, variables)
+    hat = _recover_hat(vm, sol, hat_exprs)
     ctrl = reconstruct_controller(hat, p)
-    gamma = _solved_gamma(spec, vm, sol, G)
     report, channels = _verify(spec, close_output_feedback(p, ctrl), gamma)
     return OfSynthesisResult(
         hat=hat,

@@ -11,6 +11,7 @@ is normalized so the largest weight is 1.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,8 @@ class ReweightPolicy:
     def __post_init__(self):
         if not (0 < self.epsilon < np.inf):
             raise ValueError("epsilon must be positive and finite")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        if not isinstance(self.max_outer, numbers.Integral) or self.max_outer < 1:
+            raise ValueError("max_outer must be an integer of at least 1")
         if not (0 <= self.threshold_ratio < 1):
             raise ValueError("threshold_ratio must be at least 0 and below 1")
 

@@ -4,8 +4,12 @@ Minimizes a weighted l1 norm of per-actuator squared-H2 bounds Gamma
 subject to a closed-loop performance constraint (H-infinity or H2) on
 the disturbance-to-output channel.  Small per-actuator bounds mean the
 corresponding actuator does little work and can eventually be pruned.
-This module also holds what all three designs share: the constants, the
-solver-status map, the weight check, the gamma caps and the verification.
+
+The conditions of all three designs are the blocks of a HatLoop, a closed
+loop in synthesis variables; ``sf_loop`` makes this design's, with the
+gain K = W X^-1.  This module also holds what the designs share: the
+constants, the solve and its status map, the weight check, the
+channel-bound design and the verification.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ __all__ = [
     "SfSynthesisSpec",
     "SfSynthesisResult",
     "synth_sf",
+    "HatLoop",
+    "sf_loop",
     "result_to_dict",
     "active_set_from_values",
     "ACTIVE_THRESHOLD_RATIO",
@@ -177,30 +183,91 @@ def _check_stabilizable(plant):
         raise InfeasiblePerformance("; ".join(diags))
 
 
-def _raise_for_status(sol: SdpSolution):
-    if sol.status == "optimal":
-        return
+def _solve(spec, variables, constraints, objective):
+    """Compile and solve a design's problem: (VarMap, solution) when it is
+    optimal, InfeasiblePerformance on an improving ray, and
+    SynthesisNumericalError on any other end."""
+    problem, vm = lmi.compile_lmis(variables, constraints, objective=objective)
+    sol = solve_sdp(problem, spec.solver)
     if sol.status == "infeasible":
         raise InfeasiblePerformance(
             f"no Lyapunov certificate exists for the requested bounds ({sol.message})")
-    raise SynthesisNumericalError(
-        f"SDP solve ended with status {sol.status}: {sol.message}", solution=sol)
+    if sol.status != "optimal":
+        raise SynthesisNumericalError(
+            f"SDP solve ended with status {sol.status}: {sol.message}", solution=sol)
+    return vm, sol
 
 
-def _gamma_caps(G, gamma_max):
-    """gamma_i <= gamma_max[i]; no constraint when gamma_max is None."""
-    if gamma_max is None:
-        return []
-    return [lmi.neg_semidef(G.row(i).col(i) - gamma_max[i] * np.eye(1))
-            for i in range(G.shape[0])]
+@dataclass(frozen=True)
+class HatLoop:
+    """A design's closed loop in its synthesis variables, as lmi expressions:
+    dx = A x + B w, z = C x + D w with the Lyapunov matrix X; row i of K maps
+    the Lyapunov coordinates to actuator i.  Each design's conditions are
+    these blocks, written once (README, Formulation)."""
+
+    A: lmi.Expr
+    B: lmi.Expr
+    C: lmi.Expr
+    D: lmi.Expr
+    X: lmi.Expr
+    K: lmi.Expr
+
+    def bounded_real(self, g):
+        """[[sym A, *, *], [B', -g I, *], [C, D, -g I]] < 0: H-infinity norm below g."""
+        nz, nw = self.D.shape
+        return lmi.neg_def(lmi.bmat([
+            [lmi.sym(self.A), None, None],
+            [self.B.T, lmi.const(-g * np.eye(nw)), None],
+            [self.C, self.D, lmi.const(-g * np.eye(nz))],
+        ]))
+
+    def lyapunov(self):
+        """sym A + B B' < 0; its Schur form [[sym A, *], [B', -I]] < 0 if B has variables."""
+        if self.B.is_constant:
+            return lmi.neg_def(lmi.sym(self.A) + lmi.const(self.B.constant @ self.B.constant.T))
+        return lmi.neg_def(lmi.bmat([[lmi.sym(self.A), None],
+                                     [self.B.T, lmi.const(-np.eye(self.B.shape[1]))]]))
+
+    def positive(self):
+        return lmi.pos_def(self.X)
+
+    def performance(self, spec):
+        """(constraints, extra variables) bounding the norm of
+        spec.performance_kind by gamma0: the bounded-real block, or the
+        Lyapunov block, [[X, C'], [*, Q]] > 0 and trace Q < gamma0^2 (D = 0
+        for H2: the specs require Dw = 0, and DKhat Dyw = 0)."""
+        g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
+        if spec.performance_kind == "hinf":
+            return [self.bounded_real(g0)], []
+        Q = lmi.MatVar("Q", (self.C.shape[0],) * 2, "symmetric")
+        return [self.lyapunov(),
+                lmi.pos_def(lmi.bmat([[self.X, self.C.T], [None, Q]])),
+                lmi.neg_def(lmi.trace(Q) - g0 ** 2 * np.eye(1))], [Q]
+
+    def channel_bounds(self, G, gamma_max):
+        """[[Gamma_ii, K_i], [*, X]] > 0 for each actuator i, then the caps of gamma_max."""
+        cons = [lmi.pos_def(lmi.bmat([[G.row(i).col(i), self.K.row(i)], [None, self.X]]))
+                for i in range(self.K.shape[0])]
+        if gamma_max is not None:
+            cons += [lmi.neg_semidef(G.row(i).col(i) - gamma_max[i] * np.eye(1))
+                     for i in range(len(gamma_max))]
+        return cons
 
 
-def _solved_gamma(spec, vm, sol, G):
-    """Per-actuator bounds read from the solution, clipped to gamma_max."""
+def _channel_bound_design(spec, loop, variables):
+    """Minimize rho . Gamma on ``loop`` under spec's performance blocks,
+    X > 0 and the channel bounds Gamma; (VarMap, solution, gamma) with the
+    solved bounds clipped to gamma_max."""
+    G = lmi.MatVar("Gamma", (spec.plant.nu,) * 2, "diagonal")
+    cons, extra = loop.performance(spec)
+    if spec.performance_kind == "hinf":  # the channel bounds need it; H2 has it already
+        cons.append(loop.lyapunov())
+    cons += [loop.positive(), *loop.channel_bounds(G, spec.gamma_max)]
+    vm, sol = _solve(spec, [*variables, G, *extra], cons, lmi.trace(np.diag(spec.rho) @ G))
     gamma = np.diag(vm.value(sol.x, G)).copy()
     if spec.gamma_max is not None:
         gamma = np.minimum(gamma, spec.gamma_max)
-    return gamma
+    return vm, sol, gamma
 
 
 def _verify(spec, closed_loop, gamma=None):
@@ -238,47 +305,21 @@ def _recover_gain(vm, sol, X, W):
     return StateFeedbackGain(K), Xv
 
 
+def sf_loop(p):
+    """The closed loop of u = K x in the variables X and W = K X; (loop, [X, W])."""
+    X, W = lmi.MatVar("X", (p.nx, p.nx), "symmetric"), lmi.MatVar("W", (p.nu, p.nx))
+    return HatLoop(A=p.A @ X + p.Bu @ W, B=lmi.const(p.Bw), C=p.Cz @ X + p.Du @ W,
+                   D=lmi.const(p.Dw), X=X, K=W), [X, W]
+
+
 def synth_sf(spec: SfSynthesisSpec) -> SfSynthesisResult:
     """Design u = Kx with ||w -> z|| < gamma0 in the norm of
     spec.performance_kind, minimizing rho . Gamma."""
     p = spec.plant
     _check_stabilizable(p)
-    X = lmi.MatVar("X", (p.nx, p.nx), "symmetric")
-    W = lmi.MatVar("W", (p.nu, p.nx))
-    G = lmi.MatVar("Gamma", (p.nu, p.nu), "diagonal")
-    variables = [X, W, G]
-    AXBW = p.A @ X + p.Bu @ W
-    g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
-    gramian = lmi.neg_def(lmi.sym(AXBW) + lmi.const(p.Bw @ p.Bw.T))
-
-    if spec.performance_kind == "hinf":
-        bounded_real = lmi.bmat([
-            [lmi.sym(AXBW), lmi.const(p.Bw), (p.Cz @ X + p.Du @ W).T],
-            [None, lmi.const(-g0 * np.eye(p.nw)), lmi.const(p.Dw.T)],
-            [None, None, lmi.const(-g0 * np.eye(p.nz))],
-        ])
-        cons = [lmi.neg_def(bounded_real), gramian, lmi.pos_def(X)]
-    else:
-        Z = lmi.MatVar("Z", (p.nz, p.nz), "symmetric")
-        variables.append(Z)
-        z_block = lmi.bmat([[-Z, p.Cz @ X + p.Du @ W], [None, -X]])
-        cons = [
-            gramian,
-            lmi.neg_def(z_block),
-            lmi.neg_def(lmi.trace(Z) - g0 ** 2 * np.eye(1)),
-            lmi.pos_def(X),
-        ]
-    cons += [lmi.neg_def(lmi.bmat([[-G.row(i).col(i), W.row(i)], [None, -X]]))
-             for i in range(p.nu)]
-    cons += _gamma_caps(G, spec.gamma_max)
-
-    objective = lmi.trace(np.diag(spec.rho) @ G)
-    problem, vm = lmi.compile_lmis(variables, cons, objective=objective)
-    sol = solve_sdp(problem, spec.solver)
-    _raise_for_status(sol)
-
-    gain, Xv = _recover_gain(vm, sol, X, W)
-    gamma = _solved_gamma(spec, vm, sol, G)
+    loop, variables = sf_loop(p)
+    vm, sol, gamma = _channel_bound_design(spec, loop, variables)
+    gain, Xv = _recover_gain(vm, sol, *variables)
     report, channels = _verify(spec, close_state_feedback(p, gain), gamma)
     return SfSynthesisResult(
         K=gain,

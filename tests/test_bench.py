@@ -82,6 +82,16 @@ class TestSimulator:
                                        {"kind": "noise"}, horizon=1.0, seed=7)
         assert a.states == pytest.approx(b.states)
 
+    @pytest.mark.parametrize("grid,name", [
+        (dict(horizon=-1.0), "horizon"), (dict(horizon=np.nan), "horizon"),
+        (dict(horizon=np.inf), "horizon"), (dict(dt=0.0), "dt"), (dict(dt=-1e-3), "dt"),
+        (dict(dt=np.nan), "dt"), (dict(dt=np.inf), "dt"),
+    ])
+    def test_bad_time_grid_rejected(self, grid, name):
+        p = bench.ScalarOracle().build()
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            bench.simulate_closed_loop(p, StateFeedbackGain([[-2.0]]), **grid)
+
     def test_unstable_loop_rejected(self):
         p = bench.ScalarOracle().build()
         with pytest.raises(NonHurwitzError):

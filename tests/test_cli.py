@@ -181,6 +181,18 @@ class TestVerify:
                    "--gamma0", "0.1", "--out", str(tmp_path / "v")])
         assert rc == 2
 
+    @pytest.mark.parametrize("gamma0", ["nan", "inf", "-inf", "-1", "0"])
+    def test_bad_gamma0_rejected(self, scalar_model, tmp_path, capsys, gamma0):
+        # refused before any norm is computed, and nothing is written
+        ctrl = tmp_path / "zero.json"
+        ctrl.write_text(json.dumps({"K": [[0.0]]}))
+        out = tmp_path / "verify"
+        rc = main(["verify", "--model", scalar_model, "--controller", str(ctrl),
+                   f"--gamma0={gamma0}", "--out", str(out)])
+        assert rc == 1
+        assert "gamma0 must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_h2_bound_with_feedthrough_is_unbounded(self, tmp_path, capsys):
         # under K = 0 the closed loop keeps the feedthrough Dw = 0.5, so its
         # H2 norm is infinite; its H-infinity norm, 1.5, would pass gamma0 = 10
@@ -323,6 +335,15 @@ class TestDemo:
         assert rc == 1
         # refused before the design runs, so nothing was written
         assert not (tmp_path / "d" / "controller.json").exists()
+
+    @pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])
+    def test_bad_horizon_rejected(self, tmp_path, capsys, horizon):
+        # refused before the design runs, so nothing was written
+        out = tmp_path / "d"
+        rc = main(["demo", "--family", "scalar", "--horizon", horizon, "--out", str(out)])
+        assert rc == 1
+        assert "horizon must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "the second outer solve stalls at reduced accuracy (dual residual "

@@ -1,9 +1,12 @@
-"""What importing sparsact and running a small design loads.
+"""What importing sparsact and running a small design loads, and the
+names that perfbench/tracer.py patches.
 
 Imports count in every run's start-up time, and the sdp module promises
 that small problems never load scipy.sparse.
 """
 
+import importlib
+import importlib.util
 import subprocess
 import sys
 import textwrap
@@ -38,3 +41,15 @@ def test_small_design_loads_no_sparse_signal_or_optimize():
     assert "sparsact" in loaded and "scipy.linalg" in loaded
     for name in ("scipy.sparse", "scipy.signal", "scipy.optimize"):
         assert name not in loaded
+
+
+def test_tracer_patches_resolve():
+    # the tracer patches each (module, attribute) binding that a workload
+    # reaches; a binding that has gone would otherwise fail only the benchmark
+    path = TESTS.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for modname, attr, layer in tracer.PATCHES:
+        assert callable(getattr(importlib.import_module(modname), attr, None)), (modname, attr)
+        assert layer in tracer.LAYERS

@@ -60,6 +60,11 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             ReweightPolicy(max_outer=0)
 
+    def test_fractional_max_outer(self):
+        # it would pass a bound check and then fail inside reweight_iterate
+        with pytest.raises(ValueError, match="max_outer must be an integer"):
+            ReweightPolicy(max_outer=2.5)
+
     @pytest.mark.parametrize("ratio", [1.0, 1.5, -0.5])
     def test_bad_threshold_ratio(self, ratio):
         # a ratio of 1 or more marks no group active; a negative one acts as 0

@@ -1,20 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sparsact import analysis
+from sparsact import analysis, lmi
 from sparsact.errors import (
     InfeasiblePerformance,
     NonzeroFeedthroughError,
 )
 from sparsact.joint import JointSpec
-from sparsact.model import GeneralizedPlant, close_state_feedback
-from sparsact.outputfb import OfSynthesisSpec
+from sparsact.model import (DynamicController, GeneralizedPlant, close_output_feedback,
+                            close_state_feedback)
+from sparsact.outputfb import (HatController, OfSynthesisSpec, factor_lyapunov_partitions,
+                               hat_loop)
 from sparsact.statefb import (
     SfSynthesisSpec,
     active_set_from_values,
     result_to_dict,
+    sf_loop,
     synth_sf,
 )
+
+from conftest import coupled_lyapunov_pair, hat_transform, random_plant
 
 
 class TestScalarOracle:
@@ -142,3 +149,55 @@ class TestActiveSet:
 
     def test_empty(self):
         assert active_set_from_values([]) == []
+
+
+class TestHatLoop:
+    """Every design's blocks rest on this identity: each HatLoop field, at a
+    controller's synthesis values, is its closed loop (Acl, Bcl, Ccl, Dcl)
+    with the Lyapunov matrix and the control map Ctilde, seen through
+    Pi = [[X, I], [M', 0]] and P Pi = [[I, Y], [0, N']] (Pi = X and
+    P Pi = I for state feedback)."""
+
+    @staticmethod
+    def _assert_loop(loop, values, Pi, PPi, cl):
+        expected = dict(A=PPi.T @ cl.Acl @ Pi, B=PPi.T @ cl.Bcl, C=cl.Ccl @ Pi, D=cl.Dcl,
+                        X=PPi.T @ Pi, K=cl.Ctilde @ Pi)
+        for name, want in expected.items():
+            got = lmi.evaluate(getattr(loop, name), values)
+            assert got.shape == want.shape, name
+            assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want)), name
+
+    @pytest.mark.parametrize("dyw_rank", [0, 1])
+    def test_output_feedback(self, dyw_rank):
+        rng = np.random.default_rng(20 + dyw_rank)
+        nx, nu, ny = 3, 2, 2
+        plant = random_plant(rng, nx=nx, nu=nu, ny=ny)
+        if dyw_rank:
+            plant = dataclasses.replace(
+                plant, Dyw=np.outer(rng.standard_normal(ny), rng.standard_normal(plant.nw)))
+        loop, hat_exprs, variables = hat_loop(plant)
+        Z = variables[-1]
+        Zv = rng.standard_normal(Z.shape)
+        DK = lmi.evaluate(hat_exprs[3], {Z: Zv})  # Z P', so DK Dyw = 0
+        ctrl = DynamicController(AK=rng.standard_normal((nx, nx)), BK=rng.standard_normal((nx, ny)),
+                                 CK=rng.standard_normal((nu, nx)), DK=DK)
+        X, Y = coupled_lyapunov_pair(rng, nx)
+        M, N = factor_lyapunov_partitions(X, Y)
+        hat = hat_transform(ctrl, plant, X, Y, M, N)
+        values = dict(zip(variables, (X, Y, hat.AKhat, hat.BKhat, hat.CKhat, Zv)))
+        # hat_exprs come in HatController's field order, as its recovery reads them
+        for expr, f in zip(hat_exprs, dataclasses.fields(HatController)):
+            np.testing.assert_allclose(lmi.evaluate(expr, values), getattr(hat, f.name),
+                                       rtol=1e-12, atol=1e-12)
+        I, O = np.eye(nx), np.zeros((nx, nx))
+        self._assert_loop(loop, values, np.block([[X, I], [M.T, O]]),
+                          np.block([[I, Y], [O, N.T]]), close_output_feedback(plant, ctrl))
+
+    def test_state_feedback(self):
+        rng = np.random.default_rng(22)
+        plant = random_plant(rng, nx=3, nu=2, dw_zero=False)
+        loop, (X, W) = sf_loop(plant)
+        K = rng.standard_normal((2, 3))
+        Xv, _ = coupled_lyapunov_pair(rng, 3)
+        self._assert_loop(loop, {X: Xv, W: K @ Xv}, Xv, np.eye(3),
+                          close_state_feedback(plant, K))
