@@ -229,6 +229,8 @@ class TensegrityApprox:
 # ---------------------------------------------------------------------------
 # closed-loop simulation
 
+DT = 1e-3  # the simulation's default step
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -287,8 +289,24 @@ def _disturbance_fn(descriptor, nw, rng):
     raise ValueError(f"unknown disturbance kind {kind!r}")
 
 
+def time_grid(horizon, dt=DT):
+    """The time grid 0, dt, ..., round(horizon / dt) dt.  A ValueError names
+    horizon unless it is finite and at least 0, dt unless it is finite and
+    positive, and both when the grid is too long to allocate."""
+    if not 0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    try:
+        steps = int(round(float(horizon) / float(dt)))  # Python floats overflow to inf, unwarned
+        return np.linspace(0.0, steps * dt, steps + 1)
+    except (MemoryError, OverflowError, ValueError):
+        raise ValueError(f"horizon {horizon} at dt {dt} makes a time grid too long "
+                         "to allocate") from None
+
+
 def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
-                         horizon=20.0, dt=1e-3, x0=None, nonlinear_extra=None,
+                         horizon=20.0, dt=DT, x0=None, nonlinear_extra=None,
                          seed=0) -> SimResult:
     """Fixed-step RK4 simulation of the closed loop.
 
@@ -302,10 +320,7 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
     disturbance work.  Controls Ctilde x + Dtilde d(t_k) are recorded from
     the states after the last step, along with their per-channel peaks.
     """
-    if not 0 <= horizon < np.inf:
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    times = time_grid(horizon, dt)
     cl = close_loop(plant, controller)
     Acl, Bcl = cl.Acl, cl.Bcl
     Ct, Dt = cl.Ctilde, cl.Dtilde
@@ -330,20 +345,18 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
             dx[:nx] += nonlinear_extra(xv[:nx])
         return dx
 
-    steps = int(round(horizon / dt))
-    times = np.linspace(0.0, steps * dt, steps + 1)
     d_start = d_of(times)
     b_start = d_start @ Bcl.T
     b_mid = d_of(times[:-1] + dt / 2) @ Bcl.T
     b_end = d_of(times[:-1] + dt) @ Bcl.T
-    states = np.empty((steps + 1, n_cl))
+    states = np.empty((len(times), n_cl))
     states[0] = xv
     energy_limit = 1e6 * max(1.0, np.linalg.norm(xv))
     energy_limit_sq = energy_limit ** 2
     # an overflow to inf (or an inf - inf to nan) within a step is a blow-up
     # too, caught by the energy check at the end of that step
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
+        for k in range(len(times) - 1):
             k1 = f(xv, b_start[k])
             k2 = f(xv + dt / 2 * k1, b_mid[k])
             k3 = f(xv + dt / 2 * k2, b_mid[k])

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis
 from .bench import (MassSpringChain, ScalarOracle, TensegrityApprox,
-                    gamma_sweep, simulate_closed_loop, sweep_to_csv)
+                    gamma_sweep, simulate_closed_loop, sweep_to_csv, time_grid)
 from .errors import InfeasiblePerformance, SparsactError
 # synth_joint is unused here but bound for perfbench/tracer.py to patch
 from .joint import JointSpec, synth_joint  # noqa: F401
@@ -126,6 +126,9 @@ def _cmd_verify(args):
     plant = load_plant(args.model)
     with open(args.controller) as f:
         cl = close_loop(plant, controller_from_dict(json.load(f)))
+    if args.gamma0 is not None and not analysis.is_hurwitz(cl.Acl):
+        print("closed loop is not stable: its norms are unbounded", file=sys.stderr)
+        return 2
     reports = {"hinf": asdict(analysis.hinf_norm(cl))}
     if not np.any(cl.Dcl != 0.0):
         reports["h2"] = asdict(analysis.h2_norm(cl))
@@ -203,8 +206,7 @@ def _cmd_demo(args):
         print("--nonlinear-sim is only available for the tensegrity family",
               file=sys.stderr)
         return 1
-    if not 0 <= args.horizon < np.inf:
-        raise ValueError("horizon must be finite and nonnegative")
+    time_grid(args.horizon)  # a bad horizon is refused before the design
     family = {"scalar": ScalarOracle(), "chain": MassSpringChain(4),
               "tensegrity": TensegrityApprox()}[args.family]
     plant = family.build()

@@ -68,10 +68,11 @@ class JointSpec:
     def synthesize(self):
         return synth_joint(self)
 
-    def restricted(self, plant, keep_act, keep_sen):
-        """This design on ``plant``, self.plant cut down to the actuators
-        keep_act and the sensors keep_sen, with uniform weights."""
-        return dataclasses.replace(self, plant=plant, mu=None, nu=None)
+    def restricted(self, keep_act, keep_sen):
+        """This design on its plant cut down to the actuators keep_act and
+        the sensors keep_sen, with uniform weights."""
+        return dataclasses.replace(self, plant=self.plant.restricted(keep_act, keep_sen),
+                                   mu=None, nu=None)
 
 
 @dataclass(frozen=True)

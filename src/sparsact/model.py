@@ -12,8 +12,9 @@ performance outputs and y the measurements.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,27 +41,64 @@ PBH_EIG_MARGIN = -1e-9
 PBH_RANK_RTOL = 1e-8
 
 
-def _freeze(M):
-    M = np.array(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    M.setflags(write=False)
-    return M
+# Each plant matrix with its shape, in the order they are stored.
+PLANT_MATRICES = {"A": ("nx", "nx"), "Bu": ("nx", "nu"), "Bw": ("nx", "nw"),
+                  "Cz": ("nz", "nx"), "Du": ("nz", "nu"), "Dw": ("nz", "nw"),
+                  "Cy": ("ny", "nx"), "Dyw": ("ny", "nw"), "Dyu": ("ny", "nu")}
 
 
-def _as2d(M, rows, cols, name):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape != (rows, cols):
-        raise DimensionError(f"{name} must be {rows}x{cols}, got {M.shape}")
-    return M
+def store_matrices(record, shapes, defaults=None):
+    """Store each field of the frozen ``record`` named in ``shapes`` as a
+    read-only, finite, 2-D float copy in its input's memory order (numpy's
+    "K"), and return the dimensions.  A shape names its two dimensions, the
+    first field to use a name fixes it and later fields must match; a None
+    field takes ``defaults[name](dims)``.  A wrong shape raises
+    DimensionError, a missing or non-finite entry ValueError, naming the field.
+    """
+    dims = {}
+    for name, shape in shapes.items():
+        M = getattr(record, name)
+        if M is None and defaults and name in defaults:
+            M = defaults[name](dims)
+        if M is None:
+            raise ValueError(f"{name} is missing")
+        M = np.atleast_2d(np.array(M, dtype=float))
+        want = tuple(map(dims.setdefault, shape, M.shape[:2]))
+        if M.shape != want:
+            raise DimensionError(f"{name} must be {want[0]}x{want[1]} ({' x '.join(shape)}), "
+                                 f"got {M.shape}")
+        if not np.isfinite(M).all():
+            raise ValueError(f"{name} must be finite")
+        M.setflags(write=False)
+        object.__setattr__(record, name, M)
+    return dims
+
+
+def _store_names(record, field, n, prefix):
+    """Store record.field as a tuple of n strings; None stands for prefix1, prefix2, ..."""
+    names = getattr(record, field)
+    if names is None:
+        names = [f"{prefix}{i + 1}" for i in range(n)]
+    if not isinstance(names, (list, tuple)) or not all(isinstance(s, str) for s in names):
+        raise ValueError(f"{field} must be None or a sequence of strings, got {names!r}")
+    if len(names) != n:
+        raise DimensionError(f"{field}: need {n} names, got {len(names)}")
+    object.__setattr__(record, field, tuple(names))
+
+
+# Cy measures the full state unless given; the D matrices are zero.
+_PLANT_DEFAULTS = {"Cy": lambda dims: np.eye(dims["nx"])} | {
+    name: lambda dims, r=r, c=c: np.zeros((dims[r], dims[c]))
+    for name, (r, c) in PLANT_MATRICES.items() if name.startswith("D")}
 
 
 @dataclass(frozen=True)
 class GeneralizedPlant:
     """Immutable nine-matrix plant record.
 
-    All matrices are stored as read-only float arrays.  Scalars and nested
-    lists are accepted and promoted to 2-D.
+    All matrices are stored as read-only, finite float arrays (see
+    ``store_matrices``).  The channel names are None, for u1, u2, ... and
+    y1, y2, ..., or one string per actuator (sensor).
     """
 
     A: np.ndarray
@@ -76,44 +114,9 @@ class GeneralizedPlant:
     sensor_names: tuple = None
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        nx = A.shape[0]
-        if A.shape != (nx, nx):
-            raise DimensionError(f"A must be square, got {A.shape}")
-        Bu = np.atleast_2d(np.asarray(self.Bu, dtype=float))
-        if Bu.shape[0] != nx:
-            raise DimensionError(f"Bu must have {nx} rows, got {Bu.shape}")
-        nu = Bu.shape[1]
-        Bw = np.atleast_2d(np.asarray(self.Bw, dtype=float))
-        if Bw.shape[0] != nx:
-            raise DimensionError(f"Bw must have {nx} rows, got {Bw.shape}")
-        nw = Bw.shape[1]
-        Cz = np.atleast_2d(np.asarray(self.Cz, dtype=float))
-        if Cz.shape[1] != nx:
-            raise DimensionError(f"Cz must have {nx} columns, got {Cz.shape}")
-        nz = Cz.shape[0]
-        Du = np.zeros((nz, nu)) if self.Du is None else _as2d(self.Du, nz, nu, "Du")
-        Dw = np.zeros((nz, nw)) if self.Dw is None else _as2d(self.Dw, nz, nw, "Dw")
-        if self.Cy is None:
-            Cy = np.eye(nx)
-        else:
-            Cy = np.atleast_2d(np.asarray(self.Cy, dtype=float))
-            if Cy.shape[1] != nx:
-                raise DimensionError(f"Cy must have {nx} columns, got {Cy.shape}")
-        ny = Cy.shape[0]
-        Dyw = np.zeros((ny, nw)) if self.Dyw is None else _as2d(self.Dyw, ny, nw, "Dyw")
-        Dyu = np.zeros((ny, nu)) if self.Dyu is None else _as2d(self.Dyu, ny, nu, "Dyu")
-        for name, M in [("A", A), ("Bu", Bu), ("Bw", Bw), ("Cz", Cz), ("Du", Du),
-                        ("Dw", Dw), ("Cy", Cy), ("Dyw", Dyw), ("Dyu", Dyu)]:
-            object.__setattr__(self, name, _freeze(M))
-        act = self.actuator_names or tuple(f"u{i + 1}" for i in range(nu))
-        sen = self.sensor_names or tuple(f"y{i + 1}" for i in range(ny))
-        if len(act) != nu:
-            raise DimensionError(f"need {nu} actuator names, got {len(act)}")
-        if len(sen) != ny:
-            raise DimensionError(f"need {ny} sensor names, got {len(sen)}")
-        object.__setattr__(self, "actuator_names", tuple(act))
-        object.__setattr__(self, "sensor_names", tuple(sen))
+        dims = store_matrices(self, PLANT_MATRICES, _PLANT_DEFAULTS)
+        _store_names(self, "actuator_names", dims["nu"], "u")
+        _store_names(self, "sensor_names", dims["ny"], "y")
 
     @property
     def nx(self):
@@ -135,6 +138,15 @@ class GeneralizedPlant:
     def ny(self):
         return self.Cy.shape[0]
 
+    def restricted(self, keep_act, keep_sen):
+        """The plant cut down to the actuators ``keep_act`` and the sensors
+        ``keep_sen`` (index lists, in the order given), Dyu and names too."""
+        return dataclasses.replace(
+            self, Bu=self.Bu[:, keep_act], Du=self.Du[:, keep_act], Cy=self.Cy[keep_sen, :],
+            Dyw=self.Dyw[keep_sen, :], Dyu=self.Dyu[np.ix_(keep_sen, keep_act)],
+            actuator_names=[self.actuator_names[i] for i in keep_act],
+            sensor_names=[self.sensor_names[j] for j in keep_sen])
+
 
 @dataclass(frozen=True)
 class StateFeedbackGain:
@@ -143,7 +155,7 @@ class StateFeedbackGain:
     K: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "K", _freeze(np.atleast_2d(np.asarray(self.K, dtype=float))))
+        store_matrices(self, {"K": ("nu", "nx")})
 
     @property
     def nu(self):
@@ -164,22 +176,8 @@ class DynamicController:
     DK: np.ndarray
 
     def __post_init__(self):
-        AK = np.atleast_2d(np.asarray(self.AK, dtype=float))
-        nk = AK.shape[0]
-        if AK.shape != (nk, nk):
-            raise DimensionError(f"AK must be square, got {AK.shape}")
-        BK = np.atleast_2d(np.asarray(self.BK, dtype=float))
-        CK = np.atleast_2d(np.asarray(self.CK, dtype=float))
-        DK = np.atleast_2d(np.asarray(self.DK, dtype=float))
-        if BK.shape[0] != nk:
-            raise DimensionError(f"BK must have {nk} rows, got {BK.shape}")
-        if CK.shape[1] != nk:
-            raise DimensionError(f"CK must have {nk} columns, got {CK.shape}")
-        if DK.shape != (CK.shape[0], BK.shape[1]):
-            raise DimensionError(
-                f"DK must be {CK.shape[0]}x{BK.shape[1]}, got {DK.shape}")
-        for name, M in [("AK", AK), ("BK", BK), ("CK", CK), ("DK", DK)]:
-            object.__setattr__(self, name, _freeze(M))
+        store_matrices(self, {"AK": ("nk", "nk"), "BK": ("nk", "ny"),
+                              "CK": ("nu", "nk"), "DK": ("nu", "ny")})
 
     @property
     def nk(self):
@@ -210,10 +208,8 @@ class ClosedLoop:
     Dtilde: np.ndarray
 
     def __post_init__(self):
-        for name in ("Acl", "Bcl", "Ccl", "Dcl", "Ctilde", "Dtilde"):
-            object.__setattr__(
-                self, name,
-                _freeze(np.atleast_2d(np.asarray(getattr(self, name), dtype=float))))
+        store_matrices(self, {"Acl": ("n", "n"), "Bcl": ("n", "nw"), "Ccl": ("nz", "n"),
+                              "Dcl": ("nz", "nw"), "Ctilde": ("nu", "n"), "Dtilde": ("nu", "nw")})
 
 
 def validate_plant(plant: GeneralizedPlant):
@@ -306,29 +302,13 @@ def close_loop(plant: GeneralizedPlant, controller) -> ClosedLoop:
 # serialization
 
 def plant_to_dict(plant: GeneralizedPlant) -> dict:
-    d = {
-        "A": plant.A.tolist(),
-        "Bu": plant.Bu.tolist(),
-        "Bw": plant.Bw.tolist(),
-        "Cz": plant.Cz.tolist(),
-        "Du": plant.Du.tolist(),
-        "Dw": plant.Dw.tolist(),
-        "Cy": plant.Cy.tolist(),
-        "Dyw": plant.Dyw.tolist(),
-        "Dyu": plant.Dyu.tolist(),
-        "actuator_names": list(plant.actuator_names),
-        "sensor_names": list(plant.sensor_names),
-    }
-    return d
+    return {f.name: np.asarray(getattr(plant, f.name)).tolist()
+            for f in dataclasses.fields(GeneralizedPlant)}
 
 
 def plant_from_dict(d: dict) -> GeneralizedPlant:
-    return GeneralizedPlant(
-        A=d["A"], Bu=d["Bu"], Bw=d["Bw"], Cz=d["Cz"],
-        Du=d.get("Du"), Dw=d.get("Dw"), Cy=d.get("Cy"), Dyw=d.get("Dyw"), Dyu=d.get("Dyu"),
-        actuator_names=tuple(d["actuator_names"]) if d.get("actuator_names") else None,
-        sensor_names=tuple(d["sensor_names"]) if d.get("sensor_names") else None,
-    )
+    return GeneralizedPlant(**{f.name: d.get(f.name)
+                               for f in dataclasses.fields(GeneralizedPlant)})
 
 
 def save_plant(plant: GeneralizedPlant, path):
@@ -342,13 +322,9 @@ def load_plant(path) -> GeneralizedPlant:
 
 
 def controller_to_dict(ctrl) -> dict:
-    if isinstance(ctrl, StateFeedbackGain):
-        return {"K": ctrl.K.tolist()}
-    return {"AK": ctrl.AK.tolist(), "BK": ctrl.BK.tolist(),
-            "CK": ctrl.CK.tolist(), "DK": ctrl.DK.tolist()}
+    return {f.name: getattr(ctrl, f.name).tolist() for f in dataclasses.fields(ctrl)}
 
 
 def controller_from_dict(d: dict):
-    if "K" in d:
-        return StateFeedbackGain(K=d["K"])
-    return DynamicController(AK=d["AK"], BK=d["BK"], CK=d["CK"], DK=d["DK"])
+    record = StateFeedbackGain if "K" in d else DynamicController
+    return record(**{f.name: d[f.name] for f in dataclasses.fields(record)})

@@ -27,13 +27,9 @@ import numpy as np
 import scipy.linalg
 
 from . import analysis, lmi
-from .errors import (
-    DimensionError,
-    InfeasiblePerformance,
-    NonzeroFeedthroughError,
-    ReconstructionFailure,
-)
-from .model import DynamicController, GeneralizedPlant, close_output_feedback, validate_plant
+from .errors import InfeasiblePerformance, NonzeroFeedthroughError, ReconstructionFailure
+from .model import (DynamicController, GeneralizedPlant, close_output_feedback,
+                    store_matrices, validate_plant)
 # solve_sdp is unused here but bound for perfbench/tracer.py to patch
 from .sdp import SdpSolution, solve_sdp  # noqa: F401
 from .statefb import (
@@ -57,7 +53,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HatController:
-    """Transformed controller variables plus the Lyapunov partitions X, Y."""
+    """Transformed controller variables plus the Lyapunov partitions X, Y,
+    stored as read-only, finite float arrays (``model.store_matrices``)."""
 
     AKhat: np.ndarray
     BKhat: np.ndarray
@@ -67,18 +64,9 @@ class HatController:
     Y: np.ndarray
 
     def __post_init__(self):
-        for name in ("AKhat", "BKhat", "CKhat", "DKhat", "X", "Y"):
-            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            if not np.all(np.isfinite(M)):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, M)
-        nx = self.X.shape[0]
-        if self.X.shape != (nx, nx) or self.Y.shape != (nx, nx):
-            raise DimensionError("X and Y must be square with matching size")
-        if self.AKhat.shape != (nx, nx):
-            raise DimensionError(f"AKhat must be {nx}x{nx}")
-        if self.BKhat.shape[0] != nx or self.CKhat.shape[1] != nx:
-            raise DimensionError("BKhat/CKhat dimensions inconsistent with X")
+        store_matrices(self, {"AKhat": ("nx", "nx"), "BKhat": ("nx", "ny"),
+                              "CKhat": ("nu", "nx"), "DKhat": ("nu", "ny"),
+                              "X": ("nx", "nx"), "Y": ("nx", "nx")})
 
 
 class OfSynthesisSpec(SfSynthesisSpec):

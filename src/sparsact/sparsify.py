@@ -212,21 +212,6 @@ class PrunedResult:
         return {"actuators": self.kept_actuators, "sensors": self.kept_sensors}
 
 
-def _reduce_plant(plant, keep_act, keep_sen):
-    return GeneralizedPlant(
-        A=plant.A,
-        Bu=plant.Bu[:, keep_act],
-        Bw=plant.Bw,
-        Cz=plant.Cz,
-        Du=plant.Du[:, keep_act],
-        Dw=plant.Dw,
-        Cy=plant.Cy[keep_sen, :],
-        Dyw=plant.Dyw[keep_sen, :],
-        actuator_names=[plant.actuator_names[i] for i in keep_act],
-        sensor_names=[plant.sensor_names[j] for j in keep_sen],
-    )
-
-
 def prune_and_resolve(trace: SparsifyTrace, spec) -> PrunedResult:
     """Drop inactive actuators (and sensors, joint mode), re-solve, verify.
 
@@ -245,8 +230,7 @@ def prune_and_resolve(trace: SparsifyTrace, spec) -> PrunedResult:
     plant = spec.plant
     kept = {g: sorted(active.get(g, ())) or list(range(n))
             for g, n in (("actuators", plant.nu), ("sensors", plant.ny))}
-    reduced = _reduce_plant(plant, kept["actuators"], kept["sensors"])
-    reduced_spec = spec.restricted(reduced, kept["actuators"], kept["sensors"])
+    reduced_spec = spec.restricted(kept["actuators"], kept["sensors"])
     try:
         result = reduced_spec.synthesize()
     except SparsactError as exc:
@@ -257,7 +241,7 @@ def prune_and_resolve(trace: SparsifyTrace, spec) -> PrunedResult:
     _, reduced_active = _iteration_summary(result, trace.threshold_ratio)
     return PrunedResult(
         result=result,
-        reduced_plant=reduced,
+        reduced_plant=reduced_spec.plant,
         kept_actuators=kept["actuators"],
         kept_sensors=kept["sensors"],
         active={g: [kept[g][i] for i in indices] for g, indices in reduced_active.items()},

@@ -125,11 +125,12 @@ class SfSynthesisSpec:
     def synthesize(self):
         return synth_sf(self)
 
-    def restricted(self, plant, keep_act, keep_sen):
-        """This design on ``plant``, self.plant cut down to the actuators
-        keep_act and the sensors keep_sen, with uniform weights."""
+    def restricted(self, keep_act, keep_sen):
+        """This design on its plant cut down to the actuators keep_act and
+        the sensors keep_sen, with uniform weights."""
         gm = self.gamma_max[keep_act] if self.gamma_max is not None else None
-        return dataclasses.replace(self, plant=plant, rho=None, gamma_max=gm)
+        return dataclasses.replace(self, plant=self.plant.restricted(keep_act, keep_sen),
+                                   rho=None, gamma_max=gm)
 
 
 class _ChannelBoundGroups:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -91,6 +92,15 @@ class TestSimulator:
         p = bench.ScalarOracle().build()
         with pytest.raises(ValueError, match=f"^{name} must be"):
             bench.simulate_closed_loop(p, StateFeedbackGain([[-2.0]]), **grid)
+
+    @pytest.mark.parametrize("horizon,dt", [(1e12, 1e-3), (1e17, 1e-3), (1e300, 1e-300)])
+    def test_unallocatable_time_grid_rejected(self, horizon, dt):
+        # 7 PiB, beyond numpy's largest array, and a step count that overflows:
+        # each is refused before any memory is touched
+        p = bench.ScalarOracle().build()
+        msg = "^" + re.escape(f"horizon {horizon!r} at dt {dt!r} makes a time grid too long")
+        with pytest.raises(ValueError, match=msg):
+            bench.simulate_closed_loop(p, StateFeedbackGain([[-2.0]]), horizon=horizon, dt=dt)
 
     def test_unstable_loop_rejected(self):
         p = bench.ScalarOracle().build()

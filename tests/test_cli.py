@@ -62,6 +62,21 @@ class TestSynth:
         ctrl = json.loads((out / "controller.json").read_text())
         assert "AK" in ctrl
 
+    @pytest.mark.parametrize("names", ["u1", [1, None]])
+    def test_bad_channel_names_rejected(self, dup_model, tmp_path, capsys, names):
+        # a string is not split into characters, and every name is a string
+        d = json.loads(open(dup_model).read())
+        d["actuator_names"] = names
+        model = tmp_path / "named.json"
+        model.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        rc = main(["synth", "--model", str(model), "--mode", "sf-hinf",
+                   "--gamma0", "2.0", "--out", str(out)])
+        assert rc == 1
+        assert "error: actuator_names must be None or a sequence of strings" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_caps_exit_2(self, dup_model, tmp_path):
         rc = main(["synth", "--model", dup_model, "--mode", "sf-hinf",
                    "--gamma0", "2.0", "--gamma-max", "0.4,0.4",
@@ -211,6 +226,27 @@ class TestVerify:
         assert "h2" not in rep
         assert rep["hinf"]["value"] == pytest.approx(1.5, rel=1e-5)
 
+    def test_unstable_loop_with_gamma0_exits_2(self, scalar_model, tmp_path, capsys):
+        # A = Bu = 1 under K = 0.5 leaves the pole at 1.5: a failed check
+        ctrl = tmp_path / "k.json"
+        ctrl.write_text(json.dumps({"K": [[0.5]]}))
+        out = tmp_path / "verify"
+        rc = main(["verify", "--model", scalar_model, "--controller", str(ctrl),
+                   "--gamma0", "2", "--out", str(out)])
+        assert rc == 2
+        assert "closed loop is not stable: its norms are unbounded" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
+    def test_unstable_loop_without_gamma0_exits_1(self, scalar_model, tmp_path, capsys):
+        ctrl = tmp_path / "k.json"
+        ctrl.write_text(json.dumps({"K": [[0.5]]}))
+        out = tmp_path / "verify"
+        rc = main(["verify", "--model", scalar_model, "--controller", str(ctrl),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "Hinf norm undefined" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
 
 class TestSweep:
     def test_csv_and_exit_codes(self, dup_model, tmp_path):
@@ -259,6 +295,23 @@ class TestPrune:
         assert (out / "trace.json").exists()
         pruned = json.loads((out / "pruned_plant.json").read_text())
         assert np.asarray(pruned["Bu"]).shape == (1, 1)
+
+    def test_pruned_plant_keeps_dyu(self, tmp_path):
+        # output feedback refuses the pruned plant as it refuses the original
+        model = tmp_path / "dyu.json"
+        save_plant(GeneralizedPlant(A=[[1.0]], Bu=[[1.0, 1.0]], Bw=[[1.0]], Cz=[[1.0]],
+                                    Dyu=[[0.5, 0.7]]), model)
+        out = tmp_path / "prune"
+        rc = main(["prune", "--model", str(model), "--mode", "sf-hinf",
+                   "--gamma0", "2.0", "--out", str(out)])
+        assert rc == 0
+        kept = json.loads((out / "result.json").read_text())["kept_actuators"]
+        assert len(kept) == 1
+        pruned = json.loads((out / "pruned_plant.json").read_text())
+        assert pruned["Dyu"] == [[[0.5, 0.7][kept[0]]]]
+        for plant in (model, out / "pruned_plant.json"):
+            assert main(["synth", "--model", str(plant), "--mode", "of-hinf",
+                         "--gamma0", "2.0", "--out", str(tmp_path / "of")]) == 1
 
     @pytest.mark.parametrize("mode", ["sf-hinf", "joint-hinf"])
     def test_dump_sdp_holds_the_re_solve(self, tmp_path, mode):
@@ -343,6 +396,15 @@ class TestDemo:
         rc = main(["demo", "--family", "scalar", "--horizon", horizon, "--out", str(out)])
         assert rc == 1
         assert "horizon must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unallocatable_horizon_rejected(self, tmp_path, capsys):
+        # 1e15 steps at dt = 1e-3: refused before the design runs
+        out = tmp_path / "d"
+        rc = main(["demo", "--family", "scalar", "--horizon", "1e12", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "horizon 1000000000000.0 at dt 0.001 makes a time grid too long to allocate" in err
         assert not out.exists()
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -12,7 +12,6 @@ from sparsact.sparsify import (
     PrunedResult,
     ReweightPolicy,
     SparsifyTrace,
-    _reduce_plant,
     prune_and_resolve,
     reweight_iterate,
     update_weights,
@@ -136,19 +135,6 @@ class TestGroupMismatch:
         jspec = JointSpec(plant=dup_actuator_plant, performance_kind="hinf", gamma0=2.0)
         with pytest.raises(ValueError, match="weight groups"):
             prune_and_resolve(trace, jspec)
-
-
-class TestReducePlant:
-    def test_dims_and_names(self, dup_actuator_plant):
-        red = _reduce_plant(dup_actuator_plant, [1], [0])
-        assert red.nu == 1 and red.ny == dup_actuator_plant.ny
-        assert red.actuator_names == (dup_actuator_plant.actuator_names[1],)
-        assert red.Bu == pytest.approx(dup_actuator_plant.Bu[:, [1]])
-
-    def test_sensor_reduction(self, dup_sensor_plant):
-        red = _reduce_plant(dup_sensor_plant, [0], [1])
-        assert red.ny == 1
-        assert red.Cy == pytest.approx(dup_sensor_plant.Cy[[1], :])
 
 
 class TestReducedInfeasibility:
