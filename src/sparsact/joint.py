@@ -8,9 +8,12 @@ each norm is bounded by its epigraph variable through a second-order cone.
 Zero rows/columns of the hat matrices reconstruct to zero rows/columns
 of the actual controller, so pruning survives the inverse transform.
 The performance constraints are the blocks of the closed loop in the hat
-variables (``outputfb.hat_loop``, a statefb.HatLoop): [[X, I], [I, Y]] > 0
-first, then the bounded-real block, or the H2 Lyapunov, output and trace
-blocks.  Preconditions and hat recovery come from ``outputfb``; the solve,
+variables (``outputfb.hat_loop``, a statefb.HatLoop): the coupling margin
+[[(1 - eps) X, I], [I, Y]] > 0 first, then the bounded-real block, or the
+H2 Lyapunov, output and trace blocks.  AKhat sits in one block only (the
+bounded-real or the Lyapunov block), so the loop leaves it out and emits
+that block as its two projections; it is recovered explicitly after the
+solve.  Preconditions and hat recovery come from ``outputfb``; the solve,
 its status map and the verification from ``statefb``.
 """
 
@@ -105,7 +108,7 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
     """Minimize weighted hat-matrix group norms under a gamma0 performance LMI."""
     p = spec.plant
     _check_of_preconditions(p)
-    loop, hat_exprs, variables = hat_loop(p)
+    loop, hat_exprs, variables = hat_loop(p, akhat_free=True)
     _, BKh, CKh, DKh, _, _ = hat_exprs
     perf, extra = loop.performance(spec)
     variables += extra
@@ -124,7 +127,7 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
             objective = objective + w * t
 
     vm, sol = _solve(spec, variables, cons, objective)
-    hat = _recover_hat(vm, sol, hat_exprs)
+    hat = _recover_hat(spec, loop, vm, sol, hat_exprs)
     ctrl = reconstruct_controller(hat, p)
     report, _ = _verify(spec, close_output_feedback(p, ctrl))
     rows, cols = group_norms(hat)

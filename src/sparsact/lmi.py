@@ -3,9 +3,11 @@
 Decision variables are matrices: symmetric, rectangular or diagonal (a
 1 x 1 diagonal variable is a scalar).  Expressions are affine: constant +
 sum of L @ V @ R terms (V possibly transposed), and a variable V is itself
-an expression, the one term I @ V @ I.  Products of two variable
-expressions are rejected at construction time -- the synthesis change of
-variables exists precisely so that no bilinear term is ever needed.
+an expression, the one term I @ V @ I.  A product drops each term whose new
+L or R is all zero, so a row or block selection keeps only the terms it
+reaches.  Products of two variable expressions are rejected at
+construction time -- the synthesis change of variables exists precisely so
+that no bilinear term is ever needed.
 Constraints are matrix inequalities (PSD blocks) and 2-norm bounds
 ||v|| <= t (second-order cones).
 
@@ -120,14 +122,16 @@ class Expr:
         if self.shape[1] != R.shape[0]:
             raise ModelingError(f"shape mismatch in @: {self.shape} vs {R.shape}")
         return Expr((self.shape[0], R.shape[1]), self.constant @ R,
-                    [_Term(t.left, t.var, t.right @ R, t.transposed) for t in self.terms])
+                    [_Term(t.left, t.var, r, t.transposed)
+                     for t in self.terms if (r := t.right @ R).any()])
 
     def __rmatmul__(self, other):
         L = np.atleast_2d(np.asarray(other, dtype=float))
         if L.shape[1] != self.shape[0]:
             raise ModelingError(f"shape mismatch in @: {L.shape} vs {self.shape}")
         return Expr((L.shape[0], self.shape[1]), L @ self.constant,
-                    [_Term(L @ t.left, t.var, t.right, t.transposed) for t in self.terms])
+                    [_Term(l, t.var, t.right, t.transposed)
+                     for t in self.terms if (l := L @ t.left).any()])
 
     def row(self, i):
         """Row i, a 1 x cols expression."""

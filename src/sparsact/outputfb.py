@@ -5,9 +5,14 @@ the closed-loop performance conditions affine.  ``hat_loop`` writes the
 closed loop in them as a statefb.HatLoop, whose Lyapunov matrix is
 [[X, I], [I, Y]] and whose row i of K is [CKhat_i, DKhat_i Cy]; the
 design is then statefb's channel-bound design on that loop, the same as
-the state-feedback one.  The actual controller is recovered afterwards by
-inverting the change of variables.  ``joint`` shares the preconditions,
-the hat loop and the hat recovery.
+the state-feedback one, with the coupling margin
+[[(1 - eps) X, I], [I, Y]] > 0 as its positivity block.  The H2 design
+leaves AKhat out (the projection lemma): it sits only in the Lyapunov
+block, which the loop emits as its two projections, and it is recovered
+explicitly after the solve (HatLoop.akhat).  The H-infinity design keeps
+it, since its bounded-real and Lyapunov blocks both hold it.  The actual
+controller is recovered afterwards by inverting the change of variables.
+``joint`` shares the preconditions, the hat loop and the hat recovery.
 
 A measurement feedthrough Dyw != 0 needs DKhat Dyw = 0 so that the
 disturbance does not reach the actuators directly.  DKhat is the
@@ -96,16 +101,18 @@ def _check_of_preconditions(plant):
         raise InfeasiblePerformance("; ".join(diags))
 
 
-def hat_loop(plant):
+def hat_loop(plant, akhat_free=False):
     """The closed loop in the hat variables (Scherer, Gahinet & Chilali,
     1997), the hat expressions (AKhat, BKhat, CKhat, DKhat, X, Y) in
     HatController's order, and the matrix variables they are made of;
-    DKhat is the expression Z P'."""
+    DKhat is the expression Z P'.  With akhat_free, AKhat is no variable:
+    its expression is None, A's (2, 1) block is zero, and the loop emits
+    the projected blocks (statefb.HatLoop)."""
     p = plant
     nx, nu, ny = p.nx, p.nu, p.ny
     X = lmi.MatVar("X", (nx, nx), "symmetric")
     Y = lmi.MatVar("Y", (nx, nx), "symmetric")
-    AKh = lmi.MatVar("AKhat", (nx, nx))
+    AKh = None if akhat_free else lmi.MatVar("AKhat", (nx, nx))
     BKh = lmi.MatVar("BKhat", (nx, ny))
     CKh = lmi.MatVar("CKhat", (nu, nx))
     P = np.eye(ny) if np.all(p.Dyw == 0.0) else scipy.linalg.null_space(p.Dyw.T)
@@ -113,18 +120,23 @@ def hat_loop(plant):
     DKh = Z @ P.T
     loop = HatLoop(
         A=lmi.bmat([[p.A @ X + p.Bu @ CKh, lmi.const(p.A) + p.Bu @ DKh @ p.Cy],
-                    [AKh, Y @ p.A + BKh @ p.Cy]]),
+                    [lmi.const(np.zeros((nx, nx))) if akhat_free else AKh,
+                     Y @ p.A + BKh @ p.Cy]]),
         B=lmi.bmat([[lmi.const(p.Bw) + p.Bu @ DKh @ p.Dyw], [Y @ p.Bw + BKh @ p.Dyw]]),
         C=lmi.bmat([[p.Cz @ X + p.Du @ CKh, lmi.const(p.Cz) + p.Du @ DKh @ p.Cy]]),
         D=lmi.const(p.Dw) + p.Du @ DKh @ p.Dyw,
         X=lmi.bmat([[X, lmi.const(np.eye(nx))], [None, Y]]),
-        K=lmi.bmat([[CKh, DKh @ p.Cy]]))
-    return loop, (AKh, BKh, CKh, DKh, X, Y), [X, Y, AKh, BKh, CKh, Z]
+        K=lmi.bmat([[CKh, DKh @ p.Cy]]),
+        halves=nx, akhat_free=akhat_free)
+    return loop, (AKh, BKh, CKh, DKh, X, Y), [v for v in (X, Y, AKh, BKh, CKh, Z) if v is not None]
 
 
-def _recover_hat(vm, sol, hat):
+def _recover_hat(spec, loop, vm, sol, hat):
+    """The HatController at the solution; an AKhat left out of the problem
+    comes from loop.akhat."""
     values = vm.assignment(sol.x)
-    return HatController(*(lmi.evaluate(v, values) for v in hat))
+    AKh, *rest = (None if v is None else lmi.evaluate(v, values) for v in hat)
+    return HatController(loop.akhat(spec, values) if AKh is None else AKh, *rest)
 
 
 def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
@@ -132,9 +144,10 @@ def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
     spec.performance_kind, minimizing rho . Gamma."""
     p = spec.plant
     _check_of_preconditions(p)
-    loop, hat_exprs, variables = hat_loop(p)
+    # of-hinf's Lyapunov block holds AKhat too, so only H2 leaves it out
+    loop, hat_exprs, variables = hat_loop(p, akhat_free=spec.performance_kind == "h2")
     vm, sol, gamma = _channel_bound_design(spec, loop, variables)
-    hat = _recover_hat(vm, sol, hat_exprs)
+    hat = _recover_hat(spec, loop, vm, sol, hat_exprs)
     ctrl = reconstruct_controller(hat, p)
     report, channels = _verify(spec, close_output_feedback(p, ctrl), gamma)
     return OfSynthesisResult(

@@ -24,6 +24,7 @@ from .errors import (
     DimensionError,
     InfeasiblePerformance,
     NonzeroFeedthroughError,
+    ReconstructionFailure,
     SynthesisNumericalError,
 )
 from .model import (GeneralizedPlant, StateFeedbackGain, close_state_feedback,
@@ -42,6 +43,7 @@ __all__ = [
     "VERIFY_RTOL",
     "COND_LIMIT",
     "GAMMA_BACKOFF",
+    "COUPLING_MARGIN",
 ]
 
 ACTIVE_THRESHOLD_RATIO = 1e-3
@@ -51,6 +53,10 @@ COND_LIMIT = 1e12
 # independent verification against the requested gamma0 always has headroom,
 # even when the performance constraint is active at the optimum.
 GAMMA_BACKOFF = 1e-3
+# A hat loop's positivity block is [[(1 - eps) X, I], [I, Y]] > 0, that is
+# X - Y^-1 >= eps X: invariant under a state similarity, and it keeps
+# I - XY, which the controller recovery inverts, away from singular.
+COUPLING_MARGIN = 1e-3
 
 
 ACTIVE_ABS_FLOOR = 1e-8
@@ -204,7 +210,12 @@ class HatLoop:
     """A design's closed loop in its synthesis variables, as lmi expressions:
     dx = A x + B w, z = C x + D w with the Lyapunov matrix X; row i of K maps
     the Lyapunov coordinates to actuator i.  Each design's conditions are
-    these blocks, written once (README, Formulation)."""
+    these blocks, written once (README, Formulation).
+
+    A hat loop's state is two halves of order ``halves`` (0: one state).
+    With ``akhat_free``, A's (2, 1) block AKhat is left out: each block
+    that would hold it is emitted as its two projections, and ``akhat``
+    recovers it after the solve."""
 
     A: lmi.Expr
     B: lmi.Expr
@@ -212,25 +223,49 @@ class HatLoop:
     D: lmi.Expr
     X: lmi.Expr
     K: lmi.Expr
+    halves: int = 0
+    akhat_free: bool = False
 
-    def bounded_real(self, g):
-        """[[sym A, *, *], [B', -g I, *], [C, D, -g I]] < 0: H-infinity norm below g."""
+    def _bounded_real(self, g):
+        """[[sym A, *, *], [B', -g I, *], [C, D, -g I]], < 0 when the H-infinity norm is below g."""
         nz, nw = self.D.shape
-        return lmi.neg_def(lmi.bmat([
+        return lmi.bmat([
             [lmi.sym(self.A), None, None],
             [self.B.T, lmi.const(-g * np.eye(nw)), None],
             [self.C, self.D, lmi.const(-g * np.eye(nz))],
-        ]))
+        ])
+
+    def _lyapunov(self):
+        if self.B.is_constant:
+            return lmi.sym(self.A) + lmi.const(self.B.constant @ self.B.constant.T)
+        return lmi.bmat([[lmi.sym(self.A), None],
+                         [self.B.T, lmi.const(-np.eye(self.B.shape[1]))]])
+
+    def _neg_def(self, M):
+        """[M < 0], or with AKhat left out the projection lemma's pair: M
+        without state half 2 and M without state half 1 (Gahinet &
+        Apkarian, 1994), which hold for some AKhat exactly when M < 0 does."""
+        if not self.akhat_free:
+            return [lmi.neg_def(M)]
+        h, n = self.halves, M.shape[0]
+        keep = (np.r_[0:h, 2 * h:n], np.r_[h:n])
+        return [lmi.neg_def(E @ M @ E.T) for E in (np.eye(n)[k] for k in keep)]
 
     def lyapunov(self):
         """sym A + B B' < 0; its Schur form [[sym A, *], [B', -I]] < 0 if B has variables."""
-        if self.B.is_constant:
-            return lmi.neg_def(lmi.sym(self.A) + lmi.const(self.B.constant @ self.B.constant.T))
-        return lmi.neg_def(lmi.bmat([[lmi.sym(self.A), None],
-                                     [self.B.T, lmi.const(-np.eye(self.B.shape[1]))]]))
+        return self._neg_def(self._lyapunov())
 
     def positive(self):
-        return lmi.pos_def(self.X)
+        """X > 0; for a hat loop [[(1 - eps) X, I], [I, Y]] > 0, eps =
+        COUPLING_MARGIN, which keeps I - XY away from singular."""
+        if not self.halves:
+            return lmi.pos_def(self.X)
+        E = np.eye(2 * self.halves)[:, :self.halves]
+        return lmi.pos_def(self.X - COUPLING_MARGIN * (E @ (E.T @ self.X @ E) @ E.T))
+
+    def _performance_block(self, spec):
+        g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
+        return self._bounded_real(g0) if spec.performance_kind == "hinf" else self._lyapunov()
 
     def performance(self, spec):
         """(constraints, extra variables) bounding the norm of
@@ -238,12 +273,32 @@ class HatLoop:
         Lyapunov block, [[X, C'], [*, Q]] > 0 and trace Q < gamma0^2 (D = 0
         for H2: the specs require Dw = 0, and DKhat Dyw = 0)."""
         g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
+        perf = self._neg_def(self._performance_block(spec))
         if spec.performance_kind == "hinf":
-            return [self.bounded_real(g0)], []
+            return perf, []
         Q = lmi.MatVar("Q", (self.C.shape[0],) * 2, "symmetric")
-        return [self.lyapunov(),
+        return [*perf,
                 lmi.pos_def(lmi.bmat([[self.X, self.C.T], [None, Q]])),
                 lmi.neg_def(lmi.trace(Q) - g0 ** 2 * np.eye(1))], [Q]
+
+    def akhat(self, spec, values):
+        """AKhat at the solution values of an AKhat-free loop: with L the
+        performance block at values and r its rows after the two state
+        halves, -(L21 - L2r Lrr^-1 Lr1), which makes the Schur complement
+        of Lrr block diagonal.  ReconstructionFailure unless the block
+        with that AKhat is negative definite."""
+        L = lmi.evaluate(self._performance_block(spec), values)
+        h = self.halves
+        s1, s2, r = slice(0, h), slice(h, 2 * h), slice(2 * h, None)
+        AK = L[s2, r] @ np.linalg.solve(L[r, r], L[r, s1]) - L[s2, s1]
+        L[s2, s1] += AK
+        L[s1, s2] += AK.T
+        top = float(np.linalg.eigvalsh(L)[-1])
+        if not top < 0.0:
+            raise ReconstructionFailure(
+                f"the recovered AKhat leaves the performance block not negative "
+                f"definite (largest eigenvalue {top:.3e})")
+        return AK
 
     def channel_bounds(self, G, gamma_max):
         """[[Gamma_ii, K_i], [*, X]] > 0 for each actuator i, then the caps of gamma_max."""
@@ -262,7 +317,7 @@ def _channel_bound_design(spec, loop, variables):
     G = lmi.MatVar("Gamma", (spec.plant.nu,) * 2, "diagonal")
     cons, extra = loop.performance(spec)
     if spec.performance_kind == "hinf":  # the channel bounds need it; H2 has it already
-        cons.append(loop.lyapunov())
+        cons += loop.lyapunov()
     cons += [loop.positive(), *loop.channel_bounds(G, spec.gamma_max)]
     vm, sol = _solve(spec, [*variables, G, *extra], cons, lmi.trace(np.diag(spec.rho) @ G))
     gamma = np.diag(vm.value(sol.x, G)).copy()

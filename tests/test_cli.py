@@ -407,9 +407,6 @@ class TestDemo:
         assert "horizon 1000000000000.0 at dt 0.001 makes a time grid too long to allocate" in err
         assert not out.exists()
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the second outer solve stalls at reduced accuracy (dual residual "
-        "2.5e-7), and its controller verifies at 2.00685 > gamma0 = 2"))
     def test_chain_family(self, tmp_path):
         rc = main(["demo", "--family", "chain", "--horizon", "1",
                    "--out", str(tmp_path / "d")])

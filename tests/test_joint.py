@@ -120,6 +120,19 @@ class TestMeasurementFeedthrough:
         assert peak <= norm * (1 + 1e-6)
 
 
+    def test_hinf_design_with_full_rank_dyw(self):
+        """A full-rank Dyw (so DKhat = 0) at gamma0 = 5, below the open-loop
+        norm 7.72: without the coupling margin the solve stalls at reduced
+        accuracy and its controller verifies at H-infinity 15.27."""
+        rng = np.random.default_rng(100)
+        p = random_plant(rng, nx=3, nu=2, nw=2, nz=2, ny=2)
+        p = dataclasses.replace(p, Dyw=0.3 * rng.standard_normal((2, 2)))
+        assert np.linalg.matrix_rank(p.Dyw) == 2
+        res = synth_joint(JointSpec(plant=p, performance_kind="hinf", gamma0=5.0))
+        assert not np.any(res.hat.DKhat)
+        assert res.verified_closed_loop.value < 5.0
+
+
 class TestDuplicatedSensors:
     def test_penalized_duplicate_column_collapses(self, dup_sensor_plant):
         # two identical measurements: pressure on the second column should

@@ -134,6 +134,33 @@ def test_variable_without_columns():
     assert np.array_equal(lmi.evaluate(DK, {Z: np.zeros((2, 0))}), np.zeros((2, 3)))
 
 
+def test_selection_keeps_only_the_terms_it_reaches():
+    # the projection lemma's blocks are row and column selections of a block
+    # grid: a term whose new left or right factor is all zero is dropped, and
+    # the selection compiles to the kept entries of the whole's triplets
+    rng = np.random.default_rng(5)
+    X = lmi.MatVar("X", (2, 2), "symmetric")
+    Y = lmi.MatVar("Y", (2, 2), "symmetric")
+    W = lmi.MatVar("W", (1, 2))
+    M = lmi.bmat([[lmi.sym(rng.standard_normal((2, 2)) @ X), None, None],
+                  [lmi.const(rng.standard_normal((2, 2))), lmi.sym(Y @ rng.standard_normal((2, 2))), None],
+                  [W, rng.standard_normal((1, 2)) @ Y, -np.eye(1)]])
+    keep = np.r_[0:2, 4:5]
+    E = np.eye(5)[keep]
+    S = E @ M @ E.T
+    assert S.terms and all(t.left.any() and t.right.any() for t in S.terms)
+    assert {t.var for t in S.terms} == {X, W}
+    offsets = lmi.VarMap([X, Y, W]).offsets
+    const, (key, row, col, val) = S.coefficients(offsets)
+    whole_const, (wkey, wrow, wcol, wval) = M.coefficients(offsets)
+    at = np.full(5, -1)
+    at[keep] = np.arange(len(keep))
+    kept = (at[wrow] >= 0) & (at[wcol] >= 0)
+    assert np.array_equal(const, whole_const[np.ix_(keep, keep)])
+    for got, want in zip((key, row, col, val), (wkey[kept], at[wrow[kept]], at[wcol[kept]], wval[kept])):
+        assert np.array_equal(got, want)
+
+
 class TestBmat:
     def test_mirror_fill(self):
         rng = np.random.default_rng(6)
@@ -541,11 +568,12 @@ def test_sums_in_dense_order():
 
 
 def test_tensegrity_slices_are_small(monkeypatch):
-    # the paper's structural demo: 801 scalars, 4 PSD blocks whose dense
-    # slices take 11.46 MB, and 21 second-order cones
+    # the paper's structural demo: 657 scalars, 5 PSD blocks whose dense
+    # slices would take about 7.76 MB, and 21 second-order cones
     *_, problem = _compiled_with_objective(
         monkeypatch, *_benchmark(bench.TensegrityApprox(), "h2", 0.42))
     stored = sum(a.nbytes for blk in problem.blocks
                  for a in (blk.var_idx, blk.slices, blk.rows, blk.cols, blk.vals))
     dense = sum(8 * len(blk.var_idx) * blk.dim ** 2 for blk in problem.blocks)
-    assert stored < 1e6 < 11e6 < dense
+    assert (problem.num_vars, len(problem.blocks), len(problem.socs)) == (657, 5, 21)
+    assert stored < 1e6 < 7.7e6 < dense

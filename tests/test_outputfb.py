@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,6 +16,7 @@ from sparsact.model import DynamicController, GeneralizedPlant, close_output_fee
 from sparsact.outputfb import (
     HatController,
     factor_lyapunov_partitions,
+    hat_loop,
     reconstruct_controller,
     synth_of,
 )
@@ -80,6 +82,34 @@ class TestChangeOfVariablesRoundTrip:
         Y = np.eye(2)  # I - XY = 0, no invertible factorization
         with pytest.raises(ReconstructionFailure):
             factor_lyapunov_partitions(X, Y)
+
+
+class TestAkhatRecovery:
+    """of-h2 leaves AKhat out of its problem and recovers it from the
+    Lyapunov block at the solution."""
+
+    def test_h2_closed_form(self):
+        rng = np.random.default_rng(7)
+        p = random_plant(rng, nx=3, nu=2, nw=2, nz=2, ny=2)
+        p = dataclasses.replace(p, Dyw=np.outer(rng.standard_normal(2), rng.standard_normal(2)))
+        g0 = 1.3 * analysis.h2_norm((p.A, p.Bw, p.Cz, p.Dw)).value + 0.1
+        res = synth_of(SfSynthesisSpec(plant=p, performance_kind="h2", gamma0=g0))
+        h = res.hat
+        want = (-(p.A + p.Bu @ h.DKhat @ p.Cy).T
+                - (h.Y @ p.Bw + h.BKhat @ p.Dyw) @ (p.Bw + p.Bu @ h.DKhat @ p.Dyw).T)
+        np.testing.assert_allclose(h.AKhat, want, rtol=1e-10, atol=1e-10)
+        assert res.verified_closed_loop.value < g0
+
+    def test_block_not_negative_definite_is_refused(self):
+        # X = -I: the block without state half 2 holds sym(A X) = -(A + A'),
+        # positive definite for this plant, so no AKhat makes the block < 0
+        p = GeneralizedPlant(A=[[-1.0]], Bu=[[1.0]], Bw=[[1.0]], Cz=[[1.0]],
+                             Du=[[0.0]], Dw=[[0.0]], Cy=[[1.0]], Dyw=[[0.0]])
+        loop, _, variables = hat_loop(p, akhat_free=True)
+        values = {v: (-1.0 if v.name == "X" else 1.0) * np.ones(v.shape) for v in variables}
+        spec = SfSynthesisSpec(plant=p, performance_kind="h2", gamma0=2.0)
+        with pytest.raises(ReconstructionFailure, match="not negative definite"):
+            loop.akhat(spec, values)
 
 
 class TestPreconditions:

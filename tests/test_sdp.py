@@ -1077,12 +1077,27 @@ class TestSchurWorkspace:
                 assert np.array_equal(out.reshape(k, cols), Gu @ V)
 
     def test_no_temporary_of_the_size_of_M(self, monkeypatch, family, kind, gamma0):
+        # each sparse block's assembly, measured alone: the dense blocks keep
+        # their allocating expressions, which on the chain problem's 25 x 25
+        # dense block hold an M of the sparse one's size. numpy gives every
+        # strided ufunc call, such as the placement H[a, b] += X[c, d], an
+        # iteration buffer of getbufsize() = 8,192 doubles per operand,
+        # whatever the arrays' size: 196,608 bytes, more than the chain's
+        # m^2 = 155^2 doubles. It is set small here, so that the bound reads
+        # the assembly's own arrays.
         problem = _benchmark_problem(monkeypatch, family, kind, gamma0)
         n = problem.num_vars
         cones = _random_scaling(problem, 0)
         H = sdp._schur(cones, np.zeros((n, n)))
-        m = max(co.Gu.shape[1] for co in cones[0].blocks if co.sparse)
-        assert allocation_peak(sdp._schur, cones, H) < m * m * H.itemsize
+        sparse = [(co, Rinv) for co, Rinv in _per_block(cones) if Rinv is not None and co.sparse]
+        assert sparse
+        bufsize = np.setbufsize(256)
+        try:
+            peaks = [(allocation_peak(co.add_schur, H, Rinv), co.Gu.shape[1]) for co, Rinv in sparse]
+        finally:
+            np.setbufsize(bufsize)
+        for peak, m in peaks:
+            assert peak < m * m * H.itemsize
 
 
 @pytest.mark.parametrize("case", COMPILE_CASES)

@@ -193,6 +193,34 @@ class TestHatLoop:
         self._assert_loop(loop, values, np.block([[X, I], [M.T, O]]),
                           np.block([[I, Y], [O, N.T]]), close_output_feedback(plant, ctrl))
 
+    @pytest.mark.parametrize("kind", ["hinf", "h2"])
+    def test_akhat_free_blocks_are_the_projections(self, kind):
+        # the two blocks that replace the one holding AKhat are that block,
+        # at AKhat = 0, without state half 2 and without state half 1
+        rng = np.random.default_rng(23)
+        nx = 3
+        plant = dataclasses.replace(random_plant(rng, nx=nx), Dyw=0.3 * rng.standard_normal((2, 2)))
+        spec = SfSynthesisSpec(plant=plant, performance_kind=kind, gamma0=2.0)
+        loop, _, variables = hat_loop(plant)
+        free, free_exprs, free_variables = hat_loop(plant, akhat_free=True)
+        assert free_exprs[0] is None
+        assert [v.name for v in free_variables] == ["X", "Y", "BKhat", "CKhat", "DKhat_Z"]
+        (whole, *rest), extra = loop.performance(spec)
+        (first, second, *free_rest), free_extra = free.performance(spec)
+        by_name = {v.name: rng.standard_normal(v.shape) for v in [*variables, *extra]}
+        by_name["AKhat"] = np.zeros((nx, nx))
+        values = {v: by_name[v.name] for v in [*variables, *extra]}
+        free_values = {v: by_name[v.name] for v in [*free_variables, *free_extra]}
+        M = lmi.evaluate(whole.expr, values)
+        n = M.shape[0]
+        for con, keep in ((first, np.r_[0:nx, 2 * nx:n]), (second, np.r_[nx:n])):
+            assert con.sense == whole.sense and con.strict
+            np.testing.assert_allclose(lmi.evaluate(con.expr, free_values), M[np.ix_(keep, keep)],
+                                       rtol=1e-13, atol=1e-13)
+        for a, b in zip(rest, free_rest, strict=True):
+            np.testing.assert_allclose(lmi.evaluate(a.expr, values), lmi.evaluate(b.expr, free_values),
+                                       rtol=1e-13, atol=1e-13)
+
     def test_state_feedback(self):
         rng = np.random.default_rng(22)
         plant = random_plant(rng, nx=3, nu=2, dw_zero=False)
