@@ -4,7 +4,8 @@ Everything here is deliberately LMI-free: H2 norms come from a dense
 Lyapunov solve, H-infinity norms from the level-set iteration on the
 Hamiltonian imaginary-eigenvalue test (Boyd & Balakrishnan 1990; Bruinsma
 & Steinbuch 1990), which also gives the peak frequency.  Synthesis modules
-call into this module to certify their own output.
+call into this module to certify their own output, and to refuse, before
+they build any LMI, a bound that norm_lower_bound shows no controller meets.
 
 Fixed constants: HURWITZ_MARGIN bounds the eigenvalues' real parts; the
 H-infinity iteration stops when a level without crossings is within
@@ -31,6 +32,8 @@ __all__ = [
     "h2_norm",
     "hinf_norm",
     "channel_h2_norms",
+    "NormBound",
+    "norm_lower_bound",
     "freq_response_gap",
     "default_frequency_grid",
 ]
@@ -91,10 +94,16 @@ def _checked_gramian(A, B):
     Wc = scipy.linalg.solve_continuous_lyapunov(A, -B @ B.T)
     Wc = 0.5 * (Wc + Wc.T)
     res = np.linalg.norm(A @ Wc + Wc @ A.T + B @ B.T)
-    bound = 1e-10 * (np.linalg.norm(A) * np.linalg.norm(Wc) + np.linalg.norm(B) ** 2)
-    if res > max(bound, 1e-13):
+    bound = _residual_bound(np.linalg.norm(A) * np.linalg.norm(Wc), np.linalg.norm(B) ** 2)
+    if res > bound:
         raise NonHurwitzError(f"Lyapunov residual too large: {res:.3e} > {bound:.3e}")
     return Wc
+
+
+def _residual_bound(*terms):
+    """The largest Frobenius residual a matrix equation's solution may leave:
+    1e-10 times the sum of the norms of the equation's terms, and at least 1e-13."""
+    return max(1e-10 * sum(terms), 1e-13)
 
 
 def _h2_report(C, Wc):
@@ -138,6 +147,31 @@ def _imaginary_frequencies(A, B, C, D, gamma):
     return np.sort(eigs.imag[(np.abs(eigs.real) < tol) & (eigs.imag >= 0.0)])
 
 
+def _resolvent_system(A, freqs):
+    """jwI - A at each w, stacked, as the real 2n x 2n matrix that maps
+    (Re X, Im X) to (Re, Im) of (jwI - A) X."""
+    n = A.shape[0]
+    w = np.asarray(freqs, dtype=float)[:, None, None]
+    return np.kron(np.eye(2), -A) + w * np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(n))
+
+
+def _resolvent(M, B):
+    """(Re X, Im X) of X = (jwI - A)^-1 B, stacked over the systems M of
+    _resolvent_system."""
+    n = B.shape[0]
+    rhs = np.vstack([B, np.zeros_like(B)])
+    X = np.linalg.solve(M, np.broadcast_to(rhs, (len(M),) + rhs.shape))
+    return X[:, :n], X[:, n:]
+
+
+def _embed(Gr, Gi):
+    """The real embedding [[Gr, -Gi], [Gi, Gr]] of Gr + j Gi: its singular
+    values are those of Gr + j Gi, each twice, and the embedding of a product
+    is the product of the embeddings."""
+    return np.concatenate([np.concatenate([Gr, -Gi], axis=-1),
+                           np.concatenate([Gi, Gr], axis=-1)], axis=-2)
+
+
 def _gains(A, B, C, D, freqs):
     """sigma_max(G(jw)) at each finite w, in real arithmetic.
 
@@ -145,15 +179,8 @@ def _gains(A, B, C, D, freqs):
     and sigma_max(Gr + j Gi) is that of the real embedding
     [[Gr, -Gi], [Gi, Gr]], whose singular values are G's, each twice.
     """
-    n = A.shape[0]
-    w = np.asarray(freqs, dtype=float)[:, None, None]
-    M = np.kron(np.eye(2), -A) + w * np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(n))
-    rhs = np.vstack([B, np.zeros_like(B)])
-    X = np.linalg.solve(M, np.broadcast_to(rhs, (len(w),) + rhs.shape))
-    Gr = C @ X[:, :n] + D
-    Gi = C @ X[:, n:]
-    G = np.block([[Gr, -Gi], [Gi, Gr]])
-    return np.linalg.svd(G, compute_uv=False)[:, 0]
+    Xr, Xi = _resolvent(_resolvent_system(A, freqs), B)
+    return np.linalg.svd(_embed(C @ Xr + D, C @ Xi), compute_uv=False)[:, 0]
 
 
 def _pole_frequency(poles):
@@ -219,6 +246,125 @@ def hinf_norm(sys) -> NormReport:
     return NormReport(value=0.5 * (crossed + clear) if converged else crossed,
                       kind="Hinf", method="hamiltonian-level-set", converged=converged,
                       iterations=tests, peak_frequency=peak)
+
+
+@dataclass(frozen=True)
+class NormBound:
+    """A lower bound on the closed-loop norm of every stabilising controller
+    of a design's class, and its witness: for H-infinity the frequency
+    (rad/s) at which the bound is attained, inf for the feedthrough; for
+    H2 the stabilising Riccati solution P."""
+
+    value: float
+    kind: str  # "H2" | "Hinf"
+    witness: float | np.ndarray
+
+    def describe(self):
+        if self.kind == "H2":
+            return ("the state-feedback Riccati optimum sqrt(trace(Bw' P Bw)), "
+                    "P the stabilising solution")
+        if self.witness == np.inf:
+            return "sigma_max(Dw), the closed loop's feedthrough"
+        return f"Parrott's bound at {self.witness:.6g} rad/s"
+
+
+def norm_lower_bound(plant, kind, state_feedback=False):
+    """A NormBound below the closed-loop norm of ``kind`` ("hinf" or "h2")
+    of every stabilising controller a design returns, from the plant alone:
+    state feedback with ``state_feedback``, else output feedback with
+    DK Dyw = 0.  None when no bound is found.
+
+    H-infinity (Parrott, 1978): at each w the closed loop is G11 + G12 Q G21
+    for some matrix Q, so its gain is at least max(||P G11||, ||G11 R||),
+    P projecting off an orthonormal basis (QR) of min(nz, nu) directions
+    that hold the range of G12, R off one of min(ny, nw) directions that
+    hold the range of G21': the spans of all their singular vectors when
+    they have full rank, the whole space when nz <= nu (nw <= ny), which
+    makes that side zero.  There is no rank cut-off: a spurious direction
+    can only lower the bound.  G21 is the full-state measurement
+    (jwI - A)^-1 Bw with state_feedback, else Cy (jwI - A)^-1 Bw + Dyw.  At
+    w = inf the term is sigma_max(Dw), since every controller the designs
+    return has DK Dyw = 0.  The finite frequencies are 0 and the moduli of
+    A's eigenvalues, in real arithmetic as in _gains.  One where the
+    resolvent's condition number (1-norm) is 1 / HAMILTONIAN_REAL_TOL or
+    more, at a pole on the axis in that constant's sense, is skipped:
+    elsewhere the resolvent's rounding error stays far below
+    statefb.VERIFY_RTOL.
+
+    H2 (Doyle, Glover, Khargonekar & Francis, 1989): no controller beats the
+    state-feedback optimum sqrt(trace(Bw' P Bw)), P the stabilising solution
+    of A'P + PA - (P Bu + Cz'Du) R^-1 (Bu'P + Du'Cz) + Cz'Cz = 0, R = Du'Du,
+    taken from the ordered real Schur form of the Hamiltonian.  There is no
+    bound unless Du has full column rank, no eigenvalue of the Hamiltonian
+    lies within HAMILTONIAN_REAL_TOL of the axis, U11 is nonsingular, P's
+    residual is within the bound of _checked_gramian's and A + Bu K is
+    Hurwitz for the optimal gain K = -R^-1 (Bu'P + Du'Cz).
+    """
+    if kind == "hinf":
+        return _parrott_bound(plant, state_feedback)
+    if kind == "h2":
+        return _riccati_bound(plant)
+    raise ValueError(f"kind must be 'hinf' or 'h2', got {kind!r}")
+
+
+def _parrott_bound(p, state_feedback):
+    best = NormBound(float(np.linalg.norm(p.Dw, 2)) if p.Dw.size else 0.0, "Hinf", np.inf)
+    nw, m = p.nw, p.nx if state_feedback else p.ny
+    # a side whose basis spans its whole space projects G11 to zero
+    left, right = p.nz > p.nu, nw > m
+    if not (left or right):
+        return best
+    freqs = np.unique(np.abs(np.r_[0.0, np.linalg.eigvals(p.A)]))
+    M = _resolvent_system(p.A, freqs)
+    keep = np.linalg.cond(M, 1) * HAMILTONIAN_REAL_TOL < 1.0  # inf when singular
+    freqs = freqs[keep]
+    if not freqs.size:
+        return best
+    Xr, Xi = _resolvent(M[keep], np.hstack([p.Bw, p.Bu]))
+    Zr, Zi = p.Cz @ Xr, p.Cz @ Xi
+    G11 = _embed(Zr[..., :nw] + p.Dw, Zi[..., :nw])
+    sides = []
+    if left:
+        U = np.linalg.qr(_embed(Zr[..., nw:] + p.Du, Zi[..., nw:]))[0]
+        sides.append(G11 - U @ (U.transpose(0, 2, 1) @ G11))
+    if right:
+        Wr, Wi = Xr[..., :nw], Xi[..., :nw]
+        G21 = _embed(Wr, Wi) if state_feedback else _embed(p.Cy @ Wr + p.Dyw, p.Cy @ Wi)
+        V = np.linalg.qr(G21.transpose(0, 2, 1))[0]
+        sides.append(G11 - (G11 @ V) @ V.transpose(0, 2, 1))
+    S = np.concatenate(sides)
+    top = np.linalg.eigvalsh(S.transpose(0, 2, 1) @ S)[:, -1].reshape(len(sides), -1)
+    gains = np.sqrt(top.max(axis=0).clip(0.0))
+    k = int(np.argmax(gains))
+    return NormBound(float(gains[k]), "Hinf", float(freqs[k])) if gains[k] > best.value else best
+
+
+def _riccati_bound(p):
+    n, A, Bu, Cz, Du = p.nx, p.A, p.Bu, p.Cz, p.Du
+    if p.nu and np.linalg.matrix_rank(Du) < p.nu:
+        return None
+    R, S = Du.T @ Du, Cz.T @ Du
+    F = np.linalg.solve(R, np.hstack([Bu.T, S.T]))  # R^-1 [Bu', Du'Cz]
+    Ab = A - Bu @ F[:, n:]
+    H = np.block([[Ab, -Bu @ F[:, :n]], [S @ F[:, n:] - Cz.T @ Cz, -Ab.T]])
+    try:
+        T, Z, stable = scipy.linalg.schur(H, sort="lhp")  # LinAlgError if it cannot reorder
+        # the diagonal of the real Schur form holds the eigenvalues' real parts
+        tol = HAMILTONIAN_REAL_TOL * max(1.0, np.linalg.norm(H, 2))
+        if stable != n or np.min(np.abs(np.diag(T))) <= tol:
+            return None
+        P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T  # LinAlgError if U11 is singular
+    except np.linalg.LinAlgError:
+        return None
+    P = 0.5 * (P + P.T)
+    L = Bu.T @ P + S.T
+    K = -np.linalg.solve(R, L)
+    res = np.linalg.norm(A.T @ P + P @ A + Cz.T @ Cz + L.T @ K)
+    bound = _residual_bound(2.0 * np.linalg.norm(A) * np.linalg.norm(P),
+                            np.linalg.norm(Cz) ** 2, np.linalg.norm(L) * np.linalg.norm(K))
+    if not res <= bound or not is_hurwitz(A + Bu @ K):
+        return None
+    return NormBound(float(np.sqrt(max(0.0, np.trace(p.Bw.T @ P @ p.Bw)))), "H2", P)
 
 
 def channel_h2_norms(plant, controller):

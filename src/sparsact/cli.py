@@ -207,6 +207,8 @@ def _cmd_demo(args):
               file=sys.stderr)
         return 1
     time_grid(args.horizon)  # a bad horizon is refused before the design
+    if args.seed < 0:  # and so is a seed that the noise generator would refuse
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     family = {"scalar": ScalarOracle(), "chain": MassSpringChain(4),
               "tensegrity": TensegrityApprox()}[args.family]
     plant = family.build()

@@ -30,7 +30,7 @@ from .outputfb import (HatController, _check_of_preconditions, _recover_hat, hat
                        reconstruct_controller)
 # solve_sdp is unused here but bound for perfbench/tracer.py to patch
 from .sdp import SdpSolution, SolverOptions, solve_sdp  # noqa: F401
-from .statefb import _check_performance, _set_vector, _solve, _verify
+from .statefb import _check_performance, _refuse_unattainable, _set_vector, _solve, _verify
 
 __all__ = [
     "JointSpec",
@@ -108,6 +108,7 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
     """Minimize weighted hat-matrix group norms under a gamma0 performance LMI."""
     p = spec.plant
     _check_of_preconditions(p)
+    _refuse_unattainable(spec)
     loop, hat_exprs, variables = hat_loop(p, akhat_free=True)
     _, BKh, CKh, DKh, _, _ = hat_exprs
     perf, extra = loop.performance(spec)

@@ -306,7 +306,15 @@ def plant_to_dict(plant: GeneralizedPlant) -> dict:
             for f in dataclasses.fields(GeneralizedPlant)}
 
 
+def _check_object(d, record):
+    """ValueError unless d, read from JSON, is an object (a dict)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a {record} must be a JSON object of its matrices, "
+                         f"got {type(d).__name__}")
+
+
 def plant_from_dict(d: dict) -> GeneralizedPlant:
+    _check_object(d, "plant")
     return GeneralizedPlant(**{f.name: d.get(f.name)
                                for f in dataclasses.fields(GeneralizedPlant)})
 
@@ -326,5 +334,6 @@ def controller_to_dict(ctrl) -> dict:
 
 
 def controller_from_dict(d: dict):
+    _check_object(d, "controller")
     record = StateFeedbackGain if "K" in d else DynamicController
     return record(**{f.name: d[f.name] for f in dataclasses.fields(record)})

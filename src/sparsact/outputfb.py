@@ -43,6 +43,7 @@ from .statefb import (
     SfSynthesisSpec,
     _channel_bound_design,
     _ChannelBoundGroups,
+    _refuse_unattainable,
     _verify,
 )
 
@@ -144,6 +145,7 @@ def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
     spec.performance_kind, minimizing rho . Gamma."""
     p = spec.plant
     _check_of_preconditions(p)
+    _refuse_unattainable(spec)
     # of-hinf's Lyapunov block holds AKhat too, so only H2 leaves it out
     loop, hat_exprs, variables = hat_loop(p, akhat_free=spec.performance_kind == "h2")
     vm, sol, gamma = _channel_bound_design(spec, loop, variables)

@@ -190,6 +190,21 @@ def _check_stabilizable(plant):
         raise InfeasiblePerformance("; ".join(diags))
 
 
+def _refuse_unattainable(spec, state_feedback=False):
+    """InfeasiblePerformance, before any LMI is built, when a lower bound on
+    the closed-loop norm of every controller of the design's class
+    (analysis.norm_lower_bound: state feedback with state_feedback, else
+    output feedback) is at least gamma0 (1 + VERIFY_RTOL), so that no design
+    could pass _verify.  A request the bound does not settle goes on to the
+    SDP; the bound reads only the plant."""
+    bound = analysis.norm_lower_bound(spec.plant, spec.performance_kind, state_feedback)
+    if bound is not None and bound.value >= spec.gamma0 * (1.0 + VERIFY_RTOL):
+        raise InfeasiblePerformance(
+            f"every {'state' if state_feedback else 'output'}-feedback controller has a "
+            f"closed-loop {bound.kind} norm of at least {bound.value:.6g}, "
+            f"{bound.describe()}, above gamma0 {spec.gamma0:.6g}")
+
+
 def _solve(spec, variables, constraints, objective):
     """Compile and solve a design's problem: (VarMap, solution) when it is
     optimal, InfeasiblePerformance on an improving ray, and
@@ -300,9 +315,12 @@ class HatLoop:
                 f"definite (largest eigenvalue {top:.3e})")
         return AK
 
-    def channel_bounds(self, G, gamma_max):
-        """[[Gamma_ii, K_i], [*, X]] > 0 for each actuator i, then the caps of gamma_max."""
-        cons = [lmi.pos_def(lmi.bmat([[G.row(i).col(i), self.K.row(i)], [None, self.X]]))
+    def channel_bounds(self, G, gamma_max, g=None):
+        """[[Gamma_ii, K_i], [*, X]] > 0 for each actuator i, then the caps of
+        gamma_max; with g, [[Gamma_ii, sqrt(g) K_i], [*, X]] > 0, which the
+        bounded-real block at g bounds without the Lyapunov block."""
+        K = self.K if g is None else np.sqrt(g) * self.K
+        cons = [lmi.pos_def(lmi.bmat([[G.row(i).col(i), K.row(i)], [None, self.X]]))
                 for i in range(self.K.shape[0])]
         if gamma_max is not None:
             cons += [lmi.neg_semidef(G.row(i).col(i) - gamma_max[i] * np.eye(1))
@@ -313,13 +331,28 @@ class HatLoop:
 def _channel_bound_design(spec, loop, variables):
     """Minimize rho . Gamma on ``loop`` under spec's performance blocks,
     X > 0 and the channel bounds Gamma; (VarMap, solution, gamma) with the
-    solved bounds clipped to gamma_max."""
+    solved bounds clipped to gamma_max.
+
+    H-infinity bounds the channels through the Lyapunov block, which the
+    bounded-real block at g0 = gamma0 (1 - GAMMA_BACKOFF) implies only when
+    g0 <= 1.  So an improving ray with g0 > 1 is refused only once the
+    problem without the Lyapunov block, whose channel blocks carry sqrt(g0),
+    is infeasible too (README, Formulation)."""
     G = lmi.MatVar("Gamma", (spec.plant.nu,) * 2, "diagonal")
-    cons, extra = loop.performance(spec)
-    if spec.performance_kind == "hinf":  # the channel bounds need it; H2 has it already
-        cons += loop.lyapunov()
-    cons += [loop.positive(), *loop.channel_bounds(G, spec.gamma_max)]
-    vm, sol = _solve(spec, [*variables, G, *extra], cons, lmi.trace(np.diag(spec.rho) @ G))
+    perf, extra = loop.performance(spec)
+    variables = [*variables, G, *extra]
+    objective = lmi.trace(np.diag(spec.rho) @ G)
+    hinf = spec.performance_kind == "hinf"  # the H2 blocks hold the Lyapunov block
+    cons = [*perf, *(loop.lyapunov() if hinf else []), loop.positive(),
+            *loop.channel_bounds(G, spec.gamma_max)]
+    try:
+        vm, sol = _solve(spec, variables, cons, objective)
+    except InfeasiblePerformance:
+        g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
+        if not hinf or g0 <= 1.0:
+            raise
+        cons = [*perf, loop.positive(), *loop.channel_bounds(G, spec.gamma_max, g0)]
+        vm, sol = _solve(spec, variables, cons, objective)
     gamma = np.diag(vm.value(sol.x, G)).copy()
     if spec.gamma_max is not None:
         gamma = np.minimum(gamma, spec.gamma_max)
@@ -373,6 +406,7 @@ def synth_sf(spec: SfSynthesisSpec) -> SfSynthesisResult:
     spec.performance_kind, minimizing rho . Gamma."""
     p = spec.plant
     _check_stabilizable(p)
+    _refuse_unattainable(spec, state_feedback=True)
     loop, variables = sf_loop(p)
     vm, sol, gamma = _channel_bound_design(spec, loop, variables)
     gain, Xv = _recover_gain(vm, sol, *variables)

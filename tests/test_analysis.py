@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsact import analysis
+from sparsact.bench import MassSpringChain, TensegrityApprox
 from sparsact.errors import NonHurwitzError, NonzeroFeedthroughError
-from sparsact.model import StateFeedbackGain, close_state_feedback
+from sparsact.model import (DynamicController, GeneralizedPlant, StateFeedbackGain, close_loop,
+                            close_state_feedback)
 
-from conftest import pool_requests, random_plant
+from conftest import SCALAR, pool_requests, random_plant
 
 
 def _gain(A, B, C, D, w):
@@ -268,3 +270,171 @@ class TestIsHurwitz:
         assert analysis.is_hurwitz([[-1.0]])
         assert not analysis.is_hurwitz([[0.0]])
         assert not analysis.is_hurwitz([[1.0]])
+
+
+def parrott_oracle(p, w, state_feedback=False):
+    """Parrott's bound at each w of an array, in complex arithmetic:
+    max(||P G11||, ||G11 R||), P and R projecting off the spans of all the
+    left singular vectors of G12 and all the right singular vectors of G21
+    (the full state for state feedback), from complex SVDs."""
+    X = np.linalg.solve(1j * np.asarray(w)[:, None, None] * np.eye(p.nx) - p.A,
+                        np.hstack([p.Bw, p.Bu]))
+    Xw = X[..., :p.nw]
+    G11 = p.Cz @ Xw + p.Dw
+    G12 = p.Cz @ X[..., p.nw:] + p.Du
+    G21 = Xw if state_feedback else p.Cy @ Xw + p.Dyw
+    U = np.linalg.svd(G12, full_matrices=False)[0]
+    Vh = np.linalg.svd(G21, full_matrices=False)[2]
+    left = G11 - U @ (U.conj().transpose(0, 2, 1) @ G11)
+    right = G11 - (G11 @ Vh.conj().transpose(0, 2, 1)) @ Vh
+    return np.maximum(np.linalg.norm(left, 2, axis=(1, 2)),
+                      np.linalg.norm(right, 2, axis=(1, 2)))
+
+
+def riccati_oracle(p):
+    """sqrt(trace(Bw' P Bw)), P from scipy's Riccati solver with the cross term."""
+    P = scipy.linalg.solve_continuous_are(p.A, p.Bu, p.Cz.T @ p.Cz, p.Du.T @ p.Du,
+                                          s=p.Cz.T @ p.Du)
+    return float(np.sqrt(np.trace(p.Bw.T @ P @ p.Bw)))
+
+
+class TestNormLowerBound:
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nx=st.integers(2, 5),
+           dims=st.tuples(*[st.integers(1, 3)] * 4), state_feedback=st.booleans(),
+           dw_zero=st.booleans())
+    def test_parrott_matches_complex_oracle(self, seed, nx, dims, state_feedback, dw_zero):
+        """The bound is the largest of sigma_max(Dw) and the complex oracle at
+        0 and the moduli of the poles, and its witness attains it."""
+        nu, nw, nz, ny = dims
+        p = random_plant(np.random.default_rng(seed), nx=nx, nu=nu, nw=nw, nz=nz, ny=ny,
+                         dw_zero=dw_zero)
+        bound = analysis.norm_lower_bound(p, "hinf", state_feedback)
+        w = np.r_[0.0, np.abs(np.linalg.eigvals(p.A))]
+        expected = max(np.linalg.norm(p.Dw, 2), parrott_oracle(p, w, state_feedback).max())
+        assert bound.kind == "Hinf"
+        assert bound.value == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        if bound.witness < np.inf:
+            at = parrott_oracle(p, np.array([bound.witness]), state_feedback)[0]
+            assert at == pytest.approx(bound.value, rel=1e-9)
+
+    def test_chain_refusal_certificate(self):
+        # the chain workload refuses joint-hinf at gamma0 = 0.05
+        p = MassSpringChain(5).build()
+        bound = analysis.norm_lower_bound(p, "hinf")
+        assert bound.value == pytest.approx(0.0999999866, rel=1e-8)
+        assert bound.witness == pytest.approx(0.517638, rel=1e-5)
+        assert bound.describe() == "Parrott's bound at 0.517638 rad/s"
+        # an independent dense sweep finds the plant at least that far above 0.05
+        sweep = parrott_oracle(p, np.logspace(-2, 2, 4001))
+        assert sweep.max() >= 0.05 * 1.9
+        assert parrott_oracle(p, np.array([bound.witness]))[0] == pytest.approx(
+            bound.value, rel=1e-9)
+
+    def test_tensegrity_refusal_certificate(self):
+        # the tensegrity workload refuses joint-h2 at gamma0 = 0.1
+        p = TensegrityApprox().build()
+        bound = analysis.norm_lower_bound(p, "h2")
+        assert bound.kind == "H2"
+        assert bound.value == pytest.approx(riccati_oracle(p), rel=1e-8)
+        assert bound.value == pytest.approx(0.394004, rel=1e-5)
+        A, Bu, Cz, Du = p.A, p.Bu, p.Cz, p.Du
+        P = bound.witness
+        L = Bu.T @ P + Du.T @ Cz
+        res = A.T @ P + P @ A + Cz.T @ Cz - L.T @ np.linalg.solve(Du.T @ Du, L)
+        assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(A) * np.linalg.norm(P)
+
+    def test_feedthrough_bound(self):
+        # the random workload's refused requests ask for sigma_max(Dw) / 2
+        p = random_plant(np.random.default_rng(3), nx=3, dw_zero=False)
+        sig = np.linalg.svd(p.Dw, compute_uv=False)[0]
+        for state_feedback in (False, True):
+            assert analysis.norm_lower_bound(p, "hinf", state_feedback).value >= sig
+
+    def test_sf_h2_bound_is_attained(self):
+        """On regular plants (nz > nu) the Riccati gain K = -R^-1 (Bu'P + Du'Cz)
+        of the witness reaches the bound, which scipy's solver confirms."""
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            p = random_plant(rng, nx=4, nu=2, nw=2, nz=3, ny=2)
+            bound = analysis.norm_lower_bound(p, "h2", state_feedback=True)
+            assert bound.value == pytest.approx(riccati_oracle(p), rel=1e-8)
+            P = bound.witness
+            K = -np.linalg.solve(p.Du.T @ p.Du, p.Bu.T @ P + p.Du.T @ p.Cz)
+            cl = close_state_feedback(p, StateFeedbackGain(K))
+            assert analysis.h2_norm(cl).value == pytest.approx(bound.value, rel=1e-8)
+
+    def test_full_state_measurement_for_sf(self):
+        """Cy sees x1 alone, so every output-feedback loop keeps 1/(s + 1) from
+        w2 to z2: Parrott's bound is 1 at w = 0.  With the full state measured
+        the bound is zero."""
+        p = GeneralizedPlant(A=-np.eye(2), Bu=np.eye(2), Bw=np.eye(2), Cz=np.eye(2),
+                             Du=0.1 * np.eye(2), Cy=[[1.0, 0.0]])
+        of = analysis.norm_lower_bound(p, "hinf")
+        assert (of.value, of.witness) == (pytest.approx(1.0, rel=1e-12), 0.0)
+        assert analysis.norm_lower_bound(p, "hinf", state_feedback=True).value < 1e-12
+
+    def test_no_h2_bound(self):
+        # Du rank deficient: no Riccati equation
+        p = GeneralizedPlant(**SCALAR)
+        assert analysis.norm_lower_bound(p, "h2") is None
+        # an undamped mode that z does not see puts eigenvalues of the
+        # Hamiltonian on the axis: no stabilising solution
+        osc = GeneralizedPlant(A=[[0.0, 1.0], [-1.0, 0.0]], Bu=[[0.0], [1.0]],
+                               Bw=[[0.0], [1.0]], Cz=[[0.0, 0.0]], Du=[[1.0]])
+        assert analysis.norm_lower_bound(osc, "h2") is None
+
+    def test_poles_on_the_axis_are_skipped(self):
+        # w = 0 and w = 1 are the integrator's and the oscillator's poles:
+        # only the feedthrough is left
+        p = GeneralizedPlant(A=[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+                             Bu=np.eye(3)[:, :1], Bw=np.ones((3, 1)), Cz=np.ones((1, 3)),
+                             Dw=[[0.5]])
+        bound = analysis.norm_lower_bound(p, "hinf")
+        assert (bound.value, bound.witness) == (0.5, np.inf)
+        assert bound.describe() == "sigma_max(Dw), the closed loop's feedthrough"
+
+    def test_defective_pole_on_the_axis(self):
+        """A double integrator seen through a similarity: the computed poles
+        miss 0 by about 1e-8 while jwI - A is singular to working precision
+        there, so those frequencies are skipped, and the bound stays below
+        Parrott's bound on a dense grid."""
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            T = rng.standard_normal((3, 3))
+            Ti = np.linalg.inv(T)
+            p = GeneralizedPlant(
+                A=T @ np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]) @ Ti,
+                Bu=T @ np.array([[0.0], [1.0], [1.0]]), Bw=T @ np.array([[0.0], [1.0], [0.5]]),
+                Cz=np.vstack([Ti[:1], np.zeros((1, 3))]), Du=[[0.0], [1.0]], Cy=Ti[:1])
+            bound = analysis.norm_lower_bound(p, "hinf")
+            grid = parrott_oracle(p, np.logspace(-4, 3, 3000))
+            assert bound.value <= grid.max() * (1 + 1e-6)
+
+    def test_bad_kind(self, scalar_plant):
+        with pytest.raises(ValueError, match="kind must be 'hinf' or 'h2'"):
+            analysis.norm_lower_bound(scalar_plant, "H2")
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nx=st.integers(2, 4), kind=st.sampled_from(["hinf", "h2"]),
+           nz=st.integers(2, 3), ny=st.integers(1, 2), scale=st.floats(0.1, 3.0))
+    def test_random_controllers_respect_the_bound(self, seed, nx, kind, nz, ny, scale):
+        """A random stabilising static state feedback and a random stable
+        dynamic output feedback each have a closed-loop norm at least the
+        bound of their class."""
+        rng = np.random.default_rng(seed)
+        p = random_plant(rng, nx=nx, nz=nz, ny=ny, dw_zero=kind == "h2" or seed % 2 == 0)
+        norm = analysis.h2_norm if kind == "h2" else analysis.hinf_norm
+        K = scale * rng.standard_normal((p.nu, nx))
+        while not analysis.is_hurwitz(p.A + p.Bu @ K):
+            K = 0.5 * K
+        ctrl = DynamicController(AK=-np.eye(2), BK=scale * rng.standard_normal((2, ny)),
+                                 CK=scale * rng.standard_normal((p.nu, 2)),
+                                 DK=scale * rng.standard_normal((p.nu, ny)))
+        for controller, state_feedback in ((StateFeedbackGain(K), True), (ctrl, False)):
+            cl = close_loop(p, controller)
+            if not analysis.is_hurwitz(cl.Acl):
+                continue
+            bound = analysis.norm_lower_bound(p, kind, state_feedback)
+            if bound is not None:
+                assert norm(cl).value >= bound.value * (1 - analysis.HINF_TOL)

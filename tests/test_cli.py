@@ -77,11 +77,44 @@ class TestSynth:
             in capsys.readouterr().err
         assert not out.exists()
 
-    def test_infeasible_caps_exit_2(self, dup_model, tmp_path):
+    def test_infeasible_caps_exit_2(self, dup_model, tmp_path, capsys):
+        # no plant-only bound settles the caps: the SDP refuses, and nothing is written
+        out = tmp_path / "o"
         rc = main(["synth", "--model", dup_model, "--mode", "sf-hinf",
-                   "--gamma0", "2.0", "--gamma-max", "0.4,0.4",
-                   "--out", str(tmp_path / "o")])
+                   "--gamma0", "2.0", "--gamma-max", "0.4,0.4", "--out", str(out)])
         assert rc == 2
+        assert "no Lyapunov certificate exists" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bound_refusal_exit_2(self, tmp_path, capsys):
+        # Dw = 1 is the closed loop's feedthrough under every controller
+        model = tmp_path / "dw.json"
+        save_plant(GeneralizedPlant(A=[[-1.0]], Bu=[[1.0]], Bw=[[1.0]], Cz=[[1.0]],
+                                    Du=[[0.0]], Dw=[[1.0]], Cy=[[1.0]], Dyw=[[0.0]]), model)
+        out = tmp_path / "o"
+        rc = main(["synth", "--model", str(model), "--mode", "of-hinf", "--gamma0", "0.5",
+                   "--out", str(out)])
+        assert rc == 2
+        assert ("closed-loop Hinf norm of at least 1, sigma_max(Dw), the closed loop's "
+                "feedthrough, above gamma0 0.5") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--model", "--controller"])
+    def test_non_object_json_rejected(self, scalar_model, tmp_path, capsys, flag):
+        # a JSON list is no record: exit 1 with the record named, no traceback
+        bad = tmp_path / "list.json"
+        bad.write_text("[[1.0]]")
+        out = tmp_path / "o"
+        if flag == "--model":
+            argv = ["synth", "--model", str(bad), "--mode", "sf-hinf", "--gamma0", "2"]
+        else:
+            argv = ["verify", "--model", scalar_model, "--controller", str(bad)]
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 1
+        record = "plant" if flag == "--model" else "controller"
+        assert (f"error: a {record} must be a JSON object of its matrices, got list"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_output_feedback_refuses_dyu(self, tmp_path, capsys):
         path = tmp_path / "dyu.json"
@@ -396,6 +429,15 @@ class TestDemo:
         rc = main(["demo", "--family", "scalar", "--horizon", horizon, "--out", str(out)])
         assert rc == 1
         assert "horizon must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # refused before the design runs, so nothing was written
+        out = tmp_path / "d"
+        rc = main(["demo", "--family", "scalar", "--seed", "-1", "--horizon", "0.1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "--seed must be a nonnegative integer, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unallocatable_horizon_rejected(self, tmp_path, capsys):

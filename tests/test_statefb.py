@@ -1,12 +1,17 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsact import analysis, lmi
+from sparsact import analysis, joint, lmi, statefb
+from sparsact.bench import MassSpringChain, TensegrityApprox
 from sparsact.errors import (
     InfeasiblePerformance,
     NonzeroFeedthroughError,
+    SparsactError,
 )
 from sparsact.joint import JointSpec
 from sparsact.model import (DynamicController, GeneralizedPlant, close_output_feedback,
@@ -72,8 +77,11 @@ class TestDuplicatedActuators:
         assert capped.objective >= free.objective - 1e-6
 
     def test_infeasible_caps_certified(self, dup_actuator_plant):
-        # per-channel bound below 0.5 is unattainable for this plant
-        with pytest.raises(InfeasiblePerformance):
+        # per-channel bound below 0.5 is unattainable for this plant; no
+        # plant-only bound sees the caps, so the SDP finds the improving ray
+        with pytest.raises(InfeasiblePerformance, match=re.escape(
+                "no Lyapunov certificate exists for the requested bounds "
+                "(dual improving ray found)")):
             synth_sf(SfSynthesisSpec(
                 plant=dup_actuator_plant, performance_kind="hinf", gamma0=2.0,
                 gamma_max=[0.4, 0.4]))
@@ -83,6 +91,43 @@ class TestDuplicatedActuators:
             plant=dup_actuator_plant, performance_kind="hinf", gamma0=2.0,
             rho=[10.0, 1.0]))
         assert res.gamma[1] > res.gamma[0]
+
+
+def counted_solves(monkeypatch):
+    """A list that grows by one entry with each statefb._solve call, joint's included."""
+    calls, solve = [], statefb._solve
+
+    def counting(*args):
+        calls.append(args[0])
+        return solve(*args)
+    for module in (statefb, joint):
+        monkeypatch.setattr(module, "_solve", counting)
+    return calls
+
+
+class TestChannelBoundRetry:
+    """An H-infinity improving ray at g0 = gamma0 (1 - GAMMA_BACKOFF) > 1 is
+    refused only after the problem without the Lyapunov block is infeasible too."""
+
+    def test_refusal_above_one_solves_twice(self, dup_actuator_plant, monkeypatch):
+        calls = counted_solves(monkeypatch)
+        with pytest.raises(InfeasiblePerformance, match="no Lyapunov certificate"):
+            synth_sf(SfSynthesisSpec(plant=dup_actuator_plant, performance_kind="hinf",
+                                     gamma0=2.0, gamma_max=[0.4, 0.4]))
+        assert len(calls) == 2
+
+    def test_refusal_at_one_solves_once(self, dup_actuator_plant, monkeypatch):
+        calls = counted_solves(monkeypatch)
+        with pytest.raises(InfeasiblePerformance, match="no Lyapunov certificate"):
+            synth_sf(SfSynthesisSpec(plant=dup_actuator_plant, performance_kind="hinf",
+                                     gamma0=1.0, gamma_max=[0.4, 0.4]))
+        assert len(calls) == 1
+
+    def test_design_solves_once(self, dup_actuator_plant, monkeypatch):
+        calls = counted_solves(monkeypatch)
+        synth_sf(SfSynthesisSpec(plant=dup_actuator_plant, performance_kind="hinf",
+                                 gamma0=2.0))
+        assert len(calls) == 1
 
 
 class TestSpecValidation:
@@ -229,3 +274,100 @@ class TestHatLoop:
         Xv, _ = coupled_lyapunov_pair(rng, 3)
         self._assert_loop(loop, {X: Xv, W: K @ Xv}, Xv, np.eye(3),
                           close_state_feedback(plant, K))
+
+
+@pytest.fixture
+def no_lmi(monkeypatch):
+    """Fails the test if any LMI is compiled."""
+    def compile_lmis(*args, **kwargs):
+        raise AssertionError("an LMI was compiled")
+    monkeypatch.setattr(lmi, "compile_lmis", compile_lmis)
+
+
+# a sensor that sees x1 alone: no output-feedback loop acts on x2's response to w2
+SENSOR_STARVED = dict(A=-np.eye(2), Bu=np.eye(2), Bw=np.eye(2), Cz=np.eye(2),
+                      Du=0.1 * np.eye(2), Cy=[[1.0, 0.0]])
+DESIGNS = {"sf": SfSynthesisSpec, "of": OfSynthesisSpec, "joint": JointSpec}
+
+
+class TestLowerBoundRefusal:
+    """Requests that a plant-only lower bound settles are refused before any
+    LMI is built; the others go on to the SDP."""
+
+    def test_tensegrity_workload_refusal(self, no_lmi):
+        with pytest.raises(InfeasiblePerformance, match=re.escape(
+                "every output-feedback controller has a closed-loop H2 norm of at least "
+                "0.394004, the state-feedback Riccati optimum")):
+            JointSpec(plant=TensegrityApprox().build(), performance_kind="h2",
+                      gamma0=0.1).synthesize()
+
+    def test_chain_workload_refusal(self, no_lmi):
+        with pytest.raises(InfeasiblePerformance, match=re.escape(
+                "closed-loop Hinf norm of at least 0.1, Parrott's bound at 0.517638 rad/s, "
+                "above gamma0 0.05")):
+            JointSpec(plant=MassSpringChain(5).build(), performance_kind="hinf",
+                      gamma0=0.05).synthesize()
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_feedthrough_refusal(self, no_lmi, design):
+        # the random workload's refused requests: gamma0 = sigma_max(Dw) / 2
+        p = random_plant(np.random.default_rng(3), nx=3, dw_zero=False)
+        gamma0 = 0.5 * float(np.linalg.svd(p.Dw, compute_uv=False)[0])
+        with pytest.raises(InfeasiblePerformance, match="controller has a closed-loop Hinf norm"):
+            DESIGNS[design](plant=p, performance_kind="hinf", gamma0=gamma0).synthesize()
+
+    def test_sf_is_bounded_with_the_full_state(self):
+        # the bound built on Cy would refuse 0.5; state feedback designs there
+        p = GeneralizedPlant(**SENSOR_STARVED)
+        res = synth_sf(SfSynthesisSpec(plant=p, performance_kind="hinf", gamma0=0.5))
+        assert res.verified_closed_loop.value < 0.5
+        with pytest.raises(InfeasiblePerformance, match=re.escape(
+                "every output-feedback controller has a closed-loop Hinf norm of at least 1, "
+                "Parrott's bound at 0 rad/s, above gamma0 0.5")):
+            OfSynthesisSpec(plant=p, performance_kind="hinf", gamma0=0.5).synthesize()
+
+    @pytest.mark.parametrize("design", ["of", "joint"])
+    def test_sdp_refuses_between_bound_and_optimum(self, design, monkeypatch):
+        """The Riccati bound is 0 (Du is square), but w2 reaches z2 through
+        1/(s + 1) under every output-feedback controller, whose H2 norm is
+        then at least sqrt(1/2): the SDP refuses 0.5."""
+        p = GeneralizedPlant(**SENSOR_STARVED)
+        assert analysis.norm_lower_bound(p, "h2").value < 0.5
+        calls = counted_solves(monkeypatch)
+        with pytest.raises(InfeasiblePerformance, match=re.escape(
+                "no Lyapunov certificate exists for the requested bounds "
+                "(dual improving ray found)")):
+            DESIGNS[design](plant=p, performance_kind="h2", gamma0=0.5).synthesize()
+        assert len(calls) == 1
+
+    def test_sf_h2_near_the_optimum_is_not_refused_by_the_bound(self):
+        # the bound is attained (tests/test_analysis.py), so 1.01 times it is not refused
+        p = random_plant(np.random.default_rng(11), nx=4, nu=2, nw=2, nz=3, ny=2)
+        bound = analysis.norm_lower_bound(p, "h2", state_feedback=True)
+        statefb._refuse_unattainable(
+            SfSynthesisSpec(plant=p, performance_kind="h2", gamma0=1.01 * bound.value),
+            state_feedback=True)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nx=st.integers(2, 4), design=st.sampled_from(list(DESIGNS)),
+       kind=st.sampled_from(["hinf", "h2"]), nz=st.integers(2, 3), ny=st.integers(1, 2),
+       margin=st.sampled_from([0.02, 0.2, 1.0]))
+def test_designs_respect_the_lower_bound(seed, nx, design, kind, nz, ny, margin):
+    """Every design that sf, of or joint returns has a verified norm at least
+    the lower bound of its class.  gamma0 runs from just above the bound to
+    the open-loop norm, which the zero controller, one of every class, meets."""
+    p = random_plant(np.random.default_rng(seed), nx=nx, nz=nz, ny=ny,
+                     dw_zero=kind == "h2" or seed % 2 == 0)
+    bound = analysis.norm_lower_bound(p, kind, state_feedback=design == "sf")
+    low = 0.0 if bound is None else bound.value
+    norm = analysis.h2_norm if kind == "h2" else analysis.hinf_norm
+    open_loop = norm((p.A, p.Bw, p.Cz, p.Dw)).value
+    assert low <= open_loop * (1 + analysis.HINF_TOL)
+    gamma0 = low + margin * (open_loop - low) + 1e-3
+    try:
+        res = DESIGNS[design](plant=p, performance_kind=kind, gamma0=gamma0).synthesize()
+    except SparsactError as exc:  # the SDP's refusal or a numerical failure, never the bound's
+        assert "controller has a closed-loop" not in str(exc)
+        return
+    assert res.verified_closed_loop.value >= low * (1 - analysis.HINF_TOL)
