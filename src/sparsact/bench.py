@@ -10,6 +10,12 @@ Three plant families:
   chains cross-linked by nine elastic cables, linearized about its
   documented trim geometry.  Inputs are cable force-density
   perturbations, disturbances are bar torques.
+
+simulate_closed_loop steps the closed loop by fixed-step RK4, optionally
+with a CubicForce N (G x)^3 on the plant state (the tensegrity's cable
+stiffening).  The RK4 step is set up once as linear maps of the state, the
+disturbance samples and the stages' cubes, so a step is a few small
+matrix-vector products and one cube per stage.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, InfeasiblePerformance, NonHurwitzError, SparsactError
-from .model import GeneralizedPlant, close_loop
+from .model import GeneralizedPlant, close_loop, store_matrices
 from .sparsify import ReweightPolicy, prune_and_resolve, reweight_iterate
 
 __all__ = [
     "ScalarOracle",
     "MassSpringChain",
     "TensegrityApprox",
+    "CubicForce",
     "SimResult",
     "simulate_closed_loop",
     "gamma_sweep",
@@ -204,32 +211,52 @@ class TensegrityApprox:
             + [f"rate{k + 1}" for k in range(6)])
 
     def cubic_stiffening(self, strength=10.0):
-        """State-dependent extra force for the nonlinear simulation flag.
+        """The CubicForce of stiffening cables, for the nonlinear simulation flag.
 
-        Models stiffening cables: tension picks up a cubic term in the
-        elongation, so the added generalized force is
-        -sum_c k_c * strength * (g_c . dq)^3 * g_c mapped through M^{-1},
-        expressed in the same balanced coordinates the plant uses.  The
-        balancing, the cable stiffnesses, M^{-1} and the zero position rows
-        are folded into two constant matrices, so the term is
-        N @ (G @ x)^3 with G mapping the state to cable elongations.
+        Tension picks up a cubic term in the elongation, so the added
+        generalized force is -sum_c k_c * strength * (g_c . dq)^3 * g_c
+        mapped through M^{-1}, expressed in the same balanced coordinates
+        the plant uses.  The balancing, the cable stiffnesses, M^{-1} and
+        the zero position rows are folded into two constant matrices: the
+        force is N (G x)^3 with G mapping the state to the nine cable
+        elongations.
         """
         M, Gm, _, k_cable = self._trim
         t_diag = np.diag(self._dynamics[3])
         G = np.hstack([Gm * t_diag[:6], np.zeros((9, 6))])  # state -> elongations
         N = np.vstack([np.zeros((6, 9)),
                        -np.linalg.solve(M, Gm.T * (k_cable * strength))]) / t_diag[:, None]
-
-        def extra(xstate):
-            return N @ ((G @ xstate) ** 3)
-
-        return extra
+        return CubicForce(N, G)
 
 
 # ---------------------------------------------------------------------------
 # closed-loop simulation
 
 DT = 1e-3  # the simulation's default step
+
+
+@dataclass(frozen=True, eq=False)
+class CubicForce:
+    """The force N (G x)^3 on the plant state x, the cube taken entrywise.
+
+    G (r x nx) maps the state to r arguments and N (nx x r) maps their
+    cubes to state derivatives; r = 0 is the zero force.  Both are stored
+    as read-only float copies, and a shape that does not fit raises
+    DimensionError.  Calling it evaluates the force at one state.
+    """
+
+    N: np.ndarray
+    G: np.ndarray
+
+    def __post_init__(self):
+        store_matrices(self, {"N": ("nx", "r"), "G": ("r", "nx")})
+
+    @property
+    def nx(self):
+        return self.G.shape[1]
+
+    def __call__(self, x):
+        return self.N @ ((self.G @ x) ** 3)
 
 
 @dataclass(frozen=True)
@@ -305,20 +332,59 @@ def time_grid(horizon, dt=DT):
                          "to allocate") from None
 
 
+def _rk4_stage_maps(Acl, Bcl, N, F, dt):
+    """One RK4 step of x' = Acl x + Bcl d(t) + N (F x)^3 as linear maps.
+
+    The RK4 recipe is run once on identity blocks of the inputs
+    [x, d(t), d(t + dt/2), d(t + dt), c1, c2, c3, c4], where c_i = a_i^3 is
+    the cube of stage i's argument a_i = F y_i.  Each a_i depends on the
+    cubes of the earlier stages only.  Returns (Q, later, X):
+
+    * Q maps [x; d samples] to z = [x_{k+1} without the cubes; a_1..a_4
+      without the cubes];
+    * later holds, for i = 2..4, the map [P_i, I] from [c_1..c_{i-1}; a_i
+      without the cubes] to a_i;
+    * X = [I, L] maps [x part of z; c_1..c_4] to x_{k+1}.
+    """
+    n, nw = Bcl.shape
+    r = F.shape[0]
+    m = n + 3 * nw
+    E = np.eye(m + 4 * r)
+    x = E[:n]
+    d0, d_mid, d_end = (E[n + nw * j:n + nw * (j + 1)] for j in range(3))
+    c = [E[m + r * i:m + r * (i + 1)] for i in range(4)]
+    y, ks, args = x, [], []
+    for di, ci, h in zip((d0, d_mid, d_mid, d_end), c, (dt / 2, dt / 2, dt, 0.0)):
+        args.append(F @ y)
+        ks.append(Acl @ y + Bcl @ di + N @ ci)
+        y = x + h * ks[-1]
+    x_next = x + dt / 6 * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
+    Q = np.vstack([x_next[:, :m]] + [a[:, :m] for a in args])
+    later = [np.hstack([a[:, m:m + r * i], np.eye(r)]) for i, a in enumerate(args[1:], 1)]
+    X = np.hstack([np.eye(n), x_next[:, m:]])
+    return Q, later, X
+
+
 def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
                          horizon=20.0, dt=DT, x0=None, nonlinear_extra=None,
                          seed=0) -> SimResult:
     """Fixed-step RK4 simulation of the closed loop.
 
     `disturbance` is a descriptor dict (kind step|fixed|sinusoid|noise|zero
-    plus parameters); `nonlinear_extra`, if given, is a function of the
-    plant state appended to the plant state derivative (e.g. cubic cable
+    plus parameters); `nonlinear_extra`, a CubicForce on the plant state or
+    None, is added to the plant state derivative (e.g. cubic cable
     stiffening).  `x0` must have the closed loop's order (plant plus
-    controller states for a DynamicController).  Before stepping, the
-    disturbance and its input Bcl d(t) are evaluated once on each of the
-    three RK4 time grids (t_k, t_k + dt/2 and t_k + dt), so the loop does no
-    disturbance work.  Controls Ctilde x + Dtilde d(t_k) are recorded from
-    the states after the last step, along with their per-channel peaks.
+    controller states for a DynamicController).
+
+    Before stepping, the disturbance is sampled once on each of the three
+    RK4 time grids (t_k, t_k + dt/2 and t_k + dt), nw values per grid and
+    step, and the RK4 step is written as linear maps of the state, those
+    samples and the four stages' cubes (_rk4_stage_maps).  A step is then
+    one product for the state's and the cube arguments' linear parts, one
+    product and one cube per stage, and one product for the new state.
+    None is the force with no arguments (r = 0), stepped the same way.
+    Controls Ctilde x + Dtilde d(t_k) are recorded from the states after the
+    last step, along with their per-channel peaks.
     """
     times = time_grid(horizon, dt)
     cl = close_loop(plant, controller)
@@ -327,28 +393,49 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
     eigs = np.linalg.eigvals(Acl)
     if np.max(eigs.real) >= 0.0:
         raise NonHurwitzError("closed loop is not asymptotically stable")
-    n_cl = Acl.shape[0]
+    n_cl, nw = Bcl.shape
     nx = plant.nx
     xv = np.zeros(n_cl) if x0 is None else np.array(x0, dtype=float)
     if xv.shape != (n_cl,):
         raise DimensionError(
             f"x0 has shape {xv.shape} but the closed loop has order {n_cl} "
             f"({nx} plant and {n_cl - nx} controller states)")
+    force = nonlinear_extra
+    if force is None:
+        force = CubicForce(np.zeros((nx, 0)), np.zeros((0, nx)))
+    if not isinstance(force, CubicForce):
+        raise TypeError(f"nonlinear_extra must be a CubicForce or None, "
+                        f"got {type(force).__name__}")
+    if force.nx != nx:
+        raise DimensionError(f"the cubic force acts on {force.nx} states but the "
+                             f"plant has {nx}")
     descriptor = dict(disturbance or {"kind": "step"})
     descriptor.setdefault("seed", seed)
     rng = np.random.default_rng(descriptor["seed"])
-    d_of = _disturbance_fn(descriptor, plant.nw, rng)
+    d_of = _disturbance_fn(descriptor, nw, rng)
 
-    def f(xv, bd):
-        dx = Acl @ xv + bd
-        if nonlinear_extra is not None:
-            dx[:nx] += nonlinear_extra(xv[:nx])
-        return dx
+    r = force.G.shape[0]
+    N = np.zeros((n_cl, r))
+    N[:nx] = force.N
+    F = np.zeros((r, n_cl))
+    F[:, :nx] = force.G
+    Q, later, X = _rk4_stage_maps(Acl, Bcl, N, F, dt)
 
-    d_start = d_of(times)
-    b_start = d_start @ Bcl.T
-    b_mid = d_of(times[:-1] + dt / 2) @ Bcl.T
-    b_end = d_of(times[:-1] + dt) @ Bcl.T
+    # row k: d at t_k, t_k + dt/2 and t_k + dt; the last row's d(t_k) is
+    # for the controls alone
+    samples = np.zeros((len(times), 3, nw))
+    samples[:, 0] = d_of(times)
+    samples[:-1, 1] = d_of(times[:-1] + dt / 2)
+    samples[:-1, 2] = d_of(times[:-1] + dt)
+    samples = samples.reshape(len(times), 3 * nw)
+    # v = [x_k; d samples]; z = Q v, each stage's argument then overwritten
+    # by its cube, which the later stages and X read
+    v = np.concatenate([xv, samples[0]])
+    x_k, d_k = v[:n_cl], v[n_cl:]
+    z = np.empty(n_cl + 4 * r)
+    cubes = [z[n_cl + r * i:n_cl + r * (i + 1)] for i in range(4)]
+    stages = [(P, z[n_cl:n_cl + r * (i + 1)], cubes[i]) for i, P in enumerate(later, 1)]
+    arg = np.empty(r)
     states = np.empty((len(times), n_cl))
     states[0] = xv
     energy_limit = 1e6 * max(1.0, np.linalg.norm(xv))
@@ -357,17 +444,20 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
     # too, caught by the energy check at the end of that step
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(times) - 1):
-            k1 = f(xv, b_start[k])
-            k2 = f(xv + dt / 2 * k1, b_mid[k])
-            k3 = f(xv + dt / 2 * k2, b_mid[k])
-            k4 = f(xv + dt * k3, b_end[k])
-            xv = xv + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not xv @ xv <= energy_limit_sq:
+            d_k[:] = samples[k]
+            np.dot(Q, v, out=z)
+            np.power(cubes[0], 3.0, out=cubes[0])
+            for P, head, cube in stages:
+                np.dot(P, head, out=arg)
+                np.power(arg, 3.0, out=cube)
+            np.dot(X, z, out=x_k)
+            if not np.dot(x_k, x_k) <= energy_limit_sq:
                 raise NonHurwitzError(
-                    f"trajectory energy blew past {energy_limit:.1e} at t={times[k]:.3f}; "
+                    f"trajectory energy blew past {energy_limit:.1e} at t={times[k + 1]:.3f}; "
                     "the step size is too large for these dynamics")
-            states[k + 1] = xv
-    controls = states @ Ct.T + d_start @ Dt.T
+            states[k + 1] = x_k
+    controls = states @ Ct.T
+    controls += samples[:, :nw] @ Dt.T
     return SimResult(time=times, states=states, controls=controls,
                      peaks=np.abs(controls).max(axis=0), disturbance=descriptor)
 

@@ -229,10 +229,12 @@ def _cmd_demo(args):
                                {"kind": "noise", "seed": args.seed},
                                horizon=args.horizon, nonlinear_extra=extra,
                                seed=args.seed)
+    nu = sim.controls.shape[1]
+    # one % format per row writes what _fmt writes for each value
+    row = ",".join(["%.17g"] * (1 + nu)) + "\n"
     with open(os.path.join(out, "simulation.csv"), "w") as f:
-        f.write("time," + ",".join(f"u{i + 1}" for i in range(sim.controls.shape[1])) + "\n")
-        for t, u in zip(sim.time, sim.controls):
-            f.write(",".join([_fmt(t)] + [_fmt(v) for v in u]) + "\n")
+        f.write("time," + ",".join(f"u{i + 1}" for i in range(nu)) + "\n")
+        f.writelines(row % tuple(r) for r in np.column_stack([sim.time, sim.controls]).tolist())
     print(f"kept actuators {pruned.kept_actuators}, sensors {pruned.kept_sensors}")
     print(f"verified closed-loop {result.verified_closed_loop.kind} norm "
           f"{_fmt(result.verified_closed_loop.value)} < gamma0 {_fmt(gamma0)}")

@@ -853,7 +853,7 @@ def _schur(cones, H):
     return H
 
 
-def _solve3(cones, G, H, kkt_solve, pairs):
+def _solve3(cones, G, GT, H, kkt_solve, pairs):
     """Solve the scaled Newton system for (ux, uz), one pair per (bx, bz) in pairs.
 
     The system is  H ux = bx + G' W^-1 W^-T bz,
@@ -862,10 +862,10 @@ def _solve3(cones, G, H, kkt_solve, pairs):
     against the unregularized system.  Every kkt_solve takes all the
     right-hand sides as columns; the right-hand sides and refinement
     residuals are formed one column at a time, so that each pair's answer
-    is the one it would get alone.
+    is the one it would get alone.  GT is G's transpose, formed once per solve.
     """
     scaled = [[co.scaled_rhs(bz[co.part]) for co in cones] for _, bz in pairs]
-    rhs = np.array([bx + G.T @ _stack(v for v, _ in sc) for (bx, _), sc in zip(pairs, scaled)])
+    rhs = np.array([bx + GT @ _stack(v for v, _ in sc) for (bx, _), sc in zip(pairs, scaled)])
     ux = kkt_solve(rhs.T).T
     for _ in range(2):
         ux = ux + kkt_solve(np.array([r - H @ u for r, u in zip(rhs, ux)]).T).T
@@ -903,6 +903,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
     KKT = np.empty((n, n), order="F")  # _factor_kkt's factor
     cones = _cones(problem)
     G = _G(cones, n)
+    GT = G.T  # formed once: the transpose of a CSR G is a new CSC object
     h = _stack(co.h for co in cones)
     m1 = sum(co.degree for co in cones) + 1
 
@@ -936,7 +937,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         if not finite:
             status, message = "max_iter", "numerical breakdown (non-finite iterate)"
             break
-        rx = G.T @ z + c * tau
+        rx = GT @ z + c * tau
         rz = G @ x + s - h * tau
         rtau = float(c @ x + h @ z + kappa)
         mu = (float(s @ z) + tau * kappa) / m1
@@ -968,7 +969,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
         # variable starts to collapse
         viol_p = -(h @ z)
         if kappa > tau and viol_p > 0:
-            if np.linalg.norm(G.T @ z) <= INFEAS_TOL * viol_p and \
+            if np.linalg.norm(GT @ z) <= INFEAS_TOL * viol_p and \
                     viol_p >= INFEAS_TOL * max(1.0, np.linalg.norm(z)):
                 status, message = "infeasible", "dual improving ray found"
                 z = z / viol_p
@@ -1009,7 +1010,7 @@ def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
 
         def solve3(*pairs):
             clock.lap("step")
-            out = _solve3(cones, G, H, kkt_solve, pairs)
+            out = _solve3(cones, G, GT, H, kkt_solve, pairs)
             clock.lap("solve")
             return out
 

@@ -8,8 +8,10 @@ import pytest
 from sparsact import analysis, bench
 from sparsact.errors import DimensionError, NonHurwitzError
 from sparsact.model import (DynamicController, GeneralizedPlant, StateFeedbackGain,
-                            close_output_feedback, validate_plant)
+                            close_output_feedback, close_state_feedback, validate_plant)
 from sparsact.statefb import SfSynthesisSpec
+
+from conftest import allocation_peak
 
 
 class TestPlantCatalog:
@@ -108,12 +110,13 @@ class TestSimulator:
             bench.simulate_closed_loop(p, StateFeedbackGain([[0.5]]))
 
     def test_destabilizing_nonlinearity_caught(self):
+        # the step from t = 0.67 lands past the limit: its end time is reported
         p = bench.ScalarOracle().build()
-        with pytest.raises(NonHurwitzError):
+        with pytest.raises(NonHurwitzError, match=r"blew past 1\.0e\+06 at t=0\.680;"):
             bench.simulate_closed_loop(
                 p, StateFeedbackGain([[-2.0]]), {"kind": "step"},
                 horizon=10.0, dt=1e-2,
-                nonlinear_extra=lambda x: 10.0 * x ** 3)
+                nonlinear_extra=bench.CubicForce([[10.0]], [[1.0]]))
 
     def test_blow_up_raises_without_overflow_warning(self):
         p = bench.ScalarOracle().build()
@@ -123,7 +126,7 @@ class TestSimulator:
                 bench.simulate_closed_loop(
                     p, StateFeedbackGain([[-2.0]]), {"kind": "noise"},
                     horizon=10.0, dt=1e-2,
-                    nonlinear_extra=lambda x: 10.0 * x ** 3)
+                    nonlinear_extra=bench.CubicForce([[10.0]], [[1.0]]))
 
     def test_blow_up_in_nonlinear_stage_raises_without_warning(self):
         # K = -1.5 overflows x**3 inside an RK4 stage before the energy check
@@ -134,7 +137,7 @@ class TestSimulator:
                 bench.simulate_closed_loop(
                     p, StateFeedbackGain([[-1.5]]), {"kind": "noise"},
                     horizon=10.0, dt=1e-2,
-                    nonlinear_extra=lambda x: 10.0 * x ** 3)
+                    nonlinear_extra=bench.CubicForce([[10.0]], [[1.0]]))
 
     def test_cubic_stiffening_changes_trajectory(self):
         fam = bench.TensegrityApprox()
@@ -287,6 +290,54 @@ class TestVectorisedSimulation:
                                           np.zeros(p.nx + 2))
         assert _rel_err(res.states, states) <= 1e-12
         assert _rel_err(res.controls, controls) <= 1e-12
+
+    def test_state_feedback_loop_matches_per_step_reference(self):
+        # no controller states: the cubic force's arguments span the whole state
+        fam = bench.TensegrityApprox()
+        p = fam.build()
+        K = StateFeedbackGain(0.002 * np.random.default_rng(8).standard_normal((p.nu, p.nx)))
+        cl = close_state_feedback(p, K)
+        assert analysis.is_hurwitz(cl.Acl)
+        x0 = np.linspace(-0.2, 0.3, p.nx)
+        descriptor = {"kind": "step", "direction": [1.0, 0.0, -2.0, 0.5, 0.0, 1.0]}
+        res = bench.simulate_closed_loop(p, K, descriptor, horizon=1.0, x0=x0,
+                                         nonlinear_extra=fam.cubic_stiffening())
+        d_of = bench._disturbance_fn(res.disturbance, p.nw, None)
+        states, controls = _reference_rk4(cl, d_of, _unfolded_cubic(fam), p.nx,
+                                          1.0, 1e-3, x0)
+        assert res.states.shape == states.shape == (1001, p.nx)
+        assert _rel_err(res.states, states) <= 1e-12
+        assert _rel_err(res.controls, controls) <= 1e-12
+        # and the cubic term is far above that bound
+        lin = bench.simulate_closed_loop(p, K, descriptor, horizon=1.0, x0=x0)
+        assert _rel_err(lin.states, states) > 1e-6
+
+    def test_cubic_force_shapes(self, tensegrity_of_loop):
+        fam, p, ctrl = tensegrity_of_loop
+        force = fam.cubic_stiffening()
+        assert (force.N.shape, force.G.shape) == ((12, 9), (9, 12))
+        with pytest.raises(DimensionError, match=r"^G must be 9x12 \(r x nx\), got \(9, 11\)"):
+            bench.CubicForce(force.N, force.G[:, :11])
+        with pytest.raises(DimensionError, match=r"^G must be 8x12"):
+            bench.CubicForce(force.N[:, :8], force.G)
+        # consistent in itself, but on a plant of 11 states
+        short = bench.CubicForce(force.N[:11], force.G[:, :11])
+        with pytest.raises(DimensionError, match="acts on 11 states but the plant has 12"):
+            bench.simulate_closed_loop(p, ctrl, horizon=0.01, nonlinear_extra=short)
+        with pytest.raises(TypeError, match="must be a CubicForce or None, got function"):
+            bench.simulate_closed_loop(p, ctrl, horizon=0.01, nonlinear_extra=lambda x: force(x))
+
+    def test_holds_little_beyond_its_result(self, tensegrity_of_loop):
+        # the disturbance is kept as 3 nw samples a step; n-wide arrays per
+        # RK4 stage (3 n doubles a step more) would break the bound
+        fam, p, ctrl = tensegrity_of_loop
+        n, steps = p.nx + 4, 4000
+        x0 = np.zeros(n)
+        x0[:6] = 0.2
+        peak = allocation_peak(bench.simulate_closed_loop, p, ctrl, {"kind": "noise"},
+                               steps * 1e-3, 1e-3, x0, fam.cubic_stiffening())
+        result = 8 * (steps + 1) * (n + p.nu)  # the states and the controls
+        assert peak <= result + 8 * (steps + 1) * (n + 3 * p.nw) + 2 ** 17
 
     def test_plant_length_x0_is_a_dimension_error(self, tensegrity_of_loop):
         _, p, ctrl = tensegrity_of_loop

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sparsact import joint, outputfb, statefb
+from sparsact import cli, joint, outputfb, statefb
 from sparsact.bench import ScalarOracle
-from sparsact.cli import main
+from sparsact.cli import _fmt, main
 from sparsact.model import GeneralizedPlant, save_plant
 from sparsact.statefb import ACTIVE_THRESHOLD_RATIO, VERIFY_RTOL, active_set_from_values
 
@@ -414,6 +414,27 @@ class TestDemo:
         assert sim.startswith("time,u1")
         assert (out / "plant.json").exists()
         assert (out / "controller.json").exists()
+
+    def test_simulation_csv_is_the_fmt_form(self, tmp_path, monkeypatch):
+        # the rows are written with one % format each; they must be the
+        # bytes that _fmt gives value by value
+        sims = []
+
+        def simulate(*args, **kwargs):
+            sims.append(cli_simulate(*args, **kwargs))
+            return sims[-1]
+
+        cli_simulate = cli.simulate_closed_loop
+        monkeypatch.setattr(cli, "simulate_closed_loop", simulate)
+        out = tmp_path / "demo"
+        assert main(["demo", "--family", "scalar", "--horizon", "1.0",
+                     "--reweight-max", "2", "--out", str(out)]) == 0
+        [sim] = sims
+        want = "time,u1\n" + "".join(
+            ",".join([_fmt(t)] + [_fmt(v) for v in u]) + "\n"
+            for t, u in zip(sim.time, sim.controls))
+        assert (out / "simulation.csv").read_text() == want
+        assert len(want.splitlines()) == 1002
 
     def test_nonlinear_sim_rejected_off_tensegrity(self, tmp_path):
         rc = main(["demo", "--family", "scalar", "--nonlinear-sim",

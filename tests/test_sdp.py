@@ -936,7 +936,7 @@ def _assert_newton_matches_reference(problem, seed=0):
     assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
     kkt_solve = sdp._factor_kkt(H, 1e-12 * (1.0 + np.abs(np.diag(H)).max()),
                                 np.empty((n, n), order="F"))
-    [(dx, dz)] = sdp._solve3(cones, G_solver, H, kkt_solve, [(bx, bz)])
+    [(dx, dz)] = sdp._solve3(cones, G_solver, G_solver.T, H, kkt_solve, [(bx, bz)])
     assert np.linalg.norm(dz - dz_ref) <= 1e-10 * np.linalg.norm(dz_ref)
     assert np.linalg.norm(G @ (dx - dx_ref)) <= 1e-10 * np.linalg.norm(G @ dx_ref)
     eigs = np.linalg.eigvalsh(H_ref)
@@ -945,8 +945,9 @@ def _assert_newton_matches_reference(problem, seed=0):
     # the solver solves the tau-direction and the predictor together; each
     # pair of a two-pair solve gets the bits it gets alone
     pairs = [(bx, bz), (G.T @ rng.standard_normal(len(G)), rng.standard_normal(len(G)))]
-    for (ux, uz), pair in zip(sdp._solve3(cones, G_solver, H, kkt_solve, pairs), pairs):
-        [(vx, vz)] = sdp._solve3(cones, G_solver, H, kkt_solve, [pair])
+    together = sdp._solve3(cones, G_solver, G_solver.T, H, kkt_solve, pairs)
+    for (ux, uz), pair in zip(together, pairs):
+        [(vx, vz)] = sdp._solve3(cones, G_solver, G_solver.T, H, kkt_solve, [pair])
         assert np.array_equal(ux, vx) and np.array_equal(uz, vz)
     return cones, G_solver
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from sparsact.errors import (
     InfeasiblePerformance,
     NonzeroFeedthroughError,
     SparsactError,
+    SynthesisNumericalError,
 )
 from sparsact.joint import JointSpec
 from sparsact.model import (DynamicController, GeneralizedPlant, close_output_feedback,
@@ -26,7 +28,7 @@ from sparsact.statefb import (
     synth_sf,
 )
 
-from conftest import coupled_lyapunov_pair, hat_transform, random_plant
+from conftest import coupled_lyapunov_pair, hat_transform, pool_requests, random_plant
 
 
 class TestScalarOracle:
@@ -371,3 +373,23 @@ def test_designs_respect_the_lower_bound(seed, nx, design, kind, nz, ny, margin)
         assert "controller has a closed-loop" not in str(exc)
         return
     assert res.verified_closed_loop.value >= low * (1 - analysis.HINF_TOL)
+
+
+class TestNearOptimumBreakdown:
+    """Request 132 of the random-designs pool (generator seed 0), sf-hinf on
+    a 4-state plant, at half its benchmark gamma0: its plant-only bound is
+    about 2e-15, so the SDP decides it, and the first solve ends in an NT
+    scaling breakdown instead of a design or a certificate."""
+
+    @pytest.mark.xfail(strict=True, raises=SynthesisNumericalError,
+                       reason="ends in an NT scaling breakdown")
+    def test_half_benchmark_gamma0_is_decided(self):
+        p, mode = next(itertools.islice(pool_requests(0), 132, None))
+        assert (mode, p.nx) == ("sf-hinf", 4)
+        g0 = 0.5 * (1.3 * analysis.hinf_norm((p.A, p.Bw, p.Cz, p.Dw)).value + 0.1)
+        assert g0 == pytest.approx(1.86704, abs=1e-5)
+        try:
+            res = synth_sf(SfSynthesisSpec(plant=p, performance_kind="hinf", gamma0=g0))
+        except InfeasiblePerformance:
+            return
+        assert res.verified_closed_loop.value < g0
