@@ -25,7 +25,7 @@ from .model import (
     validate_plant,
 )
 from .analysis import NormReport, channel_h2_norms, h2_norm, hinf_norm
-from .sdp import SdpProblem, SdpSolution, SolverOptions, solve_sdp
+from .sdp import SdpProblem, SdpSolution, solve_sdp
 from .statefb import SfSynthesisResult, SfSynthesisSpec, synth_sf
 from .outputfb import HatController, OfSynthesisResult, OfSynthesisSpec, synth_of
 from .joint import JointSpec, JointSynthesisResult, synth_joint, verify_sparsity_preservation
@@ -54,7 +54,7 @@ __all__ = [
     "validate_plant", "close_state_feedback", "close_output_feedback",
     "save_plant", "load_plant",
     "NormReport", "hinf_norm", "h2_norm", "channel_h2_norms",
-    "SdpProblem", "SdpSolution", "SolverOptions", "solve_sdp",
+    "SdpProblem", "SdpSolution", "solve_sdp",
     "SfSynthesisSpec", "SfSynthesisResult", "synth_sf",
     "HatController", "OfSynthesisSpec", "OfSynthesisResult", "synth_of",
     "JointSpec", "JointSynthesisResult", "synth_joint",

@@ -280,7 +280,7 @@ def _disturbance_fn(descriptor, nw, rng):
     kind = descriptor.get("kind", "step")
     if kind == "zero":
         return lambda t: np.zeros(np.shape(t) + (nw,))
-    if kind in ("step", "fixed"):
+    if kind == "step":
         d = np.asarray(descriptor.get("direction", np.ones(nw)), dtype=float)
         d = d / max(np.linalg.norm(d), 1e-30)
         return lambda t: np.broadcast_to(d, np.shape(t) + (nw,)).copy()
@@ -366,15 +366,14 @@ def _rk4_stage_maps(Acl, Bcl, N, F, dt):
 
 
 def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
-                         horizon=20.0, dt=DT, x0=None, nonlinear_extra=None,
-                         seed=0) -> SimResult:
+                         horizon=20.0, dt=DT, x0=None, nonlinear_extra=None) -> SimResult:
     """Fixed-step RK4 simulation of the closed loop.
 
-    `disturbance` is a descriptor dict (kind step|fixed|sinusoid|noise|zero
-    plus parameters); `nonlinear_extra`, a CubicForce on the plant state or
-    None, is added to the plant state derivative (e.g. cubic cable
-    stiffening).  `x0` must have the closed loop's order (plant plus
-    controller states for a DynamicController).
+    `disturbance` is a descriptor dict (kind step|sinusoid|noise|zero plus
+    parameters; its "seed", default 0, seeds the noise); `nonlinear_extra`,
+    a CubicForce on the plant state or None, is added to the plant state
+    derivative (e.g. cubic cable stiffening).  `x0` must have the closed
+    loop's order (plant plus controller states for a DynamicController).
 
     Before stepping, the disturbance is sampled once on each of the three
     RK4 time grids (t_k, t_k + dt/2 and t_k + dt), nw values per grid and
@@ -410,7 +409,7 @@ def simulate_closed_loop(plant: GeneralizedPlant, controller, disturbance=None,
         raise DimensionError(f"the cubic force acts on {force.nx} states but the "
                              f"plant has {nx}")
     descriptor = dict(disturbance or {"kind": "step"})
-    descriptor.setdefault("seed", seed)
+    descriptor.setdefault("seed", 0)
     rng = np.random.default_rng(descriptor["seed"])
     d_of = _disturbance_fn(descriptor, nw, rng)
 

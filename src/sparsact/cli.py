@@ -29,7 +29,6 @@ from .joint import JointSpec, synth_joint  # noqa: F401
 from .model import (close_loop, controller_from_dict, controller_to_dict,
                     load_plant, save_plant)
 from .outputfb import OfSynthesisSpec
-from .sdp import SolverOptions
 from .sparsify import (ReweightPolicy, _iteration_summary, prune_and_resolve,
                        reweight_iterate)
 from .statefb import ACTIVE_THRESHOLD_RATIO, SfSynthesisSpec, result_to_dict
@@ -63,10 +62,6 @@ def _ensure_out(args):
     return out
 
 
-def _solver_options(args):
-    return SolverOptions(dump_path=getattr(args, "dump_sdp", None))
-
-
 def _build_spec(plant, args):
     """The spec of args.mode; it carries the design that args.mode names.
     A weight or cap flag that this design does not read is a usage error."""
@@ -77,7 +72,7 @@ def _build_spec(plant, args):
     if given:
         raise ValueError(f"mode {args.mode} does not read {', '.join(given)}")
     common = dict(plant=plant, performance_kind=kind, gamma0=args.gamma0,
-                  solver=_solver_options(args))
+                  dump_path=args.dump_sdp)
     if design == "joint":
         return JointSpec(mu=args.mu, nu=args.nu, **common)
     spec_type = OfSynthesisSpec if design == "of" else SfSynthesisSpec
@@ -217,7 +212,7 @@ def _cmd_demo(args):
         gamma0 = {"scalar": 2.0, "chain": 2.0, "tensegrity": 0.42}[args.family]
     kind = "h2" if args.family == "tensegrity" else "hinf"
     spec = JointSpec(plant=plant, performance_kind=kind, gamma0=gamma0,
-                     solver=_solver_options(args))
+                     dump_path=args.dump_sdp)
     # plant.json too is written only once the design is certified
     out, _, pruned = _pruned_design(spec, args, {"family": args.family, "gamma0": gamma0})
     save_plant(plant, os.path.join(out, "plant.json"))
@@ -227,8 +222,7 @@ def _cmd_demo(args):
     # reduced plant has the same states, so the nonlinear term still applies
     sim = simulate_closed_loop(pruned.reduced_plant, result.controller,
                                {"kind": "noise", "seed": args.seed},
-                               horizon=args.horizon, nonlinear_extra=extra,
-                               seed=args.seed)
+                               horizon=args.horizon, nonlinear_extra=extra)
     nu = sim.controls.shape[1]
     # one % format per row writes what _fmt writes for each value
     row = ",".join(["%.17g"] * (1 + nu)) + "\n"

@@ -6,10 +6,10 @@ the design, and everything learned lands in trailing-underscore attributes.
 The wrappers add nothing beyond orchestration; the functional API in
 ``statefb``, ``outputfb``, ``joint``, and ``sparsify`` stays the primary
 interface.  The parameters and their defaults are the spec's fields other
-than plant and solver, the ReweightPolicy's fields, ``reweight`` and
-``solver``.  ``fit`` is written once over the spec's weight groups: it sets
-``active_<group>_`` at threshold_ratio, and ``kept_<group>_`` when
-reweighting, both in the original plant's indices.
+than plant, the ReweightPolicy's fields and ``reweight``.  ``fit`` is
+written once over the spec's weight groups: it sets ``active_<group>_`` at
+threshold_ratio, and ``kept_<group>_`` when reweighting, both in the
+original plant's indices.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import dataclasses
 from .joint import JointSpec
 from .model import GeneralizedPlant
 from .outputfb import OfSynthesisSpec
-from .sdp import SolverOptions
 from .sparsify import ReweightPolicy, _iteration_summary, prune_and_resolve, reweight_iterate
 from .statefb import SfSynthesisSpec
 
@@ -28,20 +27,20 @@ __all__ = ["SparseStateFeedback", "SparseOutputFeedback", "JointSparseDesign"]
 
 def _fields(cls):
     """The dataclass fields of cls that are estimator parameters."""
-    return [f for f in dataclasses.fields(cls) if f.name not in ("plant", "solver")]
+    return [f for f in dataclasses.fields(cls) if f.name != "plant"]
 
 
 class _BaseDesigner:
     """fit, plus get_params/set_params over the parameters, sklearn style.
 
     Subclasses supply _SPEC, the spec type whose fields other than plant
-    and solver are parameters, and _REWEIGHT, the default of ``reweight``.
+    are parameters, and _REWEIGHT, the default of ``reweight``.
     """
 
     @classmethod
     def _defaults(cls):
         fields = _fields(cls._SPEC) + _fields(ReweightPolicy)
-        return {**{f.name: f.default for f in fields}, "reweight": cls._REWEIGHT, "solver": None}
+        return {**{f.name: f.default for f in fields}, "reweight": cls._REWEIGHT}
 
     def __init__(self, **params):
         vars(self).update(self._defaults())
@@ -69,7 +68,7 @@ class _BaseDesigner:
 
     def fit(self, plant: GeneralizedPlant):
         """Design for ``plant``; with ``reweight``, reweight then prune and re-solve."""
-        spec = self._build(self._SPEC, plant=plant, solver=self.solver or SolverOptions())
+        spec = self._build(self._SPEC, plant=plant)
         policy = self._build(ReweightPolicy)
         if self.reweight:
             self.trace_ = reweight_iterate(spec, policy)

@@ -20,7 +20,7 @@ its status map and the verification from ``statefb``.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .model import GeneralizedPlant, close_output_feedback
 from .outputfb import (HatController, _check_of_preconditions, _recover_hat, hat_loop,
                        reconstruct_controller)
 # solve_sdp is unused here but bound for perfbench/tracer.py to patch
-from .sdp import SdpSolution, SolverOptions, solve_sdp  # noqa: F401
+from .sdp import SdpSolution, solve_sdp  # noqa: F401
 from .statefb import _check_performance, _refuse_unattainable, _set_vector, _solve, _verify
 
 __all__ = [
@@ -48,8 +48,9 @@ class JointSpec:
     """Inputs to a joint sparse sensing/actuation design.
 
     mu weights the per-actuator row norms, nu the per-sensor column norms;
-    a zero weight leaves that group unpenalized.  GROUPS maps each weight
-    group of the reweighted loop to the field holding its weights.
+    a zero weight leaves that group unpenalized; dump_path is as for
+    SfSynthesisSpec.  GROUPS maps each weight group of the reweighted loop
+    to the field holding its weights.
     """
 
     GROUPS = {"actuators": "mu", "sensors": "nu"}
@@ -59,7 +60,7 @@ class JointSpec:
     gamma0: float = 1.0
     mu: np.ndarray | None = None
     nu: np.ndarray | None = None
-    solver: SolverOptions = field(default_factory=SolverOptions)
+    dump_path: str | None = None
 
     def __post_init__(self):
         _check_performance(self)

@@ -23,9 +23,9 @@ eigenvalues are exactly zero.  svec reads only the corners, so the pad
 never reaches the solver's vectors.  The map G is one matrix for the
 problem, stacked over the svec parts of all cones (_G), so each product
 with G or G' is one call; the Schur complement stays per block.  A block
-stores its coefficient slices T_i only as the (slice, row, col, value)
-triplets of their nonzero upper-triangle entries (LmiBlock), from which
-set-up builds G and the Schur data below; no dense (k, n, n) tensor is
+takes and stores its coefficient slices T_i only as the (slice, row, col,
+value) triplets of their nonzero upper-triangle entries (LmiBlock), from
+which set-up builds G and the Schur data below; no dense (k, n, n) tensor is
 formed on the solve path.  LmiBlock.coefs builds that tensor on demand for
 perfbench/tracer.py, which sizes a problem's slices from it.
 The NT scaling of a second-order cone is the hyperbolic-Householder matrix
@@ -86,7 +86,9 @@ rows.
 SdpSolution.phase_s gives the seconds each solve spends on scaling,
 Schur assembly, factorization, Newton solves and the rest of the step.
 Each solve writes one DEBUG record (status, iterations, final residuals,
-phase_s) to the "sparsact" logger.
+phase_s) to the "sparsact" logger.  solve_sdp reads its problem and
+nothing else, and writes no file; SdpProblem.dump_triplets writes a problem
+out.
 
 Problems without cones or cone variables take the same path as any
 other, through zero-size arrays.
@@ -117,7 +119,6 @@ __all__ = [
     "SocBlock",
     "SdpProblem",
     "SdpSolution",
-    "SolverOptions",
     "IterateRecord",
     "CertificateReport",
     "solve_sdp",
@@ -158,42 +159,30 @@ class LmiBlock:
     """One PSD constraint F0 + sum_j T_j x[var_idx[j]] >= 0.
 
     The block stores its slices T_j as the triplets of their upper
-    triangles: T_j[rows[e], cols[e]] = T_j[cols[e], rows[e]] = vals[e] for
-    the entries e with slices[e] = j, rows[e] <= cols[e], sorted by
-    (slice, row, col) and nonzero.  Give either `upper`, those four arrays,
-    or `coefs`, a dense (k, n, n) tensor of exactly symmetric slices.  F0
-    must be exactly symmetric; the solver uses it and the slices as given.
+    triangles, ``upper`` = (slices, rows, cols, vals): T_j[rows[e], cols[e]]
+    = T_j[cols[e], rows[e]] = vals[e] for the entries e with slices[e] = j,
+    rows[e] <= cols[e], sorted by (slice, row, col) and nonzero.  F0 must be
+    exactly symmetric; the solver uses it and the slices as given.
     A scalar missing from var_idx has a zero coefficient in this block;
     blocks from lmi.compile_lmis list only scalars with a nonzero slice.
     var_idx lists each scalar at most once; SdpProblem rejects a repeat.
     """
 
-    def __init__(self, F0, var_idx, coefs=None, *, upper=None):
+    def __init__(self, F0, var_idx, upper):
         F0 = np.atleast_2d(np.asarray(F0, dtype=float))
         vi = np.asarray(var_idx, dtype=int)
         n, k = F0.shape[0], len(vi)
         if F0.shape != (n, n):
             raise ValueError("block constant must be square")
-        if (coefs is None) == (upper is None):
-            raise ValueError("give the slices as either coefs or upper")
-        if coefs is not None:
-            co = np.asarray(coefs, dtype=float)
-            if co.shape != (k, n, n):
-                raise ValueError("coefficient tensor shape mismatch")
-            if not np.array_equal(co, np.transpose(co, (0, 2, 1))):
-                raise ValueError("block constant and coefficient slices must be exactly symmetric")
-            slices, rows, cols = np.nonzero((co != 0.0) & np.triu(np.ones((n, n), dtype=bool)))
-            vals = co[slices, rows, cols]
-        else:
-            slices, rows, cols = (np.asarray(a, dtype=int) for a in upper[:3])
-            vals = np.asarray(upper[3], dtype=float)
-            code = (slices * n + rows) * n + cols
-            if not (len(code) == len(vals) and np.all(vals != 0.0) and np.all(np.diff(code) > 0)
-                    and np.all((slices >= 0) & (slices < k) & (rows >= 0) & (rows <= cols) & (cols < n))):
-                raise ValueError("upper triplets must be upper-triangle, in range, sorted, "
-                                 "unique and nonzero")
         if not np.array_equal(F0, F0.T):
-            raise ValueError("block constant and coefficient slices must be exactly symmetric")
+            raise ValueError("block constant must be exactly symmetric")
+        slices, rows, cols = (np.asarray(a, dtype=int) for a in upper[:3])
+        vals = np.asarray(upper[3], dtype=float)
+        code = (slices * n + rows) * n + cols
+        if not (len(code) == len(vals) and np.all(vals != 0.0) and np.all(np.diff(code) > 0)
+                and np.all((slices >= 0) & (slices < k) & (rows >= 0) & (rows <= cols) & (cols < n))):
+            raise ValueError("upper triplets must be upper-triangle, in range, sorted, "
+                             "unique and nonzero")
         self.F0, self.var_idx = F0, vi
         self.slices, self.rows, self.cols, self.vals = slices, rows, cols, vals
 
@@ -266,7 +255,7 @@ class SdpProblem:
 
     def __init__(self, num_vars, c, blocks, obj_const=0.0, socs=()):
         self.num_vars = int(num_vars)
-        self.c = np.zeros(num_vars) if c is None else np.asarray(c, dtype=float)
+        self.c = np.asarray(c, dtype=float)
         if self.c.shape != (self.num_vars,):
             raise ValueError("objective vector has wrong length")
         self.blocks = list(blocks)
@@ -344,13 +333,6 @@ class SdpSolution:
     soc_duals: list = field(default_factory=list)  # one vector per SocBlock
     # seconds per phase of the iterations (PHASES); kept in memory only
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """dump_path, if set, receives the packed problem as sparse triplets."""
-
-    dump_path: str = None
 
 
 # ---------------------------------------------------------------------------
@@ -890,12 +872,8 @@ class _PhaseClock:
         self.last = now
 
 
-def solve_sdp(problem: SdpProblem, opts: SolverOptions = None) -> SdpSolution:
+def solve_sdp(problem: SdpProblem) -> SdpSolution:
     """Solve an LMI-form SDP; see the module docstring for the algorithm."""
-    opts = opts or SolverOptions()
-    if opts.dump_path:
-        problem.dump_triplets(opts.dump_path)
-
     n = problem.num_vars
     c = problem.c
     # the n x n buffers first, to reuse the previous solve's before set-up splits it

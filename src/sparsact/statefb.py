@@ -15,7 +15,7 @@ channel-bound design and the verification.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .model import (GeneralizedPlant, StateFeedbackGain, close_state_feedback,
                     controller_to_dict, validate_plant)
-from .sdp import SdpSolution, SolverOptions, solve_sdp
+from .sdp import SdpSolution, solve_sdp
 
 __all__ = [
     "SfSynthesisSpec",
@@ -44,6 +44,7 @@ __all__ = [
     "COND_LIMIT",
     "GAMMA_BACKOFF",
     "COUPLING_MARGIN",
+    "GAMMA0_LIMIT",
 ]
 
 ACTIVE_THRESHOLD_RATIO = 1e-3
@@ -57,6 +58,8 @@ GAMMA_BACKOFF = 1e-3
 # X - Y^-1 >= eps X: invariant under a state similarity, and it keeps
 # I - XY, which the controller recovery inverts, away from singular.
 COUPLING_MARGIN = 1e-3
+# sqrt of the largest float, about 1.34e154: gamma0^2 overflows at and above it
+GAMMA0_LIMIT = float(np.sqrt(np.finfo(float).max))
 
 
 ACTIVE_ABS_FLOOR = 1e-8
@@ -80,8 +83,9 @@ def _check_performance(spec):
     """The performance_kind and gamma0 checks of every spec; H2 needs Dw = 0."""
     if spec.performance_kind not in ("hinf", "h2"):
         raise ValueError(f"performance_kind must be 'hinf' or 'h2', got {spec.performance_kind!r}")
-    if not (0 < spec.gamma0 < np.inf):
-        raise ValueError("gamma0 must be positive and finite")
+    if not (0 < spec.gamma0 < GAMMA0_LIMIT):
+        raise ValueError(f"gamma0 must be positive and below {GAMMA0_LIMIT:.4g}, "
+                         f"got {spec.gamma0}")
     if spec.performance_kind == "h2" and np.any(spec.plant.Dw != 0.0):
         raise NonzeroFeedthroughError(
             "H2 performance needs Dw = 0: the disturbance-to-output "
@@ -109,8 +113,9 @@ class SfSynthesisSpec:
 
     gamma0 bounds the closed-loop norm of the chosen kind; rho weights the
     per-actuator bounds in the objective; gamma_max optionally caps each
-    gamma_i (hardware actuator limits).  GROUPS maps each weight group of
-    the reweighted loop to the field holding its weights.
+    gamma_i (hardware actuator limits); dump_path, if set, receives each
+    solved cone program as sparse triplets.  GROUPS maps each weight group
+    of the reweighted loop to the field holding its weights.
     """
 
     GROUPS = {"actuators": "rho"}
@@ -120,7 +125,7 @@ class SfSynthesisSpec:
     gamma0: float = 1.0
     rho: np.ndarray | None = None
     gamma_max: np.ndarray | None = None
-    solver: SolverOptions = field(default_factory=SolverOptions)
+    dump_path: str | None = None
 
     def __post_init__(self):
         _check_performance(self)
@@ -208,9 +213,12 @@ def _refuse_unattainable(spec, state_feedback=False):
 def _solve(spec, variables, constraints, objective):
     """Compile and solve a design's problem: (VarMap, solution) when it is
     optimal, InfeasiblePerformance on an improving ray, and
-    SynthesisNumericalError on any other end."""
+    SynthesisNumericalError on any other end.  With spec.dump_path the
+    problem is written there first, so the file holds the last solve."""
     problem, vm = lmi.compile_lmis(variables, constraints, objective=objective)
-    sol = solve_sdp(problem, spec.solver)
+    if spec.dump_path:
+        problem.dump_triplets(spec.dump_path)
+    sol = solve_sdp(problem)
     if sol.status == "infeasible":
         raise InfeasiblePerformance(
             f"no Lyapunov certificate exists for the requested bounds ({sol.message})")

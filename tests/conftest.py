@@ -14,6 +14,7 @@ import pytest
 
 from sparsact.model import GeneralizedPlant, validate_plant
 from sparsact.outputfb import HatController
+from sparsact.sdp import LmiBlock
 
 SCALAR = dict(A=[[1.0]], Bu=[[1.0]], Bw=[[1.0]], Cz=[[1.0]],
               Du=[[0.0]], Dw=[[0.0]], Cy=[[1.0]], Dyw=[[0.0]])
@@ -102,6 +103,15 @@ def allocation_peak(fn, *args):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def dense_block(F0, var_idx, coefs):
+    """The LmiBlock of F0 and the exactly symmetric dense (k, n, n) slices
+    coefs, given to it as the upper-triangle triplets of their nonzeros."""
+    co = np.asarray(coefs, dtype=float)
+    assert np.array_equal(co, np.transpose(co, (0, 2, 1))), "slices must be exactly symmetric"
+    slices, rows, cols = np.nonzero(np.triu(co != 0.0))
+    return LmiBlock(F0, var_idx, (slices, rows, cols, co[slices, rows, cols]))
 
 
 def coupled_lyapunov_pair(rng, nx):

@@ -20,11 +20,11 @@ from sparsact.outputfb import (
     reconstruct_controller,
     synth_of,
 )
-from sparsact.sdp import LmiBlock, SdpProblem, check_certificate, solve_sdp
+from sparsact.sdp import SdpProblem, check_certificate, solve_sdp
 from sparsact.sparsify import ReweightPolicy, prune_and_resolve, reweight_iterate
 from sparsact.statefb import SfSynthesisSpec, synth_sf
 
-from conftest import coupled_lyapunov_pair, hat_transform, random_plant
+from conftest import coupled_lyapunov_pair, dense_block, hat_transform, random_plant
 
 VERIFY_SLACK = 1.0 + 1e-5
 
@@ -224,8 +224,8 @@ def test_tensegrity_joint_study():
 def test_sdp_solver_and_certificates():
     """The cone solver hits a known optimum, maintains weak duality on
     every recorded iterate, and the certificate checker flags tampering."""
-    block = LmiBlock(F0=[[0.0, 1.0], [1.0, 0.0]], var_idx=[0],
-                     coefs=[np.eye(2)])
+    block = dense_block(F0=[[0.0, 1.0], [1.0, 0.0]], var_idx=[0],
+                        coefs=[np.eye(2)])
     prob = SdpProblem(num_vars=1, c=[1.0], blocks=[block])
     sol = solve_sdp(prob)
     assert sol.status == "optimal"

@@ -70,8 +70,8 @@ class TestSimulator:
         p = bench.MassSpringChain(2).build()
         for kind in ("step", "sinusoid", "noise"):
             res = bench.simulate_closed_loop(
-                p, StateFeedbackGain(np.zeros((2, 4))), {"kind": kind},
-                horizon=0.01, dt=1e-3, seed=3)
+                p, StateFeedbackGain(np.zeros((2, 4))), {"kind": kind, "seed": 3},
+                horizon=0.01, dt=1e-3)
             fn = bench._disturbance_fn(res.disturbance, p.nw,
                                        np.random.default_rng(3))
             for t in (0.0, 0.3, 1.7):
@@ -80,9 +80,9 @@ class TestSimulator:
     def test_noise_deterministic_per_seed(self):
         p = bench.ScalarOracle().build()
         a = bench.simulate_closed_loop(p, StateFeedbackGain([[-2.0]]),
-                                       {"kind": "noise"}, horizon=1.0, seed=7)
+                                       {"kind": "noise", "seed": 7}, horizon=1.0)
         b = bench.simulate_closed_loop(p, StateFeedbackGain([[-2.0]]),
-                                       {"kind": "noise"}, horizon=1.0, seed=7)
+                                       {"kind": "noise", "seed": 7}, horizon=1.0)
         assert a.states == pytest.approx(b.states)
 
     @pytest.mark.parametrize("grid,name", [
@@ -201,7 +201,7 @@ def _rel_err(a, b):
 class TestVectorisedSimulation:
     CASES = [
         ({"kind": "step"}, 3),
-        ({"kind": "fixed", "direction": [1.0, -2.0, 0.5]}, 3),
+        ({"kind": "step", "direction": [1.0, -2.0, 0.5]}, 3),
         ({"kind": "sinusoid", "omega": 2.5}, 3),
         ({"kind": "sinusoid", "omega": 0.7, "direction": [0.0, 3.0, 1.0]}, 3),
         ({"kind": "sinusoid", "omega": 2.5}, 1),

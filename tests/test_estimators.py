@@ -54,15 +54,14 @@ class TestParamProtocol:
          dict(performance_kind="h2", mu=None, nu=None, reweight=True)),
     ])
     def test_params_are_the_spec_and_policy_fields(self, cls, spec, own):
-        # the spec's fields other than plant and solver, the policy's fields,
-        # reweight and solver, with the defaults the estimators have always had
-        mirrored = {f.name: f.default for f in dataclasses.fields(spec)
-                    if f.name not in ("plant", "solver")}
+        # the spec's fields other than plant, the policy's fields and
+        # reweight, with the defaults the estimators have always had
+        mirrored = {f.name: f.default for f in dataclasses.fields(spec) if f.name != "plant"}
         mirrored.update({f.name: f.default for f in dataclasses.fields(ReweightPolicy)})
         params = cls().get_params()
-        assert params == {**mirrored, "reweight": own["reweight"], "solver": None}
+        assert params == {**mirrored, "reweight": own["reweight"]}
         assert params == {**own, "gamma0": 1.0, "max_outer": 10, "epsilon": 1e-4,
-                          "threshold_ratio": 1e-3, "solver": None}
+                          "threshold_ratio": 1e-3, "dump_path": None}
 
     def test_keyword_only(self):
         with pytest.raises(TypeError):

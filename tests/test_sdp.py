@@ -8,7 +8,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import allocation_peak, random_plant
+from conftest import allocation_peak, dense_block, random_plant
 from sparsact import bench, sdp
 from sparsact.joint import JointSpec, synth_joint
 from sparsact.statefb import SfSynthesisSpec, synth_sf
@@ -17,7 +17,6 @@ from sparsact.sdp import (
     LmiBlock,
     SdpProblem,
     SocBlock,
-    SolverOptions,
     check_certificate,
     solve_sdp,
 )
@@ -26,25 +25,25 @@ from test_lmi import COMPILE_CASES, DESIGNS, compiled_design
 
 def det_problem():
     """min x subject to [[x, 1], [1, x]] >= 0; optimum x = 1."""
-    block = LmiBlock(F0=[[0.0, 1.0], [1.0, 0.0]], var_idx=[0],
-                     coefs=[np.eye(2)])
+    block = dense_block(F0=[[0.0, 1.0], [1.0, 0.0]], var_idx=[0],
+                        coefs=[np.eye(2)])
     return SdpProblem(num_vars=1, c=[1.0], blocks=[block])
 
 
 def difference_lp():
     """min x1 + x2 s.t. x1 - x2 >= 1, x1 >= 0, x2 >= 0; optimum (1, 0)."""
     blocks = [
-        LmiBlock(F0=[[-1.0]], var_idx=[0, 1], coefs=[[[1.0]], [[-1.0]]]),
-        LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[1.0]]]),
-        LmiBlock(F0=[[0.0]], var_idx=[1], coefs=[[[1.0]]]),
+        dense_block(F0=[[-1.0]], var_idx=[0, 1], coefs=[[[1.0]], [[-1.0]]]),
+        dense_block(F0=[[0.0]], var_idx=[0], coefs=[[[1.0]]]),
+        dense_block(F0=[[0.0]], var_idx=[1], coefs=[[[1.0]]]),
     ]
     return SdpProblem(num_vars=2, c=[1.0, 1.0], blocks=blocks)
 
 
 def box_problem():
     """min -x subject to 0 <= x <= 2 via two 1x1 blocks; optimum x = 2."""
-    up = LmiBlock(F0=[[2.0]], var_idx=[0], coefs=[[[-1.0]]])
-    lo = LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[1.0]]])
+    up = dense_block(F0=[[2.0]], var_idx=[0], coefs=[[[-1.0]]])
+    lo = dense_block(F0=[[0.0]], var_idx=[0], coefs=[[[1.0]]])
     return SdpProblem(num_vars=1, c=[-1.0], blocks=[up, lo])
 
 
@@ -60,10 +59,10 @@ def distance_socp(a, g=None, beta=None, t_max=None):
                      coefs=np.eye(p + 1))]
     blocks = []
     if g is not None:
-        blocks.append(LmiBlock(F0=[[-beta]], var_idx=np.arange(1, p + 1),
-                               coefs=np.reshape(g, (p, 1, 1))))
+        blocks.append(dense_block(F0=[[-beta]], var_idx=np.arange(1, p + 1),
+                                  coefs=np.reshape(g, (p, 1, 1))))
     if t_max is not None:
-        blocks.append(LmiBlock(F0=[[t_max]], var_idx=[0], coefs=[[[-1.0]]]))
+        blocks.append(dense_block(F0=[[t_max]], var_idx=[0], coefs=[[[-1.0]]]))
     return SdpProblem(num_vars=p + 1, c=np.eye(p + 1)[0], blocks=blocks, socs=socs)
 
 
@@ -103,8 +102,8 @@ class TestSolveOptimal:
 
     def test_psd_completion(self):
         # min t s.t. [[t, 3], [3, t]] >= 0 -> t = 3
-        block = LmiBlock(F0=[[0.0, 3.0], [3.0, 0.0]], var_idx=[0],
-                         coefs=[np.eye(2)])
+        block = dense_block(F0=[[0.0, 3.0], [3.0, 0.0]], var_idx=[0],
+                            coefs=[np.eye(2)])
         sol = solve_sdp(SdpProblem(num_vars=1, c=[1.0], blocks=[block]))
         assert sol.x[0] == pytest.approx(3.0, abs=1e-6)
 
@@ -113,11 +112,11 @@ def random_lmi_problem(seed, num_vars=6, dim=5):
     """min c'x s.t. I + sum_i x_i C_i >= 0 and |x_i| <= 1."""
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((num_vars, dim, dim))
-    blocks = [LmiBlock(F0=np.eye(dim), var_idx=np.arange(num_vars),
-                       coefs=0.5 * (C + np.transpose(C, (0, 2, 1))))]
+    blocks = [dense_block(F0=np.eye(dim), var_idx=np.arange(num_vars),
+                          coefs=0.5 * (C + np.transpose(C, (0, 2, 1))))]
     for i in range(num_vars):
-        blocks.append(LmiBlock(F0=np.eye(2), var_idx=[i],
-                               coefs=[[[0.0, 1.0], [1.0, 0.0]]]))
+        blocks.append(dense_block(F0=np.eye(2), var_idx=[i],
+                                  coefs=[[[0.0, 1.0], [1.0, 0.0]]]))
     return SdpProblem(num_vars=num_vars, c=rng.standard_normal(num_vars), blocks=blocks)
 
 
@@ -129,8 +128,8 @@ def _blocks_problem(seed, dims, num_vars=6):
     blocks = []
     for n in dims:
         C = rng.standard_normal((num_vars, n, n))
-        blocks.append(LmiBlock(F0=np.eye(n), var_idx=np.arange(num_vars),
-                               coefs=0.5 * (C + np.transpose(C, (0, 2, 1)))))
+        blocks.append(dense_block(F0=np.eye(n), var_idx=np.arange(num_vars),
+                                  coefs=0.5 * (C + np.transpose(C, (0, 2, 1)))))
     return SdpProblem(num_vars=num_vars, c=box.c, blocks=blocks + box.blocks[1:]), rng
 
 
@@ -169,15 +168,15 @@ class TestInfeasibility:
     def test_contradictory_bounds(self):
         # x >= 1 and x <= -1
         blocks = [
-            LmiBlock(F0=[[-1.0]], var_idx=[0], coefs=[[[1.0]]]),
-            LmiBlock(F0=[[-1.0]], var_idx=[0], coefs=[[[-1.0]]]),
+            dense_block(F0=[[-1.0]], var_idx=[0], coefs=[[[1.0]]]),
+            dense_block(F0=[[-1.0]], var_idx=[0], coefs=[[[-1.0]]]),
         ]
         sol = solve_sdp(SdpProblem(num_vars=1, c=[0.0], blocks=blocks))
         assert sol.status == "infeasible"
 
     def test_unbounded_below(self):
         # min x with only x <= 0 -> unbounded
-        blocks = [LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[-1.0]]])]
+        blocks = [dense_block(F0=[[0.0]], var_idx=[0], coefs=[[[-1.0]]])]
         sol = solve_sdp(SdpProblem(num_vars=1, c=[1.0], blocks=blocks))
         assert sol.status == "unbounded"
 
@@ -215,6 +214,15 @@ class TestSecondOrderCones:
         sol = solve_sdp(distance_socp(self.A))
         assert sol.message == "converged"
         assert sol.x == pytest.approx(np.r_[0.0, self.A], abs=1e-6)
+
+    @pytest.mark.xfail(strict=True, reason="the converged answer sits at the cone apex and "
+                       "misses the certificate's SOC allowance by 2.3e-8 (ROADMAP, "
+                       "Smaller open findings)")
+    def test_distance_to_a_point_certificate(self):
+        prob = distance_socp(self.A)
+        sol = solve_sdp(prob)
+        assert sol.message == "converged"
+        assert check_certificate(prob, sol).clean
 
     def test_distance_to_a_half_space(self):
         prob = distance_socp(self.A, self.G, beta=4.0)
@@ -630,8 +638,8 @@ class TestPsdStack:
         blocks = []
         for n in dims:
             C = rng.standard_normal((nv, n, n))
-            blocks.append(LmiBlock(F0=np.eye(n), var_idx=np.arange(nv),
-                                   coefs=C + np.transpose(C, (0, 2, 1))))
+            blocks.append(dense_block(F0=np.eye(n), var_idx=np.arange(nv),
+                                      coefs=C + np.transpose(C, (0, 2, 1))))
         [stack] = sdp._cones(SdpProblem(num_vars=nv, c=np.zeros(nv), blocks=blocks))
         return rng, stack, [_PerBlockScaling(co) for co in stack.blocks]
 
@@ -717,15 +725,13 @@ class TestPsdStack:
 
 class TestProblemContainer:
     def test_bad_block_reference(self):
-        block = LmiBlock(F0=[[0.0]], var_idx=[3], coefs=[[[1.0]]])
+        block = dense_block(F0=[[0.0]], var_idx=[3], coefs=[[[1.0]]])
         with pytest.raises(ValueError):
             SdpProblem(num_vars=1, c=[0.0], blocks=[block])
 
     def test_asymmetric_block_rejected(self):
         with pytest.raises(ValueError, match="exactly symmetric"):
-            LmiBlock(F0=[[0.0, 1.0], [0.0, 0.0]], var_idx=[], coefs=np.zeros((0, 2, 2)))
-        with pytest.raises(ValueError, match="exactly symmetric"):
-            LmiBlock(F0=np.eye(2), var_idx=[0], coefs=[[[0.0, 1.0], [1.0 + 1e-15, 0.0]]])
+            LmiBlock(F0=[[0.0, 1.0], [0.0, 0.0]], var_idx=[], upper=([], [], [], []))
 
     def test_upper_triplets_checked(self):
         block = LmiBlock(F0=np.eye(2), var_idx=[0], upper=([0], [0], [1], [2.0]))
@@ -746,7 +752,8 @@ class TestProblemContainer:
         twice = SocBlock(f0=[1.0, -3.0], var_idx=[0, 0], coefs=[[0.0, 0.5], [0.0, 0.5]])
         with pytest.raises(ValueError, match="repeats a scalar"):
             SdpProblem(num_vars=1, c=[1.0], blocks=[], socs=[twice])
-        block = LmiBlock(F0=[[0.0, 1.0], [1.0, 0.0]], var_idx=[0, 0], coefs=[0.5 * np.eye(2)] * 2)
+        block = dense_block(F0=[[0.0, 1.0], [1.0, 0.0]], var_idx=[0, 0],
+                            coefs=[0.5 * np.eye(2)] * 2)
         with pytest.raises(ValueError, match="repeats a scalar"):
             SdpProblem(num_vars=1, c=[1.0], blocks=[block])
 
@@ -778,11 +785,6 @@ class TestProblemContainer:
                 want.update({(j, r, vi): row[r] for r in np.flatnonzero(row)})
         assert len(prob.socs) == plant.nu + plant.ny and got == want
 
-    def test_solver_options_dump(self, tmp_path):
-        path = tmp_path / "dump.txt"
-        solve_sdp(det_problem(), SolverOptions(dump_path=str(path)))
-        assert path.exists() and path.stat().st_size > 0
-
 
 class TestEmptyShapes:
     """Blocks without variables and problems without blocks go through the
@@ -790,7 +792,7 @@ class TestEmptyShapes:
 
     @pytest.mark.parametrize("F0", [-np.eye(2), np.diag([1.0, -1.0])])
     def test_block_without_variables_is_enforced(self, F0):
-        constant = LmiBlock(F0=F0, var_idx=np.zeros(0, dtype=int), coefs=np.zeros((0, 2, 2)))
+        constant = dense_block(F0=F0, var_idx=np.zeros(0, dtype=int), coefs=np.zeros((0, 2, 2)))
         prob = SdpProblem(num_vars=1, c=[1.0], blocks=[det_problem().blocks[0], constant])
         sol = solve_sdp(prob)
         assert sol.status == "infeasible"
@@ -798,8 +800,8 @@ class TestEmptyShapes:
         assert np.trace(sol.block_duals[1]) > 0.4
 
     def test_block_without_variables_is_checked(self):
-        constant = LmiBlock(F0=2 * np.eye(2), var_idx=np.zeros(0, dtype=int),
-                            coefs=np.zeros((0, 2, 2)))
+        constant = dense_block(F0=2 * np.eye(2), var_idx=np.zeros(0, dtype=int),
+                               coefs=np.zeros((0, 2, 2)))
         prob = SdpProblem(num_vars=1, c=[1.0], blocks=[det_problem().blocks[0], constant])
         sol = solve_sdp(prob)
         assert sol.status == "optimal"
@@ -825,7 +827,7 @@ class TestEmptyShapes:
     def test_problem_without_variables(self):
         def constant(F0):
             return SdpProblem(num_vars=0, c=np.zeros(0), blocks=[
-                LmiBlock(F0=F0, var_idx=np.zeros(0, dtype=int), coefs=np.zeros((0, 2, 2)))])
+                dense_block(F0=F0, var_idx=np.zeros(0, dtype=int), coefs=np.zeros((0, 2, 2)))])
 
         sol = solve_sdp(constant(np.eye(2)))
         assert (sol.status, sol.message, sol.x.shape) == ("optimal", "converged", (0,))
@@ -998,7 +1000,7 @@ class TestSchurAssembly:
         blk = prob.blocks[0]
         coefs = blk.coefs.copy()
         coefs[::3] = 0.0  # slices without a nonzero
-        blocks = [LmiBlock(F0=blk.F0, var_idx=blk.var_idx, coefs=coefs), *prob.blocks[1:]]
+        blocks = [dense_block(F0=blk.F0, var_idx=blk.var_idx, coefs=coefs), *prob.blocks[1:]]
         _assert_newton_matches_reference(SdpProblem(num_vars=40, c=prob.c, blocks=blocks))
 
     def test_second_order_cones(self):
@@ -1185,7 +1187,7 @@ class TestStallStop:
                                t_max=0.1),
          "dual improving ray found"),
         (lambda: SdpProblem(num_vars=1, c=[1.0], blocks=[
-            LmiBlock(F0=[[0.0]], var_idx=[0], coefs=[[[-1.0]]])]),
+            dense_block(F0=[[0.0]], var_idx=[0], coefs=[[[-1.0]]])]),
          "primal improving ray found"),
     ], ids=["converged", "infeasible", "unbounded"])
     def test_other_exits_unchanged(self, monkeypatch, build, message):

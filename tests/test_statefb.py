@@ -118,6 +118,24 @@ class TestChannelBoundRetry:
                                      gamma0=2.0, gamma_max=[0.4, 0.4]))
         assert len(calls) == 2
 
+    def test_dump_path_holds_the_retry(self, dup_actuator_plant, monkeypatch, tmp_path):
+        # a design's dump is the last problem it solved: here the retry's
+        problems, solve = [], statefb.solve_sdp
+
+        def recording(problem):
+            problems.append(problem)
+            return solve(problem)
+        monkeypatch.setattr(statefb, "solve_sdp", recording)
+        dump = tmp_path / "dump.txt"
+        with pytest.raises(InfeasiblePerformance, match="no Lyapunov certificate"):
+            synth_sf(SfSynthesisSpec(plant=dup_actuator_plant, performance_kind="hinf",
+                                     gamma0=2.0, gamma_max=[0.4, 0.4], dump_path=str(dump)))
+        assert len(problems) == 2
+        for i, problem in enumerate(problems):
+            problem.dump_triplets(tmp_path / f"{i}.txt")
+        assert (tmp_path / "0.txt").read_bytes() != (tmp_path / "1.txt").read_bytes()
+        assert dump.read_bytes() == (tmp_path / "1.txt").read_bytes()
+
     def test_refusal_at_one_solves_once(self, dup_actuator_plant, monkeypatch):
         calls = counted_solves(monkeypatch)
         with pytest.raises(InfeasiblePerformance, match="no Lyapunov certificate"):
@@ -164,6 +182,17 @@ class TestSpecValidation:
     def test_infinite_gamma0(self, scalar_plant, spec):
         with pytest.raises(ValueError, match="gamma0"):
             spec(plant=scalar_plant, gamma0=np.inf)
+
+    @pytest.mark.parametrize("spec,gamma0", [(SfSynthesisSpec, 1e200), (OfSynthesisSpec, 1e308),
+                                             (JointSpec, 1e160)])
+    def test_h2_gamma0_whose_square_overflows(self, scalar_plant, spec, gamma0):
+        # the H2 trace bound gamma0^2 must be a finite float
+        with pytest.raises(ValueError, match="gamma0"):
+            spec(plant=scalar_plant, performance_kind="h2", gamma0=gamma0)
+        with pytest.raises(ValueError, match="gamma0"):
+            spec(plant=scalar_plant, performance_kind="h2", gamma0=statefb.GAMMA0_LIMIT)
+        spec(plant=scalar_plant, performance_kind="h2",
+             gamma0=np.nextafter(statefb.GAMMA0_LIMIT, 0.0))
 
 
 class TestIndependentVerification:
