@@ -388,32 +388,21 @@ def default_frequency_grid():
     return np.logspace(np.log10(FREQ_GRID_LO), np.log10(FREQ_GRID_HI), FREQ_GRID_NUM)
 
 
-def _response(A, B, C, D, w):
-    n = A.shape[0]
-    if n == 0:
-        return D.astype(complex)
-    return C @ np.linalg.solve(1j * w * np.eye(n) - A, B) + D
-
-
 def freq_response_gap(sys_a, sys_b):
-    """Max spectral-norm difference of two frequency responses over a grid.
-
-    The grid is default_frequency_grid().  Grid points where either
-    resolvent is singular are skipped; the list of skipped frequencies is
-    returned alongside the gap.
-    """
-    Aa, Ba, Ca, Da = _abcd(sys_a)
-    Ab, Bb, Cb, Db = _abcd(sys_b)
-    if (Ca.shape[0], Ba.shape[1]) != (Cb.shape[0], Bb.shape[1]):
+    """Max spectral-norm difference of two frequency responses over
+    default_frequency_grid(), in real arithmetic as in _gains.  A frequency
+    where either resolvent's condition number (1-norm) is 1 /
+    HAMILTONIAN_REAL_TOL or more is skipped, as in norm_lower_bound; the
+    list of skipped frequencies is returned alongside the gap."""
+    systems = [_abcd(sys_a), _abcd(sys_b)]
+    if len({(C.shape[0], B.shape[1]) for _, B, C, _ in systems}) > 1:
         raise DimensionError("realizations must share input/output dimensions")
-    gap = 0.0
-    skipped = []
-    for w in default_frequency_grid():
-        try:
-            Ga = _response(Aa, Ba, Ca, Da, w)
-            Gb = _response(Ab, Bb, Cb, Db, w)
-        except np.linalg.LinAlgError:
-            skipped.append(float(w))
-            continue
-        gap = max(gap, float(np.linalg.norm(Ga - Gb, 2)))
-    return gap, skipped
+    freqs = default_frequency_grid()
+    M = [_resolvent_system(A, freqs) for A, *_ in systems]
+    # np.linalg.cond refuses the empty resolvent of a system without states
+    cond = [np.linalg.cond(m, 1) if m.shape[-1] else np.zeros(freqs.size) for m in M]
+    keep = np.maximum(*cond) * HAMILTONIAN_REAL_TOL < 1.0  # inf when singular
+    X = [_resolvent(m[keep], B) for m, (_, B, _, _) in zip(M, systems)]
+    Ga, Gb = (_embed(C @ Xr + D, C @ Xi) for (Xr, Xi), (_, _, C, D) in zip(X, systems))
+    gaps = np.linalg.svd(Ga - Gb, compute_uv=False)[:, 0]
+    return float(gaps.max(initial=0.0)), [float(w) for w in freqs[~keep]]

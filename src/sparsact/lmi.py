@@ -283,14 +283,7 @@ def trace(e):
     n = e.shape[0]
     if e.shape != (n, n):
         raise ModelingError("trace needs a square expression")
-    out = Expr((1, 1), np.array([[np.trace(e.constant)]]), [])
-    for t in e.terms:
-        for k in range(n):
-            ek = np.zeros((1, n))
-            ek[0, k] = 1.0
-            out = out + Expr((1, 1), np.zeros((1, 1)),
-                             [_Term(ek @ t.left, t.var, t.right[:, k:k + 1], t.transposed)])
-    return out
+    return sum((e.row(k).col(k) for k in range(n)), const(np.zeros((1, 1))))
 
 
 def bmat(grid):

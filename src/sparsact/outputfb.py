@@ -6,11 +6,11 @@ closed loop in them as a statefb.HatLoop, whose Lyapunov matrix is
 [[X, I], [I, Y]] and whose row i of K is [CKhat_i, DKhat_i Cy]; the
 design is then statefb's channel-bound design on that loop, the same as
 the state-feedback one, with the coupling margin
-[[(1 - eps) X, I], [I, Y]] > 0 as its positivity block.  The H2 design
-leaves AKhat out (the projection lemma): it sits only in the Lyapunov
-block, which the loop emits as its two projections, and it is recovered
-explicitly after the solve (HatLoop.akhat).  The H-infinity design keeps
-it, since its bounded-real and Lyapunov blocks both hold it.  The actual
+[[(1 - eps) X, I], [I, Y]] > 0 as its positivity block.  AKhat is left
+out, since it sits only in the performance block, which the loop emits as
+its two projections (the projection lemma), and recovered after the solve
+(HatLoop.akhat); only when statefb._coupled, whose Lyapunov block holds
+it too, is it a variable, of that problem and of its fallback.  The actual
 controller is recovered afterwards by inverting the change of variables.
 ``joint`` shares the preconditions, the hat loop and the hat recovery.
 
@@ -43,6 +43,7 @@ from .statefb import (
     SfSynthesisSpec,
     _channel_bound_design,
     _ChannelBoundGroups,
+    _coupled,
     _refuse_unattainable,
     _verify,
 )
@@ -146,8 +147,7 @@ def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
     p = spec.plant
     _check_of_preconditions(p)
     _refuse_unattainable(spec)
-    # of-hinf's Lyapunov block holds AKhat too, so only H2 leaves it out
-    loop, hat_exprs, variables = hat_loop(p, akhat_free=spec.performance_kind == "h2")
+    loop, hat_exprs, variables = hat_loop(p, akhat_free=not _coupled(spec))
     vm, sol, gamma = _channel_bound_design(spec, loop, variables)
     hat = _recover_hat(spec, loop, vm, sol, hat_exprs)
     ctrl = reconstruct_controller(hat, p)

@@ -7,9 +7,10 @@ corresponding actuator does little work and can eventually be pruned.
 
 The conditions of all three designs are the blocks of a HatLoop, a closed
 loop in synthesis variables; ``sf_loop`` makes this design's, with the
-gain K = W X^-1.  This module also holds what the designs share: the
-constants, the solve and its status map, the weight check, the
-channel-bound design and the verification.
+gain K = W X^-1.  It also holds what the designs share: the constants,
+the solve and its status map, the weight check, the channel-bound design
+and its rule for the coupled H-infinity problem (_coupled), and the
+verification.
 """
 
 from __future__ import annotations
@@ -323,11 +324,11 @@ class HatLoop:
                 f"definite (largest eigenvalue {top:.3e})")
         return AK
 
-    def channel_bounds(self, G, gamma_max, g=None):
-        """[[Gamma_ii, K_i], [*, X]] > 0 for each actuator i, then the caps of
-        gamma_max; with g, [[Gamma_ii, sqrt(g) K_i], [*, X]] > 0, which the
-        bounded-real block at g bounds without the Lyapunov block."""
-        K = self.K if g is None else np.sqrt(g) * self.K
+    def channel_bounds(self, G, gamma_max, s=1.0):
+        """[[Gamma_ii, sqrt(s) K_i], [*, X]] > 0 for each actuator i, then the
+        caps of gamma_max: Gamma bounds the channels' squared H2 norms when
+        the closed loop's Gramian is below s X (_channel_bound_design)."""
+        K = np.sqrt(s) * self.K
         cons = [lmi.pos_def(lmi.bmat([[G.row(i).col(i), K.row(i)], [None, self.X]]))
                 for i in range(self.K.shape[0])]
         if gamma_max is not None:
@@ -336,31 +337,38 @@ class HatLoop:
         return cons
 
 
+def _coupled(spec):
+    """Whether _channel_bound_design first tries the coupled problem: H-infinity at g0 > 1."""
+    return spec.performance_kind == "hinf" and spec.gamma0 * (1.0 - GAMMA_BACKOFF) > 1.0
+
+
 def _channel_bound_design(spec, loop, variables):
     """Minimize rho . Gamma on ``loop`` under spec's performance blocks,
     X > 0 and the channel bounds Gamma; (VarMap, solution, gamma) with the
     solved bounds clipped to gamma_max.
 
-    H-infinity bounds the channels through the Lyapunov block, which the
-    bounded-real block at g0 = gamma0 (1 - GAMMA_BACKOFF) implies only when
-    g0 <= 1.  So an improving ray with g0 > 1 is refused only once the
-    problem without the Lyapunov block, whose channel blocks carry sqrt(g0),
-    is infeasible too (README, Formulation)."""
+    H2's blocks bound the closed loop's Gramian by X, and the H-infinity
+    bounded-real block at g0 = gamma0 (1 - GAMMA_BACKOFF) by g0 X; the
+    channel blocks carry the root of that factor.  The Lyapunov block bounds
+    it by X: implied at g0 <= 1, a restriction that can lower Gamma at g0 > 1.
+    There (_coupled) the problem with it and unscaled channel blocks is
+    solved first, and any failure falls back to the other (README, Formulation)."""
     G = lmi.MatVar("Gamma", (spec.plant.nu,) * 2, "diagonal")
     perf, extra = loop.performance(spec)
     variables = [*variables, G, *extra]
     objective = lmi.trace(np.diag(spec.rho) @ G)
-    hinf = spec.performance_kind == "hinf"  # the H2 blocks hold the Lyapunov block
-    cons = [*perf, *(loop.lyapunov() if hinf else []), loop.positive(),
-            *loop.channel_bounds(G, spec.gamma_max)]
+    s = spec.gamma0 * (1.0 - GAMMA_BACKOFF) if spec.performance_kind == "hinf" else 1.0
+
+    def solve(coupled):
+        cons = [*perf, *(loop.lyapunov() if coupled else []), loop.positive(),
+                *loop.channel_bounds(G, spec.gamma_max, 1.0 if coupled else s)]
+        return _solve(spec, variables, cons, objective)
     try:
-        vm, sol = _solve(spec, variables, cons, objective)
-    except InfeasiblePerformance:
-        g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
-        if not hinf or g0 <= 1.0:
+        vm, sol = solve(_coupled(spec))
+    except (InfeasiblePerformance, SynthesisNumericalError):
+        if not _coupled(spec):
             raise
-        cons = [*perf, loop.positive(), *loop.channel_bounds(G, spec.gamma_max, g0)]
-        vm, sol = _solve(spec, variables, cons, objective)
+        vm, sol = solve(False)
     gamma = np.diag(vm.value(sol.x, G)).copy()
     if spec.gamma_max is not None:
         gamma = np.minimum(gamma, spec.gamma_max)

@@ -264,6 +264,20 @@ class TestFreqResponseGap:
         gap, _ = analysis.freq_response_gap(sys_a, sys_b)
         assert gap < 1e-10
 
+    def test_static_gains(self):
+        # without states G(jw) = D at every frequency
+        D = np.arange(6.0).reshape(3, 2)
+        empty = (np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)))
+        gap, skipped = analysis.freq_response_gap((*empty, D), (*empty, D + 1.0))
+        assert gap == pytest.approx(np.linalg.norm(np.ones((3, 2)), 2), rel=1e-12)
+        assert skipped == []
+
+    def test_pole_on_a_grid_frequency_is_skipped(self):
+        w = analysis.default_frequency_grid()[200]
+        oscillator = ([[0.0, -w], [w, 0.0]], [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]])
+        gap, skipped = analysis.freq_response_gap(oscillator, oscillator)
+        assert gap == 0.0 and skipped == [w]
+
 
 class TestIsHurwitz:
     def test_basic(self):

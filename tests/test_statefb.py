@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +62,40 @@ class TestScalarOracle:
         assert res.verified_closed_loop.kind == "Hinf"
 
 
+class TestScalarOracleBelowOne:
+    """The scalar plant at g = gamma0 (1 - GAMMA_BACKOFF) <= 1, where the
+    bounded-real block bounds the Gramian by g X: with X the Lyapunov
+    scalar, the least Gamma is the 1-D minimum over X > 0 of
+    g (X + (1 + X^2) / (2g))^2 / X, at the gain K = -1 - (1 + X^2) / (2gX)."""
+
+    @staticmethod
+    def oracle(gamma0):
+        g = gamma0 * (1.0 - statefb.GAMMA_BACKOFF)
+        res = scipy.optimize.minimize_scalar(
+            lambda X: g * (X + (1.0 + X * X) / (2.0 * g)) ** 2 / X,
+            bounds=(1e-6, 1e3), method="bounded", options={"xatol": 1e-12})
+        return res.fun, -1.0 - (1.0 + res.x ** 2) / (2.0 * g * res.x)
+
+    @pytest.mark.parametrize("gamma0, bound, gain", [
+        (0.3, 4.00481, -5.2434), (0.5, 3.03371, -3.7393), (0.9, 2.43819, -2.7803)])
+    def test_hinf_gain_and_bound(self, scalar_plant, gamma0, bound, gain):
+        oracle_bound, oracle_gain = self.oracle(gamma0)
+        assert (oracle_bound, oracle_gain) == pytest.approx((bound, gain), rel=1e-4)
+        res = synth_sf(SfSynthesisSpec(
+            plant=scalar_plant, performance_kind="hinf", gamma0=gamma0))
+        assert res.K.K[0, 0] == pytest.approx(oracle_gain, rel=1e-2)
+        assert res.gamma[0] == pytest.approx(oracle_bound, rel=1e-2)
+        assert res.verified_closed_loop.value < gamma0 * (1 + 1e-5)
+
+    @pytest.mark.parametrize("spec_class", [SfSynthesisSpec, OfSynthesisSpec])
+    def test_capped_request_designs(self, scalar_plant, spec_class):
+        # the oracle's Gamma 4.005 is below the cap 8
+        res = spec_class(plant=scalar_plant, performance_kind="hinf", gamma0=0.3,
+                         gamma_max=[8.0]).synthesize()
+        assert res.verified_closed_loop.value < 0.3
+        assert res.verified_channels[0].value < np.sqrt(8.0)
+
+
 class TestDuplicatedActuators:
     def test_symmetric_weights_split_evenly(self, dup_actuator_plant):
         # total squared effort 1.0 at the optimum (hand-derived)
@@ -108,8 +143,9 @@ def counted_solves(monkeypatch):
 
 
 class TestChannelBoundRetry:
-    """An H-infinity improving ray at g0 = gamma0 (1 - GAMMA_BACKOFF) > 1 is
-    refused only after the problem without the Lyapunov block is infeasible too."""
+    """An H-infinity design at g0 = gamma0 (1 - GAMMA_BACKOFF) > 1 whose
+    coupled solve fails, by an improving ray or otherwise, is decided by the
+    problem without the Lyapunov block; at g0 <= 1 that problem is the only one."""
 
     def test_refusal_above_one_solves_twice(self, dup_actuator_plant, monkeypatch):
         calls = counted_solves(monkeypatch)
@@ -148,6 +184,45 @@ class TestChannelBoundRetry:
         synth_sf(SfSynthesisSpec(plant=dup_actuator_plant, performance_kind="hinf",
                                  gamma0=2.0))
         assert len(calls) == 1
+
+    def test_breakdown_above_one_falls_back(self, monkeypatch):
+        # request 132 of the random-designs pool at half its benchmark gamma0
+        # (TestNearOptimumBreakdown): the coupled solve breaks down
+        p, _ = next(itertools.islice(pool_requests(0), 132, None))
+        g0 = 0.5 * (1.3 * analysis.hinf_norm((p.A, p.Bw, p.Cz, p.Dw)).value + 0.1)
+        ends, solve = [], statefb._solve
+
+        def recording(*args):
+            try:
+                out = solve(*args)
+            except SparsactError as exc:
+                ends.append(type(exc))
+                raise
+            ends.append("optimal")
+            return out
+        monkeypatch.setattr(statefb, "_solve", recording)
+        res = synth_sf(SfSynthesisSpec(plant=p, performance_kind="hinf", gamma0=g0))
+        assert ends == [SynthesisNumericalError, "optimal"]
+        assert res.verified_closed_loop.value < g0
+
+    @pytest.mark.parametrize("spec_class, akhat, blocks", [
+        (SfSynthesisSpec, 0, 1), (OfSynthesisSpec, 1, 0)])
+    def test_one_problem_below_one(self, scalar_plant, spec_class, akhat, blocks,
+                                   monkeypatch):
+        # at g0 <= 1 the design solves once, without the Lyapunov block; of-hinf
+        # also leaves out AKhat's nx^2 = 1 scalar, and emits its bounded-real
+        # block as two projections in place of the Lyapunov block
+        problems, solve = [], statefb.solve_sdp
+
+        def recording(problem):
+            problems.append(problem)
+            return solve(problem)
+        monkeypatch.setattr(statefb, "solve_sdp", recording)
+        for gamma0 in (0.9, 2.0):
+            spec_class(plant=scalar_plant, performance_kind="hinf", gamma0=gamma0).synthesize()
+        below, coupled = problems
+        assert len(below.blocks) == len(coupled.blocks) - blocks
+        assert below.num_vars == coupled.num_vars - akhat
 
 
 class TestSpecValidation:
@@ -408,17 +483,13 @@ class TestNearOptimumBreakdown:
     """Request 132 of the random-designs pool (generator seed 0), sf-hinf on
     a 4-state plant, at half its benchmark gamma0: its plant-only bound is
     about 2e-15, so the SDP decides it, and the first solve ends in an NT
-    scaling breakdown instead of a design or a certificate."""
+    scaling breakdown; the problem without the Lyapunov block then designs,
+    as item 13's closed form says it must (ROADMAP)."""
 
-    @pytest.mark.xfail(strict=True, raises=SynthesisNumericalError,
-                       reason="ends in an NT scaling breakdown")
     def test_half_benchmark_gamma0_is_decided(self):
         p, mode = next(itertools.islice(pool_requests(0), 132, None))
         assert (mode, p.nx) == ("sf-hinf", 4)
         g0 = 0.5 * (1.3 * analysis.hinf_norm((p.A, p.Bw, p.Cz, p.Dw)).value + 0.1)
         assert g0 == pytest.approx(1.86704, abs=1e-5)
-        try:
-            res = synth_sf(SfSynthesisSpec(plant=p, performance_kind="hinf", gamma0=g0))
-        except InfeasiblePerformance:
-            return
+        res = synth_sf(SfSynthesisSpec(plant=p, performance_kind="hinf", gamma0=g0))
         assert res.verified_closed_loop.value < g0
