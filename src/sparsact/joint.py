@@ -13,8 +13,8 @@ variables (``outputfb.hat_loop``, a statefb.HatLoop): the coupling margin
 H2 Lyapunov, output and trace blocks.  AKhat sits in one block only (the
 bounded-real or the Lyapunov block), so the loop leaves it out and emits
 that block as its two projections; it is recovered explicitly after the
-solve.  Preconditions and hat recovery come from ``outputfb``; the solve,
-its status map and the verification from ``statefb``.
+solve.  Hat recovery comes from ``outputfb``; the admission gate, the
+solve, its status map and the verification from ``statefb``.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ import numpy as np
 
 from . import analysis, lmi
 from .model import GeneralizedPlant, close_output_feedback
-from .outputfb import (HatController, _check_of_preconditions, _recover_hat, hat_loop,
-                       reconstruct_controller)
+from .outputfb import HatController, _recover_hat, hat_loop, reconstruct_controller
 # solve_sdp is unused here but bound for perfbench/tracer.py to patch
 from .sdp import SdpSolution, solve_sdp  # noqa: F401
-from .statefb import _check_performance, _refuse_unattainable, _set_vector, _solve, _verify
+from .statefb import _admit, _check_performance, _set_vector, _solve, _verify
 
 __all__ = [
     "JointSpec",
@@ -108,8 +107,7 @@ def group_norms(hat: HatController):
 def synth_joint(spec: JointSpec) -> JointSynthesisResult:
     """Minimize weighted hat-matrix group norms under a gamma0 performance LMI."""
     p = spec.plant
-    _check_of_preconditions(p)
-    _refuse_unattainable(spec)
+    _admit(spec)
     loop, hat_exprs, variables = hat_loop(p, akhat_free=True)
     _, BKh, CKh, DKh, _, _ = hat_exprs
     perf, extra = loop.performance(spec)

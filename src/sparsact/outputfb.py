@@ -12,7 +12,8 @@ its two projections (the projection lemma), and recovered after the solve
 (HatLoop.akhat); only when statefb._coupled, whose Lyapunov block holds
 it too, is it a variable, of that problem and of its fallback.  The actual
 controller is recovered afterwards by inverting the change of variables.
-``joint`` shares the preconditions, the hat loop and the hat recovery.
+``joint`` shares the hat loop and the hat recovery; both designs, like
+statefb's, are admitted by statefb._admit before any LMI is built.
 
 A measurement feedthrough Dyw != 0 needs DKhat Dyw = 0 so that the
 disturbance does not reach the actuators directly.  DKhat is the
@@ -32,19 +33,18 @@ import numpy as np
 import scipy.linalg
 
 from . import analysis, lmi
-from .errors import InfeasiblePerformance, NonzeroFeedthroughError, ReconstructionFailure
-from .model import (DynamicController, GeneralizedPlant, close_output_feedback,
-                    store_matrices, validate_plant)
+from .errors import ReconstructionFailure
+from .model import DynamicController, GeneralizedPlant, close_output_feedback, store_matrices
 # solve_sdp is unused here but bound for perfbench/tracer.py to patch
 from .sdp import SdpSolution, solve_sdp  # noqa: F401
 from .statefb import (
     COND_LIMIT,
     HatLoop,
     SfSynthesisSpec,
+    _admit,
     _channel_bound_design,
     _ChannelBoundGroups,
     _coupled,
-    _refuse_unattainable,
     _verify,
 )
 
@@ -94,15 +94,6 @@ class OfSynthesisResult(_ChannelBoundGroups):
     solution: SdpSolution
 
 
-def _check_of_preconditions(plant):
-    diags = validate_plant(plant)
-    feed = [d for d in diags if "Dyu" in d]
-    if feed:
-        raise NonzeroFeedthroughError(feed[0])
-    if diags:
-        raise InfeasiblePerformance("; ".join(diags))
-
-
 def hat_loop(plant, akhat_free=False):
     """The closed loop in the hat variables (Scherer, Gahinet & Chilali,
     1997), the hat expressions (AKhat, BKhat, CKhat, DKhat, X, Y) in
@@ -145,8 +136,7 @@ def synth_of(spec: SfSynthesisSpec) -> OfSynthesisResult:
     """Dynamic output feedback with ||w -> z|| < gamma0 in the norm of
     spec.performance_kind, minimizing rho . Gamma."""
     p = spec.plant
-    _check_of_preconditions(p)
-    _refuse_unattainable(spec)
+    _admit(spec)
     loop, hat_exprs, variables = hat_loop(p, akhat_free=not _coupled(spec))
     vm, sol, gamma = _channel_bound_design(spec, loop, variables)
     hat = _recover_hat(spec, loop, vm, sol, hat_exprs)

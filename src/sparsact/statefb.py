@@ -8,9 +8,10 @@ corresponding actuator does little work and can eventually be pruned.
 The conditions of all three designs are the blocks of a HatLoop, a closed
 loop in synthesis variables; ``sf_loop`` makes this design's, with the
 gain K = W X^-1.  It also holds what the designs share: the constants,
-the solve and its status map, the weight check, the channel-bound design
-and its rule for the coupled H-infinity problem (_coupled), and the
-verification.
+the admission gate that refuses from the plant alone before any LMI is
+built (_admit), the solve and its status map, the weight check, the
+channel-bound design and its rule for the coupled H-infinity problem
+(_coupled), and the verification.
 """
 
 from __future__ import annotations
@@ -190,19 +191,22 @@ def result_to_dict(result):
     }
 
 
-def _check_stabilizable(plant):
-    diags = [d for d in validate_plant(plant) if "unstabilizable" in d]
+def _admit(spec, state_feedback=False):
+    """Refuse spec from its plant alone, before any LMI is built: of
+    validate_plant's diagnostics (for state feedback only unstabilizable
+    modes), Dyu != 0 as NonzeroFeedthroughError and the rest as
+    InfeasiblePerformance; then InfeasiblePerformance when
+    analysis.norm_lower_bound for the design's class (state feedback with
+    state_feedback, else output feedback) is at least gamma0 (1 + VERIFY_RTOL),
+    so that no design could pass _verify.  The SDP decides every other request."""
+    diags = validate_plant(spec.plant)
+    if state_feedback:
+        diags = [d for d in diags if "unstabilizable" in d]
+    feed = [d for d in diags if "Dyu" in d]
+    if feed:
+        raise NonzeroFeedthroughError(feed[0])
     if diags:
         raise InfeasiblePerformance("; ".join(diags))
-
-
-def _refuse_unattainable(spec, state_feedback=False):
-    """InfeasiblePerformance, before any LMI is built, when a lower bound on
-    the closed-loop norm of every controller of the design's class
-    (analysis.norm_lower_bound: state feedback with state_feedback, else
-    output feedback) is at least gamma0 (1 + VERIFY_RTOL), so that no design
-    could pass _verify.  A request the bound does not settle goes on to the
-    SDP; the bound reads only the plant."""
     bound = analysis.norm_lower_bound(spec.plant, spec.performance_kind, state_feedback)
     if bound is not None and bound.value >= spec.gamma0 * (1.0 + VERIFY_RTOL):
         raise InfeasiblePerformance(
@@ -421,8 +425,7 @@ def synth_sf(spec: SfSynthesisSpec) -> SfSynthesisResult:
     """Design u = Kx with ||w -> z|| < gamma0 in the norm of
     spec.performance_kind, minimizing rho . Gamma."""
     p = spec.plant
-    _check_stabilizable(p)
-    _refuse_unattainable(spec, state_feedback=True)
+    _admit(spec, state_feedback=True)
     loop, variables = sf_loop(p)
     vm, sol, gamma = _channel_bound_design(spec, loop, variables)
     gain, Xv = _recover_gain(vm, sol, *variables)

@@ -766,6 +766,15 @@ class TestProblemContainer:
         text = p1.read_text()
         assert "-1 0 0 0 1" in text  # objective entry
 
+    def test_dump_writes_cone_constants(self, tmp_path):
+        # the joint designs' cones have zero constants; this one has two nonzeros
+        cone = SocBlock(f0=[2.0, 0.0, -0.5], var_idx=[0], coefs=[[0.0, 1.0, 0.0]])
+        prob = SdpProblem(num_vars=1, c=[1.0], blocks=det_problem().blocks, socs=[cone])
+        path = tmp_path / "a.txt"
+        prob.dump_triplets(path)
+        q = [line for line in path.read_text().splitlines() if line.endswith(" q")]
+        assert q == ["1 0 0 -1 2 q", "1 2 0 -1 -0.5 q", "1 1 0 0 1 q"]
+
     def test_dump_lists_every_cone_entry(self, monkeypatch, tmp_path):
         plant = random_plant(np.random.default_rng(11), nx=3, nu=2, nw=2, nz=2, ny=2)
         _, _, prob, _ = compiled_design(monkeypatch, synth_joint, JointSpec(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sparsact import statefb
-from sparsact.errors import InfeasiblePerformance, ReducedInfeasible
+from sparsact.errors import InfeasiblePerformance, ReducedInfeasible, SynthesisNumericalError
 from sparsact.joint import JointSpec
 from sparsact.outputfb import OfSynthesisResult, OfSynthesisSpec
 from sparsact.sparsify import (
@@ -166,6 +166,23 @@ def install_fixed_gamma_synthesizer(monkeypatch, gamma, fail_reduced=False):
         g = np.asarray(gamma[:nu], dtype=float)
         return StubResult(gamma=g, objective=float(spec.rho @ g))
     monkeypatch.setattr(statefb, "synth_sf", synthesize)
+
+
+class TestIterationErrors:
+    def test_later_failure_names_its_iteration(self, dup_actuator_plant, monkeypatch):
+        calls = []
+
+        def synthesize(spec):
+            calls.append(spec)
+            if len(calls) == 2:
+                raise SynthesisNumericalError("stub: breakdown", solution="sol")
+            g = np.array([1.0, 0.01])
+            return StubResult(gamma=g, objective=float(spec.rho @ g))
+        monkeypatch.setattr(statefb, "synth_sf", synthesize)
+        with pytest.raises(SynthesisNumericalError) as exc:
+            reweight_iterate(SfSynthesisSpec(plant=dup_actuator_plant, gamma0=2.0))
+        assert str(exc.value) == "reweight iteration 2: stub: breakdown"
+        assert exc.value.solution == "sol"
 
 
 class TestThresholdRatio:

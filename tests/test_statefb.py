@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,6 +292,41 @@ class TestIndependentVerification:
         json.dumps(result_to_dict(res))
 
 
+class TestLastLineOfDefence:
+    """The refusals after the solve, each forced: a verified norm at the
+    bound, a channel above its bound, a certificate too ill-conditioned to
+    invert."""
+
+    def test_closed_loop_norm_at_the_bound_is_refused(self, scalar_plant, monkeypatch):
+        hinf_norm = analysis.hinf_norm
+        monkeypatch.setattr(analysis, "hinf_norm", lambda cl: dataclasses.replace(
+            hinf_norm(cl), value=2.0 * (1.0 + statefb.VERIFY_RTOL)))
+        with pytest.raises(SynthesisNumericalError, match=re.escape(
+                "verification failed: closed-loop Hinf norm 2.00002 exceeds the bound 2")):
+            synth_sf(SfSynthesisSpec(plant=scalar_plant, performance_kind="hinf", gamma0=2.0))
+
+    def test_channel_above_its_bound_is_refused(self, scalar_plant, monkeypatch):
+        channel_h2_norms = analysis.channel_h2_norms
+        monkeypatch.setattr(analysis, "channel_h2_norms", lambda p, cl: [
+            dataclasses.replace(r, value=2.0 * r.value) for r in channel_h2_norms(p, cl)])
+        with pytest.raises(SynthesisNumericalError,
+                           match=r"verification failed: channel 0 H2 norm 2\.8\d* exceeds "
+                                 r"its bound 1\.41"):
+            synth_sf(SfSynthesisSpec(plant=scalar_plant, performance_kind="hinf", gamma0=2.0))
+
+    @pytest.mark.parametrize("small, cond", [(1e-13, "1.000e+13"), (0.0, "inf")])
+    def test_singular_certificate_is_refused(self, small, cond):
+        X, W = lmi.MatVar("X", (2, 2), "symmetric"), lmi.MatVar("W", (1, 2))
+        vm = SimpleNamespace(value=lambda x, v: {X: np.diag([1.0, small]),
+                                                 W: np.ones((1, 2))}[v])
+        sol = SimpleNamespace(x=None)
+        with pytest.raises(SynthesisNumericalError, match=re.escape(
+                f"certificate matrix is numerically singular at recovery "
+                f"(condition number {cond} > 1e+12)")) as exc:
+            statefb._recover_gain(vm, sol, X, W)
+        assert exc.value.solution is sol
+
+
 class TestActiveSet:
     def test_relative_threshold(self):
         assert active_set_from_values([1.0, 1e-5, 0.5]) == [0, 2]
@@ -450,7 +486,7 @@ class TestLowerBoundRefusal:
         # the bound is attained (tests/test_analysis.py), so 1.01 times it is not refused
         p = random_plant(np.random.default_rng(11), nx=4, nu=2, nw=2, nz=3, ny=2)
         bound = analysis.norm_lower_bound(p, "h2", state_feedback=True)
-        statefb._refuse_unattainable(
+        statefb._admit(
             SfSynthesisSpec(plant=p, performance_kind="h2", gamma0=1.01 * bound.value),
             state_feedback=True)
 
@@ -493,3 +529,67 @@ class TestNearOptimumBreakdown:
         assert g0 == pytest.approx(1.86704, abs=1e-5)
         res = synth_sf(SfSynthesisSpec(plant=p, performance_kind="hinf", gamma0=g0))
         assert res.verified_closed_loop.value < g0
+
+
+class TestRequest132ClosedForm:
+    """Item 13's closed form (ROADMAP) on request 132 of the random-designs
+    pool (generator seed 0, sf-hinf, nx = 4).  Du is square, so the optimum
+    lives on the one unstable eigenvalue lambda of A - Bu Du^-1 Cz, with
+    left eigenvector w: gamma* = |w'Bw| / sqrt(w' Bu (Du'Du)^-1 Bu' w).
+    Above gamma* the gain K = -(Du'Du)^-1 (Bu' X + Du' Cz) with
+    X = (2 lambda / w'Mw) w w', M = Bu (Du'Du)^-1 Bu' - Bw Bw' / gamma^2,
+    is a witness."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        p, mode = next(itertools.islice(pool_requests(0), 132, None))
+        assert (mode, p.nx) == ("sf-hinf", 4)
+        lams, vecs = np.linalg.eig((p.A - p.Bu @ np.linalg.solve(p.Du, p.Cz)).T)
+        (i,) = np.flatnonzero(lams.real > 0)
+        lam, w = lams[i].real, vecs[:, i].real
+        R = np.linalg.inv(p.Du.T @ p.Du)
+        gstar = np.linalg.norm(w @ p.Bw) / np.sqrt(w @ p.Bu @ R @ p.Bu.T @ w)
+
+        def witness(gamma):
+            M = p.Bu @ R @ p.Bu.T - p.Bw @ p.Bw.T / gamma ** 2
+            X = 2.0 * lam / (w @ M @ w) * np.outer(w, w)
+            return -R @ (p.Bu.T @ X + p.Du.T @ p.Cz)
+        return p, lam, gstar, witness
+
+    def design(self, oracle, factor):
+        p, _, gstar, _ = oracle
+        return synth_sf(SfSynthesisSpec(plant=p, performance_kind="hinf", gamma0=factor * gstar))
+
+    def test_optimum(self, oracle):
+        _, lam, gstar, _ = oracle
+        assert lam == pytest.approx(0.5818, abs=1e-4)
+        assert gstar == pytest.approx(1.716967, abs=1e-6)
+
+    @pytest.mark.parametrize("factor, norm", [(1.02, 1.750965), (1.2, 2.026586)])
+    def test_witness_gain(self, oracle, factor, norm):
+        p, _, gstar, witness = oracle
+        got = analysis.hinf_norm(close_state_feedback(p, witness(factor * gstar))).value
+        assert got == pytest.approx(norm, abs=1e-6)
+        assert got < factor * gstar
+
+    def test_below_the_optimum_is_refused(self, oracle):
+        with pytest.raises(SparsactError):
+            self.design(oracle, 0.98)
+
+    @pytest.mark.parametrize("factor", [
+        pytest.param(1.02, marks=pytest.mark.xfail(
+            strict=True, raises=InfeasiblePerformance,
+            reason="pool seed 0, request 132: the SDP's dual ray speaks about the "
+                   "backed-off compiled problem, not the plant (ROADMAP item 2)")),
+        1.05])
+    def test_above_the_optimum_is_not_refused(self, oracle, factor):
+        # a typed numerical failure is allowed (1.05 ends in an NT breakdown), a refusal is not
+        try:
+            res = self.design(oracle, factor)
+        except SynthesisNumericalError:
+            return
+        assert res.verified_closed_loop.value < factor * oracle[2]
+
+    def test_well_above_the_optimum_designs(self, oracle):
+        res = self.design(oracle, 1.2)
+        assert res.verified_closed_loop.value == pytest.approx(1.98635, abs=1e-5)
