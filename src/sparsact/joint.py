@@ -115,8 +115,8 @@ def synth_joint(spec: JointSpec) -> JointSynthesisResult:
     cons = [loop.positive(), *perf]
 
     objective = lmi.Expr.wrap(np.zeros((1, 1)))
-    groups = (("t_act", spec.mu, lambda i: [[CKh.row(i).T], [DKh.row(i).T]]),
-              ("t_sen", spec.nu, lambda j: [[BKh.col(j)], [DKh.col(j)]]))
+    groups = (("t_act", spec.mu, lambda i: [[CKh[i:i + 1, :].T], [DKh[i:i + 1, :].T]]),
+              ("t_sen", spec.nu, lambda j: [[BKh[:, j:j + 1]], [DKh[:, j:j + 1]]]))
     for name, weights, group in groups:
         for i, w in enumerate(weights):
             if w == 0.0:

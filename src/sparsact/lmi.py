@@ -4,10 +4,11 @@ Decision variables are matrices: symmetric, rectangular or diagonal (a
 1 x 1 diagonal variable is a scalar).  Expressions are affine: constant +
 sum of L @ V @ R terms (V possibly transposed), and a variable V is itself
 an expression, the one term I @ V @ I.  A product drops each term whose new
-L or R is all zero, so a row or block selection keeps only the terms it
-reaches.  Products of two variable expressions are rejected at
-construction time -- the synthesis change of variables exists precisely so
-that no bilinear term is ever needed.
+L or R is all zero.  A sub-block e[rows, cols] cuts the constant, each L's
+rows and each R's columns, and drops a term it leaves all zero; bmat places
+each cell's constant, L and R at its offsets.  Products of two variable
+expressions are rejected at construction time -- the synthesis change of
+variables exists precisely so that no bilinear term is ever needed.
 Constraints are matrix inequalities (PSD blocks) and 2-norm bounds
 ||v|| <= t (second-order cones).
 
@@ -133,13 +134,15 @@ class Expr:
                     [_Term(l, t.var, t.right, t.transposed)
                      for t in self.terms if (l := L @ t.left).any()])
 
-    def row(self, i):
-        """Row i, a 1 x cols expression."""
-        return np.eye(self.shape[0])[i:i + 1] @ self
-
-    def col(self, j):
-        """Column j, a rows x 1 expression."""
-        return self @ np.eye(self.shape[1])[:, j:j + 1]
+    def __getitem__(self, index):
+        """e[rows, cols], each a slice or an index array: the cut constant and
+        each term with its left factor's rows and right factor's columns
+        cut, dropped if either cut factor is all zero."""
+        rows, cols = index
+        constant = self.constant[rows][:, cols]
+        return Expr(constant.shape, constant,
+                    [_Term(l, t.var, r, t.transposed) for t in self.terms
+                     if (l := t.left[rows]).any() and (r := t.right[:, cols]).any()])
 
     @property
     def T(self):
@@ -283,7 +286,7 @@ def trace(e):
     n = e.shape[0]
     if e.shape != (n, n):
         raise ModelingError("trace needs a square expression")
-    return sum((e.row(k).col(k) for k in range(n)), const(np.zeros((1, 1))))
+    return sum((e[k:k + 1, k:k + 1] for k in range(n)), const(np.zeros((1, 1))))
 
 
 def bmat(grid):
@@ -292,40 +295,33 @@ def bmat(grid):
     ``None`` marks an off-diagonal block filled by transposing its mirror
     (the asterisk convention).
     """
-    nrows = len(grid)
-    ncols = len(grid[0])
-    cells = [[None] * ncols for _ in range(nrows)]
-    for i in range(nrows):
-        for j in range(ncols):
-            g = grid[i][j]
-            if g is None:
-                mirror = grid[j][i]
-                if mirror is None:
-                    raise ModelingError(f"both ({i},{j}) and ({j},{i}) are stars")
-                cells[i][j] = Expr.wrap(mirror).T
-            else:
-                cells[i][j] = Expr.wrap(g)
-    row_dims = [cells[i][0].shape[0] for i in range(nrows)]
-    col_dims = [cells[0][j].shape[1] for j in range(ncols)]
-    for i in range(nrows):
-        for j in range(ncols):
-            if cells[i][j].shape != (row_dims[i], col_dims[j]):
-                raise ModelingError(
-                    f"block ({i},{j}) has shape {cells[i][j].shape}, "
-                    f"expected {(row_dims[i], col_dims[j])}")
-    R = sum(row_dims)
-    C = sum(col_dims)
-    roff = np.cumsum([0] + row_dims)
-    coff = np.cumsum([0] + col_dims)
-    out = Expr((R, C), np.zeros((R, C)), [])
-    for i in range(nrows):
-        Ei = np.zeros((R, row_dims[i]))
-        Ei[roff[i]:roff[i + 1]] = np.eye(row_dims[i])
-        for j in range(ncols):
-            Fj = np.zeros((col_dims[j], C))
-            Fj[:, coff[j]:coff[j + 1]] = np.eye(col_dims[j])
-            out = out + Ei @ cells[i][j] @ Fj
-    return out
+    nrows, ncols = len(grid), len(grid[0])
+    for i, j in np.ndindex(nrows, ncols):
+        if grid[i][j] is None and grid[j][i] is None:
+            raise ModelingError(f"both ({i},{j}) and ({j},{i}) are stars")
+    cells = [[Expr.wrap(grid[j][i]).T if grid[i][j] is None else Expr.wrap(grid[i][j])
+              for j in range(ncols)] for i in range(nrows)]
+    row_dims = [row[0].shape[0] for row in cells]
+    col_dims = [cell.shape[1] for cell in cells[0]]
+    for i, j in np.ndindex(nrows, ncols):
+        if cells[i][j].shape != (row_dims[i], col_dims[j]):
+            raise ModelingError(
+                f"block ({i},{j}) has shape {cells[i][j].shape}, "
+                f"expected {(row_dims[i], col_dims[j])}")
+    R, C = sum(row_dims), sum(col_dims)
+    roff, coff = np.cumsum([0] + row_dims), np.cumsum([0] + col_dims)
+    # each cell is added into zeros at its offsets, which turns -0.0 into +0.0
+    constant, terms = np.zeros((R, C)), []
+    for i, j in np.ndindex(nrows, ncols):
+        rs, cs = slice(roff[i], roff[i + 1]), slice(coff[j], coff[j + 1])
+        constant[rs, cs] += cells[i][j].constant
+        for t in cells[i][j].terms:
+            if t.left.any() and t.right.any():
+                left, right = np.zeros((R, t.left.shape[1])), np.zeros((t.right.shape[0], C))
+                left[rs] += t.left
+                right[:, cs] += t.right
+                terms.append(_Term(left, t.var, right, t.transposed))
+    return Expr((R, C), constant, terms)
 
 
 # ---------------------------------------------------------------------------

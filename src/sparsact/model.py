@@ -336,4 +336,4 @@ def controller_to_dict(ctrl) -> dict:
 def controller_from_dict(d: dict):
     _check_object(d, "controller")
     record = StateFeedbackGain if "K" in d else DynamicController
-    return record(**{f.name: d[f.name] for f in dataclasses.fields(record)})
+    return record(**{f.name: d.get(f.name) for f in dataclasses.fields(record)})

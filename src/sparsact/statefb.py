@@ -276,8 +276,7 @@ class HatLoop:
         if not self.akhat_free:
             return [lmi.neg_def(M)]
         h, n = self.halves, M.shape[0]
-        keep = (np.r_[0:h, 2 * h:n], np.r_[h:n])
-        return [lmi.neg_def(E @ M @ E.T) for E in (np.eye(n)[k] for k in keep)]
+        return [lmi.neg_def(M[k, k]) for k in (np.r_[0:h, 2 * h:n], np.r_[h:n])]
 
     def lyapunov(self):
         """sym A + B B' < 0; its Schur form [[sym A, *], [B', -I]] < 0 if B has variables."""
@@ -292,22 +291,21 @@ class HatLoop:
         return lmi.pos_def(self.X - COUPLING_MARGIN * (E @ (E.T @ self.X @ E) @ E.T))
 
     def _performance_block(self, spec):
-        g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
-        return self._bounded_real(g0) if spec.performance_kind == "hinf" else self._lyapunov()
+        return (self._bounded_real(_g0(spec)) if spec.performance_kind == "hinf"
+                else self._lyapunov())
 
     def performance(self, spec):
         """(constraints, extra variables) bounding the norm of
         spec.performance_kind by gamma0: the bounded-real block, or the
         Lyapunov block, [[X, C'], [*, Q]] > 0 and trace Q < gamma0^2 (D = 0
         for H2: the specs require Dw = 0, and DKhat Dyw = 0)."""
-        g0 = spec.gamma0 * (1.0 - GAMMA_BACKOFF)
         perf = self._neg_def(self._performance_block(spec))
         if spec.performance_kind == "hinf":
             return perf, []
         Q = lmi.MatVar("Q", (self.C.shape[0],) * 2, "symmetric")
         return [*perf,
                 lmi.pos_def(lmi.bmat([[self.X, self.C.T], [None, Q]])),
-                lmi.neg_def(lmi.trace(Q) - g0 ** 2 * np.eye(1))], [Q]
+                lmi.neg_def(lmi.trace(Q) - _g0(spec) ** 2 * np.eye(1))], [Q]
 
     def akhat(self, spec, values):
         """AKhat at the solution values of an AKhat-free loop: with L the
@@ -333,17 +331,22 @@ class HatLoop:
         caps of gamma_max: Gamma bounds the channels' squared H2 norms when
         the closed loop's Gramian is below s X (_channel_bound_design)."""
         K = np.sqrt(s) * self.K
-        cons = [lmi.pos_def(lmi.bmat([[G.row(i).col(i), K.row(i)], [None, self.X]]))
+        cons = [lmi.pos_def(lmi.bmat([[G[i:i + 1, i:i + 1], K[i:i + 1, :]], [None, self.X]]))
                 for i in range(self.K.shape[0])]
         if gamma_max is not None:
-            cons += [lmi.neg_semidef(G.row(i).col(i) - gamma_max[i] * np.eye(1))
+            cons += [lmi.neg_semidef(G[i:i + 1, i:i + 1] - gamma_max[i] * np.eye(1))
                      for i in range(len(gamma_max))]
         return cons
 
 
+def _g0(spec):
+    """The bound g0 = gamma0 (1 - GAMMA_BACKOFF) that the LMIs impose."""
+    return spec.gamma0 * (1.0 - GAMMA_BACKOFF)
+
+
 def _coupled(spec):
     """Whether _channel_bound_design first tries the coupled problem: H-infinity at g0 > 1."""
-    return spec.performance_kind == "hinf" and spec.gamma0 * (1.0 - GAMMA_BACKOFF) > 1.0
+    return spec.performance_kind == "hinf" and _g0(spec) > 1.0
 
 
 def _channel_bound_design(spec, loop, variables):
@@ -361,7 +364,7 @@ def _channel_bound_design(spec, loop, variables):
     perf, extra = loop.performance(spec)
     variables = [*variables, G, *extra]
     objective = lmi.trace(np.diag(spec.rho) @ G)
-    s = spec.gamma0 * (1.0 - GAMMA_BACKOFF) if spec.performance_kind == "hinf" else 1.0
+    s = _g0(spec) if spec.performance_kind == "hinf" else 1.0
 
     def solve(coupled):
         cons = [*perf, *(loop.lyapunov() if coupled else []), loop.positive(),

@@ -321,6 +321,16 @@ class TestVerify:
         assert "closed loop is not stable: its norms are unbounded" in capsys.readouterr().err
         assert not (out / "verify.json").exists()
 
+    def test_controller_missing_matrix_exits_1(self, scalar_model, tmp_path, capsys):
+        ctrl = tmp_path / "no_dk.json"
+        ctrl.write_text(json.dumps({"AK": [[-1.0]], "BK": [[1.0]], "CK": [[1.0]]}))
+        out = tmp_path / "verify"
+        rc = main(["verify", "--model", scalar_model, "--controller", str(ctrl),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "error: DK is missing" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unstable_loop_without_gamma0_exits_1(self, scalar_model, tmp_path, capsys):
         ctrl = tmp_path / "k.json"
         ctrl.write_text(json.dumps({"K": [[0.5]]}))

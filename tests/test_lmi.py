@@ -30,6 +30,36 @@ def rand_assignment(rng, *variables):
     return out
 
 
+def assert_same_expr(got, want):
+    """Same shape, constant bytes, terms (factors up to the sign of zero) and triplets."""
+    assert got.shape == want.shape
+    assert got.constant.tobytes() == want.constant.tobytes()
+    assert len(got.terms) == len(want.terms)
+    for a, b in zip(got.terms, want.terms):
+        assert (a.var, a.transposed) == (b.var, b.transposed)
+        assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
+    variables = list(dict.fromkeys(t.var for t in want.terms))
+    offsets = lmi.VarMap(variables).offsets
+    for a, b in zip(got.coefficients(offsets)[1], want.coefficients(offsets)[1]):
+        assert np.array_equal(a, b)
+
+
+def dense_bmat(grid):
+    """The block grid as the sum of its placed cells Ei @ cell @ Fj, mirrored
+    None cells transposed: the 0/1 selection products bmat must equal."""
+    cells = [[lmi.Expr.wrap(grid[j][i]).T if g is None else lmi.Expr.wrap(g)
+              for j, g in enumerate(row)] for i, row in enumerate(grid)]
+    rdims = [row[0].shape[0] for row in cells]
+    cdims = [c.shape[1] for c in cells[0]]
+    roff, coff = np.cumsum([0] + rdims), np.cumsum([0] + cdims)
+    out = lmi.const(np.zeros((roff[-1], coff[-1])))
+    for i, row in enumerate(cells):
+        Ei = np.eye(roff[-1])[:, roff[i]:roff[i + 1]]
+        for j, cell in enumerate(row):
+            out = out + Ei @ cell @ np.eye(coff[-1])[coff[j]:coff[j + 1]]
+    return out
+
+
 class TestExprAlgebra:
     def test_affine_term_evaluation(self):
         rng = np.random.default_rng(0)
@@ -54,8 +84,8 @@ class TestExprAlgebra:
         rng = np.random.default_rng(2)
         W = lmi.MatVar("W", (3, 4))
         vals = rand_assignment(rng, W)
-        assert lmi.evaluate(W.row(1), vals) == pytest.approx(vals[W][1:2, :])
-        assert lmi.evaluate(W.col(2), vals) == pytest.approx(vals[W][:, 2:3])
+        assert lmi.evaluate(W[1:2, :], vals) == pytest.approx(vals[W][1:2, :])
+        assert lmi.evaluate(W[:, 2:3], vals) == pytest.approx(vals[W][:, 2:3])
 
     def test_sym_operator(self):
         rng = np.random.default_rng(3)
@@ -147,7 +177,8 @@ def test_selection_keeps_only_the_terms_it_reaches():
                   [W, rng.standard_normal((1, 2)) @ Y, -np.eye(1)]])
     keep = np.r_[0:2, 4:5]
     E = np.eye(5)[keep]
-    S = E @ M @ E.T
+    S = M[keep, keep]
+    assert_same_expr(S, E @ M @ E.T)
     assert S.terms and all(t.left.any() and t.right.any() for t in S.terms)
     assert {t.var for t in S.terms} == {X, W}
     offsets = lmi.VarMap([X, Y, W]).offsets
@@ -185,6 +216,40 @@ class TestBmat:
         B = lmi.bmat([[W, lmi.const(np.eye(2))], [lmi.const(2 * np.eye(2)), W.T]])
         assert lmi.evaluate(B, vals) == pytest.approx(np.block(
             [[vals[W], np.eye(2)], [2 * np.eye(2), vals[W].T]]))
+
+    def test_places_cells_as_the_selection_products(self):
+        # a mirrored (None) cell, a constant cell with signed zeros, transposed
+        # terms, a negated identity and a term with an all-zero factor: the
+        # offsets give the triplets and constant bytes of sum Ei @ cell @ Fj
+        rng = np.random.default_rng(8)
+        X = lmi.MatVar("X", (2, 2), "symmetric")
+        Y = lmi.MatVar("Y", (2, 2), "symmetric")
+        W = lmi.MatVar("W", (1, 2))
+        grid = [[lmi.sym(rng.standard_normal((2, 2)) @ X), None, None],
+                [W, -np.eye(1), None],
+                [lmi.const([[-0.0, 1.5], [2.0, -0.0]]), rng.standard_normal((2, 2)) @ W.T,
+                 -1.0 * Y + 0.0 * X]]
+        B = lmi.bmat(grid)
+        assert not np.signbit(B.constant[B.constant == 0.0]).any()
+        assert_same_expr(B, dense_bmat(grid))
+        got, want = (lmi.compile_lmis([X, Y, W], [lmi.neg_def(b)])[0].blocks[0]
+                     for b in (B, dense_bmat(grid)))
+        assert got.F0.tobytes() == want.F0.tobytes()
+        for name in ("var_idx", "slices", "rows", "cols", "vals"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_trace_is_the_sum_of_diagonal_selections():
+    rng = np.random.default_rng(9)
+    G = lmi.MatVar("G", (3, 3), "diagonal")
+    X = lmi.MatVar("X", (3, 3), "symmetric")
+    e = np.diag(rng.random(3)) @ G + rng.standard_normal((3, 3)) @ X + rng.standard_normal((3, 3))
+    unit = np.eye(3)
+    want = sum((unit[k:k + 1] @ e @ unit[:, k:k + 1] for k in range(3)),
+               lmi.const(np.zeros((1, 1))))
+    assert_same_expr(lmi.trace(e), want)
+    vals = rand_assignment(rng, G, X)
+    assert lmi.evaluate(lmi.trace(e), vals)[0, 0] == pytest.approx(np.trace(lmi.evaluate(e, vals)))
 
 
 class TestCompileAndSolve:
@@ -559,7 +624,7 @@ def test_sums_in_dense_order():
     for _ in range(5):
         A, B, C, D = rng.standard_normal((4, 4, 4))
         expr = A @ X @ A.T + B @ X @ B.T + lmi.sym(C @ X) + D @ X @ D.T
-        cons = [lmi.neg_semidef(expr), lmi.soc(lmi.trace(X), expr.col(0))]
+        cons = [lmi.neg_semidef(expr), lmi.soc(lmi.trace(X), expr[:, 0:1])]
         problem, _ = lmi.compile_lmis([X], cons)
         _, [(F0, var_idx, coefs)], [(f0, soc_idx, rows)] = dense_compile([X], cons, None)
         assert np.array_equal(problem.blocks[0].var_idx, var_idx)

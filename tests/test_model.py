@@ -306,3 +306,7 @@ class TestSerialization:
         c2 = controller_from_dict(controller_to_dict(c))
         assert isinstance(c2, DynamicController)
         assert c2.AK == pytest.approx(c.AK)
+
+    def test_controller_missing_matrix_named(self):
+        with pytest.raises(ValueError, match="^DK is missing"):
+            controller_from_dict({"AK": [[-1.0]], "BK": [[2.0]], "CK": [[3.0]]})
